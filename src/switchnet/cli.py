@@ -1,9 +1,9 @@
 """Command-line interface.
 
 `switchnet pipeline` runs the whole experiment from one config file; the other
-subcommands expose the individual stages over the same file formats, so a
-manual chain of subcommands reproduces the pipeline's artifacts byte-for-byte
-(timings aside).
+subcommands expose the individual stages over the same file formats and call
+the pipeline's own stage functions, so a manual chain of subcommands
+reproduces the pipeline's artifacts byte-for-byte (timings aside).
 """
 
 import argparse
@@ -15,13 +15,12 @@ from .analysis import attribute, export_heatmap_csv, heatmap, render_heatmap_svg
 from .data import (PartitionSet, generate_synthetic, load_dataset, load_group_specs,
                    make_test_sets, partition, save_dataset)
 from .errors import ConfigError, StageError, SwitchNetError
-from .federated import (collect, make_nodes, node_train_config, run_local_training,
-                        with_trained_units)
+from .federated import node_train_config
 from .jsonio import read_json, write_json
-from .network import evaluate, fit_readout, load_network, neuron_contribution, save_network
+from .network import evaluate, load_network, neuron_contribution
 from .neuron import init_unit, save_unit, train_unit
-from .pipeline import default_config_path, load_config, run_pipeline
-from .switching import build_switch
+from .pipeline import (ReportBundle, data_stage, default_config_path, load_config, readout_stage,
+                       run_pipeline, switch_stage, train_stage, write_test_sets, write_training)
 
 
 def _require_file(path, what: str) -> Path:
@@ -44,9 +43,15 @@ def _ids_for_kind(test_sets_path, kind: str):
     return [int(i) for i in doc[key]]
 
 
+def _print_warnings(warnings) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def cmd_pipeline(args) -> int:
     config = _load_cli_config(args)
     bundle = run_pipeline(config)
+    _print_warnings(bundle.switch_warnings)
     print(f"bundle written to {bundle.out_dir}")
     for path in bundle.all_paths():
         print(f"  {path.name}")
@@ -63,7 +68,7 @@ def cmd_gen_data(args) -> int:
         config = _load_cli_config(args)
         if config.specs is None:
             raise ConfigError("config points at an existing dataset; nothing to generate")
-        dataset = generate_synthetic(config.specs, config.seed)
+        dataset = data_stage(config)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.observations)} observations to {args.out}")
     return 0
@@ -78,9 +83,7 @@ def cmd_partition(args) -> int:
     if args.test_sets:
         overlapping, non_overlapping = make_test_sets(dataset, parts, config.holdout_fraction,
                                                       config.seed)
-        write_json({"holdout_fraction": config.holdout_fraction,
-                    "overlapping": list(overlapping),
-                    "non_overlapping": list(non_overlapping)}, args.test_sets)
+        write_test_sets(args.test_sets, config, overlapping, non_overlapping)
         print(f"wrote test sets ({len(overlapping)} overlapping, "
               f"{len(non_overlapping)} non-overlapping) to {args.test_sets}")
     return 0
@@ -108,29 +111,14 @@ def cmd_fedsim(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     parts = PartitionSet.from_json(read_json(_require_file(args.partition, "partition JSON")))
-    switch, _ = build_switch(config.n_units, config.switch_entries, config.switch_fallback)
-    units = [init_unit(dataset.dim, config.activation, k, config.seed)
-             for k in range(config.n_units)]
-    nodes = make_nodes(parts, dataset, units)
-    workers = args.workers or config.workers or config.n_units
-    trained, fed = run_local_training(nodes, config.train, workers=workers)
-    net = collect(with_trained_units(nodes, trained), switch, config.aggregation)
-    if config.aggregation == "linear-readout":
-        net = fit_readout(net, tuple(sorted(parts.assigned_ids())), dataset, config.train)
+    switch, warnings = switch_stage(config, dataset)
+    _print_warnings(warnings)
+    net, fed = train_stage(config, dataset, parts, switch)
+    net = readout_stage(config, net, dataset, parts)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for unit in net.units:
-        save_unit(unit, out / f"unit_{unit.unit_index}.json")
-    save_network(net, out / "network.json")
-    write_json({"workers": fed.workers,
-                "nodes": [{"node_id": i, "final_loss": log.final_loss,
-                           "epochs": len(log.epoch_losses), "steps": log.steps,
-                           "epoch_losses": list(log.epoch_losses)}
-                          for i, log in enumerate(fed.logs)]}, out / "fed_report.json")
-    write_json({"workers": fed.workers,
-                "durations_ms": {str(i): d for i, d in enumerate(fed.durations_ms)},
-                "schedule": [list(s) for s in fed.schedule]}, out / "fed_timings.json")
-    print(f"trained {len(net.units)} nodes with {workers} worker(s) -> {out}")
+    write_training(ReportBundle(out, net.n_units), net, fed)
+    print(f"trained {len(net.units)} nodes with {fed.workers} worker(s) -> {out}")
     return 0
 
 
@@ -204,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=cmd_fedsim)
 

@@ -70,12 +70,6 @@ class Dataset:
     def ids(self) -> tuple[int, ...]:
         return tuple(obs.id for obs in self.observations)
 
-    def group_name(self, group: int) -> str:
-        for g, name in self.groups:
-            if g == group:
-                return name
-        raise DataError(f"unknown group {group}")
-
 
 @dataclass(frozen=True)
 class LabelRule:
@@ -123,6 +117,8 @@ class GroupSpec:
     def __post_init__(self):
         if len(self.mean) != len(self.scale):
             raise DataError(f"group {self.name!r}: mean and scale lengths differ")
+        if not all(math.isfinite(v) for v in self.mean + self.scale):
+            raise DataError(f"group {self.name!r}: mean and scale entries must be finite")
         if any(s <= 0 for s in self.scale):
             raise DataError(f"group {self.name!r}: scale entries must be > 0")
         if self.count < 1:
@@ -176,19 +172,6 @@ class PartitionPlan:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.assignments)
-
-    def to_json(self) -> dict:
-        out = {"selection": self.selection, "assignments": [list(a) for a in self.assignments]}
-        if self.explicit_ids is not None:
-            out["explicit_ids"] = [list(lst) for lst in self.explicit_ids]
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PartitionPlan":
-        explicit = obj.get("explicit_ids")
-        return cls(assignments=tuple((int(u), int(c)) for u, c in obj["assignments"]),
-                   selection=obj["selection"],
-                   explicit_ids=None if explicit is None else tuple(tuple(int(i) for i in lst) for lst in explicit))
 
 
 @dataclass(frozen=True)
@@ -318,6 +301,8 @@ def load_dataset(path) -> Dataset:
             features = tuple(float(v) for v in row[3:])
         except ValueError:
             raise DataError(f"non-numeric feature, line {lineno}") from None
+        if not all(math.isfinite(x) for x in features):
+            raise DataError(f"non-finite feature, line {lineno}")
         if names and group not in names:
             raise DataError(f"unknown group {group}, line {lineno}")
         observations.append(Observation(id=obs_id, group=group, label=int(row[2]), features=features))
@@ -368,8 +353,9 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    assigned = sorted(partitions.assigned_ids())
-    non_overlapping = tuple(i for i in sorted(dataset.ids()) if i not in set(assigned))
+    assigned_ids = partitions.assigned_ids()
+    assigned = sorted(assigned_ids)
+    non_overlapping = tuple(i for i in sorted(dataset.ids()) if i not in assigned_ids)
     if not non_overlapping:
         raise DataError("no unassigned observations: non-overlapping test set would be empty")
     k = math.floor(holdout_fraction * len(assigned))

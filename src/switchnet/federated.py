@@ -7,9 +7,8 @@ for any worker count. Collection is pure assembly: no weight averaging.
 """
 
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .data import Dataset, Observation, PartitionSet
@@ -18,8 +17,6 @@ from .network import ModularNetwork, assemble
 from .neuron import NeuronUnit, TrainConfig, TrainLog, train_unit
 from .seeding import derive_seed
 from .switching import SwitchTable
-
-BACKENDS = ("process", "thread")
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,17 @@ class FedRunReport:
     schedule: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
+        """The deterministic part (`fed_report.json`): per-node losses, epochs and steps."""
         return {"workers": self.workers,
                 "nodes": [{"node_id": i, "final_loss": log.final_loss,
                            "epochs": len(log.epoch_losses), "steps": log.steps,
-                           "epoch_losses": list(log.epoch_losses),
-                           "duration_ms": self.durations_ms[i]}
-                          for i, log in enumerate(self.logs)],
+                           "epoch_losses": list(log.epoch_losses)}
+                          for i, log in enumerate(self.logs)]}
+
+    def timings_to_json(self) -> dict:
+        """The timing part (`fed_timings.json`): per-node durations and the worker schedule."""
+        return {"workers": self.workers,
+                "durations_ms": {str(i): d for i, d in enumerate(self.durations_ms)},
                 "schedule": [list(s) for s in self.schedule]}
 
 
@@ -78,30 +80,22 @@ def _train_node(node: Node, config: TrainConfig):
     started = time.perf_counter()
     trained, log = train_unit(node.unit, node.local_data, node_train_config(config, node.node_id))
     duration_ms = (time.perf_counter() - started) * 1000.0
-    worker_token = f"{os.getpid()}-{threading.get_ident()}"
-    return node.node_id, trained, log, duration_ms, worker_token
+    return node.node_id, trained, log, duration_ms, os.getpid()
 
 
-def run_local_training(nodes, config: TrainConfig, workers: int = 1,
-                       backend: str = "process") -> tuple[tuple[NeuronUnit, ...], FedRunReport]:
-    """Train every node's unit on its own data, up to `workers` at a time.
+def run_local_training(nodes, config: TrainConfig,
+                       workers: int = 1) -> tuple[tuple[NeuronUnit, ...], FedRunReport]:
+    """Train every node's unit on its own data, up to `workers` processes at a time.
 
-    Output bits are independent of worker count and backend; only the timings
-    and the schedule differ. The thread backend offers little wall-clock gain
-    under the GIL and exists for environments where forking is unavailable.
+    Output bits are independent of worker count; only the timings and the
+    schedule differ. `workers=1` trains in this process, without a pool.
     """
     nodes = tuple(sorted(nodes, key=lambda n: n.node_id))
     if workers < 1:
         raise FederatedError(f"workers must be >= 1, got {workers}")
-    if backend not in BACKENDS:
-        raise FederatedError(f"unknown backend {backend!r}")
     ids = [n.node_id for n in nodes]
     if len(set(ids)) != len(ids):
         raise FederatedError(f"duplicate node ids: {ids}")
-    for node in nodes:
-        stray = {obs.id for obs in node.local_data} - set(node.subset_ids)
-        if stray:
-            raise FederatedError(f"node {node.node_id}: observed ids outside subset: {sorted(stray)}")
 
     results = {}
     if workers == 1:
@@ -111,8 +105,7 @@ def run_local_training(nodes, config: TrainConfig, workers: int = 1,
             except Exception as exc:
                 raise FederatedError(f"node {node.node_id}: training failed: {exc}") from exc
     else:
-        pool_cls = ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_train_node, node, config): node.node_id for node in nodes}
             for future, node_id in futures.items():
                 try:
@@ -124,9 +117,9 @@ def run_local_training(nodes, config: TrainConfig, workers: int = 1,
     worker_ids = {}
     schedule = []
     for node_id in sorted(results):
-        token = results[node_id][4]
-        worker_ids.setdefault(token, len(worker_ids))
-        schedule.append((node_id, worker_ids[token]))
+        pid = results[node_id][4]
+        worker_ids.setdefault(pid, len(worker_ids))
+        schedule.append((node_id, worker_ids[pid]))
     trained = tuple(results[i][1] for i in sorted(results))
     report = FedRunReport(logs=tuple(results[i][2] for i in sorted(results)),
                           durations_ms=tuple(results[i][3] for i in sorted(results)),

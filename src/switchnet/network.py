@@ -190,15 +190,10 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     ids = tuple(ids)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
-    observations = [dataset.observation(i) for i in ids]
     vectors = []
     labels = []
-    for obs in observations:
-        mask = route(net.switch, obs.group)
-        gated = [0.0] * net.n_units
-        for i in mask.active_indices():
-            gated[i] = unit_forward(net.units[i], obs.features)
-        vectors.append(gated)
+    for obs, pred in _predictions(net, ids, dataset):
+        vectors.append(pred.gated_activations)
         labels.append(float(obs.label))
     xs = np.asarray(vectors, dtype=float)
     ys = np.asarray(labels, dtype=float)

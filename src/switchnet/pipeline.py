@@ -12,14 +12,14 @@ from pathlib import Path
 
 from ._version import ARTIFACT_VERSION
 from .analysis import attribute, export_heatmap_csv, heatmap, render_heatmap_svg, save_attribution
-from .data import (GroupSpec, PartitionPlan, generate_synthetic, load_dataset, make_test_sets,
-                   partition, save_dataset)
-from .errors import ConfigError, StageError, SwitchNetError
-from .federated import collect, make_nodes, run_local_training, with_trained_units
+from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_synthetic,
+                   load_dataset, make_test_sets, partition, save_dataset)
+from .errors import ConfigError, RoutingError, StageError, SwitchNetError
+from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
 from .jsonio import write_json
-from .network import evaluate, fit_readout, neuron_contribution, save_network
+from .network import ModularNetwork, evaluate, fit_readout, neuron_contribution, save_network
 from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
-from .switching import build_switch
+from .switching import SwitchTable, build_switch
 
 AGGREGATIONS = ("router-mean", "linear-readout")
 _SECTIONS = ("seed", "data", "partition", "switch", "train", "network", "output")
@@ -46,31 +46,42 @@ class ExperimentConfig:
         return len(self.plan.assignments)
 
 
+def _artifact(name: str) -> property:
+    return property(lambda self: self.out_dir / name)
+
+
 @dataclass(frozen=True)
 class ReportBundle:
+    """The artifact paths of a run's bundle directory, and the run's switch warnings."""
     out_dir: Path
-    config_json: Path
-    dataset_csv: Path
-    partition_json: Path
-    test_sets_json: Path
-    unit_jsons: tuple
-    network_json: Path
-    metrics_overlapping_json: Path
-    metrics_non_overlapping_json: Path
-    heatmap_csv: Path
-    heatmap_svg: Path
-    attribution_json: Path
-    contribution_json: Path
-    fed_report_json: Path
-    fed_timings_json: Path
-    manifest_json: Path
+    n_units: int
+    switch_warnings: tuple = ()
+
+    config_json = _artifact("config.json")
+    dataset_csv = _artifact("dataset.csv")
+    partition_json = _artifact("partition.json")
+    test_sets_json = _artifact("test_sets.json")
+    network_json = _artifact("network.json")
+    metrics_overlapping_json = _artifact("metrics_overlapping.json")
+    metrics_non_overlapping_json = _artifact("metrics_non_overlapping.json")
+    heatmap_csv = _artifact("heatmap.csv")
+    heatmap_svg = _artifact("heatmap.svg")
+    attribution_json = _artifact("attribution.json")
+    contribution_json = _artifact("contribution.json")
+    fed_report_json = _artifact("fed_report.json")
+    fed_timings_json = _artifact("fed_timings.json")
+    manifest_json = _artifact("manifest.json")
+
+    @property
+    def unit_jsons(self) -> tuple:
+        return tuple(self.out_dir / f"unit_{k}.json" for k in range(self.n_units))
 
     def all_paths(self) -> tuple:
         fixed = (self.config_json, self.dataset_csv, self.partition_json, self.test_sets_json,
                  self.network_json, self.metrics_overlapping_json, self.metrics_non_overlapping_json,
                  self.heatmap_csv, self.heatmap_svg, self.attribution_json, self.contribution_json,
                  self.fed_report_json, self.fed_timings_json, self.manifest_json)
-        return tuple(self.unit_jsons) + fixed
+        return self.unit_jsons + fixed
 
     def deterministic_paths(self) -> tuple:
         """Every artifact that must be byte-identical across reruns (timings excluded)."""
@@ -139,7 +150,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     fallback = switch_sec.get("fallback", "error")
     try:
         entries = {int(g): frozenset(int(u) for u in units) for g, units in entries_raw.items()}
-        build_switch(n_units, entries, fallback)
+        _routable_switch(n_units, entries, fallback, range(len(specs)) if specs is not None else ())
     except (SwitchNetError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad switch section: {exc}") from exc
 
@@ -266,6 +277,70 @@ def _stage(name, fn):
         raise StageError(name, str(exc)) from exc
 
 
+# The stages below are shared by `run_pipeline` and the CLI subcommands, so a
+# chain of subcommands reproduces the pipeline's artifacts by construction.
+# They call the library through this module's names, which the benchmark's
+# tracer wraps: keep those names bound here.
+
+def data_stage(config: ExperimentConfig) -> Dataset:
+    """The config's dataset: generated from its group specs, or read from its CSV."""
+    if config.specs is not None:
+        return generate_synthetic(config.specs, config.seed)
+    return load_dataset(config.dataset_path)
+
+
+def _routable_switch(n_units, entries, fallback, groups):
+    """`build_switch`, failing when a group has no entry and the fallback is 'error'."""
+    switch, warnings = build_switch(n_units, entries, fallback, expected_groups=groups)
+    missing = [g for g in groups if g not in switch.entries]
+    if fallback == "error" and missing:
+        raise RoutingError(f"no switch entry for group(s) {missing} (fallback=error)")
+    return switch, warnings
+
+
+def switch_stage(config: ExperimentConfig, dataset: Dataset) -> tuple[SwitchTable, tuple[str, ...]]:
+    """The config's switch table and its warnings, checked against the dataset's groups."""
+    return _routable_switch(config.n_units, config.switch_entries, config.switch_fallback,
+                            [g for g, _ in dataset.groups])
+
+
+def train_stage(config: ExperimentConfig, dataset: Dataset, parts: PartitionSet,
+                switch: SwitchTable) -> tuple[ModularNetwork, FedRunReport]:
+    """Train one unit per subset on its own virtual node and collect the network.
+
+    `network.workers: null` means one worker per unit.
+    """
+    units = [init_unit(dataset.dim, config.activation, k, config.seed) for k in range(config.n_units)]
+    nodes = make_nodes(parts, dataset, units)
+    workers = config.workers if config.workers is not None else config.n_units
+    trained, fed = run_local_training(nodes, config.train, workers=workers)
+    return collect(with_trained_units(nodes, trained), switch, config.aggregation), fed
+
+
+def readout_stage(config: ExperimentConfig, net: ModularNetwork, dataset: Dataset,
+                  parts: PartitionSet) -> ModularNetwork:
+    """Fit the linear readout on the assigned ids; a router-mean network is returned as is."""
+    if config.aggregation != "linear-readout":
+        return net
+    return fit_readout(net, tuple(sorted(parts.assigned_ids())), dataset, config.train)
+
+
+def write_test_sets(path, config: ExperimentConfig, overlapping, non_overlapping) -> None:
+    """Write `test_sets.json`."""
+    write_json({"holdout_fraction": config.holdout_fraction,
+                "overlapping": list(overlapping),
+                "non_overlapping": list(non_overlapping)}, path)
+
+
+def write_training(bundle: ReportBundle, net: ModularNetwork, fed: FedRunReport) -> None:
+    """Write what training produces: the units, the network, the fed report and its timings."""
+    for unit, path in zip(net.units, bundle.unit_jsons):
+        save_unit(unit, path)
+    save_network(net, bundle.network_json)
+    write_json(fed.to_json(), bundle.fed_report_json)
+    write_json(fed.timings_to_json(), bundle.fed_timings_json)
+
+
 def run_pipeline(config: ExperimentConfig) -> ReportBundle:
     """Run the full experiment and write the artifact bundle.
 
@@ -273,34 +348,13 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
     so a failing run leaves no partial bundle behind.
     """
     seed = config.seed
-
-    def data_stage():
-        if config.specs is not None:
-            return generate_synthetic(config.specs, seed)
-        return load_dataset(config.dataset_path)
-
-    dataset = _stage("data", data_stage)
+    dataset = _stage("data", lambda: data_stage(config))
     parts = _stage("partition", lambda: partition(dataset, config.plan, seed))
     overlapping, non_overlapping = _stage(
         "test-sets", lambda: make_test_sets(dataset, parts, config.holdout_fraction, seed))
-
-    switch, switch_warnings = _stage(
-        "switch", lambda: build_switch(config.n_units, config.switch_entries, config.switch_fallback,
-                                       expected_groups=[g for g, _ in dataset.groups]))
-
-    def train_stage():
-        units = [init_unit(dataset.dim, config.activation, k, seed) for k in range(config.n_units)]
-        nodes = make_nodes(parts, dataset, units)
-        workers = config.workers if config.workers is not None else config.n_units
-        trained, fed_report = run_local_training(nodes, config.train, workers=workers)
-        net = collect(with_trained_units(nodes, trained), switch, config.aggregation)
-        return fed_report, net
-
-    fed, net = _stage("train", train_stage)
-
-    if config.aggregation == "linear-readout":
-        calibration = tuple(sorted(parts.assigned_ids()))
-        net = _stage("readout", lambda: fit_readout(net, calibration, dataset, config.train))
+    switch, switch_warnings = _stage("switch", lambda: switch_stage(config, dataset))
+    net, fed = _stage("train", lambda: train_stage(config, dataset, parts, switch))
+    net = _stage("readout", lambda: readout_stage(config, net, dataset, parts))
 
     metrics_over = _stage("evaluate", lambda: evaluate(net, overlapping, dataset, "overlapping"))
     metrics_non = _stage("evaluate", lambda: evaluate(net, non_overlapping, dataset, "non-overlapping"))
@@ -312,49 +366,19 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
     matrix, attribution, contribution = _stage("analysis", analysis_stage)
 
     def write_stage():
-        out = config.output_dir
-        out.mkdir(parents=True, exist_ok=True)
-        bundle = ReportBundle(
-            out_dir=out,
-            config_json=out / "config.json",
-            dataset_csv=out / "dataset.csv",
-            partition_json=out / "partition.json",
-            test_sets_json=out / "test_sets.json",
-            unit_jsons=tuple(out / f"unit_{u.unit_index}.json" for u in net.units),
-            network_json=out / "network.json",
-            metrics_overlapping_json=out / "metrics_overlapping.json",
-            metrics_non_overlapping_json=out / "metrics_non_overlapping.json",
-            heatmap_csv=out / "heatmap.csv",
-            heatmap_svg=out / "heatmap.svg",
-            attribution_json=out / "attribution.json",
-            contribution_json=out / "contribution.json",
-            fed_report_json=out / "fed_report.json",
-            fed_timings_json=out / "fed_timings.json",
-            manifest_json=out / "manifest.json",
-        )
+        bundle = ReportBundle(config.output_dir, net.n_units, switch_warnings)
+        bundle.out_dir.mkdir(parents=True, exist_ok=True)
         write_json(config_to_doc(config), bundle.config_json)
         save_dataset(dataset, bundle.dataset_csv)
         write_json(parts.to_json(), bundle.partition_json)
-        write_json({"holdout_fraction": config.holdout_fraction,
-                    "overlapping": list(overlapping),
-                    "non_overlapping": list(non_overlapping)}, bundle.test_sets_json)
-        for unit, path in zip(net.units, bundle.unit_jsons):
-            save_unit(unit, path)
-        save_network(net, bundle.network_json)
+        write_test_sets(bundle.test_sets_json, config, overlapping, non_overlapping)
+        write_training(bundle, net, fed)
         write_json(metrics_over.to_json(), bundle.metrics_overlapping_json)
         write_json(metrics_non.to_json(), bundle.metrics_non_overlapping_json)
         export_heatmap_csv(matrix, bundle.heatmap_csv)
         render_heatmap_svg(matrix, bundle.heatmap_svg)
         save_attribution(attribution, bundle.attribution_json)
         write_json(contribution.to_json(), bundle.contribution_json)
-        write_json({"workers": fed.workers,
-                    "nodes": [{"node_id": i, "final_loss": log.final_loss,
-                               "epochs": len(log.epoch_losses), "steps": log.steps,
-                               "epoch_losses": list(log.epoch_losses)}
-                              for i, log in enumerate(fed.logs)]}, bundle.fed_report_json)
-        write_json({"workers": fed.workers,
-                    "durations_ms": {str(i): d for i, d in enumerate(fed.durations_ms)},
-                    "schedule": [list(s) for s in fed.schedule]}, bundle.fed_timings_json)
         write_json({"version": ARTIFACT_VERSION,
                     "config_sha256": _config_hash(config),
                     "switch_warnings": list(switch_warnings),

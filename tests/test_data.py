@@ -121,6 +121,23 @@ def test_load_non_numeric_feature(tmp_path):
         sn.load_dataset(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_non_finite_feature(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,group,label,f0,f1\n0,0,1,0.5,0.5\n1,0,1,{cell},0.5\n")
+    with pytest.raises(sn.DataError, match="non-finite feature, line 3"):
+        sn.load_dataset(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["mean", "scale"])
+def test_group_spec_rejects_non_finite(field, value):
+    fields = {"mean": (0.0, 0.0), "scale": (1.0, 1.0)}
+    fields[field] = (1.0, value)
+    with pytest.raises(sn.DataError, match="finite"):
+        sn.GroupSpec(name="g", label_rule=sn.LabelRule("all-one"), count=1, **fields)
+
+
 def test_load_unknown_group_against_declared(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# group 0: only\nid,group,label,f0,f1\n0,3,1,0.5,0.5\n")

@@ -51,15 +51,6 @@ def test_worker_counts_bit_identical():
         assert report.workers == workers
 
 
-def test_thread_backend_matches_process_backend():
-    dataset, parts, units = five_group_setup()
-    nodes = sn.make_nodes(parts, dataset, units)
-    config = sn.TrainConfig(epochs=5, seed=11)
-    from_processes, _ = sn.run_local_training(nodes, config, workers=3, backend="process")
-    from_threads, _ = sn.run_local_training(nodes, config, workers=3, backend="thread")
-    assert from_threads == from_processes
-
-
 def test_matches_sequential_oracle():
     dataset, parts, units = five_group_setup()
     nodes = sn.make_nodes(parts, dataset, units)
@@ -80,7 +71,15 @@ def test_report_shape():
     assert sorted(n for n, _ in report.schedule) == [0, 1, 2, 3, 4]
     assert all(d >= 0 for d in report.durations_ms)
     doc = report.to_json()
-    assert len(doc["nodes"]) == 5
+    assert doc["workers"] == 2
+    assert [n["node_id"] for n in doc["nodes"]] == [0, 1, 2, 3, 4]
+    assert all(set(n) == {"node_id", "final_loss", "epochs", "steps", "epoch_losses"}
+               for n in doc["nodes"])
+    assert all(n["epochs"] == 3 == len(n["epoch_losses"]) for n in doc["nodes"])
+    timings = report.timings_to_json()
+    assert set(timings) == {"workers", "durations_ms", "schedule"}
+    assert sorted(timings["durations_ms"]) == ["0", "1", "2", "3", "4"]
+    assert sorted(n for n, _ in timings["schedule"]) == [0, 1, 2, 3, 4]
 
 
 def test_training_failure_names_node():
@@ -137,5 +136,3 @@ def test_run_local_training_validates_workers():
     nodes = sn.make_nodes(parts, dataset, units)
     with pytest.raises(sn.FederatedError, match="workers"):
         sn.run_local_training(nodes, sn.TrainConfig(), workers=0)
-    with pytest.raises(sn.FederatedError, match="backend"):
-        sn.run_local_training(nodes, sn.TrainConfig(), workers=2, backend="rocket")

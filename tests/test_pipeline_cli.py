@@ -66,6 +66,21 @@ def test_config_requires_exactly_one_data_source(tmp_path):
         sn.parse_config(doc)
 
 
+def test_unroutable_synthetic_config_rejected_at_parse(tmp_path, capsys):
+    doc = json.loads(sn.default_config_path().read_text())
+    del doc["switch"]["entries"]["4"]
+    doc["output"]["dir"] = str(tmp_path / "out")
+    with pytest.raises(sn.ConfigError, match=r"group\(s\) \[4\]"):
+        sn.parse_config(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli("pipeline", "--config", cfg_path) == 1
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
+    doc["switch"]["fallback"] = "all-active"
+    sn.parse_config(doc)
+
+
 # ---------------------------------------------------------------- pipeline runs
 
 def test_pipeline_writes_complete_bundle(tmp_path):
@@ -118,6 +133,19 @@ def test_pipeline_runtime_failure_names_stage(tmp_path):
     config = sn.parse_config(doc)
     with pytest.raises(sn.StageError, match="stage 'data'"):
         sn.run_pipeline(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_unroutable_dataset_config_fails_in_switch_stage(tmp_path):
+    base = sn.load_config(sn.default_config_path())
+    csv_path = tmp_path / "data.csv"
+    sn.save_dataset(sn.generate_synthetic(base.specs, base.seed), csv_path)
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["data"] = {"dataset": str(csv_path), "holdout_fraction": 0.2}
+    del doc["switch"]["entries"]["4"]
+    doc["output"]["dir"] = str(tmp_path / "out")
+    with pytest.raises(sn.StageError, match=r"stage 'switch': .*group\(s\) \[4\]"):
+        sn.run_pipeline(sn.parse_config(doc))
     assert not (tmp_path / "out").exists()
 
 
@@ -250,3 +278,26 @@ def test_train_subcommand_unknown_unit(tmp_path, capsys):
                    "--unit", 9, "--out-unit", d / "unit_9.json")
     assert code == 1
     assert "no unit 9" in capsys.readouterr().err
+
+
+def test_switch_warnings_reach_stderr(tmp_path, capsys):
+    dead_unit = ["--set", "switch.entries.4=[3]", "--set", "train.epochs=2"]
+    warning = "warning: unit 4 appears in no switch entry (dead unit)"
+    out = tmp_path / "pipeline"
+    assert run_cli("pipeline", *dead_unit, "--set", f"output.dir={out}",
+                   "--set", "network.workers=1") == 0
+    assert warning in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["switch_warnings"] == ["unit 4 appears in no switch entry (dead unit)"]
+
+    d = tmp_path / "chain"
+    d.mkdir()
+    assert run_cli("gen-data", "--out", d / "dataset.csv") == 0
+    assert run_cli("partition", "--dataset", d / "dataset.csv", "--out", d / "partition.json") == 0
+    capsys.readouterr()
+    assert run_cli("fedsim", *dead_unit, "--set", "network.workers=2", "--dataset", d / "dataset.csv",
+                   "--partition", d / "partition.json", "--out-dir", d) == 0
+    captured = capsys.readouterr()
+    assert warning in captured.err
+    assert "with 2 worker(s)" in captured.out
+    assert json.loads((d / "fed_report.json").read_text())["workers"] == 2
