@@ -32,6 +32,8 @@ class Observation:
             raise DataError(f"observation id/group must be non-negative, got id={self.id} group={self.group}")
         if self.label not in (0, 1):
             raise DataError(f"invalid label {self.label!r} for observation {self.id}")
+        if not all(map(math.isfinite, self.features)):
+            raise DataError(f"observation {self.id}: non-finite feature")
 
 
 @dataclass(frozen=True)
@@ -301,11 +303,13 @@ def load_dataset(path) -> Dataset:
             features = tuple(float(v) for v in row[3:])
         except ValueError:
             raise DataError(f"non-numeric feature, line {lineno}") from None
-        if not all(math.isfinite(x) for x in features):
-            raise DataError(f"non-finite feature, line {lineno}")
         if names and group not in names:
             raise DataError(f"unknown group {group}, line {lineno}")
-        observations.append(Observation(id=obs_id, group=group, label=int(row[2]), features=features))
+        try:
+            observations.append(Observation(id=obs_id, group=group, label=int(row[2]),
+                                            features=features))
+        except DataError as exc:
+            raise DataError(f"{exc}, line {lineno}") from None
     group_ids = sorted(names) if names else sorted({o.group for o in observations})
     groups = tuple((g, names.get(g, f"group {g}")) for g in group_ids)
     return Dataset(dim=dim, groups=groups, observations=tuple(observations))

@@ -2,7 +2,9 @@
 
 The forward pass computes only the units the switch activates; inactive units
 are skipped entirely, so their gated activation is exactly 0.0 and their
-parameters are never read. The probe pass forces every switch open and is the
+parameters are never read. Evaluation, readout fitting and ablation read one
+gated table per id list, built by group block; ablating a unit re-scores only
+the rows where it is active. The probe pass forces every switch open and is the
 basis for heatmap analysis.
 """
 
@@ -118,21 +120,34 @@ def assemble(units, switch: SwitchTable, aggregation="router-mean") -> ModularNe
     return ModularNetwork(units=tuple(units), switch=switch, aggregation=aggregation)
 
 
+def _readout_z(readout: LinearReadout, gated) -> float:
+    return sum(v * a for v, a in zip(readout.weights, gated)) + readout.bias
+
+
+def _score(aggregation, gated, active) -> float:
+    """Score of one gated vector: the readout's sigmoid over every slot, or the
+    left-to-right mean of the active slots (0.5 when none is active)."""
+    if isinstance(aggregation, LinearReadout):
+        return float(_sigmoid(_readout_z(aggregation, gated)))
+    if active:
+        return float(sum(gated[i] for i in active) / len(active))
+    return 0.5
+
+
+def _label(score: float) -> int:
+    return 1 if score >= 0.5 else 0
+
+
 def _gated_prediction(net: ModularNetwork, x, mask: ActivationMask) -> Prediction:
     gated = [0.0] * net.n_units
     active = mask.active_indices()
     for i in active:
         gated[i] = unit_forward(net.units[i], x)
+    score = _score(net.aggregation, gated, active)
     note = None
-    if isinstance(net.aggregation, LinearReadout):
-        z = sum(v * a for v, a in zip(net.aggregation.weights, gated)) + net.aggregation.bias
-        score = _sigmoid(z)
-    elif active:
-        score = sum(gated[i] for i in active) / len(active)
-    else:
-        score = 0.5
+    if not active and not isinstance(net.aggregation, LinearReadout):
         note = "empty-active-set"
-    return Prediction(score=float(score), predicted_label=1 if score >= 0.5 else 0,
+    return Prediction(score=score, predicted_label=_label(score),
                       active_mask=mask, gated_activations=tuple(gated), note=note)
 
 
@@ -150,13 +165,53 @@ def probe_activations(net: ModularNetwork, obs: Observation) -> tuple[float, ...
     return tuple(unit_forward(unit, obs.features) for unit in net.units)
 
 
-def _predictions(net: ModularNetwork, ids, dataset: Dataset, disabled=None):
-    for obs_id in ids:
-        obs = dataset.observation(obs_id)
-        mask = route(net.switch, obs.group)
-        if disabled is not None:
-            mask = mask.without(disabled)
-        yield obs, _gated_prediction(net, obs.features, mask)
+def probe_block(net: ModularNetwork, observations) -> tuple[tuple[float, ...], ...]:
+    """Ungated activations over a block of observations: one column per unit, in block order.
+
+    Column u holds `probe_activations(net, obs)[u]` for each observation.
+    """
+    for obs in observations:
+        if len(obs.features) != net.dim:
+            raise NetworkError(
+                f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
+    return tuple(tuple(unit_forward(unit, obs.features) for obs in observations)
+                 for unit in net.units)
+
+
+@dataclass(frozen=True)
+class _GatedTable:
+    """One row per id, in id order: the observation, its gated vector and its active units."""
+    observations: list
+    gated: list
+    active: list
+
+    def hits(self, aggregation) -> list:
+        return [int(_label(_score(aggregation, g, a)) == obs.label)
+                for obs, g, a in zip(self.observations, self.gated, self.active)]
+
+
+def _gated_table(net: ModularNetwork, ids, dataset: Dataset) -> _GatedTable:
+    """Gated activations of every id, computed by group block.
+
+    `route` runs once per distinct group and `unit_forward` once per (active
+    unit, observation); inactive slots stay 0.0 and their units are never read.
+    """
+    observations = [dataset.observation(i) for i in ids]
+    blocks = {}
+    for row, obs in enumerate(observations):
+        blocks.setdefault(obs.group, []).append(row)
+    gated = [None] * len(observations)
+    active = [None] * len(observations)
+    for group, rows in blocks.items():
+        on = route(net.switch, group).active_indices()
+        for row in rows:
+            gated[row] = [0.0] * net.n_units
+            active[row] = on
+        for i in on:
+            unit = net.units[i]
+            for row in rows:
+                gated[row][i] = unit_forward(unit, observations[row].features)
+    return _GatedTable(observations, gated, active)
 
 
 def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:
@@ -166,16 +221,15 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
         raise NetworkError("evaluate needs at least one observation id")
     if set_kind not in SET_KINDS:
         raise NetworkError(f"set_kind must be one of {SET_KINDS}, got {set_kind!r}")
-    correct = 0
+    table = _gated_table(net, ids, dataset)
     group_n = {}
     group_correct = {}
-    for obs, pred in _predictions(net, ids, dataset):
-        hit = int(pred.predicted_label == obs.label)
-        correct += hit
+    hits = table.hits(net.aggregation)
+    for obs, hit in zip(table.observations, hits):
         group_n[obs.group] = group_n.get(obs.group, 0) + 1
         group_correct[obs.group] = group_correct.get(obs.group, 0) + hit
     per_group = {g: group_correct[g] / group_n[g] for g in sorted(group_n)}
-    return Metrics(accuracy=correct / len(ids), per_group_accuracy=per_group,
+    return Metrics(accuracy=sum(hits) / len(ids), per_group_accuracy=per_group,
                    n=len(ids), set_kind=set_kind)
 
 
@@ -190,13 +244,9 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     ids = tuple(ids)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
-    vectors = []
-    labels = []
-    for obs, pred in _predictions(net, ids, dataset):
-        vectors.append(pred.gated_activations)
-        labels.append(float(obs.label))
-    xs = np.asarray(vectors, dtype=float)
-    ys = np.asarray(labels, dtype=float)
+    table = _gated_table(net, ids, dataset)
+    xs = np.asarray(table.gated, dtype=float)
+    ys = np.asarray([float(obs.label) for obs in table.observations], dtype=float)
     v = np.asarray(net.aggregation.weights, dtype=float)
     c = net.aggregation.bias
     n = len(ids)
@@ -226,32 +276,39 @@ def readout_mean_loss(net: ModularNetwork, ids, dataset: Dataset, loss: str = "b
     """Mean readout loss over an id list (diagnostic for calibration runs)."""
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("readout_mean_loss requires linear-readout aggregation")
+    table = _gated_table(net, tuple(ids), dataset)
     total = 0.0
-    ids = tuple(ids)
-    for obs, pred in _predictions(net, ids, dataset):
-        z = sum(v * a for v, a in zip(net.aggregation.weights, pred.gated_activations))
-        z += net.aggregation.bias
-        total += _loss_from_z(z, obs.label, loss, "sigmoid")
-    return total / len(ids)
+    for obs, gated in zip(table.observations, table.gated):
+        total += _loss_from_z(_readout_z(net.aggregation, gated), obs.label, loss, "sigmoid")
+    return total / len(table.observations)
 
 
 def neuron_contribution(net: ModularNetwork, ids, dataset: Dataset) -> ContributionReport:
-    """Per-unit accuracy contribution: full accuracy minus accuracy with the unit ablated."""
+    """Per-unit accuracy contribution: full accuracy minus accuracy with the unit ablated.
+
+    Ablating unit u changes only the rows where u is active; those rows are
+    re-scored with u's slot at 0.0 and u out of the active set.
+    """
     ids = tuple(ids)
     if not ids:
         raise NetworkError("neuron_contribution needs at least one observation id")
-
-    def accuracy(disabled):
-        correct = sum(int(p.predicted_label == o.label)
-                      for o, p in _predictions(net, ids, dataset, disabled=disabled))
-        return correct / len(ids)
-
-    full = accuracy(None)
+    table = _gated_table(net, ids, dataset)
+    hits = table.hits(net.aggregation)
+    full_correct = sum(hits)
+    lost = [0] * net.n_units
+    for obs, gated, active, hit in zip(table.observations, table.gated, table.active, hits):
+        for u in active:
+            ablated = list(gated)
+            ablated[u] = 0.0
+            score = _score(net.aggregation, ablated, tuple(i for i in active if i != u))
+            lost[u] += hit - int(_label(score) == obs.label)
+    full = full_correct / len(ids)
     rows = []
     for u in range(net.n_units):
-        ablated = accuracy(u)
+        ablated_accuracy = (full_correct - lost[u]) / len(ids)
         rows.append(UnitContribution(unit_index=u, full_accuracy=full,
-                                     ablated_accuracy=ablated, contribution=full - ablated))
+                                     ablated_accuracy=ablated_accuracy,
+                                     contribution=full - ablated_accuracy))
     return ContributionReport(rows=tuple(rows))
 
 

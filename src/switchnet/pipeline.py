@@ -6,6 +6,8 @@ config document, so whole-bundle determinism can be checked by file comparison.
 
 import hashlib
 import json
+import shutil
+import tempfile
 from dataclasses import dataclass
 from importlib.resources import files as _resource_files
 from pathlib import Path
@@ -341,12 +343,41 @@ def write_training(bundle: ReportBundle, net: ModularNetwork, fed: FedRunReport)
     write_json(fed.timings_to_json(), bundle.fed_timings_json)
 
 
+def _check_output_dir(out_dir: Path) -> None:
+    """A run may replace an empty directory or a previous bundle (one with a
+    `manifest.json`), never foreign files."""
+    if out_dir.is_dir():
+        if (out_dir / "manifest.json").is_file() or not any(out_dir.iterdir()):
+            return
+        raise ConfigError(f"output.dir {out_dir} is not empty and holds no manifest.json; "
+                          "refusing to replace it")
+    if out_dir.exists():
+        raise ConfigError(f"output.dir {out_dir} exists and is not a directory")
+
+
+def _move_into_place(staged: Path, out_dir: Path, aside: Path) -> None:
+    """Rename the staged bundle to `out_dir`, moving a previous one to `aside` first."""
+    if not out_dir.exists():
+        staged.rename(out_dir)
+        return
+    out_dir.rename(aside)
+    try:
+        staged.rename(out_dir)
+    except OSError:
+        aside.rename(out_dir)
+        raise
+
+
 def run_pipeline(config: ExperimentConfig) -> ReportBundle:
     """Run the full experiment and write the artifact bundle.
 
-    Compute happens first; files are written only after every stage succeeded,
-    so a failing run leaves no partial bundle behind.
+    Compute happens first. The bundle is then written into a temporary sibling
+    of `output.dir` and renamed into place, so a failing run leaves no partial
+    bundle behind and a previous bundle is replaced whole, stale files included.
+    An `output.dir` holding anything but a previous bundle is refused before
+    any compute.
     """
+    _check_output_dir(config.output_dir)
     seed = config.seed
     dataset = _stage("data", lambda: data_stage(config))
     parts = _stage("partition", lambda: partition(dataset, config.plan, seed))
@@ -365,9 +396,7 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
 
     matrix, attribution, contribution = _stage("analysis", analysis_stage)
 
-    def write_stage():
-        bundle = ReportBundle(config.output_dir, net.n_units, switch_warnings)
-        bundle.out_dir.mkdir(parents=True, exist_ok=True)
+    def write_files(bundle: ReportBundle) -> None:
         write_json(config_to_doc(config), bundle.config_json)
         save_dataset(dataset, bundle.dataset_csv)
         write_json(parts.to_json(), bundle.partition_json)
@@ -384,6 +413,19 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
                     "switch_warnings": list(switch_warnings),
                     "artifacts": sorted(p.name for p in bundle.all_paths() if p != bundle.manifest_json)},
                    bundle.manifest_json)
-        return bundle
+
+    def write_stage():
+        out_dir = config.output_dir
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+        try:
+            staged = work / "bundle"
+            staged.mkdir()
+            write_files(ReportBundle(staged, net.n_units))
+            _check_output_dir(out_dir)
+            _move_into_place(staged, out_dir, work / "previous")
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
+        return ReportBundle(out_dir, net.n_units, switch_warnings)
 
     return _stage("write", write_stage)

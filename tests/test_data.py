@@ -130,6 +130,12 @@ def test_load_non_finite_feature(tmp_path, cell):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_observation_rejects_non_finite(value):
+    with pytest.raises(sn.DataError, match="observation 3: non-finite feature"):
+        sn.Observation(id=3, group=0, label=1, features=(value, 0.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["mean", "scale"])
 def test_group_spec_rejects_non_finite(field, value):
     fields = {"mean": (0.0, 0.0), "scale": (1.0, 1.0)}

@@ -149,6 +149,54 @@ def test_unroutable_dataset_config_fails_in_switch_stage(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_rerun_with_fewer_units_leaves_no_stale_files(tmp_path):
+    out = tmp_path / "out"
+    sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=2)))
+    assert (out / "unit_4.json").exists()
+    four_units = ["switch.n_units=4", "partition.counts=[20, 30, 10, 20]",
+                  'switch.entries={"0": [0], "1": [1], "2": [2], "3": [3], "4": [3]}']
+    bundle = sn.run_pipeline(sn.load_config(sn.default_config_path(),
+                                            fast_sets(out, epochs=2) + four_units))
+    manifest = json.loads(bundle.manifest_json.read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"] + ["manifest.json"])
+    assert not (out / "unit_4.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_foreign_output_dir_refused_before_compute(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+
+    def no_compute(config):
+        raise AssertionError("the data stage ran")
+
+    monkeypatch.setattr("switchnet.pipeline.data_stage", no_compute)
+    config = sn.load_config(sn.default_config_path(), fast_sets(out))
+    with pytest.raises(sn.ConfigError, match="holds no manifest.json"):
+        sn.run_pipeline(config)
+    assert run_cli("pipeline", "--set", f"output.dir={out}") == 1
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me"
+
+
+def test_failed_write_keeps_previous_bundle(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=2)))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def broken_svg(matrix, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("switchnet.pipeline.render_heatmap_svg", broken_svg)
+    config = sn.load_config(sn.default_config_path(), fast_sets(out, epochs=3) + ["seed=7"])
+    with pytest.raises(OSError, match="disk full"):
+        sn.run_pipeline(config)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 # ---------------------------------------------------------------- CLI behavior
 
 def test_cli_pipeline_exit_zero(tmp_path, capsys):
