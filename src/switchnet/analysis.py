@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import ModularNetwork, probe_block
+from .network import ModularNetwork, probe_activations
 
 STATISTICS = ("mean", "max")
 
@@ -76,19 +76,18 @@ def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean")
     if not ids:
         raise AnalysisError("heatmap needs at least one observation id")
     groups = sorted(dataset.groups)
-    blocks: dict = {g: [] for g, _ in groups}
+    per_group: dict = {g: [] for g, _ in groups}
     for obs_id in ids:
         obs = dataset.observation(obs_id)
-        blocks[obs.group].append(obs)
-    empty = [g for g, block in blocks.items() if not block]
+        per_group[obs.group].append(probe_activations(net, obs))
+    empty = [g for g, probes in per_group.items() if not probes]
     if empty:
         raise AnalysisError(f"groups {empty} have no observations among the evaluation ids")
-    columns = {g: probe_block(net, block) for g, block in blocks.items()}
     values = []
     for u in range(net.n_units):
         row = []
         for g, _ in groups:
-            samples = columns[g][u]
+            samples = [p[u] for p in per_group[g]]
             row.append(max(samples) if statistic == "max" else sum(samples) / len(samples))
         values.append(tuple(row))
     return HeatmapMatrix(values=tuple(values),

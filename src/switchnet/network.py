@@ -165,19 +165,6 @@ def probe_activations(net: ModularNetwork, obs: Observation) -> tuple[float, ...
     return tuple(unit_forward(unit, obs.features) for unit in net.units)
 
 
-def probe_block(net: ModularNetwork, observations) -> tuple[tuple[float, ...], ...]:
-    """Ungated activations over a block of observations: one column per unit, in block order.
-
-    Column u holds `probe_activations(net, obs)[u]` for each observation.
-    """
-    for obs in observations:
-        if len(obs.features) != net.dim:
-            raise NetworkError(
-                f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
-    return tuple(tuple(unit_forward(unit, obs.features) for obs in observations)
-                 for unit in net.units)
-
-
 @dataclass(frozen=True)
 class _GatedTable:
     """One row per id, in id order: the observation, its gated vector and its active units."""

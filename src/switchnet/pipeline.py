@@ -343,28 +343,54 @@ def write_training(bundle: ReportBundle, net: ModularNetwork, fed: FedRunReport)
     write_json(fed.timings_to_json(), bundle.fed_timings_json)
 
 
+def _is_previous_bundle(out_dir: Path) -> bool:
+    """True when `out_dir/manifest.json` is a bundle manifest listing every other file there."""
+    try:
+        doc = json.loads((out_dir / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return False
+    if not (isinstance(doc, dict) and {"version", "config_sha256", "artifacts"} <= doc.keys()
+            and isinstance(doc["artifacts"], list)
+            and all(isinstance(name, str) for name in doc["artifacts"])):
+        return False
+    listed = set(doc["artifacts"]) | {"manifest.json"}
+    return all(p.name in listed and p.is_file() for p in out_dir.iterdir())
+
+
 def _check_output_dir(out_dir: Path) -> None:
-    """A run may replace an empty directory or a previous bundle (one with a
-    `manifest.json`), never foreign files."""
-    if out_dir.is_dir():
-        if (out_dir / "manifest.json").is_file() or not any(out_dir.iterdir()):
-            return
-        raise ConfigError(f"output.dir {out_dir} is not empty and holds no manifest.json; "
+    """A run may replace a missing or empty directory or a previous bundle, never
+    foreign files and never the working directory or one that holds it.
+
+    `out_dir` is resolved.
+    """
+    cwd = Path.cwd().resolve()
+    if out_dir == cwd or out_dir in cwd.parents:
+        raise ConfigError(f"output.dir {out_dir} is the working directory or holds it; "
                           "refusing to replace it")
+    if out_dir.is_dir():
+        if not any(out_dir.iterdir()) or _is_previous_bundle(out_dir):
+            return
+        raise ConfigError(f"output.dir {out_dir} is not empty and is not a previous bundle "
+                          "(a manifest.json listing every other file in it); refusing to replace it")
     if out_dir.exists():
         raise ConfigError(f"output.dir {out_dir} exists and is not a directory")
 
 
 def _move_into_place(staged: Path, out_dir: Path, aside: Path) -> None:
-    """Rename the staged bundle to `out_dir`, moving a previous one to `aside` first."""
+    """Rename the staged bundle to `out_dir`, moving a previous one to `aside`
+    first and back again if the swap fails."""
     if not out_dir.exists():
         staged.rename(out_dir)
         return
     out_dir.rename(aside)
     try:
         staged.rename(out_dir)
-    except OSError:
-        aside.rename(out_dir)
+    except OSError as exc:
+        try:
+            aside.rename(out_dir)
+        except OSError:
+            raise OSError(f"could not move the new bundle to {out_dir} nor the previous "
+                          f"bundle back; the previous bundle is kept at {aside}") from exc
         raise
 
 
@@ -373,11 +399,13 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
 
     Compute happens first. The bundle is then written into a temporary sibling
     of `output.dir` and renamed into place, so a failing run leaves no partial
-    bundle behind and a previous bundle is replaced whole, stale files included.
-    An `output.dir` holding anything but a previous bundle is refused before
-    any compute.
+    bundle behind and a previous bundle is replaced whole: none of its files
+    outlives the rerun. An `output.dir` holding anything but a previous bundle
+    (a `manifest.json` listing every other file in it), or holding the working
+    directory, is refused before any compute.
     """
-    _check_output_dir(config.output_dir)
+    out_dir = config.output_dir.resolve()
+    _check_output_dir(out_dir)
     seed = config.seed
     dataset = _stage("data", lambda: data_stage(config))
     parts = _stage("partition", lambda: partition(dataset, config.plan, seed))
@@ -415,17 +443,20 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
                    bundle.manifest_json)
 
     def write_stage():
-        out_dir = config.output_dir
         out_dir.parent.mkdir(parents=True, exist_ok=True)
         work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+        staged, aside = work / "bundle", work / "previous"
+        swapped = False
         try:
-            staged = work / "bundle"
             staged.mkdir()
             write_files(ReportBundle(staged, net.n_units))
             _check_output_dir(out_dir)
-            _move_into_place(staged, out_dir, work / "previous")
+            _move_into_place(staged, out_dir, aside)
+            swapped = True
         finally:
-            shutil.rmtree(work, ignore_errors=True)
-        return ReportBundle(out_dir, net.n_units, switch_warnings)
+            # after a failed swap, `aside` exists only if the previous bundle could not be put back
+            if swapped or not aside.exists():
+                shutil.rmtree(work, ignore_errors=True)
+        return ReportBundle(config.output_dir, net.n_units, switch_warnings)
 
     return _stage("write", write_stage)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,22 +164,56 @@ def test_rerun_with_fewer_units_leaves_no_stale_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
-def test_foreign_output_dir_refused_before_compute(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out"
+def foreign_file(out):
     out.mkdir()
     (out / "notes.txt").write_text("keep me")
 
+
+def foreign_manifest(out):
+    out.mkdir()
+    (out / "manifest.json").write_text('{"name": "web-app", "version": "1.0.0"}')
+    (out / "index.js").write_text("keep me")
+
+
+def bundle_plus_extra_file(out):
+    sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=2)))
+    (out / "notes.txt").write_text("keep me")
+
+
+def refuse_compute(monkeypatch):
     def no_compute(config):
         raise AssertionError("the data stage ran")
 
     monkeypatch.setattr("switchnet.pipeline.data_stage", no_compute)
+
+
+@pytest.mark.parametrize("setup", [foreign_file, foreign_manifest, bundle_plus_extra_file],
+                         ids=["foreign-file", "foreign-manifest", "bundle-plus-extra-file"])
+def test_foreign_output_dir_refused_before_compute(tmp_path, monkeypatch, capsys, setup):
+    out = tmp_path / "out"
+    setup(out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    refuse_compute(monkeypatch)
     config = sn.load_config(sn.default_config_path(), fast_sets(out))
-    with pytest.raises(sn.ConfigError, match="holds no manifest.json"):
+    with pytest.raises(sn.ConfigError, match="is not a previous bundle"):
         sn.run_pipeline(config)
     assert run_cli("pipeline", "--set", f"output.dir={out}") == 1
     assert "config error" in capsys.readouterr().err
-    assert [p.name for p in out.iterdir()] == ["notes.txt"]
-    assert (out / "notes.txt").read_text() == "keep me"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("out_dir", [".", ".."])
+def test_working_directory_output_refused_before_compute(tmp_path, monkeypatch, out_dir):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    refuse_compute(monkeypatch)
+    config = sn.load_config(sn.default_config_path(), fast_sets(out_dir))
+    with pytest.raises(sn.ConfigError, match="is the working directory or holds it"):
+        sn.run_pipeline(config)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+    assert not any(work.iterdir())
 
 
 def test_failed_write_keeps_previous_bundle(tmp_path, monkeypatch):
@@ -195,6 +230,27 @@ def test_failed_write_keeps_previous_bundle(tmp_path, monkeypatch):
         sn.run_pipeline(config)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_failed_rollback_keeps_previous_bundle_aside(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=2)))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    rename = Path.rename
+
+    def rename_only_out_dir(self, target):
+        # moving the old bundle aside works; moving anything into output.dir fails
+        if self.name in ("bundle", "previous"):
+            raise OSError("device busy")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename_only_out_dir)
+    with pytest.raises(OSError, match="the previous bundle is kept at") as info:
+        sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=3)))
+    kept = Path(str(info.value).rsplit("kept at ", 1)[1])
+    assert not out.exists()
+    assert kept.parent.parent == tmp_path
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 # ---------------------------------------------------------------- CLI behavior
