@@ -36,6 +36,12 @@ class Observation:
             raise DataError(f"observation {self.id}: non-finite feature")
 
 
+def _check_group_name(name: str) -> None:
+    # the dataset CSV carries each name on one comment line
+    if "\n" in name or "\r" in name:
+        raise DataError(f"group name {name!r} contains a line break")
+
+
 @dataclass(frozen=True)
 class Dataset:
     dim: int
@@ -46,8 +52,10 @@ class Dataset:
         if self.dim < 1:
             raise DataError("dataset dimension must be >= 1")
         ids = [g for g, _ in self.groups]
-        if sorted(ids) != list(range(len(ids))):
-            raise DataError(f"group ids must be dense 0..G-1, got {ids}")
+        if ids != list(range(len(ids))):  # in order, as the dataset CSV reads them back
+            raise DataError(f"group ids must be dense 0..G-1 in order, got {ids}")
+        for _, name in self.groups:
+            _check_group_name(name)
         known_groups = set(ids)
         seen = set()
         for obs in self.observations:
@@ -117,6 +125,7 @@ class GroupSpec:
     count: int
 
     def __post_init__(self):
+        _check_group_name(self.name)
         if len(self.mean) != len(self.scale):
             raise DataError(f"group {self.name!r}: mean and scale lengths differ")
         if not all(math.isfinite(v) for v in self.mean + self.scale):

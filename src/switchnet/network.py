@@ -8,19 +8,15 @@ the rows where it is active. The probe pass forces every switch open and is the
 basis for heatmap analysis.
 """
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
-from .errors import NetworkError
+from .errors import NetworkError, TrainingError
 from .jsonio import read_json, write_json
-from .neuron import (NeuronUnit, TrainConfig, _loss_from_z, _sigmoid, unit_forward,
+from .neuron import (NeuronUnit, TrainConfig, _loss_from_z, _sgd, _sigmoid, _z, unit_forward,
                      unit_from_dict, unit_to_dict)
-from .seeding import rng_for
 from .switching import ActivationMask, SwitchTable, route
 
 ROUTER_MEAN = "router-mean"
@@ -120,15 +116,11 @@ def assemble(units, switch: SwitchTable, aggregation="router-mean") -> ModularNe
     return ModularNetwork(units=tuple(units), switch=switch, aggregation=aggregation)
 
 
-def _readout_z(readout: LinearReadout, gated) -> float:
-    return sum(v * a for v, a in zip(readout.weights, gated)) + readout.bias
-
-
 def _score(aggregation, gated, active) -> float:
     """Score of one gated vector: the readout's sigmoid over every slot, or the
     left-to-right mean of the active slots (0.5 when none is active)."""
     if isinstance(aggregation, LinearReadout):
-        return float(_sigmoid(_readout_z(aggregation, gated)))
+        return _sigmoid(_z(aggregation.weights, aggregation.bias, gated))
     if active:
         return float(sum(gated[i] for i in active) / len(active))
     return 0.5
@@ -223,8 +215,8 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
 def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig) -> ModularNetwork:
     """Fit the linear readout on gated activation vectors; units stay frozen.
 
-    Stochastic gradient descent matching the unit trainer's regimen, epoch
-    order drawn from the (config.seed, "readout", epoch) stream.
+    The readout is a sigmoid unit over the gated vector, trained by the unit
+    trainer's SGD on the (config.seed, "readout", epoch) stream.
     """
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("fit_readout requires linear-readout aggregation")
@@ -232,30 +224,13 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
     table = _gated_table(net, ids, dataset)
-    xs = np.asarray(table.gated, dtype=float)
-    ys = np.asarray([float(obs.label) for obs in table.observations], dtype=float)
-    v = np.asarray(net.aggregation.weights, dtype=float)
-    c = net.aggregation.bias
-    n = len(ids)
-    for epoch in range(config.epochs):
-        if config.shuffle:
-            order = rng_for(config.seed, "readout", epoch).permutation(n)
-        else:
-            order = range(n)
-        for idx in order:
-            a = xs[idx]
-            y = ys[idx]
-            z = float(v @ a) + c
-            if config.loss == "bce":
-                dz = _sigmoid(z) - y
-            else:
-                s = _sigmoid(z)
-                dz = 2.0 * (s - y) * s * (1.0 - s)
-            v = v - config.learning_rate * dz * a
-            c = c - config.learning_rate * dz
-            if not (math.isfinite(c) and np.isfinite(v).all()):
-                raise NetworkError(f"non-finite readout parameters at epoch {epoch}")
-    readout = LinearReadout(weights=tuple(float(x) for x in v), bias=float(c))
+    rows = [(gated, obs.label) for obs, gated in zip(table.observations, table.gated)]
+    try:
+        weights, bias, _ = _sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
+                                config, "readout")
+    except TrainingError as exc:
+        raise NetworkError(f"readout: {exc}") from None
+    readout = LinearReadout(weights=tuple(weights), bias=bias)
     return ModularNetwork(units=net.units, switch=net.switch, aggregation=readout)
 
 
@@ -266,7 +241,8 @@ def readout_mean_loss(net: ModularNetwork, ids, dataset: Dataset, loss: str = "b
     table = _gated_table(net, tuple(ids), dataset)
     total = 0.0
     for obs, gated in zip(table.observations, table.gated):
-        total += _loss_from_z(_readout_z(net.aggregation, gated), obs.label, loss, "sigmoid")
+        z = _z(net.aggregation.weights, net.aggregation.bias, gated)
+        total += _loss_from_z(z, obs.label, loss, "sigmoid")
     return total / len(table.observations)
 
 

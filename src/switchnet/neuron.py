@@ -3,13 +3,13 @@
 A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
 The finite-difference gradient is the verification oracle for the analytic one.
+Training, readout fitting and inference share one scalar kernel (`_z`, `_dz`,
+`_sgd`) on Python floats, so their bits do not depend on the BLAS build.
 """
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import TrainingError
 from .jsonio import read_json, write_json
@@ -43,6 +43,21 @@ def _activate_prime(kind: str, z: float) -> float:
         return 1.0 if z > 0 else 0.0
     t = math.tanh(z)
     return 1.0 - t * t
+
+
+def _z(weights, bias: float, x) -> float:
+    """Pre-activation w.x + b, summed left to right."""
+    z = 0.0
+    for w, xi in zip(weights, x):
+        z += w * xi
+    return z + bias
+
+
+def _dz(activation: str, loss: str, z: float, y) -> float:
+    """d loss / d z at pre-activation z; the one copy of the gradient formula."""
+    if loss == "bce":
+        return _sigmoid(z) - y  # canonical bce+sigmoid simplification
+    return 2.0 * (_activate(activation, z) - y) * _activate_prime(activation, z)
 
 
 def _loss_from_z(z: float, y: int, loss: str, activation: str) -> float:
@@ -120,7 +135,7 @@ def init_unit(dim: int, activation: str, unit_index: int, seed: int) -> NeuronUn
 def _preactivation(unit: NeuronUnit, x) -> float:
     if len(x) != unit.dim:
         raise TrainingError(f"unit {unit.unit_index} expects {unit.dim} features, got {len(x)}")
-    return float(sum(w * xi for w, xi in zip(unit.weights, x)) + unit.bias)
+    return _z(unit.weights, unit.bias, x)
 
 
 def unit_forward(unit: NeuronUnit, x) -> float:
@@ -131,12 +146,7 @@ def unit_forward(unit: NeuronUnit, x) -> float:
 def unit_gradient(unit: NeuronUnit, x, y: int, loss: str) -> Gradient:
     """Analytic gradient of loss(act(w.x + b), y) with respect to (w, b)."""
     _check_pair(unit.activation, loss)
-    z = _preactivation(unit, x)
-    if loss == "bce":
-        dz = _sigmoid(z) - y  # canonical bce+sigmoid simplification
-    else:
-        yhat = _activate(unit.activation, z)
-        dz = 2.0 * (yhat - y) * _activate_prime(unit.activation, z)
+    dz = _dz(unit.activation, loss, _preactivation(unit, x), y)
     return Gradient(d_weights=tuple(float(dz * xi) for xi in x), d_bias=float(dz))
 
 
@@ -153,8 +163,7 @@ def fd_gradient(unit: NeuronUnit, x, y: int, loss: str, h: float = 1e-5) -> Grad
         raise TrainingError(f"unit {unit.unit_index} expects {unit.dim} features, got {len(x)}")
 
     def loss_at(weights, bias):
-        z = sum(w * xi for w, xi in zip(weights, x)) + bias
-        return _loss_from_z(z, y, loss, unit.activation)
+        return _loss_from_z(_z(weights, bias, x), y, loss, unit.activation)
 
     d_weights = []
     base = list(unit.weights)
@@ -167,12 +176,37 @@ def fd_gradient(unit: NeuronUnit, x, y: int, loss: str, h: float = 1e-5) -> Grad
     return Gradient(d_weights=tuple(d_weights), d_bias=d_bias)
 
 
-def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUnit, TrainLog]:
-    """Isolated stochastic gradient descent over the unit's own subset.
+def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream):
+    """SGD over (x, y) rows, one update per row, epoch order from the (config.seed,
+    stream, epoch) stream when shuffling; returns (weights, bias, epoch_losses)."""
+    weights = list(weights)
+    n = len(rows)
+    lr = config.learning_rate
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        order = (rng_for(config.seed, stream, epoch).permutation(n).tolist()
+                 if config.shuffle else range(n))
+        total = 0.0
+        for step, idx in enumerate(order):
+            x, y = rows[idx]
+            z = _z(weights, bias, x)
+            loss = _loss_from_z(z, y, config.loss, activation)
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
+            g = lr * _dz(activation, config.loss, z, y)
+            weights = [w - g * xi for w, xi in zip(weights, x)]
+            bias = bias - g
+            if not (math.isfinite(bias) and all(map(math.isfinite, weights))):
+                raise TrainingError(f"non-finite parameters at epoch {epoch} step {step}")
+            total += loss
+        epoch_losses.append(total / n)
+    return weights, bias, epoch_losses
 
-    Full passes over the subset, one update per observation, epoch order drawn
-    from the (config.seed, unit_index, epoch) stream when shuffling. Reads and
-    writes nothing outside the given unit; deterministic in all inputs.
+
+def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUnit, TrainLog]:
+    """Isolated SGD over the unit's own subset, epoch order from the unit's stream.
+
+    Reads and writes nothing outside the given unit; deterministic in all inputs.
     """
     subset = tuple(subset)
     if not subset:
@@ -182,45 +216,16 @@ def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUni
         if len(obs.features) != unit.dim:
             raise TrainingError(
                 f"unit {unit.unit_index}: observation {obs.id} has {len(obs.features)} features, expected {unit.dim}")
-
-    n = len(subset)
-    xs = np.asarray([obs.features for obs in subset], dtype=float)
-    ys = np.asarray([obs.label for obs in subset], dtype=float)
-    w = np.asarray(unit.weights, dtype=float)
-    b = unit.bias
-    lr = config.learning_rate
-
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        if config.shuffle:
-            order = rng_for(config.seed, unit.unit_index, epoch).permutation(n)
-        else:
-            order = range(n)
-        total = 0.0
-        for step, idx in enumerate(order):
-            x = xs[idx]
-            y = float(ys[idx])
-            z = float(w @ x) + b
-            loss = _loss_from_z(z, y, config.loss, unit.activation)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"unit {unit.unit_index}: non-finite loss at epoch {epoch} step {step}")
-            if config.loss == "bce":
-                dz = _sigmoid(z) - y
-            else:
-                dz = 2.0 * (_activate(unit.activation, z) - y) * _activate_prime(unit.activation, z)
-            w = w - lr * dz * x
-            b = b - lr * dz
-            if not (math.isfinite(b) and np.isfinite(w).all()):
-                raise TrainingError(
-                    f"unit {unit.unit_index}: non-finite parameters at epoch {epoch} step {step}")
-            total += loss
-        epoch_losses.append(float(total / n))
-
+    rows = [(obs.features, obs.label) for obs in subset]
+    try:
+        weights, bias, epoch_losses = _sgd(unit.weights, unit.bias, rows, unit.activation,
+                                           config, unit.unit_index)
+    except TrainingError as exc:
+        raise TrainingError(f"unit {unit.unit_index}: {exc}") from None
     trained = NeuronUnit(unit_index=unit.unit_index, activation=unit.activation,
-                         weights=tuple(float(v) for v in w), bias=float(b))
+                         weights=tuple(weights), bias=bias)
     log = TrainLog(epoch_losses=tuple(epoch_losses), final_loss=epoch_losses[-1],
-                   steps=config.epochs * n)
+                   steps=config.epochs * len(rows))
     return trained, log
 
 

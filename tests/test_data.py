@@ -311,9 +311,19 @@ def test_group_specs_file_roundtrip(tmp_path):
     assert sn.load_group_specs(path) == specs
 
 
+@pytest.mark.parametrize("name", ["Young\nLow Income", "Young\rLow Income", "trailing\r\n"])
+def test_group_name_with_line_break_rejected(name):
+    with pytest.raises(sn.DataError, match="line break"):
+        sn.GroupSpec(name=name, mean=(0.0,), scale=(1.0,), label_rule=sn.LabelRule("all-one"), count=1)
+    with pytest.raises(sn.DataError, match="line break"):
+        sn.Dataset(dim=1, groups=((0, name),), observations=())
+
+
 def test_dataset_validation():
     with pytest.raises(sn.DataError, match="dense"):
         sn.Dataset(dim=1, groups=((0, "a"), (2, "c")), observations=())
+    with pytest.raises(sn.DataError, match="dense"):
+        sn.Dataset(dim=1, groups=((1, "b"), (0, "a")), observations=())
     obs = sn.Observation(id=0, group=0, label=1, features=(1.0,))
     with pytest.raises(sn.DataError, match="duplicate"):
         sn.Dataset(dim=1, groups=((0, "a"),), observations=(obs, obs))

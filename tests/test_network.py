@@ -235,6 +235,19 @@ def test_fit_readout_rejects_empty_calibration():
         sn.fit_readout(net, [], dataset, sn.TrainConfig())
 
 
+def test_fit_readout_non_finite_guard_names_the_readout():
+    # relu units with activations near 2e10: the first readout step overflows
+    dataset = two_group_dataset(label_by_group=(1, 0))
+    units = tuple(sn.NeuronUnit(unit_index=k, activation="relu", weights=(w, 0.0), bias=0.0)
+                  for k, w in enumerate((-1e10, 1e10)))
+    net = sn.assemble(units, identity_switch(2), "linear-readout")
+    config = sn.TrainConfig(learning_rate=1e300, epochs=3, seed=3)
+    with pytest.raises(sn.NetworkError, match=r"^readout: non-finite parameters at epoch 0 step 0$"):
+        sn.fit_readout(net, dataset.ids(), dataset, config)
+    assert net.units == units
+    assert net.aggregation == sn.LinearReadout(weights=(0.0, 0.0), bias=0.0)
+
+
 # ------------------------------------------------------------------ contribution
 
 def test_contribution_zero_for_never_activated_unit():

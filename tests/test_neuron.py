@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import switchnet as sn
+from switchnet.seeding import rng_for
 
 
 def make_unit(weights, bias=0.0, activation="sigmoid", index=0):
@@ -176,7 +177,7 @@ def test_train_rejects_empty_subset():
 def test_train_aborts_on_non_finite_loss():
     cfg = sn.TrainConfig(learning_rate=0.1, epochs=1, loss="mse", seed=0, shuffle=False)
     diverged = make_unit((1.0,), activation="relu")
-    with pytest.raises(sn.TrainingError, match=r"epoch 0 step 0"):
+    with pytest.raises(sn.TrainingError, match=r"^unit 0: non-finite loss at epoch 0 step 0$"):
         sn.train_unit(diverged, [obs((1e200,), 0)], cfg)
 
 
@@ -201,6 +202,106 @@ def test_train_bce_requires_sigmoid_unit():
     cfg = sn.TrainConfig(loss="bce")
     with pytest.raises(sn.TrainingError, match="bce"):
         sn.train_unit(make_unit((0.0,), activation="tanh"), [obs((1.0,), 1)], cfg)
+
+
+# ------------------------------------------------------------------- scalar oracle
+
+def _oracle_sigmoid(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def replay_sgd(weights, bias, rows, activation, config, stream):
+    """Pure-Python SGD: per-step left-to-right z, the trainer's epoch order and update."""
+    weights = list(weights)
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        order = range(len(rows))
+        if config.shuffle:
+            order = rng_for(config.seed, stream, epoch).permutation(len(rows))
+        total = 0.0
+        for idx in order:
+            x, y = rows[idx]
+            z = 0.0
+            for w, xi in zip(weights, x):
+                z += w * xi
+            z += bias
+            if activation == "sigmoid":
+                a = _oracle_sigmoid(z)
+                da = a * (1.0 - a)
+            elif activation == "tanh":
+                a = math.tanh(z)
+                da = 1.0 - a * a
+            else:
+                a = z if z > 0 else 0.0
+                da = 1.0 if z > 0 else 0.0
+            if config.loss == "bce":
+                loss = max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
+                dz = _oracle_sigmoid(z) - y
+            else:
+                loss = (a - y) * (a - y)
+                dz = 2.0 * (a - y) * da
+            step = config.learning_rate * dz
+            weights = [w - step * xi for w, xi in zip(weights, x)]
+            bias = bias - step
+            total += loss
+        epoch_losses.append(total / len(rows))
+    return weights, bias, epoch_losses
+
+
+def _default_subsets():
+    config = sn.load_config(sn.default_config_path())
+    dataset = sn.generate_synthetic(config.specs, config.seed)
+    parts = sn.partition(dataset, config.plan, config.seed)
+    return config, dataset, parts
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize("activation,loss",
+                         [("sigmoid", "bce"), ("sigmoid", "mse"), ("tanh", "mse"), ("relu", "mse")])
+def test_train_unit_matches_scalar_oracle_bit_for_bit(activation, loss, shuffle):
+    config, dataset, parts = _default_subsets()
+    for k in parts.unit_indices():
+        subset = [dataset.observation(i) for i in parts.subsets[k]]
+        unit = sn.init_unit(dataset.dim, activation, k, seed=config.seed)
+        train = sn.TrainConfig(learning_rate=config.train.learning_rate, epochs=config.train.epochs,
+                               loss=loss, seed=sn.node_train_config(config.train, k).seed,
+                               shuffle=shuffle)
+        trained, log = sn.train_unit(unit, subset, train)
+        weights, bias, losses = replay_sgd(unit.weights, unit.bias,
+                                           [(o.features, o.label) for o in subset],
+                                           activation, train, k)
+        assert repr(trained.weights) == repr(tuple(weights)), f"unit {k}"
+        assert repr(trained.bias) == repr(bias), f"unit {k}"
+        assert repr(log.epoch_losses) == repr(tuple(losses)), f"unit {k}"
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize("loss", ["bce", "mse"])
+def test_fit_readout_matches_scalar_oracle_bit_for_bit(loss, shuffle):
+    config, dataset, parts = _default_subsets()
+    units = [sn.train_unit(sn.init_unit(dataset.dim, "sigmoid", k, seed=config.seed),
+                           [dataset.observation(i) for i in parts.subsets[k]],
+                           sn.node_train_config(config.train, k))[0]
+             for k in parts.unit_indices()]
+    # three active units per group, so the order of the readout's sum matters
+    switch, _ = sn.build_switch(len(units), {g: {g, (g + 1) % 5, (g + 2) % 5} for g in range(5)},
+                                "error")
+    net = sn.assemble(units, switch, "linear-readout")
+    ids = sorted(parts.assigned_ids())
+    rows = []
+    for i in ids:
+        o = dataset.observation(i)
+        on = sn.route(switch, o.group).active_indices()
+        rows.append(([sn.unit_forward(u, o.features) if u.unit_index in on else 0.0 for u in units],
+                     o.label))
+    train = sn.TrainConfig(learning_rate=0.3, epochs=20, loss=loss, seed=config.seed, shuffle=shuffle)
+    fitted = sn.fit_readout(net, ids, dataset, train)
+    weights, bias, _ = replay_sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
+                                  train, "readout")
+    assert repr(fitted.aggregation) == repr(sn.LinearReadout(weights=tuple(weights), bias=bias))
 
 
 # ------------------------------------------------------------------- serialization

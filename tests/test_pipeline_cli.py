@@ -82,6 +82,19 @@ def test_unroutable_synthetic_config_rejected_at_parse(tmp_path, capsys):
     sn.parse_config(doc)
 
 
+def test_group_name_with_line_break_is_config_error(tmp_path, capsys):
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["data"]["groups"][0]["name"] = "Young\nLow Income"
+    doc["output"]["dir"] = str(tmp_path / "out")
+    with pytest.raises(sn.ConfigError, match="line break"):
+        sn.parse_config(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli("pipeline", "--config", cfg_path) == 1
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- pipeline runs
 
 def test_pipeline_writes_complete_bundle(tmp_path):
