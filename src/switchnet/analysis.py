@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import ModularNetwork, probe_activations
+from .network import ModularNetwork, _mean, probe_activations
 
 STATISTICS = ("mean", "max")
 
@@ -88,7 +88,7 @@ def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean")
         row = []
         for g, _ in groups:
             samples = [p[u] for p in per_group[g]]
-            row.append(max(samples) if statistic == "max" else sum(samples) / len(samples))
+            row.append(max(samples) if statistic == "max" else _mean(samples))
         values.append(tuple(row))
     return HeatmapMatrix(values=tuple(values),
                          row_labels=tuple(f"unit {u}" for u in range(net.n_units)),

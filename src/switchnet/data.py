@@ -14,6 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
+from .neuron import _z
 from .seeding import rng_for
 
 SELECTIONS = ("contiguous", "stratified", "explicit")
@@ -100,8 +101,7 @@ class LabelRule:
             return 1
         if len(self.weights) != len(features):
             raise DataError("label rule weight length does not match features")
-        z = sum(w * x for w, x in zip(self.weights, features)) + self.bias
-        return 1 if z > 0 else 0
+        return 1 if _z(self.weights, self.bias, features) > 0 else 0
 
     def to_json(self):
         if self.kind == "linear-threshold":
@@ -363,6 +363,9 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
     non-overlapping: ids never assigned to any unit (unseen data).
     overlapping: a seeded sample of holdout_fraction of the assigned ids,
     measuring performance on data the units trained on.
+
+    Both sets feed evaluation and the heatmap, so an empty overlapping sample
+    or a group with no non-overlapping id is an error here, before training.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -371,7 +374,15 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
     non_overlapping = tuple(i for i in sorted(dataset.ids()) if i not in assigned_ids)
     if not non_overlapping:
         raise DataError("no unassigned observations: non-overlapping test set would be empty")
+    covered = {dataset.observation(i).group for i in non_overlapping}
+    uncovered = [g for g, _ in dataset.groups if g not in covered]
+    if uncovered:
+        raise DataError(f"group(s) {uncovered} have no unassigned observation: "
+                        "the non-overlapping test set must cover every group")
     k = math.floor(holdout_fraction * len(assigned))
+    if k == 0:
+        raise DataError(f"holdout_fraction {holdout_fraction} of {len(assigned)} assigned ids "
+                        "samples no overlapping test id")
     picks = rng_for(seed, "holdout").choice(len(assigned), size=k, replace=False)
     overlapping = tuple(sorted(assigned[j] for j in picks))
     return overlapping, non_overlapping

@@ -1,15 +1,18 @@
 """Simulated decentralized training.
 
 One virtual node per neuron unit, holding only that unit's assigned subset.
-The runner trains nodes in parallel; every node derives its own random stream
-from (seed, node_id), never from scheduling order, so results are bit-identical
-for any worker count. Collection is pure assembly: no weight averaging.
+The runner trains the nodes in this process or on a process pool; every node
+derives its own random stream from (seed, node_id), never from scheduling
+order, so results are bit-identical for any worker count. Collection is pure
+assembly: no weight averaging.
 """
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .data import Dataset, Observation, PartitionSet
 from .errors import FederatedError
@@ -40,9 +43,9 @@ class FedRunReport:
     schedule: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
-        """The deterministic part (`fed_report.json`): per-node losses, epochs and steps."""
-        return {"workers": self.workers,
-                "nodes": [{"node_id": i, "final_loss": log.final_loss,
+        """The deterministic part (`fed_report.json`): per-node losses, epochs and
+        steps; no worker count, so it is the same for any number of workers."""
+        return {"nodes": [{"node_id": i, "final_loss": log.final_loss,
                            "epochs": len(log.epoch_losses), "steps": log.steps,
                            "epoch_losses": list(log.epoch_losses)}
                           for i, log in enumerate(self.logs)]}
@@ -80,15 +83,16 @@ def _train_node(node: Node, config: TrainConfig):
     started = time.perf_counter()
     trained, log = train_unit(node.unit, node.local_data, node_train_config(config, node.node_id))
     duration_ms = (time.perf_counter() - started) * 1000.0
-    return node.node_id, trained, log, duration_ms, os.getpid()
+    return trained, log, duration_ms, os.getpid()
 
 
 def run_local_training(nodes, config: TrainConfig,
                        workers: int = 1) -> tuple[tuple[NeuronUnit, ...], FedRunReport]:
-    """Train every node's unit on its own data, up to `workers` processes at a time.
+    """Train every node's unit on its own data, in node-id order, on up to
+    `workers` processes (never more than there are nodes).
 
     Output bits are independent of worker count; only the timings and the
-    schedule differ. `workers=1` trains in this process, without a pool.
+    schedule differ. With one worker the nodes train in this process.
     """
     nodes = tuple(sorted(nodes, key=lambda n: n.node_id))
     if workers < 1:
@@ -96,35 +100,24 @@ def run_local_training(nodes, config: TrainConfig,
     ids = [n.node_id for n in nodes]
     if len(set(ids)) != len(ids):
         raise FederatedError(f"duplicate node ids: {ids}")
+    workers = max(1, min(workers, len(nodes)))
 
-    results = {}
-    if workers == 1:
+    trained, logs, durations_ms, schedule, worker_ids = [], [], [], [], {}
+    with ExitStack() as stack:
+        run = map if workers == 1 else stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        outcomes = run(_train_node, nodes, repeat(config))
         for node in nodes:
             try:
-                results[node.node_id] = _train_node(node, config)
+                unit, log, duration_ms, pid = next(outcomes)
             except Exception as exc:
                 raise FederatedError(f"node {node.node_id}: training failed: {exc}") from exc
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_train_node, node, config): node.node_id for node in nodes}
-            for future, node_id in futures.items():
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    raise FederatedError(f"node {node_id}: training failed: {exc}") from exc
-                results[node_id] = result
-
-    worker_ids = {}
-    schedule = []
-    for node_id in sorted(results):
-        pid = results[node_id][4]
-        worker_ids.setdefault(pid, len(worker_ids))
-        schedule.append((node_id, worker_ids[pid]))
-    trained = tuple(results[i][1] for i in sorted(results))
-    report = FedRunReport(logs=tuple(results[i][2] for i in sorted(results)),
-                          durations_ms=tuple(results[i][3] for i in sorted(results)),
-                          workers=workers, schedule=tuple(schedule))
-    return trained, report
+            trained.append(unit)
+            logs.append(log)
+            durations_ms.append(duration_ms)
+            schedule.append((node.node_id, worker_ids.setdefault(pid, len(worker_ids))))
+    report = FedRunReport(logs=tuple(logs), durations_ms=tuple(durations_ms), workers=workers,
+                          schedule=tuple(schedule))
+    return tuple(trained), report
 
 
 def with_trained_units(nodes, units) -> tuple[Node, ...]:

@@ -121,9 +121,16 @@ def _score(aggregation, gated, active) -> float:
     left-to-right mean of the active slots (0.5 when none is active)."""
     if isinstance(aggregation, LinearReadout):
         return _sigmoid(_z(aggregation.weights, aggregation.bias, gated))
-    if active:
-        return float(sum(gated[i] for i in active) / len(active))
-    return 0.5
+    return _mean([gated[i] for i in active]) if active else 0.5
+
+
+def _mean(values) -> float:
+    """Mean summed left to right, on every Python (builtin `sum` of floats is
+    compensated from 3.12 on, which would move the bits)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def _label(score: float) -> int:

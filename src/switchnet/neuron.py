@@ -102,12 +102,16 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise TrainingError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        # booleans are ints to Python, but `true` is no learning rate or epoch count
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+            raise TrainingError(f"learning_rate must be a finite number > 0, got {rate!r}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
+            raise TrainingError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if self.loss not in LOSSES:
             raise TrainingError(f"unknown loss {self.loss!r}")
+        if not isinstance(self.shuffle, bool):
+            raise TrainingError(f"shuffle must be true or false, got {self.shuffle!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ config document, so whole-bundle determinism can be checked by file comparison.
 
 import hashlib
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ class ExperimentConfig:
     aggregation: str
     holdout_fraction: float
     heatmap_statistic: str
-    workers: "int | None"
+    workers: int
     output_dir: Path
 
     @property
@@ -143,6 +144,9 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     except SwitchNetError as exc:
         raise ConfigError(f"bad partition plan: {exc}") from exc
     n_units = len(plan.assignments)
+    if math.floor(holdout * sum(plan.counts)) == 0:
+        raise ConfigError(f"data.holdout_fraction {holdout} of the {sum(plan.counts)} assigned "
+                          "observations samples no overlapping test id")
 
     switch_sec = doc["switch"]
     declared = switch_sec.get("n_units", n_units)
@@ -176,17 +180,18 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     statistic = net_sec.get("heatmap_statistic", "mean")
     if statistic not in ("mean", "max"):
         raise ConfigError(f"network.heatmap_statistic must be 'mean' or 'max', got {statistic!r}")
-    workers = net_sec.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ConfigError(f"network.workers must be a positive integer or null, got {workers!r}")
+    workers = net_sec.get("workers", 1)
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ConfigError(f"network.workers must be a positive integer, got {workers!r}")
 
     if specs is not None and plan.selection == "stratified":
         for unit, count in plan.assignments:
             if unit >= len(specs):
                 raise ConfigError(f"stratified plan unit {unit} has no matching group (only {len(specs)} groups)")
-            if specs[unit].count < count:
+            if specs[unit].count <= count:
                 raise ConfigError(
-                    f"stratified plan unit {unit} needs {count} observations, group generates {specs[unit].count}")
+                    f"stratified plan unit {unit} needs {count} observations, group generates "
+                    f"{specs[unit].count}; the non-overlapping test set needs at least one left over")
 
     out_sec = doc["output"]
     out_dir = Path(str(_need(out_sec, "dir", "output")))
@@ -308,14 +313,10 @@ def switch_stage(config: ExperimentConfig, dataset: Dataset) -> tuple[SwitchTabl
 
 def train_stage(config: ExperimentConfig, dataset: Dataset, parts: PartitionSet,
                 switch: SwitchTable) -> tuple[ModularNetwork, FedRunReport]:
-    """Train one unit per subset on its own virtual node and collect the network.
-
-    `network.workers: null` means one worker per unit.
-    """
+    """Train one unit per subset on its own virtual node and collect the network."""
     units = [init_unit(dataset.dim, config.activation, k, config.seed) for k in range(config.n_units)]
     nodes = make_nodes(parts, dataset, units)
-    workers = config.workers if config.workers is not None else config.n_units
-    trained, fed = run_local_training(nodes, config.train, workers=workers)
+    trained, fed = run_local_training(nodes, config.train, workers=config.workers)
     return collect(with_trained_units(nodes, trained), switch, config.aggregation), fed
 
 

@@ -1,3 +1,7 @@
+import functools
+import math
+import operator
+
 import pytest
 
 import switchnet as sn
@@ -54,6 +58,19 @@ def test_heatmap_mean_sigmoid_bounded():
                       identity_switch(5))
     matrix = sn.heatmap(net, dataset.ids(), dataset, "mean")
     assert all(0.0 <= v <= 1.0 for row in matrix.values for v in row)
+
+
+def test_heatmap_mean_sums_left_to_right():
+    # probe activations (1.0, ~1e-16, ~1e-16): the left-to-right sum stays 1.0
+    unit = sn.NeuronUnit(unit_index=0, activation="sigmoid", weights=(1.0,), bias=0.0)
+    observations = tuple(sn.Observation(id=i, group=0, label=1, features=(x,))
+                         for i, x in enumerate((40.0, -36.8, -36.8)))
+    dataset = sn.Dataset(dim=1, groups=((0, "only"),), observations=observations)
+    net = sn.assemble([unit], identity_switch(1))
+    probes = [sn.probe_activations(net, o)[0] for o in observations]
+    assert math.fsum(probes) != functools.reduce(operator.add, probes)
+    matrix = sn.heatmap(net, dataset.ids(), dataset, "mean")
+    assert matrix.values == ((functools.reduce(operator.add, probes) / 3,),)
 
 
 def test_heatmap_deterministic():

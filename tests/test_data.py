@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,15 @@ def test_label_rules():
     assert rule.apply((2.0, 1.0)) == 1
     assert rule.apply((1.0, 2.0)) == 0
     assert rule.apply((1.0, 1.0)) == 0  # ties fall to label 0
+
+
+def test_linear_threshold_sums_left_to_right():
+    # 1 + 1e-16 + 1e-16 - 1 is 0.0 left to right but 2.2e-16 when compensated
+    rule = sn.LabelRule("linear-threshold", weights=(1.0, 1e-16, 1e-16), bias=-1.0)
+    features = (1.0, 1.0, 1.0)
+    z = functools.reduce(operator.add, [w * x for w, x in zip(rule.weights, features)]) + rule.bias
+    assert z == 0.0
+    assert rule.apply(features) == 0
 
 
 def test_generate_rejects_dimension_mismatch():
@@ -271,6 +283,20 @@ def test_no_unseen_pool_is_error():
     ds, parts = _partitioned((20, 20), [20, 20])
     with pytest.raises(sn.DataError, match="non-overlapping"):
         sn.make_test_sets(ds, parts, 0.2, seed=21)
+
+
+def test_group_without_unseen_observation_is_error():
+    ds, parts = _partitioned((20, 25), [20, 20])
+    with pytest.raises(sn.DataError, match=r"group\(s\) \[0\] have no unassigned"):
+        sn.make_test_sets(ds, parts, 0.2, seed=21)
+
+
+def test_empty_overlapping_sample_is_error():
+    ds, parts = _partitioned((25, 25), [20, 20])
+    with pytest.raises(sn.DataError, match="samples no overlapping test id"):
+        sn.make_test_sets(ds, parts, 0.02, seed=21)
+    overlapping, _ = sn.make_test_sets(ds, parts, 0.025, seed=21)
+    assert len(overlapping) == 1
 
 
 def test_test_sets_deterministic_and_disjoint_from_training():

@@ -71,25 +71,48 @@ def test_report_shape():
     assert sorted(n for n, _ in report.schedule) == [0, 1, 2, 3, 4]
     assert all(d >= 0 for d in report.durations_ms)
     doc = report.to_json()
-    assert doc["workers"] == 2
+    assert set(doc) == {"nodes"}  # the worker count goes to the timings only
     assert [n["node_id"] for n in doc["nodes"]] == [0, 1, 2, 3, 4]
     assert all(set(n) == {"node_id", "final_loss", "epochs", "steps", "epoch_losses"}
                for n in doc["nodes"])
     assert all(n["epochs"] == 3 == len(n["epoch_losses"]) for n in doc["nodes"])
     timings = report.timings_to_json()
     assert set(timings) == {"workers", "durations_ms", "schedule"}
+    assert timings["workers"] == 2
     assert sorted(timings["durations_ms"]) == ["0", "1", "2", "3", "4"]
     assert sorted(n for n, _ in timings["schedule"]) == [0, 1, 2, 3, 4]
 
 
-def test_training_failure_names_node():
+def nodes_with_failing_node_3():
     dataset, parts, units = five_group_setup()
     nodes = list(sn.make_nodes(parts, dataset, units))
     broken = sn.NeuronUnit(unit_index=3, activation="relu", weights=(1.0, 1.0), bias=0.0)
     nodes[3] = dataclasses.replace(nodes[3], unit=broken)
-    config = sn.TrainConfig(epochs=1, seed=1, loss="bce")  # bce + relu is rejected
+    return nodes, sn.TrainConfig(epochs=1, seed=1, loss="bce")  # bce + relu is rejected
+
+
+def test_training_failure_names_node():
+    nodes, config = nodes_with_failing_node_3()
     with pytest.raises(sn.FederatedError, match="node 3"):
         sn.run_local_training(nodes, config, workers=1)
+
+
+def test_training_failure_names_node_in_pool():
+    nodes, config = nodes_with_failing_node_3()
+    with pytest.raises(sn.FederatedError, match="node 3: training failed"):
+        sn.run_local_training(nodes, config, workers=2)
+
+
+def test_workers_capped_at_node_count():
+    dataset, parts, units = five_group_setup(counts=(20, 30))
+    nodes = sn.make_nodes(parts, dataset, units)
+    config = sn.TrainConfig(epochs=3, seed=42)
+    reference, _ = sn.run_local_training(nodes, config, workers=1)
+    trained, report = sn.run_local_training(nodes, config, workers=4)
+    assert trained == reference
+    assert report.workers == 2
+    assert report.timings_to_json()["workers"] == 2
+    assert {worker for _, worker in report.schedule} <= {0, 1}
 
 
 def test_collect_equals_direct_assembly():

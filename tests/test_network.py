@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -329,3 +331,16 @@ def test_contribution_call_counts(monkeypatch):
     sn.neuron_contribution(net, ids, dataset)
     assert 0 < calls["unit_forward"] <= active_total
     assert 0 < calls["route"] <= 3
+
+
+def test_router_mean_sums_left_to_right():
+    # slots (1.0, ~1e-16, ~1e-16): the left-to-right sum stays 1.0, a compensated one does not
+    units = [sn.NeuronUnit(unit_index=k, activation="sigmoid", weights=(1.0,), bias=b)
+             for k, b in enumerate((40.0, -36.8, -36.8))]
+    table, _ = sn.build_switch(3, {0: {0, 1, 2}})
+    net = sn.assemble(units, table)
+    pred = sn.forward(net, obs((0.0,)))
+    slots = pred.gated_activations
+    assert slots[0] == 1.0 and 0.0 < slots[1] == slots[2] < 2e-16
+    assert math.fsum(slots) != functools.reduce(operator.add, slots)
+    assert pred.score == functools.reduce(operator.add, slots) / 3

@@ -25,6 +25,10 @@ def test_default_config_parses():
     assert config.aggregation == "router-mean"
 
 
+def test_default_config_trains_in_one_process():
+    assert sn.load_config(sn.default_config_path()).workers == 1
+
+
 def test_overrides_dotted_keys():
     config = sn.load_config(sn.default_config_path(),
                             ["train.epochs=3", "seed=7", "network.workers=2",
@@ -95,6 +99,50 @@ def test_group_name_with_line_break_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "network.workers=null", "network.workers=0", "network.workers=true", "network.workers=1.5",
+    'network.workers="2"', "train.epochs=true", "train.epochs=2.5", "train.learning_rate=true",
+    "train.learning_rate=NaN", "train.shuffle=no", "train.shuffle=1"])
+def test_mistyped_setting_is_config_error(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    with pytest.raises(sn.ConfigError):
+        sn.load_config(sn.default_config_path(), [override])
+    assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("partition.counts=[25, 30, 10, 20, 20]", "unit 0 needs 25 observations, group generates 25"),
+    ("data.holdout_fraction=0.001", "samples no overlapping test id")])
+def test_unevaluable_test_sets_are_config_errors(tmp_path, capsys, override, message):
+    out = tmp_path / "out"
+    with pytest.raises(sn.ConfigError, match=message):
+        sn.load_config(sn.default_config_path(), [override])
+    assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_group_left_out_of_test_sets_fails_before_training(tmp_path, monkeypatch, capsys):
+    base = sn.load_config(sn.default_config_path())
+    csv_path = tmp_path / "data.csv"
+    sn.save_dataset(sn.generate_synthetic(base.specs, base.seed), csv_path)
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["data"] = {"dataset": str(csv_path), "holdout_fraction": 0.2}
+    doc["partition"]["counts"] = [25, 30, 10, 20, 20]  # all of group 0
+    doc["output"]["dir"] = str(tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    def no_training(*args, **kwargs):
+        raise AssertionError("a unit trained")
+
+    monkeypatch.setattr("switchnet.pipeline.run_local_training", no_training)
+    assert run_cli("pipeline", "--config", cfg_path) == 2
+    assert "stage 'test-sets': group(s) [0] have no unassigned" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- pipeline runs
 
 def test_pipeline_writes_complete_bundle(tmp_path):
@@ -116,6 +164,19 @@ def test_pipeline_deterministic_rerun_same_config(tmp_path):
     bundle2 = sn.run_pipeline(config)
     for p in bundle2.deterministic_paths():
         assert p.read_bytes() == snapshot[p.name], f"{p.name} changed across reruns"
+
+
+def test_bundle_is_independent_of_worker_count(tmp_path):
+    bundles = [sn.run_pipeline(sn.load_config(sn.default_config_path(),
+                                              fast_sets(tmp_path / f"w{w}", epochs=5, workers=w)))
+               for w in (1, 2)]
+    names = [sorted(p.name for p in b.out_dir.iterdir()) for b in bundles]
+    assert names[0] == names[1]
+    differ = [n for n in names[0]
+              if (bundles[0].out_dir / n).read_bytes() != (bundles[1].out_dir / n).read_bytes()]
+    assert set(differ) <= {"config.json", "manifest.json", "fed_timings.json"}
+    assert "fed_report.json" in names[0]
+    assert [json.loads(b.fed_timings_json.read_text())["workers"] for b in bundles] == [1, 2]
 
 
 def test_pipeline_runs_linear_readout_variant(tmp_path):
@@ -417,4 +478,4 @@ def test_switch_warnings_reach_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert warning in captured.err
     assert "with 2 worker(s)" in captured.out
-    assert json.loads((d / "fed_report.json").read_text())["workers"] == 2
+    assert json.loads((d / "fed_timings.json").read_text())["workers"] == 2
