@@ -19,7 +19,7 @@ from .federated import (FedRunReport, Node, collect, make_nodes, node_train_conf
                         run_local_training, with_trained_units)
 from .network import (ContributionReport, LinearReadout, Metrics, ModularNetwork, Prediction,
                       UnitContribution, assemble, evaluate, fit_readout, forward, load_network,
-                      neuron_contribution, probe_activations, readout_mean_loss, save_network)
+                      neuron_contribution, probe_activations, save_network)
 from .neuron import (ACTIVATIONS, LOSSES, Gradient, NeuronUnit, TrainConfig, TrainLog, fd_gradient,
                      init_unit, load_unit, save_unit, train_unit, unit_forward, unit_gradient)
 from .pipeline import (ExperimentConfig, ReportBundle, apply_overrides, config_to_doc,

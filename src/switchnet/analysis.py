@@ -1,7 +1,9 @@
 """Per-neuron interpretability: activation heatmaps, attribution, exports.
 
 Heatmaps aggregate ungated probe activations so every unit is observable on
-every group, regardless of how the switch would gate it.
+every group, regardless of how the switch would gate it. Probes are computed
+per group block through the network's column kernel, bit for bit equal to
+`probe_activations`.
 """
 
 import csv
@@ -12,7 +14,7 @@ from xml.sax.saxutils import escape
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import ModularNetwork, _mean, probe_activations
+from .network import ModularNetwork, _group_blocks, _mean, _unit_column
 
 STATISTICS = ("mean", "max")
 
@@ -76,18 +78,17 @@ def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean")
     if not ids:
         raise AnalysisError("heatmap needs at least one observation id")
     groups = sorted(dataset.groups)
-    per_group: dict = {g: [] for g, _ in groups}
-    for obs_id in ids:
-        obs = dataset.observation(obs_id)
-        per_group[obs.group].append(probe_activations(net, obs))
-    empty = [g for g, probes in per_group.items() if not probes]
+    blocks = {block.group: block for block in _group_blocks(net, ids, dataset)}
+    empty = [g for g, _ in groups if g not in blocks]
     if empty:
         raise AnalysisError(f"groups {empty} have no observations among the evaluation ids")
+    probes = {g: [_unit_column(unit, blocks[g].features).tolist() for unit in net.units]
+              for g, _ in groups}
     values = []
     for u in range(net.n_units):
         row = []
         for g, _ in groups:
-            samples = [p[u] for p in per_group[g]]
+            samples = probes[g][u]
             row.append(max(samples) if statistic == "max" else _mean(samples))
         values.append(tuple(row))
     return HeatmapMatrix(values=tuple(values),

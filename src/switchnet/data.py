@@ -14,6 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
+from .jsonio import is_int
 from .neuron import _z
 from .seeding import rng_for
 
@@ -132,8 +133,8 @@ class GroupSpec:
             raise DataError(f"group {self.name!r}: mean and scale entries must be finite")
         if any(s <= 0 for s in self.scale):
             raise DataError(f"group {self.name!r}: scale entries must be > 0")
-        if self.count < 1:
-            raise DataError(f"group {self.name!r}: count must be >= 1")
+        if not is_int(self.count) or self.count < 1:
+            raise DataError(f"group {self.name!r}: count must be an integer >= 1, got {self.count!r}")
 
     def to_json(self) -> dict:
         return {"name": self.name, "mean": list(self.mean), "scale": list(self.scale),
@@ -145,7 +146,7 @@ class GroupSpec:
                    mean=tuple(float(v) for v in obj["mean"]),
                    scale=tuple(float(v) for v in obj["scale"]),
                    label_rule=LabelRule.from_json(obj["label_rule"]),
-                   count=int(obj["count"]))
+                   count=obj["count"])
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,15 @@ class PartitionPlan:
         units = [u for u, _ in self.assignments]
         if sorted(units) != list(range(len(units))):
             raise DataError(f"unit indices must be unique and contiguous from 0, got {units}")
-        if any(c < 1 for _, c in self.assignments):
-            raise DataError("planned counts must be positive")
+        counts = [c for _, c in self.assignments]
+        if not all(is_int(c) and c >= 1 for c in counts):
+            raise DataError(f"planned counts must be positive integers, got {counts}")
         if self.selection == "explicit":
             if self.explicit_ids is None or len(self.explicit_ids) != len(self.assignments):
                 raise DataError("explicit selection needs one id list per unit")
             for (unit, count), ids in zip(self.assignments, self.explicit_ids):
+                if not all(map(is_int, ids)):
+                    raise DataError(f"unit {unit}: explicit ids must be integers, got {list(ids)}")
                 if len(set(ids)) != len(ids):
                     raise DataError(f"unit {unit}: explicit id list has duplicates")
                 if len(ids) != count:
@@ -176,9 +180,8 @@ class PartitionPlan:
     @classmethod
     def from_counts(cls, counts, selection: str = "stratified",
                     explicit_ids=None) -> "PartitionPlan":
-        assignments = tuple((k, int(c)) for k, c in enumerate(counts))
-        ids = None if explicit_ids is None else tuple(tuple(int(i) for i in lst) for lst in explicit_ids)
-        return cls(assignments=assignments, selection=selection, explicit_ids=ids)
+        ids = None if explicit_ids is None else tuple(tuple(lst) for lst in explicit_ids)
+        return cls(assignments=tuple(enumerate(counts)), selection=selection, explicit_ids=ids)
 
     @property
     def counts(self) -> tuple[int, ...]:

@@ -10,3 +10,8 @@ def write_json(obj, path) -> None:
 
 def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer. Booleans are ints to Python, but `true` is no count or index."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -3,20 +3,26 @@
 The forward pass computes only the units the switch activates; inactive units
 are skipped entirely, so their gated activation is exactly 0.0 and their
 parameters are never read. Evaluation, readout fitting and ablation read one
-gated table per id list, built by group block; ablating a unit re-scores only
-the rows where it is active. The probe pass forces every switch open and is the
-basis for heatmap analysis.
+gated table per id list, built by group block: each active unit is computed
+over its block's feature columns with elementwise numpy float64 ops in the
+scalar kernel's left-to-right order (exp and tanh stay on `math`), so every
+value equals the per-observation `forward` bit for bit. Ablating a unit
+re-scores the blocks where it is active. The probe pass forces every switch
+open and is the basis for heatmap analysis.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
 from .jsonio import read_json, write_json
-from .neuron import (NeuronUnit, TrainConfig, _loss_from_z, _sgd, _sigmoid, _z, unit_forward,
-                     unit_from_dict, unit_to_dict)
+from .neuron import (NeuronUnit, TrainConfig, _sgd, _sigmoid, _z, unit_forward, unit_from_dict,
+                     unit_to_dict)
 from .switching import ActivationMask, SwitchTable, route
 
 ROUTER_MEAN = "router-mean"
@@ -164,40 +170,95 @@ def probe_activations(net: ModularNetwork, obs: Observation) -> tuple[float, ...
     return tuple(unit_forward(unit, obs.features) for unit in net.units)
 
 
+@np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
+def _z_column(weights, bias: float, columns, n: int) -> np.ndarray:
+    """`_z` on n rows at once: `((0.0 + w0*c0) + w1*c1 + ...) + b` over column arrays."""
+    z = np.zeros(n)
+    for w, column in zip(weights, columns):
+        z = z + w * column
+    return z + bias
+
+
+@np.errstate(all="ignore")
+def _sigmoid_column(z: np.ndarray) -> np.ndarray:
+    """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical."""
+    e = np.array(list(map(math.exp, (-np.abs(z)).tolist())), dtype=float)
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
+    """`_activate` elementwise, branch for branch."""
+    if kind == "sigmoid":
+        return _sigmoid_column(z)
+    if kind == "relu":
+        return np.where(z > 0, z, 0.0)
+    return np.array(list(map(math.tanh, z.tolist())), dtype=float)
+
+
+def _unit_column(unit: NeuronUnit, features: np.ndarray) -> np.ndarray:
+    """`unit_forward` on every row of a (rows, dim) feature array, bit for bit."""
+    return _activate_column(unit.activation,
+                            _z_column(unit.weights, unit.bias, features.T, len(features)))
+
+
+@np.errstate(all="ignore")
+def _score_column(aggregation, columns, active, n: int) -> np.ndarray:
+    """`_score` on every row of a block of gated columns."""
+    if isinstance(aggregation, LinearReadout):
+        return _sigmoid_column(_z_column(aggregation.weights, aggregation.bias, columns, n))
+    if not active:
+        return np.full(n, 0.5)
+    total = np.zeros(n)
+    for i in active:
+        total = total + columns[i]
+    return total / len(active)
+
+
+def _hits(aggregation, columns, active, labels: np.ndarray) -> int:
+    """Correct predictions in a block."""
+    score = _score_column(aggregation, columns, active, len(labels))
+    return int(np.count_nonzero(np.where(score >= 0.5, 1, 0) == labels))
+
+
 @dataclass(frozen=True)
-class _GatedTable:
-    """One row per id, in id order: the observation, its gated vector and its active units."""
-    observations: list
-    gated: list
-    active: list
-
-    def hits(self, aggregation) -> list:
-        return [int(_label(_score(aggregation, g, a)) == obs.label)
-                for obs, g, a in zip(self.observations, self.gated, self.active)]
+class _Block:
+    """One group's rows of an id list, in id-list order."""
+    group: int
+    positions: list
+    labels: np.ndarray
+    features: np.ndarray
 
 
-def _gated_table(net: ModularNetwork, ids, dataset: Dataset) -> _GatedTable:
-    """Gated activations of every id, computed by group block.
+def _group_blocks(net: ModularNetwork, ids, dataset: Dataset) -> list:
+    """The id list split by group: groups in order of first appearance."""
+    if dataset.dim != net.dim:
+        raise NetworkError(f"dataset has {dataset.dim} features per observation, "
+                           f"the network expects {net.dim}")
+    members = {}
+    for position, obs_id in enumerate(ids):
+        obs = dataset.observation(obs_id)
+        members.setdefault(obs.group, []).append((position, obs))
+    return [_Block(group=group, positions=[p for p, _ in rows],
+                   labels=np.array([o.label for _, o in rows]),
+                   features=np.array([o.features for _, o in rows], dtype=float))
+            for group, rows in members.items()]
 
-    `route` runs once per distinct group and `unit_forward` once per (active
-    unit, observation); inactive slots stay 0.0 and their units are never read.
+
+def _gated_table(net: ModularNetwork, ids, dataset: Dataset) -> list:
+    """Gated columns of an id list by group block: one (block, active units,
+    columns) triple per group, one column per unit.
+
+    `route` runs once per distinct group and each active unit once over its
+    block; inactive slots share one zero column and their units are never read.
     """
-    observations = [dataset.observation(i) for i in ids]
-    blocks = {}
-    for row, obs in enumerate(observations):
-        blocks.setdefault(obs.group, []).append(row)
-    gated = [None] * len(observations)
-    active = [None] * len(observations)
-    for group, rows in blocks.items():
-        on = route(net.switch, group).active_indices()
-        for row in rows:
-            gated[row] = [0.0] * net.n_units
-            active[row] = on
-        for i in on:
-            unit = net.units[i]
-            for row in rows:
-                gated[row][i] = unit_forward(unit, observations[row].features)
-    return _GatedTable(observations, gated, active)
+    table = []
+    for block in _group_blocks(net, ids, dataset):
+        active = route(net.switch, block.group).active_indices()
+        columns = [np.zeros(len(block.positions))] * net.n_units
+        for i in active:
+            columns[i] = _unit_column(net.units[i], block.features)
+        table.append((block, active, columns))
+    return table
 
 
 def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:
@@ -207,15 +268,13 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
         raise NetworkError("evaluate needs at least one observation id")
     if set_kind not in SET_KINDS:
         raise NetworkError(f"set_kind must be one of {SET_KINDS}, got {set_kind!r}")
-    table = _gated_table(net, ids, dataset)
     group_n = {}
     group_correct = {}
-    hits = table.hits(net.aggregation)
-    for obs, hit in zip(table.observations, hits):
-        group_n[obs.group] = group_n.get(obs.group, 0) + 1
-        group_correct[obs.group] = group_correct.get(obs.group, 0) + hit
+    for block, active, columns in _gated_table(net, ids, dataset):
+        group_n[block.group] = len(block.positions)
+        group_correct[block.group] = _hits(net.aggregation, columns, active, block.labels)
     per_group = {g: group_correct[g] / group_n[g] for g in sorted(group_n)}
-    return Metrics(accuracy=sum(hits) / len(ids), per_group_accuracy=per_group,
+    return Metrics(accuracy=sum(group_correct.values()) / len(ids), per_group_accuracy=per_group,
                    n=len(ids), set_kind=set_kind)
 
 
@@ -230,8 +289,11 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     ids = tuple(ids)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
-    table = _gated_table(net, ids, dataset)
-    rows = [(gated, obs.label) for obs, gated in zip(table.observations, table.gated)]
+    rows = [None] * len(ids)
+    for block, _, columns in _gated_table(net, ids, dataset):
+        gated = np.column_stack(columns).tolist()
+        for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
+            rows[position] = (vector, label)
     try:
         weights, bias, _ = _sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
                                 config, "readout")
@@ -241,37 +303,26 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     return ModularNetwork(units=net.units, switch=net.switch, aggregation=readout)
 
 
-def readout_mean_loss(net: ModularNetwork, ids, dataset: Dataset, loss: str = "bce") -> float:
-    """Mean readout loss over an id list (diagnostic for calibration runs)."""
-    if not isinstance(net.aggregation, LinearReadout):
-        raise NetworkError("readout_mean_loss requires linear-readout aggregation")
-    table = _gated_table(net, tuple(ids), dataset)
-    total = 0.0
-    for obs, gated in zip(table.observations, table.gated):
-        z = _z(net.aggregation.weights, net.aggregation.bias, gated)
-        total += _loss_from_z(z, obs.label, loss, "sigmoid")
-    return total / len(table.observations)
-
-
 def neuron_contribution(net: ModularNetwork, ids, dataset: Dataset) -> ContributionReport:
     """Per-unit accuracy contribution: full accuracy minus accuracy with the unit ablated.
 
-    Ablating unit u changes only the rows where u is active; those rows are
-    re-scored with u's slot at 0.0 and u out of the active set.
+    Ablating unit u changes only the blocks where u is active; each is
+    re-scored once with u's column at 0.0 and u out of the active set.
     """
     ids = tuple(ids)
     if not ids:
         raise NetworkError("neuron_contribution needs at least one observation id")
-    table = _gated_table(net, ids, dataset)
-    hits = table.hits(net.aggregation)
-    full_correct = sum(hits)
+    full_correct = 0
     lost = [0] * net.n_units
-    for obs, gated, active, hit in zip(table.observations, table.gated, table.active, hits):
+    for block, active, columns in _gated_table(net, ids, dataset):
+        hits = _hits(net.aggregation, columns, active, block.labels)
+        full_correct += hits
+        zero = np.zeros(len(block.positions))
         for u in active:
-            ablated = list(gated)
-            ablated[u] = 0.0
-            score = _score(net.aggregation, ablated, tuple(i for i in active if i != u))
-            lost[u] += hit - int(_label(score) == obs.label)
+            ablated = list(columns)
+            ablated[u] = zero
+            lost[u] += hits - _hits(net.aggregation, ablated, tuple(i for i in active if i != u),
+                                    block.labels)
     full = full_correct / len(ids)
     rows = []
     for u in range(net.n_units):

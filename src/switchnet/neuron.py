@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TrainingError
-from .jsonio import read_json, write_json
+from .jsonio import is_int, read_json, write_json
 from .seeding import rng_for
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh")
@@ -106,7 +106,7 @@ class TrainConfig:
         rate = self.learning_rate
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
             raise TrainingError(f"learning_rate must be a finite number > 0, got {rate!r}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
+        if not is_int(self.epochs) or self.epochs < 1:
             raise TrainingError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if self.loss not in LOSSES:
             raise TrainingError(f"unknown loss {self.loss!r}")

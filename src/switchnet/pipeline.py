@@ -19,7 +19,7 @@ from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_syn
                    load_dataset, make_test_sets, partition, save_dataset)
 from .errors import ConfigError, RoutingError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
-from .jsonio import write_json
+from .jsonio import is_int, write_json
 from .network import ModularNetwork, evaluate, fit_readout, neuron_contribution, save_network
 from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
 from .switching import SwitchTable, build_switch
@@ -114,7 +114,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
             continue
         if name not in doc or not isinstance(doc[name], dict):
             raise ConfigError(f"missing or invalid config section {name!r}")
-    if not isinstance(doc.get("seed"), int) or isinstance(doc.get("seed"), bool):
+    if not is_int(doc.get("seed")):
         raise ConfigError("seed must be an integer")
     base = Path(base_dir) if base_dir is not None else Path.cwd()
 
@@ -141,7 +141,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
         plan = PartitionPlan.from_counts(_need(part_sec, "counts", "partition"),
                                          selection=part_sec.get("selection", "stratified"),
                                          explicit_ids=part_sec.get("explicit_ids"))
-    except SwitchNetError as exc:
+    except (SwitchNetError, TypeError) as exc:
         raise ConfigError(f"bad partition plan: {exc}") from exc
     n_units = len(plan.assignments)
     if math.floor(holdout * sum(plan.counts)) == 0:
@@ -150,13 +150,13 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
 
     switch_sec = doc["switch"]
     declared = switch_sec.get("n_units", n_units)
-    if declared != n_units:
-        raise ConfigError(f"switch.n_units is {declared} but the partition plan has {n_units} units")
+    if not is_int(declared) or declared != n_units:
+        raise ConfigError(f"switch.n_units is {declared!r} but the partition plan has {n_units} units")
     entries_raw = _need(switch_sec, "entries", "switch")
     fallback = switch_sec.get("fallback", "error")
     try:
-        entries = {int(g): frozenset(int(u) for u in units) for g, units in entries_raw.items()}
-        _routable_switch(n_units, entries, fallback, range(len(specs)) if specs is not None else ())
+        switch, _ = _routable_switch(n_units, {int(g): units for g, units in entries_raw.items()},
+                                     fallback, range(len(specs)) if specs is not None else ())
     except (SwitchNetError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad switch section: {exc}") from exc
 
@@ -181,7 +181,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     if statistic not in ("mean", "max"):
         raise ConfigError(f"network.heatmap_statistic must be 'mean' or 'max', got {statistic!r}")
     workers = net_sec.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+    if not is_int(workers) or workers < 1:
         raise ConfigError(f"network.workers must be a positive integer, got {workers!r}")
 
     if specs is not None and plan.selection == "stratified":
@@ -197,7 +197,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     out_dir = Path(str(_need(out_sec, "dir", "output")))
 
     return ExperimentConfig(seed=doc["seed"], specs=specs, dataset_path=dataset_path, plan=plan,
-                            switch_entries=entries, switch_fallback=fallback, train=train,
+                            switch_entries=switch.entries, switch_fallback=fallback, train=train,
                             activation=activation, aggregation=aggregation,
                             holdout_fraction=float(holdout), heatmap_statistic=statistic,
                             workers=workers, output_dir=out_dir)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import RoutingError
-from .jsonio import read_json, write_json
+from .jsonio import is_int, read_json, write_json
 
 FALLBACKS = ("error", "all-active", "none-active")
 
@@ -53,8 +53,16 @@ class SwitchTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchTable":
-        entries = {int(g): frozenset(int(u) for u in units) for g, units in obj["entries"].items()}
+        entries = {int(g): _unit_set(g, units) for g, units in obj["entries"].items()}
         return cls(n_units=int(obj["n_units"]), entries=entries, fallback=obj.get("fallback", "error"))
+
+
+def _unit_set(group, units) -> frozenset:
+    """A switch entry's unit indices, each checked to be an integer before the set merges any."""
+    units = list(units)
+    if not all(map(is_int, units)):
+        raise RoutingError(f"group {group}: unit indices must be integers, got {units}")
+    return frozenset(units)
 
 
 def build_switch(n_units: int, entries, fallback: str = "error",
@@ -66,7 +74,7 @@ def build_switch(n_units: int, entries, fallback: str = "error",
     Dead units are warnings, not errors; probe analysis still evaluates them.
     """
     table = SwitchTable(n_units=n_units,
-                        entries={int(g): frozenset(int(u) for u in units) for g, units in dict(entries).items()},
+                        entries={int(g): _unit_set(g, units) for g, units in dict(entries).items()},
                         fallback=fallback)
     warnings = []
     routed = {u for units in table.entries.values() for u in units}

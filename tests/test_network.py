@@ -7,6 +7,7 @@ import pytest
 
 import switchnet as sn
 from switchnet import network
+from switchnet.neuron import _loss_from_z, _z
 
 
 def zero_units(n, dim=2, activation="sigmoid"):
@@ -201,7 +202,32 @@ def test_evaluate_rejects_bad_set_kind():
         sn.evaluate(net, dataset.ids(), dataset, "validation")
 
 
+@pytest.mark.parametrize("call", [
+    lambda net, ids, ds: sn.evaluate(net, ids, ds, "overlapping"),
+    sn.neuron_contribution,
+    sn.heatmap,
+    lambda net, ids, ds: sn.fit_readout(net, ids, ds, sn.TrainConfig(epochs=1)),
+], ids=["evaluate", "contribution", "heatmap", "fit_readout"])
+def test_batch_passes_reject_dataset_of_other_dimension(call):
+    # the block kernel reads features by column, so a width mismatch must fail, not truncate
+    dataset = sn.Dataset(dim=3, groups=((0, "a"),),
+                         observations=(sn.Observation(id=0, group=0, label=1, features=(1.0, 2.0, 3.0)),))
+    net = sn.assemble(zero_units(1), identity_switch(1), "linear-readout")
+    with pytest.raises(sn.NetworkError, match="3 features per observation, the network expects 2"):
+        call(net, dataset.ids(), dataset)
+
+
 # ------------------------------------------------------------------ readout
+
+def readout_mean_loss(net, ids, dataset):
+    """Mean bce of the readout over forward's gated vectors."""
+    total = 0.0
+    for i in ids:
+        o = dataset.observation(i)
+        z = _z(net.aggregation.weights, net.aggregation.bias, sn.forward(net, o).gated_activations)
+        total += _loss_from_z(z, o.label, "bce", "sigmoid")
+    return total / len(ids)
+
 
 def test_fit_readout_keeps_units_frozen():
     dataset = two_group_dataset(label_by_group=(1, 0))
@@ -216,10 +242,10 @@ def test_fit_readout_loss_decreases_over_first_epochs():
     dataset = two_group_dataset(label_by_group=(1, 0))
     net = trained_two_unit_net(dataset, aggregation="linear-readout")
     ids = dataset.ids()
-    losses = [sn.readout_mean_loss(net, ids, dataset)]
+    losses = [readout_mean_loss(net, ids, dataset)]
     for epochs in range(1, 6):
         fitted = sn.fit_readout(net, ids, dataset, sn.TrainConfig(epochs=epochs, seed=3))
-        losses.append(sn.readout_mean_loss(fitted, ids, dataset))
+        losses.append(readout_mean_loss(fitted, ids, dataset))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -318,7 +344,7 @@ def test_contribution_call_counts(monkeypatch):
     ids = dataset.ids()
     active_total = sum(len(sn.route(table, dataset.observation(i).group).active_indices())
                        for i in ids)
-    calls = {"unit_forward": 0, "route": 0}
+    calls = {"unit_forward": 0, "route": 0, "column_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -326,11 +352,19 @@ def test_contribution_call_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def counted_column(unit, features):
+        calls["column_rows"] += len(features)
+        return unit_column(unit, features)
+
+    unit_column = network._unit_column
+    monkeypatch.setattr(network, "_unit_column", counted_column)
     monkeypatch.setattr(network, "unit_forward", counted("unit_forward", network.unit_forward))
     monkeypatch.setattr(network, "route", counted("route", network.route))
     sn.neuron_contribution(net, ids, dataset)
-    assert 0 < calls["unit_forward"] <= active_total
-    assert 0 < calls["route"] <= 3
+    # each active (unit, observation) is computed exactly once, as one row of a unit's column
+    assert calls["column_rows"] == active_total
+    assert calls["unit_forward"] == 0
+    assert calls["route"] == len({dataset.observation(i).group for i in ids})
 
 
 def test_router_mean_sums_left_to_right():

@@ -2,19 +2,29 @@
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
+import functools
+import operator
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 import switchnet as sn  # noqa: E402
 from switchnet import network  # noqa: E402
-from switchnet.neuron import _loss_from_z  # noqa: E402
+from switchnet.neuron import _activate, _z  # noqa: E402
 
 
 FLOATS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+# signed zeros, subnormals, magnitudes up to 1e300, infinities and nan, as the
+# column kernel's elementwise numpy ops must round and propagate them like Python floats
+EDGE_FLOATS = (st.floats(min_value=-1e300, max_value=1e300)
+               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
+                                  float("inf"), float("-inf"), float("nan")]))
 
 
 @st.composite
@@ -101,7 +111,8 @@ def heatmap_oracle(net, dataset, statistic):
     groups = sorted(dataset.groups)
     probes = {g: [sn.probe_activations(net, o) for o in dataset.observations if o.group == g]
               for g, _ in groups}
-    stat = max if statistic == "max" else (lambda s: sum(s) / len(s))
+    # left to right from 0.0 as `_mean` sums; builtin sum() is compensated from Python 3.12 on
+    stat = max if statistic == "max" else (lambda s: functools.reduce(operator.add, s, 0.0) / len(s))
     return tuple(tuple(stat([p[u] for p in probes[g]]) for g, _ in groups)
                  for u in range(net.n_units))
 
@@ -109,16 +120,59 @@ def heatmap_oracle(net, dataset, statistic):
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
+@st.composite
+def kernel_cases(draw):
+    """An activation, weights and bias, and 1-6 feature rows, all from EDGE_FLOATS."""
+    dim = draw(st.integers(1, 4))
+    return (draw(st.sampled_from(sn.ACTIVATIONS)), tuple(draw(EDGE_FLOATS) for _ in range(dim)),
+            draw(EDGE_FLOATS),
+            [tuple(draw(EDGE_FLOATS) for _ in range(dim)) for _ in range(draw(st.integers(1, 6)))])
+
+
+@PROPERTY
+@given(kernel_cases())
+@example(("tanh", (-0.0,), -0.0, [(1.0,)]))  # the sum starts at +0.0: z is 0.0, tanh keeps its sign
+def test_column_kernel_equals_scalar_kernel(case):
+    activation, weights, bias, rows = case
+    n = len(rows)
+    features = np.array(rows, dtype=float)
+    z = network._z_column(weights, bias, features.T, n).tolist()
+    assert repr(z) == repr([_z(weights, bias, x) for x in rows])
+    activated = network._activate_column(activation, np.array(z)).tolist()
+    assert repr(activated) == repr([_activate(activation, v) for v in z])
+    unit = sn.NeuronUnit(unit_index=0, activation=activation, weights=weights, bias=bias)
+    assert repr(network._unit_column(unit, features).tolist()) == repr(
+        [sn.unit_forward(unit, x) for x in rows])
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
+def test_score_column_equals_scalar_score(n_units, n, readout, data):
+    rows = [[data.draw(EDGE_FLOATS) for _ in range(n_units)] for _ in range(n)]
+    active = tuple(sorted(data.draw(st.sets(st.integers(0, n_units - 1)))))
+    aggregation = (sn.LinearReadout(weights=tuple(data.draw(EDGE_FLOATS) for _ in range(n_units)),
+                                    bias=data.draw(EDGE_FLOATS))
+                   if readout else "router-mean")
+    columns = list(np.array(rows, dtype=float).T)
+    score = network._score_column(aggregation, columns, active, n).tolist()
+    assert repr(score) == repr([network._score(aggregation, row, active) for row in rows])
+
+
 @PROPERTY
 @given(cases())
 def test_gated_table_rows_equal_forward(case):
     net, dataset, ids = case
-    table = network._gated_table(net, ids, dataset)
-    for i, obs, gated, active in zip(ids, table.observations, table.gated, table.active):
-        pred = sn.forward(net, dataset.observation(i))
-        assert obs.id == i
-        assert repr(tuple(gated)) == repr(pred.gated_activations)
-        assert active == pred.active_mask.active_indices()
+    positions = []
+    for block, active, columns in network._gated_table(net, ids, dataset):
+        positions += block.positions
+        gated = np.column_stack(columns).tolist()
+        for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
+            obs = dataset.observation(ids[position])
+            pred = sn.forward(net, obs)
+            assert obs.group == block.group and label == obs.label
+            assert repr(tuple(vector)) == repr(pred.gated_activations)
+            assert active == pred.active_mask.active_indices()
+    assert sorted(positions) == list(range(len(ids)))
 
 
 @PROPERTY
@@ -135,19 +189,6 @@ def test_contribution_equals_brute_force_ablation(case):
     net, dataset, ids = case
     assert repr(sn.neuron_contribution(net, ids, dataset)) == repr(
         contribution_oracle(net, ids, dataset))
-
-
-@PROPERTY
-@given(cases())
-def test_readout_mean_loss_equals_per_id_forward(case):
-    net, dataset, ids = case
-    assume(isinstance(net.aggregation, sn.LinearReadout))
-    total = 0.0
-    for i in ids:
-        o = dataset.observation(i)
-        z = sum(v * a for v, a in zip(net.aggregation.weights, sn.forward(net, o).gated_activations))
-        total += _loss_from_z(z + net.aggregation.bias, o.label, "bce", "sigmoid")
-    assert repr(sn.readout_mean_loss(net, ids, dataset)) == repr(total / len(ids))
 
 
 @PROPERTY

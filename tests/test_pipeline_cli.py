@@ -102,7 +102,15 @@ def test_group_name_with_line_break_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "network.workers=null", "network.workers=0", "network.workers=true", "network.workers=1.5",
     'network.workers="2"', "train.epochs=true", "train.epochs=2.5", "train.learning_rate=true",
-    "train.learning_rate=NaN", "train.shuffle=no", "train.shuffle=1"])
+    "train.learning_rate=NaN", "train.shuffle=no", "train.shuffle=1",
+    "partition.counts=[20.7, 30, 10, 20, 20]", "partition.counts=[true, 30, 10, 20, 20]",
+    "partition.counts=5", "data.groups.0.count=25.9", "data.groups.0.count=true",
+    "switch.entries.0=[0.7]", "switch.entries.0=[true]", 'switch.entries.0=["0"]',
+    "switch.entries.0=[0, 0.0]", "switch.n_units=5.0",
+    'partition={"selection": "explicit", "counts": [1, 1, 1, 1, 1], '
+    '"explicit_ids": [[0.5], [25], [60], [75], [100]]}',
+    'partition={"selection": "explicit", "counts": [1, 1, 1, 1, 1], '
+    '"explicit_ids": [[true], [25], [60], [75], [100]]}'])
 def test_mistyped_setting_is_config_error(tmp_path, capsys, override):
     out = tmp_path / "out"
     with pytest.raises(sn.ConfigError):
