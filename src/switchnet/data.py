@@ -267,10 +267,26 @@ def save_dataset(dataset: Dataset, path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         for g, name in dataset.groups:
             fh.write(f"# group {g}: {name}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "group", "label"] + [f"f{i}" for i in range(dataset.dim)])
-        for obs in dataset.observations:
-            writer.writerow([obs.id, obs.group, obs.label] + [repr(x) for x in obs.features])
+        # what csv.writer would write: ints and finite float reprs never need quoting
+        fh.write(",".join(["id", "group", "label"] + [f"f{i}" for i in range(dataset.dim)]) + "\n")
+        fh.writelines(",".join([str(obs.id), str(obs.group), str(obs.label), *map(repr, obs.features)])
+                      + "\n" for obs in dataset.observations)
+
+
+def _parse_lines(lines) -> list:
+    """Each line parsed as its own CSV record, through one reader.
+
+    A quoted field left open at the end of a line would make one reader carry it
+    into the next line (or fail on the joined field); those inputs are parsed
+    one reader per line, as a record never spans lines here.
+    """
+    try:
+        records = list(csv.reader(lines))
+    except csv.Error:
+        records = None
+    if records is None or len(records) != len(lines):
+        records = [next(csv.reader([line])) for line in lines]
+    return records
 
 
 def load_dataset(path) -> Dataset:
@@ -280,7 +296,7 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"dataset file not found: {path}")
     names = {}
     header = None
-    rows = []
+    linenos, lines = [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -297,12 +313,13 @@ def load_dataset(path) -> Dataset:
                         h != f"f{i}" for i, h in enumerate(header[3:])) or len(header) < 4:
                     raise DataError(f"bad header, line {lineno}: {line!r}")
                 continue
-            rows.append((lineno, next(csv.reader([line]))))
+            linenos.append(lineno)
+            lines.append(line)
     if header is None:
         raise DataError(f"no header line in {path}")
     dim = len(header) - 3
     observations = []
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, _parse_lines(lines)):
         if len(row) != len(header):
             raise DataError(f"expected {len(header)} columns, got {len(row)}, line {lineno}")
         try:

@@ -1,10 +1,12 @@
 """Simulated decentralized training.
 
 One virtual node per neuron unit, holding only that unit's assigned subset.
-The runner trains the nodes in this process or on a process pool; every node
-derives its own random stream from (seed, node_id), never from scheduling
-order, so results are bit-identical for any worker count. Collection is pure
-assembly: no weight averaging.
+The runner trains the nodes in this process or on a process pool of exactly
+the size it is given (capped at the node count); the pipeline decides when a
+pool pays for itself (`pipeline.POOL_MIN_STEPS`). Every node derives its own
+random stream from (seed, node_id), never from scheduling order, so results
+are bit-identical for any worker count. Collection is pure assembly: no weight
+averaging.
 """
 
 import os

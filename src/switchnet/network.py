@@ -77,7 +77,6 @@ class Prediction:
     predicted_label: int
     active_mask: ActivationMask
     gated_activations: tuple[float, ...]
-    note: "str | None" = None
 
 
 @dataclass(frozen=True)
@@ -149,11 +148,8 @@ def _gated_prediction(net: ModularNetwork, x, mask: ActivationMask) -> Predictio
     for i in active:
         gated[i] = unit_forward(net.units[i], x)
     score = _score(net.aggregation, gated, active)
-    note = None
-    if not active and not isinstance(net.aggregation, LinearReadout):
-        note = "empty-active-set"
     return Prediction(score=score, predicted_label=_label(score),
-                      active_mask=mask, gated_activations=tuple(gated), note=note)
+                      active_mask=mask, gated_activations=tuple(gated))
 
 
 def forward(net: ModularNetwork, obs: Observation) -> Prediction:

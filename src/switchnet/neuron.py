@@ -3,8 +3,9 @@
 A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
 The finite-difference gradient is the verification oracle for the analytic one.
-Training, readout fitting and inference share one scalar kernel (`_z`, `_dz`,
-`_sgd`) on Python floats, so their bits do not depend on the BLAS build.
+Training, readout fitting and inference share one scalar kernel (`_z`,
+`_loss_dz`, `_sgd`) on Python floats, so their bits do not depend on the BLAS
+build.
 """
 
 import math
@@ -34,17 +35,6 @@ def _activate(kind: str, z: float) -> float:
     return math.tanh(z)
 
 
-def _activate_prime(kind: str, z: float) -> float:
-    if kind == "sigmoid":
-        s = _sigmoid(z)
-        return s * (1.0 - s)
-    if kind == "relu":
-        # derivative at exactly 0 defined as 0
-        return 1.0 if z > 0 else 0.0
-    t = math.tanh(z)
-    return 1.0 - t * t
-
-
 def _z(weights, bias: float, x) -> float:
     """Pre-activation w.x + b, summed left to right."""
     z = 0.0
@@ -53,19 +43,27 @@ def _z(weights, bias: float, x) -> float:
     return z + bias
 
 
-def _dz(activation: str, loss: str, z: float, y) -> float:
-    """d loss / d z at pre-activation z; the one copy of the gradient formula."""
-    if loss == "bce":
-        return _sigmoid(z) - y  # canonical bce+sigmoid simplification
-    return 2.0 * (_activate(activation, z) - y) * _activate_prime(activation, z)
+def _loss_dz(activation: str, loss: str, z: float, y) -> tuple[float, float]:
+    """(loss, d loss / d z) at pre-activation z; the one copy of both formulas.
 
-
-def _loss_from_z(z: float, y: int, loss: str, activation: str) -> float:
+    bce takes one exp(-|z|) for the logit-form loss and the sigmoid; mse takes
+    the activation once for the difference and the derivative.
+    """
     if loss == "bce":
+        e = math.exp(-abs(z))
+        s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)  # _sigmoid(z), same bits
         # logit form of -[y log(s) + (1-y) log(1-s)]; finite for any float z
-        return max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
-    diff = _activate(activation, z) - y
-    return diff * diff  # not **2: squared overflow must yield inf, not OverflowError
+        return max(z, 0.0) - z * y + math.log1p(e), s - y  # canonical bce+sigmoid gradient
+    a = _activate(activation, z)
+    if activation == "sigmoid":
+        prime = a * (1.0 - a)
+    elif activation == "relu":
+        prime = 1.0 if z > 0 else 0.0  # derivative at exactly 0 defined as 0
+    else:
+        prime = 1.0 - a * a
+    diff = a - y
+    # not diff**2: squared overflow must yield inf, not OverflowError
+    return diff * diff, 2.0 * diff * prime
 
 
 def _check_pair(activation: str, loss: str) -> None:
@@ -150,7 +148,7 @@ def unit_forward(unit: NeuronUnit, x) -> float:
 def unit_gradient(unit: NeuronUnit, x, y: int, loss: str) -> Gradient:
     """Analytic gradient of loss(act(w.x + b), y) with respect to (w, b)."""
     _check_pair(unit.activation, loss)
-    dz = _dz(unit.activation, loss, _preactivation(unit, x), y)
+    _, dz = _loss_dz(unit.activation, loss, _preactivation(unit, x), y)
     return Gradient(d_weights=tuple(float(dz * xi) for xi in x), d_bias=float(dz))
 
 
@@ -167,7 +165,7 @@ def fd_gradient(unit: NeuronUnit, x, y: int, loss: str, h: float = 1e-5) -> Grad
         raise TrainingError(f"unit {unit.unit_index} expects {unit.dim} features, got {len(x)}")
 
     def loss_at(weights, bias):
-        return _loss_from_z(_z(weights, bias, x), y, loss, unit.activation)
+        return _loss_dz(unit.activation, loss, _z(weights, bias, x), y)[0]
 
     d_weights = []
     base = list(unit.weights)
@@ -194,10 +192,10 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
         for step, idx in enumerate(order):
             x, y = rows[idx]
             z = _z(weights, bias, x)
-            loss = _loss_from_z(z, y, config.loss, activation)
+            loss, dz = _loss_dz(activation, config.loss, z, y)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
-            g = lr * _dz(activation, config.loss, z, y)
+            g = lr * dz
             weights = [w - g * xi for w, xi in zip(weights, x)]
             bias = bias - g
             if not (math.isfinite(bias) and all(map(math.isfinite, weights))):

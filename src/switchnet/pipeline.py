@@ -25,6 +25,10 @@ from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
 from .switching import SwitchTable, build_switch
 
 AGGREGATIONS = ("router-mean", "linear-readout")
+# Below this many SGD steps in a run (epochs x assigned observations) the nodes
+# train in this process whatever `network.workers` says: on a 2-vCPU Xeon,
+# starting a 2-process pool cost more than it saved up to about 15,000 steps.
+POOL_MIN_STEPS = 15_000
 _SECTIONS = ("seed", "data", "partition", "switch", "train", "network", "output")
 
 
@@ -313,10 +317,17 @@ def switch_stage(config: ExperimentConfig, dataset: Dataset) -> tuple[SwitchTabl
 
 def train_stage(config: ExperimentConfig, dataset: Dataset, parts: PartitionSet,
                 switch: SwitchTable) -> tuple[ModularNetwork, FedRunReport]:
-    """Train one unit per subset on its own virtual node and collect the network."""
+    """Train one unit per subset on its own virtual node and collect the network.
+
+    `config.workers` is an upper bound: a run of fewer than `POOL_MIN_STEPS` SGD
+    steps trains in this process, since a pool would cost more than it saves.
+    The report records the worker count used.
+    """
     units = [init_unit(dataset.dim, config.activation, k, config.seed) for k in range(config.n_units)]
     nodes = make_nodes(parts, dataset, units)
-    trained, fed = run_local_training(nodes, config.train, workers=config.workers)
+    steps = config.train.epochs * sum(len(node.subset_ids) for node in nodes)
+    workers = config.workers if steps >= POOL_MIN_STEPS else 1
+    trained, fed = run_local_training(nodes, config.train, workers=workers)
     return collect(with_trained_units(nodes, trained), switch, config.aggregation), fed
 
 

@@ -44,9 +44,6 @@ class SwitchTable:
             if bad:
                 raise RoutingError(f"group {group}: unit indices {bad} out of range for {self.n_units} units")
 
-    def groups(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
     def to_json(self) -> dict:
         return {"n_units": self.n_units, "fallback": self.fallback,
                 "entries": {str(g): sorted(self.entries[g]) for g in sorted(self.entries)}}

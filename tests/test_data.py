@@ -112,6 +112,17 @@ def test_load_allows_id_gaps(tmp_path):
     assert ds.ids() == (3, 10)
 
 
+def test_load_reads_each_line_as_one_record(tmp_path):
+    # a quote left open ends with its line; the next line is still its own record
+    path = tmp_path / "quoted.csv"
+    path.write_text('id,group,label,f0,f1\n0,0,1,"0.5",0.25\n1,0,0,1.5,"2.0\n2,0,1,-1.0,3.0\n')
+    ds = sn.load_dataset(path)
+    assert [o.features for o in ds.observations] == [(0.5, 0.25), (1.5, 2.0), (-1.0, 3.0)]
+    path.write_text('id,group,label,f0,f1\n0,0,1,0.5,"0.25\n1,0,0,oops,2.0\n')
+    with pytest.raises(sn.DataError, match="non-numeric feature, line 3"):
+        sn.load_dataset(path)
+
+
 def test_load_invalid_label_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,group,label,f0,f1\n0,0,1,0.5,0.5\n1,0,2,0.5,0.5\n")

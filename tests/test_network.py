@@ -7,7 +7,7 @@ import pytest
 
 import switchnet as sn
 from switchnet import network
-from switchnet.neuron import _loss_from_z, _z
+from switchnet.neuron import _loss_dz, _z
 
 
 def zero_units(n, dim=2, activation="sigmoid"):
@@ -118,7 +118,6 @@ def test_forward_empty_active_set_under_none_fallback():
     pred = sn.forward(net, obs((1.0, 1.0), group=7))
     assert pred.score == 0.5
     assert pred.predicted_label == 1
-    assert pred.note == "empty-active-set"
     assert pred.gated_activations == (0.0, 0.0)
 
 
@@ -225,7 +224,7 @@ def readout_mean_loss(net, ids, dataset):
     for i in ids:
         o = dataset.observation(i)
         z = _z(net.aggregation.weights, net.aggregation.bias, sn.forward(net, o).gated_activations)
-        total += _loss_from_z(z, o.label, "bce", "sigmoid")
+        total += _loss_dz("sigmoid", "bce", z, o.label)[0]
     return total / len(ids)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import switchnet as sn
+from switchnet.neuron import _loss_dz
 from switchnet.seeding import rng_for
 
 
@@ -302,6 +303,54 @@ def test_fit_readout_matches_scalar_oracle_bit_for_bit(loss, shuffle):
     weights, bias, _ = replay_sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
                                   train, "readout")
     assert repr(fitted.aggregation) == repr(sn.LinearReadout(weights=tuple(weights), bias=bias))
+
+
+def _two_call_activate(kind, z):
+    if kind == "sigmoid":
+        return _oracle_sigmoid(z)
+    if kind == "relu":
+        return z if z > 0 else 0.0
+    return math.tanh(z)
+
+
+def _two_call_activate_prime(kind, z):
+    if kind == "sigmoid":
+        s = _oracle_sigmoid(z)
+        return s * (1.0 - s)
+    if kind == "relu":
+        return 1.0 if z > 0 else 0.0
+    t = math.tanh(z)
+    return 1.0 - t * t
+
+
+def _two_call_loss(z, y, loss, activation):
+    """The loss as computed before `_loss_dz`, apart from the gradient."""
+    if loss == "bce":
+        return max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
+    diff = _two_call_activate(activation, z) - y
+    return diff * diff
+
+
+def _two_call_dz(activation, loss, z, y):
+    """The gradient as computed before `_loss_dz`, apart from the loss."""
+    if loss == "bce":
+        return _oracle_sigmoid(z) - y
+    return 2.0 * (_two_call_activate(activation, z) - y) * _two_call_activate_prime(activation, z)
+
+
+EDGE_ZS = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308, 1e-17, -1e-17, 0.5, -0.5, 1.0, -1.0,
+           36.7, -36.7, 699.9, -699.9, 709.78, -709.78, 710.0, -710.0, 745.2, -745.2,
+           1e300, -1e300)
+
+
+@pytest.mark.parametrize("activation,loss",
+                         [("sigmoid", "bce"), ("sigmoid", "mse"), ("tanh", "mse"), ("relu", "mse")])
+def test_loss_dz_matches_two_call_formulas_bit_for_bit(activation, loss):
+    for z in EDGE_ZS:
+        for y in (0, 1):
+            got_loss, got_dz = _loss_dz(activation, loss, z, y)
+            assert repr(got_loss) == repr(_two_call_loss(z, y, loss, activation)), (z, y)
+            assert repr(got_dz) == repr(_two_call_dz(activation, loss, z, y)), (z, y)
 
 
 # ------------------------------------------------------------------- serialization

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 import switchnet as sn
+import switchnet.federated
+import switchnet.pipeline
 from switchnet.cli import main
 
 
@@ -13,6 +15,20 @@ def fast_sets(out_dir, epochs=8, workers=1):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Let the pipeline start a pool whatever the run's size."""
+    monkeypatch.setattr(switchnet.pipeline, "POOL_MIN_STEPS", 0)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail any attempt to start a process pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(switchnet.federated, "ProcessPoolExecutor", refuse)
 
 
 # ---------------------------------------------------------------- config handling
@@ -174,7 +190,7 @@ def test_pipeline_deterministic_rerun_same_config(tmp_path):
         assert p.read_bytes() == snapshot[p.name], f"{p.name} changed across reruns"
 
 
-def test_bundle_is_independent_of_worker_count(tmp_path):
+def test_bundle_is_independent_of_worker_count(tmp_path, pool_always):
     bundles = [sn.run_pipeline(sn.load_config(sn.default_config_path(),
                                               fast_sets(tmp_path / f"w{w}", epochs=5, workers=w)))
                for w in (1, 2)]
@@ -185,6 +201,32 @@ def test_bundle_is_independent_of_worker_count(tmp_path):
     assert set(differ) <= {"config.json", "manifest.json", "fed_timings.json"}
     assert "fed_report.json" in names[0]
     assert [json.loads(b.fed_timings_json.read_text())["workers"] for b in bundles] == [1, 2]
+
+
+def test_small_run_trains_in_this_process(tmp_path, capsys, no_pool):
+    # 5 epochs x 100 assigned observations is far below the pool threshold
+    bundle = sn.run_pipeline(sn.load_config(sn.default_config_path(),
+                                            fast_sets(tmp_path / "out", epochs=5, workers=2)))
+    assert json.loads(bundle.fed_timings_json.read_text())["workers"] == 1
+    d = bundle.out_dir
+    assert run_cli("fedsim", "--set", "train.epochs=5", "--set", "network.workers=2",
+                   "--dataset", d / "dataset.csv", "--partition", d / "partition.json",
+                   "--out-dir", tmp_path / "fed") == 0
+    assert "with 1 worker(s)" in capsys.readouterr().out
+    assert json.loads((tmp_path / "fed" / "fed_timings.json").read_text())["workers"] == 1
+
+
+def test_pool_threshold_counts_epochs_times_assigned_observations(monkeypatch):
+    config = sn.load_config(sn.default_config_path(), ["train.epochs=3", "network.workers=2"])
+    dataset = sn.generate_synthetic(config.specs, config.seed)
+    parts = sn.partition(dataset, config.plan, config.seed)
+    switch, _ = switchnet.pipeline.switch_stage(config, dataset)
+    steps = 3 * sum(config.plan.counts)
+    used = {}
+    for threshold in (steps + 1, steps):
+        monkeypatch.setattr(switchnet.pipeline, "POOL_MIN_STEPS", threshold)
+        used[threshold] = switchnet.pipeline.train_stage(config, dataset, parts, switch)[1].workers
+    assert used == {steps + 1: 1, steps: 2}
 
 
 def test_pipeline_runs_linear_readout_variant(tmp_path):
@@ -466,7 +508,7 @@ def test_train_subcommand_unknown_unit(tmp_path, capsys):
     assert "no unit 9" in capsys.readouterr().err
 
 
-def test_switch_warnings_reach_stderr(tmp_path, capsys):
+def test_switch_warnings_reach_stderr(tmp_path, capsys, pool_always):
     dead_unit = ["--set", "switch.entries.4=[3]", "--set", "train.epochs=2"]
     warning = "warning: unit 4 appears in no switch entry (dead unit)"
     out = tmp_path / "pipeline"

@@ -55,7 +55,7 @@ def test_masks_match_configuration_exhaustively():
 
 def test_configured_groups_have_nonempty_masks():
     table, _ = sn.build_switch(4, {0: {1}, 1: {0, 3}})
-    for group in table.groups():
+    for group in table.entries:
         assert sn.route(table, group).active_indices()
 
 
