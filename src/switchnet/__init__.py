@@ -8,8 +8,7 @@ evaluated centrally with per-unit heatmap, attribution, and ablation analysis.
 
 from ._version import ARTIFACT_VERSION as __version__
 from .analysis import (AttributionReport, AttributionRow, HeatmapMatrix, attribute,
-                       export_heatmap_csv, heatmap, read_heatmap_csv, render_heatmap_svg,
-                       save_attribution)
+                       export_heatmap_csv, heatmap, render_heatmap_svg, save_attribution)
 from .data import (Dataset, GroupSpec, LabelRule, Observation, PartitionPlan, PartitionSet,
                    generate_synthetic, load_dataset, load_group_specs, make_test_sets, partition,
                    save_dataset, save_group_specs)
@@ -24,4 +23,4 @@ from .neuron import (ACTIVATIONS, LOSSES, Gradient, NeuronUnit, TrainConfig, Tra
                      init_unit, load_unit, save_unit, train_unit, unit_forward, unit_gradient)
 from .pipeline import (ExperimentConfig, ReportBundle, apply_overrides, config_to_doc,
                        default_config_path, load_config, parse_config, run_pipeline)
-from .switching import ActivationMask, SwitchTable, build_switch, load_switch, route, save_switch
+from .switching import ActivationMask, SwitchTable, build_switch, route

@@ -126,18 +126,6 @@ def export_heatmap_csv(matrix: HeatmapMatrix, path) -> None:
             writer.writerow([label] + [f"{v:.6f}" for v in row])
 
 
-def read_heatmap_csv(path):
-    """Parse an exported heatmap back into (row_labels, col_labels, values)."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    col_labels = tuple(header[1:])
-    row_labels = tuple(r[0] for r in rows)
-    values = tuple(tuple(float(v) for v in r[1:]) for r in rows)
-    return row_labels, col_labels, values
-
-
 def save_attribution(report: AttributionReport, path) -> None:
     write_json(report.to_json(), path)
 

@@ -16,7 +16,7 @@ from .data import (PartitionSet, generate_synthetic, load_dataset, load_group_sp
                    make_test_sets, partition, save_dataset)
 from .errors import ConfigError, StageError, SwitchNetError
 from .federated import node_train_config
-from .jsonio import read_json, write_json
+from .jsonio import is_int, read_json, write_json
 from .network import evaluate, load_network, neuron_contribution
 from .neuron import init_unit, save_unit, train_unit
 from .pipeline import (ReportBundle, data_stage, default_config_path, load_config, readout_stage,
@@ -40,7 +40,10 @@ def _ids_for_kind(test_sets_path, kind: str):
     key = kind.replace("-", "_")
     if key not in doc:
         raise ConfigError(f"test-sets file has no {key!r} id list")
-    return [int(i) for i in doc[key]]
+    bad = [i for i in doc[key] if not is_int(i)]
+    if bad:
+        raise ConfigError(f"test-sets file: {key} ids must be integers, got {bad[0]!r}")
+    return doc[key]
 
 
 def _print_warnings(warnings) -> None:

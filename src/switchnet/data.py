@@ -159,8 +159,8 @@ class PartitionPlan:
         if self.selection not in SELECTIONS:
             raise DataError(f"unknown selection {self.selection!r}")
         units = [u for u, _ in self.assignments]
-        if sorted(units) != list(range(len(units))):
-            raise DataError(f"unit indices must be unique and contiguous from 0, got {units}")
+        if not all(map(is_int, units)) or sorted(units) != list(range(len(units))):
+            raise DataError(f"unit indices must be integers, unique and contiguous from 0, got {units}")
         counts = [c for _, c in self.assignments]
         if not all(is_int(c) and c >= 1 for c in counts):
             raise DataError(f"planned counts must be positive integers, got {counts}")
@@ -195,10 +195,15 @@ class PartitionSet:
     seed: int
 
     def __post_init__(self):
+        if not is_int(self.seed):
+            raise DataError(f"partition seed must be an integer, got {self.seed!r}")
         claimed = set()
         for unit, ids in self.subsets.items():
             if not ids:
                 raise DataError(f"unit {unit}: subset is empty")
+            bad = [i for i in ids if not is_int(i)]
+            if bad:
+                raise DataError(f"unit {unit}: subset ids must be integers, got {bad[0]!r}")
             overlap = claimed.intersection(ids)
             if overlap:
                 raise DataError(f"subsets overlap on observation ids {sorted(overlap)}")
@@ -222,12 +227,11 @@ class PartitionSet:
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionSet":
         explicit = obj.get("explicit_ids")
-        plan = PartitionPlan(assignments=tuple((int(u), int(c)) for u, c in obj["plan"]),
+        plan = PartitionPlan(assignments=tuple((u, c) for u, c in obj["plan"]),
                              selection=obj["selection"],
-                             explicit_ids=None if explicit is None else tuple(
-                                 tuple(int(i) for i in ids) for ids in explicit))
-        subsets = {int(u): tuple(int(i) for i in ids) for u, ids in obj["subsets"].items()}
-        return cls(subsets=subsets, plan=plan, seed=int(obj["seed"]))
+                             explicit_ids=None if explicit is None else tuple(map(tuple, explicit)))
+        subsets = {int(u): tuple(ids) for u, ids in obj["subsets"].items()}
+        return cls(subsets=subsets, plan=plan, seed=obj["seed"])
 
 
 def generate_synthetic(specs, seed: int) -> Dataset:
@@ -273,33 +277,36 @@ def save_dataset(dataset: Dataset, path) -> None:
                       + "\n" for obs in dataset.observations)
 
 
-def _parse_lines(lines) -> list:
-    """Each line parsed as its own CSV record, through one reader.
+def _parse_lines(linenos, lines) -> list:
+    """One record per line, through one strict CSV reader.
 
-    A quoted field left open at the end of a line would make one reader carry it
-    into the next line (or fail on the joined field); those inputs are parsed
-    one reader per line, as a record never spans lines here.
+    A quoted field left open at the end of its line, and any other CSV error,
+    is a DataError naming the line where that record starts.
     """
+    reader = csv.reader(lines, strict=True)
+    records = []
     try:
-        records = list(csv.reader(lines))
-    except csv.Error:
-        records = None
-    if records is None or len(records) != len(lines):
-        records = [next(csv.reader([line])) for line in lines]
+        for record in reader:
+            if reader.line_num != len(records) + 1:
+                break
+            records.append(record)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV ({exc}), line {linenos[len(records)]}") from None
+    if len(records) != len(lines):
+        raise DataError(f"quoted field runs past its line, line {linenos[len(records)]}")
     return records
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset CSV; errors name the offending physical line."""
+    """Parse a dataset CSV (LF or CRLF); errors name the offending physical line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     names = {}
-    header = None
     linenos, lines = [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             if line.startswith("#"):
@@ -307,19 +314,17 @@ def load_dataset(path) -> Dataset:
                 if m:
                     names[int(m.group(1))] = m.group(2)
                 continue
-            if header is None:
-                header = next(csv.reader([line]))
-                if header[:3] != ["id", "group", "label"] or any(
-                        h != f"f{i}" for i, h in enumerate(header[3:])) or len(header) < 4:
-                    raise DataError(f"bad header, line {lineno}: {line!r}")
-                continue
             linenos.append(lineno)
             lines.append(line)
-    if header is None:
+    if not lines:
         raise DataError(f"no header line in {path}")
+    header, *rows = _parse_lines(linenos, lines)
+    if header[:3] != ["id", "group", "label"] or any(
+            h != f"f{i}" for i, h in enumerate(header[3:])) or len(header) < 4:
+        raise DataError(f"bad header, line {linenos[0]}: {lines[0]!r}")
     dim = len(header) - 3
     observations = []
-    for lineno, row in zip(linenos, _parse_lines(lines)):
+    for lineno, row in zip(linenos[1:], rows):
         if len(row) != len(header):
             raise DataError(f"expected {len(header)} columns, got {len(row)}, line {lineno}")
         try:

@@ -4,11 +4,12 @@ The forward pass computes only the units the switch activates; inactive units
 are skipped entirely, so their gated activation is exactly 0.0 and their
 parameters are never read. Evaluation, readout fitting and ablation read one
 gated table per id list, built by group block: each active unit is computed
-over its block's feature columns with elementwise numpy float64 ops in the
-scalar kernel's left-to-right order (exp and tanh stay on `math`), so every
-value equals the per-observation `forward` bit for bit. Ablating a unit
-re-scores the blocks where it is active. The probe pass forces every switch
-open and is the basis for heatmap analysis.
+over its block's feature columns by the scalar kernel itself, since `_z` and
+`_mean` given numpy float64 columns sum elementwise in the same left-to-right
+order (exp and tanh stay on `math`), so every value equals the per-observation
+`forward` bit for bit. Ablating a unit re-scores the blocks where it is
+active. The probe pass forces every switch open and is the basis for heatmap
+analysis.
 """
 
 import math
@@ -166,15 +167,6 @@ def probe_activations(net: ModularNetwork, obs: Observation) -> tuple[float, ...
     return tuple(unit_forward(unit, obs.features) for unit in net.units)
 
 
-@np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
-def _z_column(weights, bias: float, columns, n: int) -> np.ndarray:
-    """`_z` on n rows at once: `((0.0 + w0*c0) + w1*c1 + ...) + b` over column arrays."""
-    z = np.zeros(n)
-    for w, column in zip(weights, columns):
-        z = z + w * column
-    return z + bias
-
-
 @np.errstate(all="ignore")
 def _sigmoid_column(z: np.ndarray) -> np.ndarray:
     """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical."""
@@ -191,23 +183,19 @@ def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.tanh, z.tolist())), dtype=float)
 
 
+@np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
 def _unit_column(unit: NeuronUnit, features: np.ndarray) -> np.ndarray:
-    """`unit_forward` on every row of a (rows, dim) feature array, bit for bit."""
-    return _activate_column(unit.activation,
-                            _z_column(unit.weights, unit.bias, features.T, len(features)))
+    """`unit_forward` on every row of a (rows, dim) feature array, bit for bit:
+    `_z` over the feature columns sums elementwise in the same order."""
+    return _activate_column(unit.activation, _z(unit.weights, unit.bias, features.T))
 
 
 @np.errstate(all="ignore")
 def _score_column(aggregation, columns, active, n: int) -> np.ndarray:
     """`_score` on every row of a block of gated columns."""
     if isinstance(aggregation, LinearReadout):
-        return _sigmoid_column(_z_column(aggregation.weights, aggregation.bias, columns, n))
-    if not active:
-        return np.full(n, 0.5)
-    total = np.zeros(n)
-    for i in active:
-        total = total + columns[i]
-    return total / len(active)
+        return _sigmoid_column(_z(aggregation.weights, aggregation.bias, columns))
+    return _mean([columns[i] for i in active]) if active else np.full(n, 0.5)
 
 
 def _hits(aggregation, columns, active, labels: np.ndarray) -> int:

@@ -83,6 +83,8 @@ class NeuronUnit:
     bias: float
 
     def __post_init__(self):
+        if not is_int(self.unit_index):
+            raise TrainingError(f"unit_index must be an integer, got {self.unit_index!r}")
         if self.activation not in ACTIVATIONS:
             raise TrainingError(f"unknown activation {self.activation!r}")
 
@@ -237,7 +239,7 @@ def unit_to_dict(unit: NeuronUnit) -> dict:
 
 
 def unit_from_dict(obj: dict) -> NeuronUnit:
-    return NeuronUnit(unit_index=int(obj["unit_index"]), activation=obj["activation"],
+    return NeuronUnit(unit_index=obj["unit_index"], activation=obj["activation"],
                       weights=tuple(float(w) for w in obj["weights"]), bias=float(obj["bias"]))
 
 

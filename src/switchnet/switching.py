@@ -6,10 +6,9 @@ activation downstream.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import RoutingError
-from .jsonio import is_int, read_json, write_json
+from .jsonio import is_int
 
 FALLBACKS = ("error", "all-active", "none-active")
 
@@ -21,10 +20,6 @@ class ActivationMask:
     def active_indices(self) -> tuple[int, ...]:
         return tuple(i for i, on in enumerate(self.bits) if on)
 
-    def without(self, unit: int) -> "ActivationMask":
-        """Copy with one unit forced inactive (used for ablation)."""
-        return ActivationMask(bits=tuple(on and i != unit for i, on in enumerate(self.bits)))
-
 
 @dataclass(frozen=True)
 class SwitchTable:
@@ -33,8 +28,8 @@ class SwitchTable:
     fallback: str = "error"
 
     def __post_init__(self):
-        if self.n_units < 1:
-            raise RoutingError(f"n_units must be >= 1, got {self.n_units}")
+        if not is_int(self.n_units) or self.n_units < 1:
+            raise RoutingError(f"n_units must be an integer >= 1, got {self.n_units!r}")
         if self.fallback not in FALLBACKS:
             raise RoutingError(f"unknown fallback {self.fallback!r}")
         for group, units in self.entries.items():
@@ -51,7 +46,7 @@ class SwitchTable:
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchTable":
         entries = {int(g): _unit_set(g, units) for g, units in obj["entries"].items()}
-        return cls(n_units=int(obj["n_units"]), entries=entries, fallback=obj.get("fallback", "error"))
+        return cls(n_units=obj["n_units"], entries=entries, fallback=obj.get("fallback", "error"))
 
 
 def _unit_set(group, units) -> frozenset:
@@ -95,11 +90,3 @@ def route(table: SwitchTable, group: int) -> ActivationMask:
             return ActivationMask(bits=(True,) * table.n_units)
         return ActivationMask(bits=(False,) * table.n_units)
     return ActivationMask(bits=tuple(u in units for u in range(table.n_units)))
-
-
-def save_switch(table: SwitchTable, path) -> None:
-    write_json(table.to_json(), path)
-
-
-def load_switch(path) -> SwitchTable:
-    return SwitchTable.from_json(read_json(Path(path)))

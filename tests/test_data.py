@@ -113,13 +113,35 @@ def test_load_allows_id_gaps(tmp_path):
 
 
 def test_load_reads_each_line_as_one_record(tmp_path):
-    # a quote left open ends with its line; the next line is still its own record
+    # a quoted field closes on its own line; one left open is an error at the line it opens on
     path = tmp_path / "quoted.csv"
     path.write_text('id,group,label,f0,f1\n0,0,1,"0.5",0.25\n1,0,0,1.5,"2.0\n2,0,1,-1.0,3.0\n')
-    ds = sn.load_dataset(path)
-    assert [o.features for o in ds.observations] == [(0.5, 0.25), (1.5, 2.0), (-1.0, 3.0)]
-    path.write_text('id,group,label,f0,f1\n0,0,1,0.5,"0.25\n1,0,0,oops,2.0\n')
-    with pytest.raises(sn.DataError, match="non-numeric feature, line 3"):
+    with pytest.raises(sn.DataError, match=r"malformed CSV \(unexpected end of data\), line 3"):
+        sn.load_dataset(path)
+    path.write_text('id,group,label,f0,f1\n0,0,1,0.5,"0.25\n1,0,0,0.5,2.0"\n2,0,1,1.0,1.0\n')
+    with pytest.raises(sn.DataError, match="quoted field runs past its line, line 2"):
+        sn.load_dataset(path)
+    path.write_text('id,group,label,f0,f1\n0,0,1,"0.5",0.25\n')
+    assert sn.load_dataset(path).observations[0].features == (0.5, 0.25)
+
+
+def test_load_crlf_file_equals_lf_file(tmp_path):
+    ds = sn.generate_synthetic(specs_for((4, 3)), seed=5)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    sn.save_dataset(ds, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n# group 1: group 1\r\n" in crlf.read_bytes()
+    assert sn.load_dataset(crlf) == sn.load_dataset(lf) == ds
+
+
+@pytest.mark.parametrize("line", [1, 2])  # the header, then a data line
+def test_load_oversized_field_names_line(tmp_path, line):
+    # over the csv module's field size limit (131,072 characters)
+    rows = ["id,group,label,f0", "0,0,1,0.5"]
+    rows[line - 1] += "x" * 200_000
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(sn.DataError, match=f"field larger than field limit.*, line {line}$"):
         sn.load_dataset(path)
 
 
@@ -331,6 +353,28 @@ def test_holdout_fraction_bounds():
 def test_partition_set_json_roundtrip():
     ds, parts = _partitioned((10, 10), [8, 8], seed=4)
     assert sn.PartitionSet.from_json(parts.to_json()) == parts
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("subset id", 0.5, "subset ids must be integers, got 0.5"),
+    ("subset id", "1", "subset ids must be integers, got '1'"),
+    ("count", 2.9, "planned counts must be positive integers"),
+    ("plan unit", 0.0, "unit indices must be integers"),
+    ("seed", True, "partition seed must be an integer, got True"),
+])
+def test_partition_set_json_rejects_non_integers(field, value, message):
+    _, parts = _partitioned((10, 10), [8, 8], seed=4)
+    doc = parts.to_json()
+    if field == "subset id":
+        doc["subsets"]["0"][0] = value
+    elif field == "count":
+        doc["plan"][0][1] = value
+    elif field == "plan unit":
+        doc["plan"][0][0] = value
+    else:
+        doc["seed"] = value
+    with pytest.raises(sn.DataError, match=message):
+        sn.PartitionSet.from_json(doc)
 
 
 def test_partition_set_json_roundtrip_explicit():

@@ -362,3 +362,10 @@ def test_unit_json_roundtrip_exact(tmp_path):
     path = tmp_path / "unit.json"
     sn.save_unit(trained, path)
     assert sn.load_unit(path) == trained
+
+
+@pytest.mark.parametrize("unit_index", [1.0, "1", True])
+def test_unit_json_rejects_non_integer_index(unit_index):
+    doc = {"unit_index": unit_index, "activation": "sigmoid", "weights": [0.5], "bias": 0.0}
+    with pytest.raises(sn.TrainingError, match="unit_index must be an integer"):
+        sn.neuron.unit_from_dict(doc)

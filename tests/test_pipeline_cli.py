@@ -413,6 +413,34 @@ def test_cli_runtime_failure_exits_two(tmp_path, capsys):
     assert "stage 'data'" in capsys.readouterr().err
 
 
+def test_cli_oversized_csv_field_exits_two(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("id,group,label,f0\n0,0,1," + "1" * 200_000 + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["data"] = {"dataset": str(csv_path), "holdout_fraction": 0.2}
+    doc["output"]["dir"] = str(tmp_path / "out")
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli("pipeline", "--config", cfg_path) == 2
+    err = capsys.readouterr().err
+    assert "stage 'data'" in err and "field larger than field limit" in err and "line 2" in err
+
+
+def test_cli_eval_rejects_non_integer_test_set_ids(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("pipeline", *[a for s in fast_sets(out, epochs=2) for a in ("--set", s)]) == 0
+    for bad_id in (0.5, "1", True):
+        doc = json.loads((out / "test_sets.json").read_text())
+        doc["overlapping"][0] = bad_id
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        code = run_cli("eval", "--network", out / "network.json", "--dataset", out / "dataset.csv",
+                       "--test-sets", tmp_path / "t.json", "--kind", "overlapping",
+                       "--out", tmp_path / "m.json")
+        assert code == 1
+        assert f"overlapping ids must be integers, got {bad_id!r}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
 def test_cli_eval_missing_network_exits_one(tmp_path, capsys):
     code = run_cli("eval", "--network", tmp_path / "net.json", "--dataset", tmp_path / "d.csv",
                    "--test-sets", tmp_path / "t.json", "--kind", "overlapping",

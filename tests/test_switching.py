@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import switchnet as sn
@@ -70,17 +72,16 @@ def test_missing_expected_group_warning():
     assert any("group 2" in w for w in warnings)
 
 
-def test_mask_without_unit():
-    table, _ = sn.build_switch(3, {0: {0, 1, 2}})
-    mask = sn.route(table, 0).without(1)
-    assert mask.bits == (True, False, True)
-
-
-def test_switch_json_roundtrip(tmp_path):
+def test_switch_json_roundtrip():
     table, _ = sn.build_switch(5, {0: {0}, 1: {1, 4}}, fallback="none-active")
-    path = tmp_path / "switch.json"
-    sn.save_switch(table, path)
-    assert sn.load_switch(path) == table
+    assert sn.SwitchTable.from_json(json.loads(json.dumps(table.to_json()))) == table
+
+
+@pytest.mark.parametrize("n_units", [2.7, "2", True])
+def test_switch_json_rejects_non_integer_n_units(n_units):
+    doc = {"n_units": n_units, "fallback": "error", "entries": {"0": [0]}}
+    with pytest.raises(sn.RoutingError, match="n_units must be an integer"):
+        sn.SwitchTable.from_json(doc)
 
 
 def test_invalid_fallback():
