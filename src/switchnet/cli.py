@@ -11,13 +11,14 @@ import sys
 from pathlib import Path
 
 from ._version import ARTIFACT_VERSION
-from .analysis import attribute, export_heatmap_csv, heatmap, render_heatmap_svg, save_attribution
+from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, render_heatmap_svg,
+                       save_attribution)
 from .data import (PartitionSet, generate_synthetic, load_dataset, load_group_specs,
                    make_test_sets, partition, save_dataset)
-from .errors import ConfigError, StageError, SwitchNetError
+from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import node_train_config
 from .jsonio import is_int, read_json, write_json
-from .network import evaluate, load_network, neuron_contribution
+from .network import SET_KINDS, evaluate, network_from_dict, neuron_contribution
 from .neuron import init_unit, save_unit, train_unit
 from .pipeline import (ReportBundle, data_stage, default_config_path, load_config, readout_stage,
                        run_pipeline, switch_stage, train_stage, write_test_sets, write_training)
@@ -35,11 +36,27 @@ def _load_cli_config(args):
     return load_config(_require_file(path, "config file"), getattr(args, "set", None) or [])
 
 
+def _read_input(path, what: str, parse=lambda doc: doc):
+    """`parse` the JSON file at `path`. A file that is not JSON, lacks a key
+    `parse` needs or fails its checks is a DataError naming the file."""
+    path = _require_file(path, what)
+    try:
+        doc = read_json(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise DataError(f"{what} {path} lacks key {exc}") from None
+    except SwitchNetError as exc:
+        raise DataError(f"{what} {path}: {exc}") from None
+
+
 def _ids_for_kind(test_sets_path, kind: str):
-    doc = read_json(_require_file(test_sets_path, "test-sets file"))
+    doc = _read_input(test_sets_path, "test-sets file")
     key = kind.replace("-", "_")
     if key not in doc:
-        raise ConfigError(f"test-sets file has no {key!r} id list")
+        raise ConfigError(f"test-sets file {test_sets_path} has no {key!r} id list")
     bad = [i for i in doc[key] if not is_int(i)]
     if bad:
         raise ConfigError(f"test-sets file: {key} ids must be integers, got {bad[0]!r}")
@@ -95,8 +112,8 @@ def cmd_partition(args) -> int:
 def cmd_train(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
-    parts = PartitionSet.from_json(read_json(_require_file(args.partition, "partition JSON")))
-    if args.unit not in parts.subsets:
+    parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
+    if not 0 <= args.unit < len(parts.subsets):
         raise ConfigError(f"partition has no unit {args.unit}")
     subset = [dataset.observation(i) for i in parts.subsets[args.unit]]
     unit = init_unit(dataset.dim, config.activation, args.unit, config.seed)
@@ -113,7 +130,7 @@ def cmd_train(args) -> int:
 def cmd_fedsim(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
-    parts = PartitionSet.from_json(read_json(_require_file(args.partition, "partition JSON")))
+    parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
     switch, warnings = switch_stage(config, dataset)
     _print_warnings(warnings)
     net, fed = train_stage(config, dataset, parts, switch)
@@ -126,7 +143,7 @@ def cmd_fedsim(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net = load_network(_require_file(args.network, "network bundle"))
+    net = _read_input(args.network, "network bundle", network_from_dict)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
     metrics = evaluate(net, ids, dataset, args.kind)
@@ -139,7 +156,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    net = load_network(_require_file(args.network, "network bundle"))
+    net = _read_input(args.network, "network bundle", network_from_dict)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
     matrix = heatmap(net, ids, dataset, args.statistic)
@@ -202,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--test-sets", required=True)
-    p.add_argument("--kind", choices=["overlapping", "non-overlapping"], required=True)
+    p.add_argument("--kind", choices=SET_KINDS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--out-contribution", default=None,
                    help="also write the per-unit ablation contribution report")
@@ -212,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--test-sets", required=True)
-    p.add_argument("--kind", choices=["overlapping", "non-overlapping"], default="non-overlapping")
-    p.add_argument("--statistic", choices=["mean", "max"], default="mean")
+    p.add_argument("--kind", choices=SET_KINDS, default="non-overlapping")
+    p.add_argument("--statistic", choices=STATISTICS, default="mean")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)
     p.add_argument("--out-attribution", default=None)

@@ -14,7 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
-from .jsonio import is_int
+from .jsonio import is_int, is_number
 from .neuron import _z
 from .seeding import rng_for
 
@@ -113,8 +113,10 @@ class LabelRule:
     def from_json(cls, obj) -> "LabelRule":
         if isinstance(obj, str):
             return cls(kind=obj)
-        return cls(kind=obj["kind"], weights=tuple(float(w) for w in obj["weights"]),
-                   bias=float(obj.get("bias", 0.0)))
+        weights, bias = list(obj["weights"]), obj.get("bias", 0.0)
+        if not all(map(is_number, weights + [bias])):
+            raise DataError(f"label rule weights and bias must be JSON numbers, got {weights} and {bias!r}")
+        return cls(kind=obj["kind"], weights=tuple(map(float, weights)), bias=float(bias))
 
 
 @dataclass(frozen=True)
@@ -142,32 +144,32 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupSpec":
-        return cls(name=str(obj["name"]),
-                   mean=tuple(float(v) for v in obj["mean"]),
-                   scale=tuple(float(v) for v in obj["scale"]),
-                   label_rule=LabelRule.from_json(obj["label_rule"]),
-                   count=obj["count"])
+        name, mean, scale = obj["name"], list(obj["mean"]), list(obj["scale"])
+        if not isinstance(name, str):
+            raise DataError(f"group name must be a string, got {name!r}")
+        if not all(map(is_number, mean + scale)):
+            raise DataError(f"group {name!r}: mean and scale entries must be JSON numbers, "
+                            f"got {mean} and {scale}")
+        return cls(name=name, mean=tuple(map(float, mean)), scale=tuple(map(float, scale)),
+                   label_rule=LabelRule.from_json(obj["label_rule"]), count=obj["count"])
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    assignments: tuple[tuple[int, int], ...]
+    """Planned subset sizes: unit k gets counts[k] observations."""
+    counts: tuple[int, ...]
     selection: str = "stratified"
     explicit_ids: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.selection not in SELECTIONS:
             raise DataError(f"unknown selection {self.selection!r}")
-        units = [u for u, _ in self.assignments]
-        if not all(map(is_int, units)) or sorted(units) != list(range(len(units))):
-            raise DataError(f"unit indices must be integers, unique and contiguous from 0, got {units}")
-        counts = [c for _, c in self.assignments]
-        if not all(is_int(c) and c >= 1 for c in counts):
-            raise DataError(f"planned counts must be positive integers, got {counts}")
+        if not all(is_int(c) and c >= 1 for c in self.counts):
+            raise DataError(f"planned counts must be positive integers, got {list(self.counts)}")
         if self.selection == "explicit":
-            if self.explicit_ids is None or len(self.explicit_ids) != len(self.assignments):
+            if self.explicit_ids is None or len(self.explicit_ids) != len(self.counts):
                 raise DataError("explicit selection needs one id list per unit")
-            for (unit, count), ids in zip(self.assignments, self.explicit_ids):
+            for unit, (count, ids) in enumerate(zip(self.counts, self.explicit_ids)):
                 if not all(map(is_int, ids)):
                     raise DataError(f"unit {unit}: explicit ids must be integers, got {list(ids)}")
                 if len(set(ids)) != len(ids):
@@ -181,57 +183,60 @@ class PartitionPlan:
     def from_counts(cls, counts, selection: str = "stratified",
                     explicit_ids=None) -> "PartitionPlan":
         ids = None if explicit_ids is None else tuple(tuple(lst) for lst in explicit_ids)
-        return cls(assignments=tuple(enumerate(counts)), selection=selection, explicit_ids=ids)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.assignments)
+        return cls(counts=tuple(counts), selection=selection, explicit_ids=ids)
 
 
 @dataclass(frozen=True)
 class PartitionSet:
-    subsets: dict
+    """Disjoint observation-id subsets, one per planned unit: subsets[k] holds unit k's ids."""
+    subsets: tuple[tuple[int, ...], ...]
     plan: PartitionPlan
     seed: int
 
     def __post_init__(self):
         if not is_int(self.seed):
             raise DataError(f"partition seed must be an integer, got {self.seed!r}")
+        if len(self.subsets) != len(self.plan.counts):
+            raise DataError(f"{len(self.subsets)} subsets for a plan of {len(self.plan.counts)} units")
         claimed = set()
-        for unit, ids in self.subsets.items():
-            if not ids:
-                raise DataError(f"unit {unit}: subset is empty")
+        for unit, (count, ids) in enumerate(zip(self.plan.counts, self.subsets)):
+            if len(ids) != count:
+                raise DataError(f"unit {unit}: subset has {len(ids)} ids, plan says {count}")
             bad = [i for i in ids if not is_int(i)]
             if bad:
                 raise DataError(f"unit {unit}: subset ids must be integers, got {bad[0]!r}")
+            if len(set(ids)) != len(ids):
+                raise DataError(f"unit {unit}: subset repeats an observation id")
             overlap = claimed.intersection(ids)
             if overlap:
                 raise DataError(f"subsets overlap on observation ids {sorted(overlap)}")
             claimed.update(ids)
 
-    def unit_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.subsets))
-
     def assigned_ids(self) -> frozenset:
-        return frozenset(i for ids in self.subsets.values() for i in ids)
+        return frozenset(i for ids in self.subsets for i in ids)
 
     def to_json(self) -> dict:
         out = {"seed": self.seed,
                "selection": self.plan.selection,
-               "plan": [list(a) for a in self.plan.assignments],
-               "subsets": {str(u): list(self.subsets[u]) for u in sorted(self.subsets)}}
+               "plan": [[k, c] for k, c in enumerate(self.plan.counts)],
+               "subsets": {str(k): list(ids) for k, ids in enumerate(self.subsets)}}
         if self.plan.explicit_ids is not None:
             out["explicit_ids"] = [list(ids) for ids in self.plan.explicit_ids]
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionSet":
+        units = [u for u, _ in obj["plan"]]
+        # an equality test alone would take 0.0 for unit 0
+        if not all(map(is_int, units)) or units != list(range(len(units))):
+            raise DataError(f"plan unit indices must be integers 0..n-1 in order, got {units}")
+        keys = [str(k) for k in units]
+        if set(obj["subsets"]) != set(keys):
+            raise DataError(f"subset keys must be exactly {keys}, got {sorted(obj['subsets'])}")
         explicit = obj.get("explicit_ids")
-        plan = PartitionPlan(assignments=tuple((u, c) for u, c in obj["plan"]),
-                             selection=obj["selection"],
+        plan = PartitionPlan(counts=tuple(c for _, c in obj["plan"]), selection=obj["selection"],
                              explicit_ids=None if explicit is None else tuple(map(tuple, explicit)))
-        subsets = {int(u): tuple(ids) for u, ids in obj["subsets"].items()}
-        return cls(subsets=subsets, plan=plan, seed=obj["seed"])
+        return cls(subsets=tuple(tuple(obj["subsets"][k]) for k in keys), plan=plan, seed=obj["seed"])
 
 
 def generate_synthetic(specs, seed: int) -> Dataset:
@@ -354,31 +359,30 @@ def partition(dataset: Dataset, plan: PartitionPlan, seed: int) -> PartitionSet:
     total = sum(plan.counts)
     if total > len(dataset.observations):
         raise DataError(f"plan needs {total} observations, dataset has {len(dataset.observations)}")
-    subsets = {}
+    subsets = []
     if plan.selection == "contiguous":
         cursor = 0
         all_ids = dataset.ids()
-        for unit, count in plan.assignments:
-            subsets[unit] = tuple(sorted(all_ids[cursor:cursor + count]))
+        for count in plan.counts:
+            subsets.append(tuple(sorted(all_ids[cursor:cursor + count])))
             cursor += count
     elif plan.selection == "stratified":
-        group_ids = {g for g, _ in dataset.groups}
-        for unit, count in plan.assignments:
-            if unit not in group_ids:
+        for unit, count in enumerate(plan.counts):
+            if unit >= len(dataset.groups):  # group ids are dense 0..G-1
                 raise DataError(f"stratified selection: no group {unit} for unit {unit}")
             pool = [obs.id for obs in dataset.observations if obs.group == unit]
             if len(pool) < count:
                 raise DataError(f"stratified group {unit} exhausted: has {len(pool)}, unit needs {count}")
             order = rng_for(seed, "partition", unit).permutation(len(pool))
-            subsets[unit] = tuple(sorted(pool[j] for j in order[:count]))
+            subsets.append(tuple(sorted(pool[j] for j in order[:count])))
     else:  # explicit
         known = set(dataset.ids())
-        for (unit, _), ids in zip(plan.assignments, plan.explicit_ids):
+        for unit, ids in enumerate(plan.explicit_ids):
             missing = set(ids) - known
             if missing:
                 raise DataError(f"unit {unit}: explicit ids not in dataset: {sorted(missing)}")
-            subsets[unit] = tuple(sorted(ids))
-    return PartitionSet(subsets=subsets, plan=plan, seed=seed)
+            subsets.append(tuple(sorted(ids)))
+    return PartitionSet(subsets=tuple(subsets), plan=plan, seed=seed)
 
 
 def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction: float,

@@ -26,15 +26,12 @@ from .switching import SwitchTable
 
 @dataclass(frozen=True)
 class Node:
-    node_id: int
     unit: NeuronUnit
-    subset_ids: tuple[int, ...]
     local_data: tuple[Observation, ...]
 
-    def __post_init__(self):
-        stray = {obs.id for obs in self.local_data} - set(self.subset_ids)
-        if stray:
-            raise FederatedError(f"node {self.node_id}: local data outside assigned subset: {sorted(stray)}")
+    @property
+    def node_id(self) -> int:
+        return self.unit.unit_index
 
 
 @dataclass(frozen=True)
@@ -62,18 +59,13 @@ class FedRunReport:
 def make_nodes(partitions: PartitionSet, dataset: Dataset, units) -> tuple[Node, ...]:
     """One node per partition subset; node k holds unit k and only subset k's data."""
     units = tuple(units)
-    subset_keys = partitions.unit_indices()
-    if len(units) != len(subset_keys):
-        raise FederatedError(f"{len(units)} units for {len(subset_keys)} partition subsets")
     by_index = {u.unit_index: u for u in units}
-    if sorted(by_index) != list(subset_keys):
-        raise FederatedError(f"unit indices {sorted(by_index)} do not match subsets {list(subset_keys)}")
-    nodes = []
-    for k in subset_keys:
-        ids = tuple(partitions.subsets[k])
-        local = tuple(dataset.observation(i) for i in ids)
-        nodes.append(Node(node_id=k, unit=by_index[k], subset_ids=ids, local_data=local))
-    return tuple(nodes)
+    n = len(partitions.subsets)
+    if len(units) != n or sorted(by_index) != list(range(n)):
+        raise FederatedError(f"{len(units)} units with indices {sorted(by_index)} "
+                             f"for {n} partition subsets")
+    return tuple(Node(unit=by_index[k], local_data=tuple(map(dataset.observation, ids)))
+                 for k, ids in enumerate(partitions.subsets))
 
 
 def node_train_config(config: TrainConfig, node_id: int) -> TrainConfig:

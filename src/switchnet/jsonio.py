@@ -15,3 +15,8 @@ def read_json(path):
 def is_int(value) -> bool:
     """True for a JSON integer. Booleans are ints to Python, but `true` is no count or index."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """True for a JSON number (integer or float); `true`, `"0.5"` and `null` are none."""
+    return is_int(value) or isinstance(value, float)

@@ -21,12 +21,13 @@ import numpy as np
 from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
-from .jsonio import read_json, write_json
+from .jsonio import is_number, read_json, write_json
 from .neuron import (NeuronUnit, TrainConfig, _sgd, _sigmoid, _z, unit_forward, unit_from_dict,
                      unit_to_dict)
 from .switching import ActivationMask, SwitchTable, route
 
 ROUTER_MEAN = "router-mean"
+AGGREGATIONS = (ROUTER_MEAN, "linear-readout")
 SET_KINDS = ("overlapping", "non-overlapping")
 
 
@@ -330,10 +331,14 @@ def network_to_dict(net: ModularNetwork) -> dict:
 def network_from_dict(obj: dict) -> ModularNetwork:
     agg = obj["aggregation"]
     if agg["kind"] == "linear-readout":
-        aggregation = LinearReadout(weights=tuple(float(w) for w in agg["weights"]),
-                                    bias=float(agg["bias"]))
-    else:
+        weights, bias = list(agg["weights"]), agg["bias"]
+        if not all(map(is_number, weights + [bias])):
+            raise NetworkError(f"readout weights and bias must be JSON numbers, got {weights} and {bias!r}")
+        aggregation = LinearReadout(weights=tuple(map(float, weights)), bias=float(bias))
+    elif agg["kind"] == ROUTER_MEAN:
         aggregation = ROUTER_MEAN
+    else:
+        raise NetworkError(f"aggregation kind must be one of {AGGREGATIONS}, got {agg['kind']!r}")
     return ModularNetwork(units=tuple(unit_from_dict(u) for u in obj["units"]),
                           switch=SwitchTable.from_json(obj["switch"]),
                           aggregation=aggregation)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TrainingError
-from .jsonio import is_int, read_json, write_json
+from .jsonio import is_int, is_number, read_json, write_json
 from .seeding import rng_for
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh")
@@ -102,9 +102,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        # booleans are ints to Python, but `true` is no learning rate or epoch count
         rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        if not is_number(rate) or not 0 < rate < math.inf:
             raise TrainingError(f"learning_rate must be a finite number > 0, got {rate!r}")
         if not is_int(self.epochs) or self.epochs < 1:
             raise TrainingError(f"epochs must be an integer >= 1, got {self.epochs!r}")
@@ -239,8 +238,12 @@ def unit_to_dict(unit: NeuronUnit) -> dict:
 
 
 def unit_from_dict(obj: dict) -> NeuronUnit:
+    weights, bias = list(obj["weights"]), obj["bias"]
+    if not all(map(is_number, weights + [bias])):
+        raise TrainingError(f"unit {obj['unit_index']!r}: weights and bias must be JSON numbers, "
+                            f"got {weights} and {bias!r}")
     return NeuronUnit(unit_index=obj["unit_index"], activation=obj["activation"],
-                      weights=tuple(float(w) for w in obj["weights"]), bias=float(obj["bias"]))
+                      weights=tuple(map(float, weights)), bias=float(bias))
 
 
 def save_unit(unit: NeuronUnit, path) -> None:

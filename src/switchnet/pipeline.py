@@ -14,17 +14,18 @@ from importlib.resources import files as _resource_files
 from pathlib import Path
 
 from ._version import ARTIFACT_VERSION
-from .analysis import attribute, export_heatmap_csv, heatmap, render_heatmap_svg, save_attribution
+from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, render_heatmap_svg,
+                       save_attribution)
 from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_synthetic,
                    load_dataset, make_test_sets, partition, save_dataset)
 from .errors import ConfigError, RoutingError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
 from .jsonio import is_int, write_json
-from .network import ModularNetwork, evaluate, fit_readout, neuron_contribution, save_network
+from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
+                      save_network)
 from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
 from .switching import SwitchTable, build_switch
 
-AGGREGATIONS = ("router-mean", "linear-readout")
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
 # train in this process whatever `network.workers` says: on a 2-vCPU Xeon,
 # starting a 2-process pool cost more than it saved up to about 15,000 steps.
@@ -38,8 +39,7 @@ class ExperimentConfig:
     specs: "tuple[GroupSpec, ...] | None"
     dataset_path: "Path | None"
     plan: PartitionPlan
-    switch_entries: dict
-    switch_fallback: str
+    switch: SwitchTable
     train: TrainConfig
     activation: str
     aggregation: str
@@ -50,7 +50,7 @@ class ExperimentConfig:
 
     @property
     def n_units(self) -> int:
-        return len(self.plan.assignments)
+        return len(self.plan.counts)
 
 
 def _artifact(name: str) -> property:
@@ -147,7 +147,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
                                          explicit_ids=part_sec.get("explicit_ids"))
     except (SwitchNetError, TypeError) as exc:
         raise ConfigError(f"bad partition plan: {exc}") from exc
-    n_units = len(plan.assignments)
+    n_units = len(plan.counts)
     if math.floor(holdout * sum(plan.counts)) == 0:
         raise ConfigError(f"data.holdout_fraction {holdout} of the {sum(plan.counts)} assigned "
                           "observations samples no overlapping test id")
@@ -182,14 +182,14 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     if aggregation not in AGGREGATIONS:
         raise ConfigError(f"network.aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     statistic = net_sec.get("heatmap_statistic", "mean")
-    if statistic not in ("mean", "max"):
-        raise ConfigError(f"network.heatmap_statistic must be 'mean' or 'max', got {statistic!r}")
+    if statistic not in STATISTICS:
+        raise ConfigError(f"network.heatmap_statistic must be one of {STATISTICS}, got {statistic!r}")
     workers = net_sec.get("workers", 1)
     if not is_int(workers) or workers < 1:
         raise ConfigError(f"network.workers must be a positive integer, got {workers!r}")
 
     if specs is not None and plan.selection == "stratified":
-        for unit, count in plan.assignments:
+        for unit, count in enumerate(plan.counts):
             if unit >= len(specs):
                 raise ConfigError(f"stratified plan unit {unit} has no matching group (only {len(specs)} groups)")
             if specs[unit].count <= count:
@@ -201,10 +201,9 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     out_dir = Path(str(_need(out_sec, "dir", "output")))
 
     return ExperimentConfig(seed=doc["seed"], specs=specs, dataset_path=dataset_path, plan=plan,
-                            switch_entries=switch.entries, switch_fallback=fallback, train=train,
-                            activation=activation, aggregation=aggregation,
-                            holdout_fraction=float(holdout), heatmap_statistic=statistic,
-                            workers=workers, output_dir=out_dir)
+                            switch=switch, train=train, activation=activation,
+                            aggregation=aggregation, holdout_fraction=float(holdout),
+                            heatmap_statistic=statistic, workers=workers, output_dir=out_dir)
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
@@ -265,8 +264,7 @@ def config_to_doc(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "data": data_sec,
         "partition": part_sec,
-        "switch": {"n_units": config.n_units, "fallback": config.switch_fallback,
-                   "entries": {str(g): sorted(u) for g, u in sorted(config.switch_entries.items())}},
+        "switch": config.switch.to_json(),
         "train": {"learning_rate": config.train.learning_rate, "epochs": config.train.epochs,
                   "loss": config.train.loss, "shuffle": config.train.shuffle},
         "network": {"activation": config.activation, "aggregation": config.aggregation,
@@ -311,7 +309,7 @@ def _routable_switch(n_units, entries, fallback, groups):
 
 def switch_stage(config: ExperimentConfig, dataset: Dataset) -> tuple[SwitchTable, tuple[str, ...]]:
     """The config's switch table and its warnings, checked against the dataset's groups."""
-    return _routable_switch(config.n_units, config.switch_entries, config.switch_fallback,
+    return _routable_switch(config.n_units, config.switch.entries, config.switch.fallback,
                             [g for g, _ in dataset.groups])
 
 
@@ -325,7 +323,7 @@ def train_stage(config: ExperimentConfig, dataset: Dataset, parts: PartitionSet,
     """
     units = [init_unit(dataset.dim, config.activation, k, config.seed) for k in range(config.n_units)]
     nodes = make_nodes(parts, dataset, units)
-    steps = config.train.epochs * sum(len(node.subset_ids) for node in nodes)
+    steps = config.train.epochs * sum(len(node.local_data) for node in nodes)
     workers = config.workers if steps >= POOL_MIN_STEPS else 1
     trained, fed = run_local_training(nodes, config.train, workers=workers)
     return collect(with_trained_units(nodes, trained), switch, config.aggregation), fed

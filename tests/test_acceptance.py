@@ -41,7 +41,7 @@ def default_config(out_dir=None, **overrides):
 
 
 def default_switch(config):
-    table, _ = sn.build_switch(config.n_units, config.switch_entries, config.switch_fallback)
+    table, _ = sn.build_switch(config.n_units, config.switch.entries, config.switch.fallback)
     return table
 
 
@@ -58,7 +58,7 @@ def test_criterion_1_partition_reproduction():
         sizes = [len(parts.subsets[k]) for k in range(5)]
         assert sizes == [20, 30, 10, 20, 20]
         seen = set()
-        for ids in parts.subsets.values():
+        for ids in parts.subsets:
             assert not seen.intersection(ids), "subsets overlap"
             seen.update(ids)
         assert seen <= set(dataset.ids())
@@ -72,7 +72,7 @@ def test_criterion_2_switch_semantics_and_zero_activation():
         for group in range(5):
             mask = sn.route(table, group)
             for unit in range(5):
-                assert mask.bits[unit] == (unit in config.switch_entries[group])
+                assert mask.bits[unit] == (unit in config.switch.entries[group])
         units = [sn.init_unit(2, "sigmoid", k, config.seed) for k in range(5)]
         net = sn.assemble(units, table)
         gen = np.random.default_rng(20_240_001)

@@ -210,7 +210,7 @@ def test_partition_paper_split_sizes_and_disjointness():
     sizes = [len(parts.subsets[k]) for k in range(5)]
     assert sizes == [20, 30, 10, 20, 20]
     seen = set()
-    for ids in parts.subsets.values():
+    for ids in parts.subsets:
         assert not seen.intersection(ids)
         seen.update(ids)
     assert seen <= set(ds.ids())
@@ -234,7 +234,7 @@ def test_partition_stratified_respects_groups():
     ds = sn.generate_synthetic(specs_for((10, 12, 9)), seed=5)
     plan = sn.PartitionPlan.from_counts([8, 8, 8], selection="stratified")
     parts = sn.partition(ds, plan, seed=5)
-    for unit, ids in parts.subsets.items():
+    for unit, ids in enumerate(parts.subsets):
         groups = {ds.observation(i).group for i in ids}
         assert groups == {unit}
 
@@ -251,7 +251,7 @@ def test_partition_explicit_lists():
     plan = sn.PartitionPlan.from_counts([2, 3], selection="explicit",
                                         explicit_ids=[[1, 0], [5, 6, 7]])
     parts = sn.partition(ds, plan, seed=9)
-    assert parts.subsets == {0: (0, 1), 1: (5, 6, 7)}
+    assert parts.subsets == ((0, 1), (5, 6, 7))
 
 
 def test_partition_explicit_overlap_rejected():
@@ -282,8 +282,7 @@ def test_partition_random_plans_property():
         again = sn.partition(ds, plan, seed)
         assert parts.subsets == again.subsets
         seen = set()
-        for unit, count in plan.assignments:
-            ids = parts.subsets[unit]
+        for ids, count in zip(parts.subsets, counts):
             assert len(ids) == count
             assert not seen.intersection(ids)
             seen.update(ids)
@@ -377,6 +376,49 @@ def test_partition_set_json_rejects_non_integers(field, value, message):
         sn.PartitionSet.from_json(doc)
 
 
+def _corrupt(doc, case):
+    if case == "short subset":
+        doc["subsets"]["0"] = doc["subsets"]["0"][:3]
+    elif case == "repeated id":
+        doc["subsets"]["0"][1] = doc["subsets"]["0"][0]
+    elif case == "long subset":
+        doc["subsets"]["0"].append(19)
+    elif case == "missing unit key":
+        del doc["subsets"]["1"]
+    elif case == "extra key":
+        doc["subsets"]["7"] = doc["subsets"].pop("1")
+    elif case == "extra unit":
+        doc["subsets"]["7"] = [19]
+    elif case == "units out of order":
+        doc["plan"].reverse()
+    else:  # float unit
+        doc["plan"][0][0] = 0.0
+    return doc
+
+
+PLAN_MISMATCHES = {"short subset": "unit 0: subset has 3 ids, plan says 8",
+                   "repeated id": "unit 0: subset repeats an observation id",
+                   "long subset": "unit 0: subset has 9 ids, plan says 8",
+                   "missing unit key": r"subset keys must be exactly \['0', '1'\], got \['0'\]",
+                   "extra key": r"subset keys must be exactly \['0', '1'\], got \['0', '7'\]",
+                   "extra unit": r"got \['0', '1', '7'\]",
+                   "units out of order": r"plan unit indices must be integers 0..n-1 in order, got \[1, 0\]",
+                   "float unit": r"plan unit indices must be integers 0..n-1 in order, got \[0.0, 1\]"}
+
+
+@pytest.mark.parametrize("case", PLAN_MISMATCHES)
+def test_partition_set_json_must_match_its_plan(case):
+    _, parts = _partitioned((10, 10), [8, 8], seed=4)
+    with pytest.raises(sn.DataError, match=PLAN_MISMATCHES[case]):
+        sn.PartitionSet.from_json(_corrupt(parts.to_json(), case))
+
+
+def test_partition_set_needs_one_subset_per_planned_unit():
+    _, parts = _partitioned((10, 10), [8, 8], seed=4)
+    with pytest.raises(sn.DataError, match="1 subsets for a plan of 2 units"):
+        sn.PartitionSet(subsets=parts.subsets[:1], plan=parts.plan, seed=4)
+
+
 def test_partition_set_json_roundtrip_explicit():
     ds = sn.generate_synthetic(specs_for((5, 5)), seed=9)
     plan = sn.PartitionPlan.from_counts([2, 3], selection="explicit",
@@ -411,3 +453,25 @@ def test_dataset_validation():
     with pytest.raises(sn.DataError, match="unknown group"):
         sn.Dataset(dim=1, groups=((0, "a"),),
                    observations=(sn.Observation(id=1, group=5, label=0, features=(1.0,)),))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mean", ["-2", True], "mean and scale entries must be JSON numbers"),
+    ("scale", [0.4, None], "mean and scale entries must be JSON numbers"),
+    ("name", 7, "group name must be a string, got 7"),
+    ("label_rule", {"kind": "linear-threshold", "weights": [1.0, "2"]}, "must be JSON numbers"),
+    ("label_rule", {"kind": "linear-threshold", "weights": [1.0, 2.0], "bias": False},
+     "must be JSON numbers")])
+def test_group_spec_json_rejects_non_numbers(field, value, message):
+    doc = specs_for((4,))[0].to_json()
+    doc[field] = value
+    with pytest.raises(sn.DataError, match=message):
+        sn.GroupSpec.from_json(doc)
+
+
+def test_group_spec_json_reads_integers_as_floats():
+    doc = specs_for((4,))[0].to_json()
+    doc["mean"], doc["label_rule"] = [-2, 1], {"kind": "linear-threshold", "weights": [1, 0]}
+    spec = sn.GroupSpec.from_json(doc)
+    assert repr(spec.mean) == "(-2.0, 1.0)" and repr(spec.label_rule.weights) == "(1.0, 0.0)"
+    assert repr(spec.label_rule.bias) == "0.0"

@@ -32,14 +32,6 @@ def test_make_nodes_count_mismatch():
         sn.make_nodes(parts, dataset, units[:4])
 
 
-def test_node_rejects_foreign_observations():
-    dataset, parts, units = five_group_setup()
-    outsider = dataset.observation(next(iter(parts.subsets[1])))
-    with pytest.raises(sn.FederatedError, match="outside"):
-        sn.Node(node_id=0, unit=units[0], subset_ids=tuple(parts.subsets[0]),
-                local_data=(outsider,))
-
-
 def test_worker_counts_bit_identical():
     dataset, parts, units = five_group_setup()
     nodes = sn.make_nodes(parts, dataset, units)

@@ -28,8 +28,7 @@ def training_cases(draw):
                       for j in range(size))
         next_id += size
         unit = sn.init_unit(dim, activation, k, seed=draw(st.integers(0, 2**16)))
-        nodes.append(sn.Node(node_id=k, unit=unit, subset_ids=tuple(o.id for o in local),
-                             local_data=local))
+        nodes.append(sn.Node(unit=unit, local_data=local))
     config = sn.TrainConfig(learning_rate=draw(st.sampled_from((0.05, 0.1, 0.5))),
                             epochs=draw(st.integers(1, 5)), loss=loss,
                             seed=draw(st.integers(-2**31, 2**31)), shuffle=draw(st.booleans()))

@@ -333,6 +333,17 @@ def test_network_bundle_roundtrip_with_readout(tmp_path):
     assert sn.load_network(path) == fitted
 
 
+@pytest.mark.parametrize("aggregation, message", [
+    ({"kind": "linear_readout", "weights": [0.5, 0.5], "bias": 0.0}, "aggregation kind must be one of"),
+    ({"kind": "linear-readout", "weights": ["0.5", 0.5], "bias": 0.0}, "must be JSON numbers"),
+    ({"kind": "linear-readout", "weights": [0.5, 0.5], "bias": None}, "must be JSON numbers")])
+def test_network_bundle_rejects_bad_aggregation(aggregation, message):
+    doc = sn.network.network_to_dict(trained_two_unit_net(two_group_dataset()))
+    doc["aggregation"] = aggregation
+    with pytest.raises(sn.NetworkError, match=message):
+        sn.network.network_from_dict(doc)
+
+
 def test_contribution_call_counts(monkeypatch):
     dataset = two_group_dataset()
     extra = sn.Observation(id=99, group=2, label=1, features=(0.0, 3.0))

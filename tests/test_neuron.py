@@ -264,8 +264,8 @@ def _default_subsets():
                          [("sigmoid", "bce"), ("sigmoid", "mse"), ("tanh", "mse"), ("relu", "mse")])
 def test_train_unit_matches_scalar_oracle_bit_for_bit(activation, loss, shuffle):
     config, dataset, parts = _default_subsets()
-    for k in parts.unit_indices():
-        subset = [dataset.observation(i) for i in parts.subsets[k]]
+    for k, ids in enumerate(parts.subsets):
+        subset = [dataset.observation(i) for i in ids]
         unit = sn.init_unit(dataset.dim, activation, k, seed=config.seed)
         train = sn.TrainConfig(learning_rate=config.train.learning_rate, epochs=config.train.epochs,
                                loss=loss, seed=sn.node_train_config(config.train, k).seed,
@@ -284,9 +284,9 @@ def test_train_unit_matches_scalar_oracle_bit_for_bit(activation, loss, shuffle)
 def test_fit_readout_matches_scalar_oracle_bit_for_bit(loss, shuffle):
     config, dataset, parts = _default_subsets()
     units = [sn.train_unit(sn.init_unit(dataset.dim, "sigmoid", k, seed=config.seed),
-                           [dataset.observation(i) for i in parts.subsets[k]],
+                           [dataset.observation(i) for i in ids],
                            sn.node_train_config(config.train, k))[0]
-             for k in parts.unit_indices()]
+             for k, ids in enumerate(parts.subsets)]
     # three active units per group, so the order of the readout's sum matters
     switch, _ = sn.build_switch(len(units), {g: {g, (g + 1) % 5, (g + 2) % 5} for g in range(5)},
                                 "error")
@@ -369,3 +369,17 @@ def test_unit_json_rejects_non_integer_index(unit_index):
     doc = {"unit_index": unit_index, "activation": "sigmoid", "weights": [0.5], "bias": 0.0}
     with pytest.raises(sn.TrainingError, match="unit_index must be an integer"):
         sn.neuron.unit_from_dict(doc)
+
+
+@pytest.mark.parametrize("weights, bias", [(["0.5", True], "1e3"), ([0.5], "1e3"), ([None], 0.0),
+                                           ([0.5], True)])
+def test_unit_json_rejects_non_numbers(weights, bias):
+    doc = {"unit_index": 0, "activation": "sigmoid", "weights": weights, "bias": bias}
+    with pytest.raises(sn.TrainingError, match="must be JSON numbers"):
+        sn.neuron.unit_from_dict(doc)
+
+
+def test_unit_json_reads_integers_as_floats():
+    doc = {"unit_index": 0, "activation": "sigmoid", "weights": [1, -0.5], "bias": 0}
+    unit = sn.neuron.unit_from_dict(doc)
+    assert repr(unit.weights) == "(1.0, -0.5)" and repr(unit.bias) == "0.0"

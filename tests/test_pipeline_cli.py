@@ -123,6 +123,7 @@ def test_group_name_with_line_break_is_config_error(tmp_path, capsys):
     "partition.counts=5", "data.groups.0.count=25.9", "data.groups.0.count=true",
     "switch.entries.0=[0.7]", "switch.entries.0=[true]", 'switch.entries.0=["0"]',
     "switch.entries.0=[0, 0.0]", "switch.n_units=5.0",
+    'data.groups.0.mean=["-2", true]', "data.groups.0.scale=[0.35, null]", "data.groups.0.name=7",
     'partition={"selection": "explicit", "counts": [1, 1, 1, 1, 1], '
     '"explicit_ids": [[0.5], [25], [60], [75], [100]]}',
     'partition={"selection": "explicit", "counts": [1, 1, 1, 1, 1], '
@@ -557,3 +558,101 @@ def test_switch_warnings_reach_stderr(tmp_path, capsys, pool_always):
     assert warning in captured.err
     assert "with 2 worker(s)" in captured.out
     assert json.loads((d / "fed_timings.json").read_text())["workers"] == 2
+
+
+# ---------------------------------------------------------------- malformed input files
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle") / "out"
+    assert run_cli("pipeline", *[a for s in fast_sets(out, epochs=2) for a in ("--set", s)]) == 0
+    return out
+
+
+def _only_error_line(capsys, prefix, *names):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+    assert all(name in err for name in names), err
+
+
+PARTITION_FAULTS = [
+    ("short subset", lambda doc: doc["subsets"].update({"0": doc["subsets"]["0"][:3]})),
+    ("long subset", lambda doc: doc["subsets"]["0"].append(  # an unassigned id of the 125
+        min(set(range(125)).difference(*doc["subsets"].values())))),
+    ("missing unit key", lambda doc: doc["subsets"].pop("1")),
+    ("extra key", lambda doc: doc["subsets"].update({"7": doc["subsets"].pop("1")})),
+    ("units out of order", lambda doc: doc["plan"].reverse()),
+    ("float unit", lambda doc: doc["plan"][0].__setitem__(0, 0.0))]
+
+
+@pytest.mark.parametrize("command", ["fedsim", "train"])
+@pytest.mark.parametrize("fault", PARTITION_FAULTS, ids=[name for name, _ in PARTITION_FAULTS])
+def test_partition_file_off_its_plan_exits_two(tmp_path, capsys, small_bundle, command, fault):
+    doc = json.loads((small_bundle / "partition.json").read_text())
+    fault[1](doc)
+    (tmp_path / "partition.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    common = ["--dataset", small_bundle / "dataset.csv", "--partition", tmp_path / "partition.json"]
+    if command == "fedsim":
+        argv = ["fedsim", *common, "--out-dir", out]
+    else:
+        argv = ["train", *common, "--unit", 0, "--out-unit", out / "unit_0.json"]
+    assert run_cli(*argv) == 2
+    _only_error_line(capsys, f"error: partition JSON {tmp_path / 'partition.json'}: ")
+    assert not out.exists()
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _edit(change):
+    def edit(path):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+def _eval(d, bundle):
+    return ["eval", "--network", d / "network.json", "--dataset", bundle / "dataset.csv",
+            "--test-sets", d / "test_sets.json", "--kind", "overlapping", "--out", d / "out.json"]
+
+
+def _heatmap(d, bundle):
+    return ["heatmap", "--network", d / "network.json", "--dataset", bundle / "dataset.csv",
+            "--test-sets", d / "test_sets.json", "--out-csv", d / "out.csv",
+            "--out-svg", d / "out.svg"]
+
+
+def _fedsim(d, bundle):
+    return ["fedsim", "--dataset", bundle / "dataset.csv", "--partition", d / "partition.json",
+            "--out-dir", d / "out"]
+
+
+# test_sets.json without its id list keeps the config error (exit 1) it has always been
+MALFORMED = [
+    ("network.json", "truncated", _truncate, _eval, 2, "error: network bundle"),
+    ("network.json", "missing key", _edit(lambda doc: doc["aggregation"].pop("kind")), _heatmap, 2,
+     "error: network bundle"),
+    ("network.json", "misspelled kind",
+     _edit(lambda doc: doc["aggregation"].update(kind="linear_readout")), _eval, 2,
+     "error: network bundle"),
+    ("partition.json", "truncated", _truncate, _fedsim, 2, "error: partition JSON"),
+    ("partition.json", "missing key", _edit(lambda doc: doc.pop("plan")), _fedsim, 2,
+     "error: partition JSON"),
+    ("test_sets.json", "truncated", _truncate, _heatmap, 2, "error: test-sets file"),
+    ("test_sets.json", "missing key", _edit(lambda doc: doc.pop("overlapping")), _eval, 1,
+     "config error: test-sets file")]
+
+
+@pytest.mark.parametrize("name, fault, corrupt, argv, code, prefix", MALFORMED,
+                         ids=[f"{name}-{fault}" for name, fault, *_ in MALFORMED])
+def test_malformed_json_input_gives_one_error_line(tmp_path, capsys, small_bundle, name, fault,
+                                                   corrupt, argv, code, prefix):
+    for each in ("network.json", "partition.json", "test_sets.json"):
+        (tmp_path / each).write_bytes((small_bundle / each).read_bytes())
+    corrupt(tmp_path / name)
+    assert run_cli(*argv(tmp_path, small_bundle)) == code
+    _only_error_line(capsys, prefix, str(tmp_path / name))
+    assert not any((tmp_path / out).exists() for out in ("out.json", "out.csv", "out.svg", "out"))
