@@ -13,8 +13,8 @@ from pathlib import Path
 from ._version import ARTIFACT_VERSION
 from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, render_heatmap_svg,
                        save_attribution)
-from .data import (PartitionSet, generate_synthetic, load_dataset, load_group_specs,
-                   make_test_sets, partition, save_dataset)
+from .data import (GroupSpec, PartitionSet, generate_synthetic, load_dataset, make_test_sets,
+                   partition, save_dataset)
 from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import node_train_config
 from .jsonio import is_int, read_json, write_json
@@ -38,7 +38,8 @@ def _load_cli_config(args):
 
 def _read_input(path, what: str, parse=lambda doc: doc):
     """`parse` the JSON file at `path`. A file that is not JSON, lacks a key
-    `parse` needs or fails its checks is a DataError naming the file."""
+    `parse` needs, has a value of the wrong JSON type where `parse` looks (a
+    list for an object, say) or fails its checks is a DataError naming the file."""
     path = _require_file(path, what)
     try:
         doc = read_json(path)
@@ -48,6 +49,8 @@ def _read_input(path, what: str, parse=lambda doc: doc):
         return parse(doc)
     except KeyError as exc:
         raise DataError(f"{what} {path} lacks key {exc}") from None
+    except (TypeError, AttributeError) as exc:  # e.g. `[]` indexed by a key, or `.items()` on it
+        raise DataError(f"{what} {path} has the wrong shape: {exc}") from None
     except SwitchNetError as exc:
         raise DataError(f"{what} {path}: {exc}") from None
 
@@ -55,7 +58,7 @@ def _read_input(path, what: str, parse=lambda doc: doc):
 def _ids_for_kind(test_sets_path, kind: str):
     doc = _read_input(test_sets_path, "test-sets file")
     key = kind.replace("-", "_")
-    if key not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise ConfigError(f"test-sets file {test_sets_path} has no {key!r} id list")
     bad = [i for i in doc[key] if not is_int(i)]
     if bad:
@@ -82,7 +85,8 @@ def cmd_gen_data(args) -> int:
     if args.specs is not None:
         if args.seed is None:
             raise ConfigError("gen-data with --specs also needs --seed")
-        specs = load_group_specs(_require_file(args.specs, "group specs file"))
+        specs = _read_input(args.specs, "group specs file",
+                            lambda doc: tuple(map(GroupSpec.from_json, doc)))
         dataset = generate_synthetic(specs, args.seed)
     else:
         config = _load_cli_config(args)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError
 from .jsonio import is_int, is_number
 from .neuron import _z
@@ -242,9 +244,10 @@ class PartitionSet:
 def generate_synthetic(specs, seed: int) -> Dataset:
     """Sample a group-structured dataset.
 
-    Each observation i of group g is mean_g + scale_g * N(0, I) drawn from a
-    generator keyed by (seed, g, i), so the dataset is a pure function of
-    (specs, seed) and independent of generation order.
+    Observation i of group g is mean_g + scale_g * row i of the group's draws,
+    `rng_for(seed, "data", g).standard_normal((count_g, dim))`. The dataset is a
+    pure function of (specs, seed), and since the rows fill in order, group g's
+    first observations depend on neither its own count nor any other group.
     """
     specs = tuple(specs)
     if not specs:
@@ -254,15 +257,14 @@ def generate_synthetic(specs, seed: int) -> Dataset:
         if len(spec.mean) != dim:
             raise DataError(f"group {spec.name!r} has dimension {len(spec.mean)}, expected {dim}")
     observations = []
-    obs_id = 0
     for g, spec in enumerate(specs):
-        for i in range(spec.count):
-            draws = rng_for(seed, g, i).standard_normal(dim)
-            features = tuple(float(m + s * d) for m, s, d in zip(spec.mean, spec.scale, draws))
-            observations.append(Observation(id=obs_id, group=g,
+        draws = rng_for(seed, "data", g).standard_normal((spec.count, dim))
+        # elementwise, so each value is the scalar m + s * d
+        for row in (np.asarray(spec.mean) + np.asarray(spec.scale) * draws).tolist():
+            features = tuple(row)
+            observations.append(Observation(id=len(observations), group=g,
                                             label=spec.label_rule.apply(features),
                                             features=features))
-            obs_id += 1
     groups = tuple((g, spec.name) for g, spec in enumerate(specs))
     return Dataset(dim=dim, groups=groups, observations=tuple(observations))
 

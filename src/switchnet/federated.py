@@ -3,10 +3,10 @@
 One virtual node per neuron unit, holding only that unit's assigned subset.
 The runner trains the nodes in this process or on a process pool of exactly
 the size it is given (capped at the node count); the pipeline decides when a
-pool pays for itself (`pipeline.POOL_MIN_STEPS`). Every node derives its own
-random stream from (seed, node_id), never from scheduling order, so results
-are bit-identical for any worker count. Collection is pure assembly: no weight
-averaging.
+pool pays for itself (`pipeline.POOL_MIN_STEPS`). Every node trains under its
+own seed, `derive_seed(seed, "node", node_id)`, never one taken from scheduling
+order, so results are bit-identical for any worker count. Collection is pure
+assembly: no weight averaging.
 """
 
 import os
@@ -69,8 +69,8 @@ def make_nodes(partitions: PartitionSet, dataset: Dataset, units) -> tuple[Node,
 
 
 def node_train_config(config: TrainConfig, node_id: int) -> TrainConfig:
-    """The per-node config: same hyperparameters, seed derived from (seed, node_id)."""
-    return replace(config, seed=derive_seed(config.seed, node_id))
+    """The per-node config: same hyperparameters, seed derived from (seed, "node", node_id)."""
+    return replace(config, seed=derive_seed(config.seed, "node", node_id))
 
 
 def _train_node(node: Node, config: TrainConfig):

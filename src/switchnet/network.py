@@ -267,7 +267,8 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     """Fit the linear readout on gated activation vectors; units stay frozen.
 
     The readout is a sigmoid unit over the gated vector, trained by the unit
-    trainer's SGD on the (config.seed, "readout", epoch) stream.
+    trainer's SGD; its epoch orders come from the one shuffle stream
+    `rng_for(config.seed, "shuffle", "readout")`.
     """
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("fit_readout requires linear-readout aggregation")

@@ -180,15 +180,18 @@ def fd_gradient(unit: NeuronUnit, x, y: int, loss: str, h: float = 1e-5) -> Grad
 
 
 def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream):
-    """SGD over (x, y) rows, one update per row, epoch order from the (config.seed,
-    stream, epoch) stream when shuffling; returns (weights, bias, epoch_losses)."""
+    """SGD over (x, y) rows, one update per row; returns (weights, bias, epoch_losses).
+
+    When shuffling, epoch e visits the rows in the e-th `permutation(n)` of the
+    one generator `rng_for(config.seed, "shuffle", stream)`.
+    """
     weights = list(weights)
     n = len(rows)
     lr = config.learning_rate
     epoch_losses = []
+    shuffler = rng_for(config.seed, "shuffle", stream)
     for epoch in range(config.epochs):
-        order = (rng_for(config.seed, stream, epoch).permutation(n).tolist()
-                 if config.shuffle else range(n))
+        order = shuffler.permutation(n).tolist() if config.shuffle else range(n)
         total = 0.0
         for step, idx in enumerate(order):
             x, y = rows[idx]
@@ -207,7 +210,8 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
 
 
 def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUnit, TrainLog]:
-    """Isolated SGD over the unit's own subset, epoch order from the unit's stream.
+    """Isolated SGD over the unit's own subset, epoch orders from the unit's one
+    shuffle stream, `rng_for(config.seed, "shuffle", unit.unit_index)`.
 
     Reads and writes nothing outside the given unit; deterministic in all inputs.
     """

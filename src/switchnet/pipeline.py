@@ -157,11 +157,13 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     if not is_int(declared) or declared != n_units:
         raise ConfigError(f"switch.n_units is {declared!r} but the partition plan has {n_units} units")
     entries_raw = _need(switch_sec, "entries", "switch")
+    if not isinstance(entries_raw, dict):
+        raise ConfigError(f"switch.entries must be an object, got {entries_raw!r}")
     fallback = switch_sec.get("fallback", "error")
     try:
-        switch, _ = _routable_switch(n_units, {int(g): units for g, units in entries_raw.items()},
-                                     fallback, range(len(specs)) if specs is not None else ())
-    except (SwitchNetError, AttributeError, TypeError, ValueError) as exc:
+        switch, _ = _routable_switch(n_units, entries_raw, fallback,
+                                     range(len(specs)) if specs is not None else ())
+    except (SwitchNetError, TypeError) as exc:
         raise ConfigError(f"bad switch section: {exc}") from exc
 
     train_sec = doc["train"]

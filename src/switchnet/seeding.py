@@ -1,9 +1,21 @@
 """Deterministic random stream derivation.
 
 Every random draw in the package comes from a generator keyed by a
-structured tuple (root seed plus context such as unit index or epoch),
-never from global state or scheduling order. This is what makes results
-bit-identical across runs and across worker counts.
+structured tuple (root seed plus context: a string tag naming the use, an
+index where the use has several), never from global state or scheduling order.
+This is what makes results bit-identical across runs and across worker
+counts. One stream is keyed per use and drawn from in sequence:
+
+- `(seed, "data", g)`: group g's observations, one row each;
+- `(seed, "partition", k)`: unit k's stratified pick;
+- `(seed, "holdout")`: the overlapping test sample;
+- `(seed, k)`: unit k's initial weights;
+- `derive_seed(seed, "node", k)`: node k's training seed;
+- `(node_seed, "shuffle", k)` and `(seed, "shuffle", "readout")`: the epoch
+  orders of unit k and of the readout, one permutation per epoch.
+
+SeedSequence pads its entropy with zero words, so `(seed, k, 0)` and
+`(seed, k)` name the same stream; the tags keep every key in use distinct.
 """
 
 import numpy as np

@@ -33,6 +33,9 @@ class SwitchTable:
         if self.fallback not in FALLBACKS:
             raise RoutingError(f"unknown fallback {self.fallback!r}")
         for group, units in self.entries.items():
+            if not is_int(group) or group < 0:
+                raise RoutingError("switch group key must be a non-negative integer or its decimal "
+                                   f"string, got {group!r}")
             if not units:
                 raise RoutingError(f"group {group}: switch entry has no units")
             bad = [u for u in units if not 0 <= u < self.n_units]
@@ -45,8 +48,22 @@ class SwitchTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SwitchTable":
-        entries = {int(g): _unit_set(g, units) for g, units in obj["entries"].items()}
-        return cls(n_units=obj["n_units"], entries=entries, fallback=obj.get("fallback", "error"))
+        return cls(n_units=obj["n_units"], entries=_entries(obj["entries"]),
+                   fallback=obj.get("fallback", "error"))
+
+
+def _group_key(group):
+    """A group id's canonical decimal string, as a JSON object key carries it, read as
+    the id; any other key is returned as is for the table to accept or reject, so
+    `" 1 "`, `"01"`, `"1.0"` and `"a"` never read as group 1."""
+    if isinstance(group, str) and group.isascii() and group.isdigit() and str(int(group)) == group:
+        return int(group)
+    return group
+
+
+def _entries(entries) -> dict:
+    """The mapping group key -> unit indices as group id -> unit set."""
+    return {_group_key(g): _unit_set(g, units) for g, units in entries.items()}
 
 
 def _unit_set(group, units) -> frozenset:
@@ -65,9 +82,7 @@ def build_switch(n_units: int, entries, fallback: str = "error",
     group ever activates (dead unit) and per expected group with no entry.
     Dead units are warnings, not errors; probe analysis still evaluates them.
     """
-    table = SwitchTable(n_units=n_units,
-                        entries={int(g): _unit_set(g, units) for g, units in dict(entries).items()},
-                        fallback=fallback)
+    table = SwitchTable(n_units=n_units, entries=_entries(entries), fallback=fallback)
     warnings = []
     routed = {u for units in table.entries.values() for u in units}
     for u in range(n_units):

@@ -18,22 +18,22 @@ RUNS = {
     "multi-unit-linear-readout": MULTI_UNIT + ["network.aggregation=linear-readout"],
 }
 
-# recorded at the parent of the columnar gated table; that change passes it unchanged
+# re-pinned when the data and shuffle streams became one generator per use (declared drift)
 COMMON = {
-    "attribution.json": "de5c69691e8b1b3061c95a4b39dab1bca4f9cbfaf7a01f1948172959504b364e",
-    "dataset.csv": "06ad64a670784aaba1f8915f05b56c0f10e8d072ce067040a3b06a78a09ff44d",
-    "fed_report.json": "dbd0d00385dd710a378c8a765254b775018e47fddcff13845a8cd3a4400e4a97",
-    "heatmap.csv": "6d01f86a8484202a8ccdd93f49acffc3afc62c8f633b7ab37ca8edfd0fee8fd5",
-    "heatmap.svg": "6f474b98e206418f6cc647ca77dca8358439c83169eead58fdcc14011c309d34",
+    "attribution.json": "fa9e9845b4fc12be4a73013cec064477bbaf7e1d09dfcf53e8eecfbef35a917e",
+    "dataset.csv": "28d210b32b83e4bdc2d579bad96e33ce9b9f9cd46fc3e7cd50123cce31f9566e",
+    "fed_report.json": "eed4b7c6dfffdcefb72e7e1a2b10fb06a07f3ebbfb75fdebd0ccdebb3298bcfc",
+    "heatmap.csv": "8500be667062d498660885f08142c6a2eaa59c121a0f90e71a3976529ec88094",
+    "heatmap.svg": "71e2ccb49eab7e2d9eeb8efaf4fcf3aa653dc13f91e7cf8da14ef96a93a680f3",
     "metrics_non_overlapping.json": "26019530e59c3c874516d26f0e26cdd73d4751d92408b3d209c2e604a65b1182",
     "metrics_overlapping.json": "6f9068a11af8a13f72877595740d5f1dfdcf55d35d2f934d0ffcf3144a18a6e5",
     "partition.json": "fe5268d49ffdd574b07f7c8f5a2acb5d1cbbe3cd959ecac1ca87fce1f03a0825",
     "test_sets.json": "968f0b3d357dcb81b71ef71962a9c54f207751e0aec7ef6e51b2595350f1011c",
-    "unit_0.json": "655f7401cd3492a1050dd91d09942114b9a9bf4e921fe94d3f8e513e03b306a8",
-    "unit_1.json": "572431757f4a8247dee85075ab286d40a3bb2549f3d152570f186d2197c04f0e",
-    "unit_2.json": "bff498b54594d4d98757da660bf9fb1b0873042fd9d44727dd42848d56680861",
-    "unit_3.json": "b4edb74240a7dc14f030963cf19cbe67aa4fe74eda547413eafda16bc2d6b9ce",
-    "unit_4.json": "58eba1a8a3847c9254e478f78e8c455155a9eafd3e4262c8376dc861c9d19cf7",
+    "unit_0.json": "8408bdca9730b76fb755f30eaad6ea1609e00378e0f44513a96d0e2ba12b24aa",
+    "unit_1.json": "b6709dcf06f0697094e74f226245ccad7cb3dc37ccbad081b3de1debdbe055f2",
+    "unit_2.json": "ac7c400ac0bcc313498cc21ae1bd17ba88d1aacfe8cccf46c3b1a6336a7b8bd7",
+    "unit_3.json": "3859c1e5f8962803c01e6709d1eec0c9c7e4f50f5f16c3dd05ab0043c91aede4",
+    "unit_4.json": "fef7a62f6c911fc0de22703ef446161045089ffa800b5fbe88f0f51e17410c46",
 }
 
 PINNED = {
@@ -41,17 +41,17 @@ PINNED = {
         "config.json": "f03349a07507e8c0dd2db76959f47e70e8e3d2244dee1de22685bb2616348909",
         "contribution.json": "27813c94f796aa08e9fbaa27e8606ed8c30feae6bae51ea31c60da5677199516",
         "manifest.json": "94da6fdce96cb1f4ed778a17c378275f3d0fc8e149119f2361b4662313c56e57",
-        "network.json": "bde33f47f52541a38700a3b667155abdbcde51b7960fbdb1575ade9a437d242e"},
+        "network.json": "f9ea30eb94a8151b8e82ffffc9c0d447d1e719c6ffefd3f2d996683ab37fa3a6"},
     "multi-unit-linear-readout": {**COMMON,
         "config.json": "21cf3eaa18de121524e08f220753b72a20ed84641adca8002173ba60cc6b8b50",
         "contribution.json": "27813c94f796aa08e9fbaa27e8606ed8c30feae6bae51ea31c60da5677199516",
         "manifest.json": "0adecd8916eebe895c4d255e20977cbd4759dd58101762a0a9b4fd6c092c9413",
-        "network.json": "cdf4a0e7342cb69e57372a2b2cf69d5e0a35e0d512e41776ddec519ce6d7d701"},
+        "network.json": "d70c054797e86437fbd0dd472d6896dec066150fdc3d0c49688c06bfb68f1ed5"},
     "multi-unit-router-mean": {**COMMON,
         "config.json": "ddd8a2eb8e0025ee4a98ef3ac5ce4ae1d685a2bd31be97b7cf5c5a854b63b7f6",
         "contribution.json": "30a7af715d7d5a91e0642ea6d630331472f4157e77452a5953274355fbc15243",
         "manifest.json": "6812fb4165dbaa444a7c14736cda38c4350f5ec2d1358cc8ecf405c7d82e80ec",
-        "network.json": "44a7fa7f9fdd7f11d3204ac24103a93f64eb18aa19bf12a44b24402d44c74767"},
+        "network.json": "93e27c5387c8049a83aa576ceeabbad54a9c2e4df5022f5e30140e1050e55a77"},
 }
 
 

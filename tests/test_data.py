@@ -44,13 +44,25 @@ def test_generate_deterministic(tmp_path):
 
 
 def test_generate_per_observation_stream_oracle():
-    # observation i of group g must be mean + scale * draws from the (seed, g, i) stream
+    # observation i of group g must be mean + scale * row i of the (seed, "data", g) stream
     specs = specs_for((3, 4))
     ds = sn.generate_synthetic(specs, seed=11)
-    obs = [o for o in ds.observations if o.group == 1][2]
-    draws = rng_for(11, 1, 2).standard_normal(2)
-    expected = tuple(m + s * d for m, s, d in zip(specs[1].mean, specs[1].scale, draws))
-    assert obs.features == expected
+    for g, spec in enumerate(specs):
+        rows = rng_for(11, "data", g).standard_normal((spec.count, 2)).tolist()
+        expected = [tuple(m + s * d for m, s, d in zip(spec.mean, spec.scale, row)) for row in rows]
+        assert [o.features for o in ds.observations if o.group == g] == expected
+
+
+def _group_features(specs, group):
+    ds = sn.generate_synthetic(specs, seed=11)
+    return [o.features for o in ds.observations if o.group == group]
+
+
+@pytest.mark.parametrize("grown", [(3, 9), (8, 4), (8, 9)], ids=["second", "first", "both"])
+def test_generate_group_prefix_ignores_counts(grown):
+    # a group's first observations depend on neither its own count nor another group's
+    for g, count in enumerate((3, 4)):
+        assert _group_features(specs_for(grown), g)[:count] == _group_features(specs_for((3, 4)), g)
 
 
 def test_label_rules():

@@ -215,13 +215,18 @@ def _oracle_sigmoid(z):
 
 
 def replay_sgd(weights, bias, rows, activation, config, stream):
-    """Pure-Python SGD: per-step left-to-right z, the trainer's epoch order and update."""
+    """Pure-Python SGD: per-step left-to-right z, the trainer's epoch order and update.
+
+    Epoch e's order is the e-th permutation drawn from the one (seed, "shuffle", stream)
+    generator.
+    """
     weights = list(weights)
     epoch_losses = []
+    shuffler = rng_for(config.seed, "shuffle", stream)
     for epoch in range(config.epochs):
         order = range(len(rows))
         if config.shuffle:
-            order = rng_for(config.seed, stream, epoch).permutation(len(rows))
+            order = shuffler.permutation(len(rows))
         total = 0.0
         for idx in order:
             x, y = rows[idx]

@@ -102,6 +102,20 @@ def test_unroutable_synthetic_config_rejected_at_parse(tmp_path, capsys):
     sn.parse_config(doc)
 
 
+@pytest.mark.parametrize("key", [" 1 ", "01", "1.0", "a"])
+def test_non_canonical_switch_key_is_config_error(tmp_path, capsys, key):
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["switch"]["entries"][key] = doc["switch"]["entries"].pop("1")
+    doc["output"]["dir"] = str(tmp_path / "out")
+    with pytest.raises(sn.ConfigError, match="switch group key"):
+        sn.parse_config(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run_cli("pipeline", "--config", cfg_path) == 1
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_group_name_with_line_break_is_config_error(tmp_path, capsys):
     doc = json.loads(sn.default_config_path().read_text())
     doc["data"]["groups"][0]["name"] = "Young\nLow Income"
@@ -527,6 +541,17 @@ def test_gen_data_from_specs_file_matches_config_route(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("text", ['[{"name": "a", "mean": [0', '{"name": "a"}', "[1]"],
+                         ids=["truncated", "object", "list of numbers"])
+def test_gen_data_bad_specs_file_gives_one_error_line(tmp_path, capsys, text):
+    specs_path = tmp_path / "specs.json"
+    specs_path.write_text(text)
+    assert run_cli("gen-data", "--specs", specs_path, "--seed", 1, "--out", tmp_path / "a.csv") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: group specs file {specs_path}"), err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_train_subcommand_unknown_unit(tmp_path, capsys):
     d = tmp_path
     assert run_cli("gen-data", "--out", d / "dataset.csv") == 0
@@ -606,6 +631,17 @@ def _truncate(path):
     path.write_text(path.read_text()[:40])
 
 
+def _top_level_list(path):
+    path.write_text("[]")
+
+
+def _rekey_group_1(key):
+    def change(doc):
+        entries = doc["switch"]["entries"]
+        entries[key] = entries.pop("1")
+    return _edit(change)
+
+
 def _edit(change):
     def edit(path):
         doc = json.loads(path.read_text())
@@ -630,7 +666,7 @@ def _fedsim(d, bundle):
             "--out-dir", d / "out"]
 
 
-# test_sets.json without its id list keeps the config error (exit 1) it has always been
+# a test_sets.json without its id list (missing, or not a list) stays a config error (exit 1)
 MALFORMED = [
     ("network.json", "truncated", _truncate, _eval, 2, "error: network bundle"),
     ("network.json", "missing key", _edit(lambda doc: doc["aggregation"].pop("kind")), _heatmap, 2,
@@ -638,11 +674,19 @@ MALFORMED = [
     ("network.json", "misspelled kind",
      _edit(lambda doc: doc["aggregation"].update(kind="linear_readout")), _eval, 2,
      "error: network bundle"),
+    ("network.json", "top-level list", _top_level_list, _eval, 2, "error: network bundle"),
+    *[("network.json", f"switch key {key!r}", _rekey_group_1(key), _eval, 2, "error: network bundle")
+      for key in (" 1 ", "01", "1.0", "a")],
     ("partition.json", "truncated", _truncate, _fedsim, 2, "error: partition JSON"),
+    ("partition.json", "top-level list", _top_level_list, _fedsim, 2, "error: partition JSON"),
     ("partition.json", "missing key", _edit(lambda doc: doc.pop("plan")), _fedsim, 2,
      "error: partition JSON"),
     ("test_sets.json", "truncated", _truncate, _heatmap, 2, "error: test-sets file"),
     ("test_sets.json", "missing key", _edit(lambda doc: doc.pop("overlapping")), _eval, 1,
+     "config error: test-sets file"),
+    ("test_sets.json", "id list a number", _edit(lambda doc: doc.update(overlapping=5)), _eval, 1,
+     "config error: test-sets file"),
+    ("test_sets.json", "top-level number", lambda path: path.write_text("5"), _eval, 1,
      "config error: test-sets file")]
 
 

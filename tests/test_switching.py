@@ -77,6 +77,24 @@ def test_switch_json_roundtrip():
     assert sn.SwitchTable.from_json(json.loads(json.dumps(table.to_json()))) == table
 
 
+BAD_GROUP_KEYS = [" 1 ", "01", "1.0", "a", "-1", "", "\u0661", -1, 1.0, True, None]
+
+
+@pytest.mark.parametrize("key", BAD_GROUP_KEYS, ids=repr)
+def test_switch_rejects_non_canonical_group_key(key):
+    with pytest.raises(sn.RoutingError, match="switch group key"):
+        sn.build_switch(2, {0: {0}, key: {1}})
+    with pytest.raises(sn.RoutingError, match="switch group key"):
+        sn.SwitchTable.from_json({"n_units": 2, "fallback": "error", "entries": {"0": [0], key: [1]}})
+    with pytest.raises(sn.RoutingError, match="switch group key"):
+        sn.SwitchTable(n_units=2, entries={0: frozenset({0}), key: frozenset({1})})
+
+
+def test_switch_reads_decimal_string_keys_as_group_ids():
+    table, _ = sn.build_switch(2, {"0": [0], "10": [1], 3: [1]})
+    assert table.entries == {0: {0}, 10: {1}, 3: {1}}
+
+
 @pytest.mark.parametrize("n_units", [2.7, "2", True])
 def test_switch_json_rejects_non_integer_n_units(n_units):
     doc = {"n_units": n_units, "fallback": "error", "entries": {"0": [0]}}
