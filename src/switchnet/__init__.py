@@ -10,8 +10,7 @@ from ._version import ARTIFACT_VERSION as __version__
 from .analysis import (AttributionReport, AttributionRow, HeatmapMatrix, attribute,
                        export_heatmap_csv, heatmap, render_heatmap_svg, save_attribution)
 from .data import (Dataset, GroupSpec, LabelRule, Observation, PartitionPlan, PartitionSet,
-                   generate_synthetic, load_dataset, load_group_specs, make_test_sets, partition,
-                   save_dataset, save_group_specs)
+                   generate_synthetic, load_dataset, make_test_sets, partition, save_dataset)
 from .errors import (AnalysisError, ConfigError, DataError, FederatedError, NetworkError,
                      RoutingError, StageError, SwitchNetError, TrainingError)
 from .federated import (FedRunReport, Node, collect, make_nodes, node_train_config,

@@ -94,7 +94,7 @@ def cmd_gen_data(args) -> int:
             raise ConfigError("config points at an existing dataset; nothing to generate")
         dataset = data_stage(config)
     save_dataset(dataset, args.out)
-    print(f"wrote {len(dataset.observations)} observations to {args.out}")
+    print(f"wrote {len(dataset)} observations to {args.out}")
     return 0
 
 
@@ -119,7 +119,7 @@ def cmd_train(args) -> int:
     parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
     if not 0 <= args.unit < len(parts.subsets):
         raise ConfigError(f"partition has no unit {args.unit}")
-    subset = [dataset.observation(i) for i in parts.subsets[args.unit]]
+    subset = dataset.subset(parts.subsets[args.unit])
     unit = init_unit(dataset.dim, config.activation, args.unit, config.seed)
     trained, log = train_unit(unit, subset, node_train_config(config.train, args.unit))
     save_unit(trained, args.out_unit)

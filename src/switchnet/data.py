@@ -1,14 +1,20 @@
 """Datasets, synthetic group-structured generation, disjoint partitioning, test splits.
 
-Observations carry a group tag; partitioning assigns disjoint subsets of
+A dataset holds its rows as read-only numpy columns: integer ids, row groups
+and labels, and one (rows, dim) float64 feature array, with an id -> row index
+built on first use. `Observation` is the row type at the API edge:
+`Dataset.observation` builds one on demand, and `Dataset.from_observations`
+builds a dataset from rows. Every pass over the data (generation, the CSV
+reader and writer, partitioning, test splits, a node's rows, the network's
+group blocks) works on the columns. Partitioning assigns disjoint subsets of
 observation ids to neuron units. All operations are pure functions of their
 inputs and a seed.
 """
 
 import csv
-import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,43 +52,148 @@ def _check_group_name(name: str) -> None:
         raise DataError(f"group name {name!r} contains a line break")
 
 
-@dataclass(frozen=True)
+def _column(values, kinds: str, dtype, what: str) -> np.ndarray:
+    """A read-only copy of `values` as `dtype`; an entry of another kind is an
+    error, never coerced (a float id is not truncated)."""
+    raw = np.asarray(values)
+    if raw.size and (raw.dtype.kind not in kinds or not np.can_cast(raw.dtype, dtype)):
+        raise DataError(f"dataset {what} must be {dtype.__name__} numbers, got dtype {raw.dtype}")
+    column = np.array(raw, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+def _first_fault(checks):
+    """(row, message) of the earliest row failing a check, or None.
+
+    Each check pairs a boolean mask over the rows with a function from a row to
+    its message; on one row the earlier check wins, as a row-by-row scan would.
+    """
+    found = None
+    for bad, message in checks:
+        if bad.any():
+            row = int(np.argmax(bad))  # the first True
+            if found is None or row < found[0]:
+                found = (row, message)
+    return None if found is None else (found[0], found[1](found[0]))
+
+
+def _row_checks(ids, groups, labels, features) -> list:
+    """An `Observation`'s checks, over columns, with its messages."""
+    return [((ids < 0) | (groups < 0), lambda r: "observation id/group must be non-negative, "
+             f"got id={ids[r]} group={groups[r]}"),
+            ((labels != 0) & (labels != 1), lambda r: f"invalid label {int(labels[r])!r} for observation {ids[r]}"),
+            (~np.isfinite(features).all(axis=1), lambda r: f"observation {ids[r]}: non-finite feature")]
+
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose id an earlier row already has: a stable sort keeps
+    equal ids in row order, so every one after the first is a repeat."""
+    order = np.argsort(ids, kind="stable")
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:][ids[order][1:] == ids[order][:-1]]] = True
+    return repeat
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Rows as columns: row r is observation `ids[r]` of group `row_groups[r]`,
+    with label `labels[r]` and features `features[r]`.
+
+    The columns are read-only copies of what the constructor is given, and they
+    are checked as a whole: integer ids, groups and labels, one row per entry,
+    every row's checks an `Observation` makes, known groups and unique ids.
+    """
     dim: int
     groups: tuple[tuple[int, str], ...]
-    observations: tuple[Observation, ...]
+    ids: np.ndarray
+    row_groups: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise DataError("dataset dimension must be >= 1")
-        ids = [g for g, _ in self.groups]
-        if ids != list(range(len(ids))):  # in order, as the dataset CSV reads them back
-            raise DataError(f"group ids must be dense 0..G-1 in order, got {ids}")
+        group_ids = [g for g, _ in self.groups]
+        if group_ids != list(range(len(group_ids))):  # in order, as the dataset CSV reads them back
+            raise DataError(f"group ids must be dense 0..G-1 in order, got {group_ids}")
         for _, name in self.groups:
             _check_group_name(name)
-        known_groups = set(ids)
-        seen = set()
-        for obs in self.observations:
-            if len(obs.features) != self.dim:
-                raise DataError(f"observation {obs.id} has {len(obs.features)} features, expected {self.dim}")
-            if obs.group not in known_groups:
-                raise DataError(f"observation {obs.id} references unknown group {obs.group}")
-            if obs.id in seen:
-                raise DataError(f"duplicate observation id {obs.id}")
-            seen.add(obs.id)
+        for name, kinds, dtype in (("ids", "iu", np.int64), ("row_groups", "iu", np.int64),
+                                   ("labels", "iu", np.int64), ("features", "fiu", np.float64)):
+            object.__setattr__(self, name, _column(getattr(self, name), kinds, dtype, name))
+        ids, groups, labels, features = self.ids, self.row_groups, self.labels, self.features
+        n = len(ids)
+        if ids.shape != (n,) or groups.shape != (n,) or labels.shape != (n,):
+            raise DataError(f"ids, row_groups and labels must be 1-D columns of one length, got shapes "
+                            f"{ids.shape}, {groups.shape} and {labels.shape}")
+        if features.shape != (n, self.dim):
+            raise DataError(f"features must have shape ({n}, {self.dim}), got {features.shape}")
+        fault = _first_fault(_row_checks(ids, groups, labels, features)) or _first_fault([
+            (groups >= len(self.groups),
+             lambda r: f"observation {ids[r]} references unknown group {groups[r]}"),
+            (_repeats(ids), lambda r: f"duplicate observation id {ids[r]}")])
+        if fault:
+            raise DataError(fault[1])
+
+    @classmethod
+    def from_observations(cls, dim: int, groups, observations) -> "Dataset":
+        """The dataset of these rows, in this order."""
+        rows = tuple(observations)
+        # a row of the wrong width cannot join the feature array, so the rows
+        # before it are checked first, as a row-by-row scan would
+        short = next((k for k, obs in enumerate(rows) if len(obs.features) != dim), len(rows))
+        head = rows[:short]
+        # ids and groups keep their own type, so the constructor rejects a float
+        # or an id past 64 bits rather than truncate it; labels are 0 or 1 already
+        dataset = cls(dim=dim, groups=tuple(groups),
+                      ids=np.array([obs.id for obs in head]),
+                      row_groups=np.array([obs.group for obs in head]),
+                      labels=np.array([obs.label for obs in head], dtype=np.int64),
+                      features=np.array([obs.features for obs in head], dtype=float).reshape(len(head), dim))
+        if short < len(rows):
+            obs = rows[short]
+            raise DataError(f"observation {obs.id} has {len(obs.features)} features, expected {dim}")
+        return dataset
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.dim == other.dim and self.groups == other.groups
+                and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the copy's columns are checked and read-only too
+        return (Dataset, (self.dim, self.groups, *self._columns()))
+
+    def _columns(self) -> tuple:
+        return self.ids, self.row_groups, self.labels, self.features
 
     @cached_property
-    def _by_id(self) -> dict:
-        return {obs.id: obs for obs in self.observations}
+    def _row_of(self) -> dict:
+        return dict(zip(self.ids.tolist(), range(len(self.ids))))
+
+    def row_index(self, ids) -> np.ndarray:
+        """The row of each id, in order."""
+        try:
+            return np.fromiter(map(self._row_of.__getitem__, ids), dtype=np.intp)
+        except KeyError as exc:
+            raise DataError(f"unknown observation id {exc.args[0]}") from None
 
     def observation(self, obs_id: int) -> Observation:
-        try:
-            return self._by_id[obs_id]
-        except KeyError:
-            raise DataError(f"unknown observation id {obs_id}") from None
+        row = self.row_index((obs_id,))[0]
+        return Observation(id=int(self.ids[row]), group=int(self.row_groups[row]),
+                           label=int(self.labels[row]), features=tuple(self.features[row].tolist()))
 
-    def ids(self) -> tuple[int, ...]:
-        return tuple(obs.id for obs in self.observations)
+    def subset(self, ids) -> "Dataset":
+        """The rows of `ids`, in that order, over the same groups."""
+        rows = self.row_index(ids)
+        return Dataset(dim=self.dim, groups=self.groups, ids=self.ids[rows],
+                       row_groups=self.row_groups[rows], labels=self.labels[rows],
+                       features=self.features[rows])
 
 
 @dataclass(frozen=True)
@@ -97,14 +208,18 @@ class LabelRule:
         if self.kind == "linear-threshold" and not self.weights:
             raise DataError("linear-threshold rule needs weights")
 
-    def apply(self, features) -> int:
-        if self.kind == "all-zero":
-            return 0
-        if self.kind == "all-one":
-            return 1
-        if len(self.weights) != len(features):
+    def labels(self, features: np.ndarray) -> np.ndarray:
+        """The label of every row of a (rows, dim) feature array: `_z` over the
+        feature columns sums each row left to right, as on one row."""
+        if self.kind != "linear-threshold":
+            return np.full(len(features), int(self.kind == "all-one"), dtype=np.int64)
+        if len(self.weights) != features.shape[1]:
             raise DataError("label rule weight length does not match features")
-        return 1 if _z(self.weights, self.bias, features) > 0 else 0
+        return np.where(_z(self.weights, self.bias, features.T) > 0, 1, 0)
+
+    def apply(self, features) -> int:
+        """The label of one feature vector."""
+        return int(self.labels(np.array([features], dtype=float))[0])
 
     def to_json(self):
         if self.kind == "linear-threshold":
@@ -248,6 +363,7 @@ def generate_synthetic(specs, seed: int) -> Dataset:
     `rng_for(seed, "data", g).standard_normal((count_g, dim))`. The dataset is a
     pure function of (specs, seed), and since the rows fill in order, group g's
     first observations depend on neither its own count nor any other group.
+    Ids run 0..n-1 in group order.
     """
     specs = tuple(specs)
     if not specs:
@@ -256,32 +372,36 @@ def generate_synthetic(specs, seed: int) -> Dataset:
     for spec in specs:
         if len(spec.mean) != dim:
             raise DataError(f"group {spec.name!r} has dimension {len(spec.mean)}, expected {dim}")
-    observations = []
+    blocks, labels = [], []
     for g, spec in enumerate(specs):
         draws = rng_for(seed, "data", g).standard_normal((spec.count, dim))
         # elementwise, so each value is the scalar m + s * d
-        for row in (np.asarray(spec.mean) + np.asarray(spec.scale) * draws).tolist():
-            features = tuple(row)
-            observations.append(Observation(id=len(observations), group=g,
-                                            label=spec.label_rule.apply(features),
-                                            features=features))
-    groups = tuple((g, spec.name) for g, spec in enumerate(specs))
-    return Dataset(dim=dim, groups=groups, observations=tuple(observations))
+        blocks.append(np.asarray(spec.mean) + np.asarray(spec.scale) * draws)
+        labels.append(spec.label_rule.labels(blocks[-1]))
+    counts = [spec.count for spec in specs]
+    return Dataset(dim=dim, groups=tuple((g, spec.name) for g, spec in enumerate(specs)),
+                   ids=np.arange(sum(counts)), row_groups=np.repeat(np.arange(len(specs)), counts),
+                   labels=np.concatenate(labels), features=np.concatenate(blocks))
 
 
 _GROUP_COMMENT = re.compile(r"^# group (\d+): (.*)$")
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset CSV (group names carried in leading comment lines)."""
+    """Write the dataset CSV (group names carried in leading comment lines).
+
+    Each column is formatted as a whole; values leave the columns as Python
+    ints and floats, so each feature is written as its float `repr`.
+    """
     path = Path(path)
+    cells = [list(map(str, column.tolist())) for column in (dataset.ids, dataset.row_groups, dataset.labels)]
+    cells += [list(map(repr, column)) for column in dataset.features.T.tolist()]
     with path.open("w", encoding="utf-8", newline="") as fh:
         for g, name in dataset.groups:
             fh.write(f"# group {g}: {name}\n")
         # what csv.writer would write: ints and finite float reprs never need quoting
         fh.write(",".join(["id", "group", "label"] + [f"f{i}" for i in range(dataset.dim)]) + "\n")
-        fh.writelines(",".join([str(obs.id), str(obs.group), str(obs.label), *map(repr, obs.features)])
-                      + "\n" for obs in dataset.observations)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _parse_lines(linenos, lines) -> list:
@@ -305,7 +425,13 @@ def _parse_lines(linenos, lines) -> list:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset CSV (LF or CRLF); errors name the offending physical line."""
+    """Parse a dataset CSV (LF or CRLF); errors name the offending physical line.
+
+    Each value goes through `int` or `float`, row by row, up to the first row
+    that fails to parse; the parsed rows then become columns and take the row
+    checks as a whole. A row fault is reported for the earliest faulty row,
+    so the line named is the one a row-by-row reader would name.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -330,55 +456,70 @@ def load_dataset(path) -> Dataset:
             h != f"f{i}" for i, h in enumerate(header[3:])) or len(header) < 4:
         raise DataError(f"bad header, line {linenos[0]}: {lines[0]!r}")
     dim = len(header) - 3
-    observations = []
-    for lineno, row in zip(linenos[1:], rows):
+    # machine-typed buffers: 8 bytes a value, and an id or group beyond 64 bits does not fit
+    ids, groups, labels, values = array("q"), array("q"), array("q"), array("d")
+    parse_fault = None
+    for row in rows:
         if len(row) != len(header):
-            raise DataError(f"expected {len(header)} columns, got {len(row)}, line {lineno}")
+            parse_fault = f"expected {len(header)} columns, got {len(row)}"
+            break
         try:
-            obs_id, group = int(row[0]), int(row[1])
+            ids.append(int(row[0]))
+            groups.append(int(row[1]))
         except ValueError:
-            raise DataError(f"non-integer id/group, line {lineno}") from None
+            parse_fault = "non-integer id/group"
+            break
+        except OverflowError:
+            parse_fault = "observation id/group does not fit in 64 bits"
+            break
         if row[2] not in ("0", "1"):
-            raise DataError(f"invalid label, line {lineno}")
+            parse_fault = "invalid label"
+            break
         try:
-            features = tuple(float(v) for v in row[3:])
+            values.extend(map(float, row[3:]))
         except ValueError:
-            raise DataError(f"non-numeric feature, line {lineno}") from None
-        if names and group not in names:
-            raise DataError(f"unknown group {group}, line {lineno}")
-        try:
-            observations.append(Observation(id=obs_id, group=group, label=int(row[2]),
-                                            features=features))
-        except DataError as exc:
-            raise DataError(f"{exc}, line {lineno}") from None
-    group_ids = sorted(names) if names else sorted({o.group for o in observations})
-    groups = tuple((g, names.get(g, f"group {g}")) for g in group_ids)
-    return Dataset(dim=dim, groups=groups, observations=tuple(observations))
+            parse_fault = "non-numeric feature"
+            break
+        labels.append(row[2] == "1")
+    n = len(labels)  # the rows parsed in full, all before any parse fault
+    id_column, group_column, label_column = (np.frombuffer(c, dtype=np.int64)[:n] for c in (ids, groups, labels))
+    features = np.frombuffer(values, dtype=float)[:n * dim].reshape(n, dim)
+    checks = _row_checks(id_column, group_column, label_column, features)
+    if names:
+        checks.insert(0, (~np.isin(group_column, list(names)),
+                          lambda r: f"unknown group {group_column[r]}"))
+    fault = _first_fault(checks)
+    if fault:
+        raise DataError(f"{fault[1]}, line {linenos[1 + fault[0]]}")
+    if parse_fault:
+        raise DataError(f"{parse_fault}, line {linenos[1 + n]}")
+    group_ids = sorted(names) if names else np.unique(group_column).tolist()
+    return Dataset(dim=dim, groups=tuple((g, names.get(g, f"group {g}")) for g in group_ids),
+                   ids=id_column, row_groups=group_column, labels=label_column, features=features)
 
 
 def partition(dataset: Dataset, plan: PartitionPlan, seed: int) -> PartitionSet:
     """Assign disjoint observation subsets to units per the plan."""
     total = sum(plan.counts)
-    if total > len(dataset.observations):
-        raise DataError(f"plan needs {total} observations, dataset has {len(dataset.observations)}")
+    if total > len(dataset):
+        raise DataError(f"plan needs {total} observations, dataset has {len(dataset)}")
     subsets = []
     if plan.selection == "contiguous":
         cursor = 0
-        all_ids = dataset.ids()
         for count in plan.counts:
-            subsets.append(tuple(sorted(all_ids[cursor:cursor + count])))
+            subsets.append(tuple(sorted(dataset.ids[cursor:cursor + count].tolist())))
             cursor += count
     elif plan.selection == "stratified":
         for unit, count in enumerate(plan.counts):
             if unit >= len(dataset.groups):  # group ids are dense 0..G-1
                 raise DataError(f"stratified selection: no group {unit} for unit {unit}")
-            pool = [obs.id for obs in dataset.observations if obs.group == unit]
+            pool = dataset.ids[np.flatnonzero(dataset.row_groups == unit)]
             if len(pool) < count:
                 raise DataError(f"stratified group {unit} exhausted: has {len(pool)}, unit needs {count}")
             order = rng_for(seed, "partition", unit).permutation(len(pool))
-            subsets.append(tuple(sorted(pool[j] for j in order[:count])))
+            subsets.append(tuple(sorted(pool[order[:count]].tolist())))
     else:  # explicit
-        known = set(dataset.ids())
+        known = set(dataset.ids.tolist())
         for unit, ids in enumerate(plan.explicit_ids):
             missing = set(ids) - known
             if missing:
@@ -400,12 +541,13 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    assigned_ids = partitions.assigned_ids()
-    assigned = sorted(assigned_ids)
-    non_overlapping = tuple(i for i in sorted(dataset.ids()) if i not in assigned_ids)
+    assigned = sorted(partitions.assigned_ids())
+    unseen = np.ones(len(dataset), dtype=bool)
+    unseen[dataset.row_index(assigned)] = False
+    non_overlapping = tuple(sorted(dataset.ids[unseen].tolist()))
     if not non_overlapping:
         raise DataError("no unassigned observations: non-overlapping test set would be empty")
-    covered = {dataset.observation(i).group for i in non_overlapping}
+    covered = set(dataset.row_groups[unseen].tolist())
     uncovered = [g for g, _ in dataset.groups if g not in covered]
     if uncovered:
         raise DataError(f"group(s) {uncovered} have no unassigned observation: "
@@ -417,12 +559,3 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
     picks = rng_for(seed, "holdout").choice(len(assigned), size=k, replace=False)
     overlapping = tuple(sorted(assigned[j] for j in picks))
     return overlapping, non_overlapping
-
-
-def save_group_specs(specs, path) -> None:
-    Path(path).write_text(json.dumps([s.to_json() for s in specs], indent=2) + "\n", encoding="utf-8")
-
-
-def load_group_specs(path) -> tuple[GroupSpec, ...]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return tuple(GroupSpec.from_json(obj) for obj in raw)

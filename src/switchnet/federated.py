@@ -1,6 +1,8 @@
 """Simulated decentralized training.
 
-One virtual node per neuron unit, holding only that unit's assigned subset.
+One virtual node per neuron unit, holding only that unit's assigned subset:
+its rows of the dataset, in subset order, as a `Dataset` of their own, so a
+process pool is sent a few columns per node, not one object per observation.
 The runner trains the nodes in this process or on a process pool of exactly
 the size it is given (capped at the node count); the pipeline decides when a
 pool pays for itself (`pipeline.POOL_MIN_STEPS`). Every node trains under its
@@ -16,7 +18,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import repeat
 
-from .data import Dataset, Observation, PartitionSet
+from .data import Dataset, PartitionSet
 from .errors import FederatedError
 from .network import ModularNetwork, assemble
 from .neuron import NeuronUnit, TrainConfig, TrainLog, train_unit
@@ -27,7 +29,7 @@ from .switching import SwitchTable
 @dataclass(frozen=True)
 class Node:
     unit: NeuronUnit
-    local_data: tuple[Observation, ...]
+    local_data: Dataset
 
     @property
     def node_id(self) -> int:
@@ -57,14 +59,14 @@ class FedRunReport:
 
 
 def make_nodes(partitions: PartitionSet, dataset: Dataset, units) -> tuple[Node, ...]:
-    """One node per partition subset; node k holds unit k and only subset k's data."""
+    """One node per partition subset; node k holds unit k and only subset k's rows, in subset order."""
     units = tuple(units)
     by_index = {u.unit_index: u for u in units}
     n = len(partitions.subsets)
     if len(units) != n or sorted(by_index) != list(range(n)):
         raise FederatedError(f"{len(units)} units with indices {sorted(by_index)} "
                              f"for {n} partition subsets")
-    return tuple(Node(unit=by_index[k], local_data=tuple(map(dataset.observation, ids)))
+    return tuple(Node(unit=by_index[k], local_data=dataset.subset(ids))
                  for k, ids in enumerate(partitions.subsets))
 
 

@@ -3,13 +3,14 @@
 The forward pass computes only the units the switch activates; inactive units
 are skipped entirely, so their gated activation is exactly 0.0 and their
 parameters are never read. Evaluation, readout fitting and ablation read one
-gated table per id list, built by group block: each active unit is computed
-over its block's feature columns by the scalar kernel itself, since `_z` and
-`_mean` given numpy float64 columns sum elementwise in the same left-to-right
-order (exp and tanh stay on `math`), so every value equals the per-observation
-`forward` bit for bit. Ablating a unit re-scores the blocks where it is
-active. The probe pass forces every switch open and is the basis for heatmap
-analysis.
+gated table per id list, built by group block. A block is one index gather
+from the dataset's columns (the id list's rows of one group, in id-list
+order), and each active unit is computed over its block's feature columns by
+the scalar kernel itself, since `_z` and `_mean` given numpy float64 columns
+sum elementwise in the same left-to-right order (exp and tanh stay on
+`math`), so every value equals the per-observation `forward` bit for bit.
+Ablating a unit re-scores the blocks where it is active. The probe pass
+forces every switch open and is the basis for heatmap analysis.
 """
 
 import math
@@ -207,26 +208,29 @@ def _hits(aggregation, columns, active, labels: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class _Block:
-    """One group's rows of an id list, in id-list order."""
+    """One group's rows of an id list, in id-list order: `positions` are their
+    places in the id list, `labels` and `features` their dataset rows."""
     group: int
-    positions: list
+    positions: np.ndarray
     labels: np.ndarray
     features: np.ndarray
 
 
 def _group_blocks(net: ModularNetwork, ids, dataset: Dataset) -> list:
-    """The id list split by group: groups in order of first appearance."""
+    """The id list split by group: groups in order of first appearance, each
+    block one index gather from the dataset's columns."""
     if dataset.dim != net.dim:
         raise NetworkError(f"dataset has {dataset.dim} features per observation, "
                            f"the network expects {net.dim}")
-    members = {}
-    for position, obs_id in enumerate(ids):
-        obs = dataset.observation(obs_id)
-        members.setdefault(obs.group, []).append((position, obs))
-    return [_Block(group=group, positions=[p for p, _ in rows],
-                   labels=np.array([o.label for _, o in rows]),
-                   features=np.array([o.features for _, o in rows], dtype=float))
-            for group, rows in members.items()]
+    rows = dataset.row_index(ids)
+    groups = dataset.row_groups[rows]
+    blocks = []
+    for group in dict.fromkeys(groups.tolist()):  # in order of first appearance
+        positions = np.flatnonzero(groups == group)
+        block_rows = rows[positions]
+        blocks.append(_Block(group=group, positions=positions, labels=dataset.labels[block_rows],
+                             features=dataset.features[block_rows]))
+    return blocks
 
 
 def _gated_table(net: ModularNetwork, ids, dataset: Dataset) -> list:

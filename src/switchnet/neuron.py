@@ -210,20 +210,19 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
 
 
 def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUnit, TrainLog]:
-    """Isolated SGD over the unit's own subset, epoch orders from the unit's one
-    shuffle stream, `rng_for(config.seed, "shuffle", unit.unit_index)`.
+    """Isolated SGD over the unit's own subset (a `data.Dataset`, visited in row
+    order), epoch orders from the unit's one shuffle stream,
+    `rng_for(config.seed, "shuffle", unit.unit_index)`.
 
     Reads and writes nothing outside the given unit; deterministic in all inputs.
     """
-    subset = tuple(subset)
-    if not subset:
+    if not len(subset):
         raise TrainingError(f"unit {unit.unit_index}: empty training subset")
     _check_pair(unit.activation, config.loss)
-    for obs in subset:
-        if len(obs.features) != unit.dim:
-            raise TrainingError(
-                f"unit {unit.unit_index}: observation {obs.id} has {len(obs.features)} features, expected {unit.dim}")
-    rows = [(obs.features, obs.label) for obs in subset]
+    if subset.dim != unit.dim:
+        raise TrainingError(f"unit {unit.unit_index}: subset has {subset.dim} features per "
+                            f"observation, expected {unit.dim}")
+    rows = list(zip(subset.features.tolist(), subset.labels.tolist()))
     try:
         weights, bias, epoch_losses = _sgd(unit.weights, unit.bias, rows, unit.activation,
                                            config, unit.unit_index)

@@ -38,6 +38,10 @@ class SwitchTable:
                                    f"string, got {group!r}")
             if not units:
                 raise RoutingError(f"group {group}: switch entry has no units")
+            # a range check alone would take 0.5, True or 1.0 for a unit index
+            if not all(map(is_int, units)):
+                raise RoutingError(f"group {group}: unit indices must be integers, "
+                                   f"got {sorted(units, key=repr)}")
             bad = [u for u in units if not 0 <= u < self.n_units]
             if bad:
                 raise RoutingError(f"group {group}: unit indices {bad} out of range for {self.n_units} units")

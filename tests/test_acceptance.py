@@ -61,7 +61,7 @@ def test_criterion_1_partition_reproduction():
         for ids in parts.subsets:
             assert not seen.intersection(ids), "subsets overlap"
             seen.update(ids)
-        assert seen <= set(dataset.ids())
+        assert seen <= set(dataset.ids.tolist())
         assert len(seen) == 100
 
 
@@ -199,7 +199,7 @@ def test_criterion_8_evaluation_integrity():
         train_cfg = sn.TrainConfig(learning_rate=0.5, epochs=150, loss="bce", seed=1, shuffle=True)
         units = []
         for k in range(5):
-            subset = [dataset.observation(i) for i in parts.subsets[k]]
+            subset = dataset.subset(parts.subsets[k])
             unit, _ = sn.train_unit(sn.init_unit(2, "sigmoid", k, seed=3), subset, train_cfg)
             units.append(unit)
         table, _ = sn.build_switch(5, {g: {g} for g in range(5)})

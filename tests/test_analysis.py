@@ -44,7 +44,7 @@ def matrix_of(values, statistic="mean"):
 def test_heatmap_zero_weight_units_all_half():
     dataset = five_group_dataset()
     net = sn.assemble(zero_units(5), identity_switch(5))
-    matrix = sn.heatmap(net, dataset.ids(), dataset)
+    matrix = sn.heatmap(net, dataset.ids.tolist(), dataset)
     assert all(v == 0.5 for row in matrix.values for v in row)
     assert matrix.col_labels == tuple(f"segment {k}" for k in range(5))
 
@@ -53,8 +53,8 @@ def test_heatmap_max_dominates_mean():
     dataset = five_group_dataset()
     net = sn.assemble([sn.init_unit(2, "sigmoid", k, seed=5) for k in range(5)],
                       identity_switch(5))
-    mean_matrix = sn.heatmap(net, dataset.ids(), dataset, "mean")
-    max_matrix = sn.heatmap(net, dataset.ids(), dataset, "max")
+    mean_matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, "mean")
+    max_matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, "max")
     for mean_row, max_row in zip(mean_matrix.values, max_matrix.values):
         for m, M in zip(mean_row, max_row):
             assert M >= m
@@ -64,7 +64,7 @@ def test_heatmap_mean_sigmoid_bounded():
     dataset = five_group_dataset()
     net = sn.assemble([sn.init_unit(2, "sigmoid", k, seed=5) for k in range(5)],
                       identity_switch(5))
-    matrix = sn.heatmap(net, dataset.ids(), dataset, "mean")
+    matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, "mean")
     assert all(0.0 <= v <= 1.0 for row in matrix.values for v in row)
 
 
@@ -73,11 +73,11 @@ def test_heatmap_mean_sums_left_to_right():
     unit = sn.NeuronUnit(unit_index=0, activation="sigmoid", weights=(1.0,), bias=0.0)
     observations = tuple(sn.Observation(id=i, group=0, label=1, features=(x,))
                          for i, x in enumerate((40.0, -36.8, -36.8)))
-    dataset = sn.Dataset(dim=1, groups=((0, "only"),), observations=observations)
+    dataset = sn.Dataset.from_observations(dim=1, groups=((0, "only"),), observations=observations)
     net = sn.assemble([unit], identity_switch(1))
     probes = [sn.probe_activations(net, o)[0] for o in observations]
     assert math.fsum(probes) != functools.reduce(operator.add, probes)
-    matrix = sn.heatmap(net, dataset.ids(), dataset, "mean")
+    matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, "mean")
     assert matrix.values == ((functools.reduce(operator.add, probes) / 3,),)
 
 
@@ -85,13 +85,13 @@ def test_heatmap_deterministic():
     dataset = five_group_dataset()
     net = sn.assemble([sn.init_unit(2, "sigmoid", k, seed=5) for k in range(5)],
                       identity_switch(5))
-    assert sn.heatmap(net, dataset.ids(), dataset) == sn.heatmap(net, dataset.ids(), dataset)
+    assert sn.heatmap(net, dataset.ids.tolist(), dataset) == sn.heatmap(net, dataset.ids.tolist(), dataset)
 
 
 def test_heatmap_empty_group_column_rejected():
     dataset = five_group_dataset()
     net = sn.assemble(zero_units(5), identity_switch(5))
-    ids_without_group_0 = [o.id for o in dataset.observations if o.group != 0]
+    ids_without_group_0 = dataset.ids[dataset.row_groups != 0].tolist()
     with pytest.raises(sn.AnalysisError, match=r"\[0\]"):
         sn.heatmap(net, ids_without_group_0, dataset)
 
@@ -101,7 +101,7 @@ def test_heatmap_uses_ungated_probe():
     dataset = five_group_dataset()
     table, _ = sn.build_switch(5, {g: {0} for g in range(5)})  # everything routes to unit 0
     net = sn.assemble([sn.init_unit(2, "sigmoid", k, seed=5) for k in range(5)], table)
-    matrix = sn.heatmap(net, dataset.ids(), dataset)
+    matrix = sn.heatmap(net, dataset.ids.tolist(), dataset)
     assert matrix.n_rows == 5
     assert any(v != 0.0 for v in matrix.values[4])
 

@@ -1,5 +1,7 @@
 import functools
+import json
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ def specs_for(counts, scale=0.4, label_rule=None):
 
 def test_generate_hundred_observations_five_groups():
     ds = sn.generate_synthetic(specs_for((20, 30, 10, 20, 20)), seed=42)
-    assert len(ds.observations) == 100
+    assert len(ds) == 100
     assert len(ds.groups) == 5
-    sizes = {g: sum(1 for o in ds.observations if o.group == g) for g in range(5)}
+    sizes = {g: int(np.count_nonzero(ds.row_groups == g)) for g in range(5)}
     assert sizes == {0: 20, 1: 30, 2: 10, 3: 20, 4: 20}
 
 
@@ -30,8 +32,8 @@ def test_generate_single_all_one_observation():
     spec = sn.GroupSpec(name="solo", mean=(0.0, 0.0), scale=(1.0, 1.0),
                         label_rule=sn.LabelRule("all-one"), count=1)
     ds = sn.generate_synthetic([spec], seed=0)
-    assert len(ds.observations) == 1
-    assert ds.observations[0].label == 1
+    assert len(ds) == 1
+    assert ds.observation(0).label == 1
 
 
 def test_generate_deterministic(tmp_path):
@@ -50,12 +52,12 @@ def test_generate_per_observation_stream_oracle():
     for g, spec in enumerate(specs):
         rows = rng_for(11, "data", g).standard_normal((spec.count, 2)).tolist()
         expected = [tuple(m + s * d for m, s, d in zip(spec.mean, spec.scale, row)) for row in rows]
-        assert [o.features for o in ds.observations if o.group == g] == expected
+        assert [o.features for o in map(ds.observation, ds.ids.tolist()) if o.group == g] == expected
 
 
 def _group_features(specs, group):
     ds = sn.generate_synthetic(specs, seed=11)
-    return [o.features for o in ds.observations if o.group == group]
+    return ds.features[ds.row_groups == group].tolist()
 
 
 @pytest.mark.parametrize("grown", [(3, 9), (8, 4), (8, 9)], ids=["second", "first", "both"])
@@ -112,8 +114,8 @@ def test_load_plain_file(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("id,group,label,f0,f1\n0,0,1,0.5,-0.25\n1,0,0,1.5,2.0\n")
     ds = sn.load_dataset(path)
-    assert len(ds.observations) == 2
-    assert ds.observations[0].features == (0.5, -0.25)
+    assert len(ds) == 2
+    assert ds.observation(0).features == (0.5, -0.25)
     assert ds.groups == ((0, "group 0"),)
 
 
@@ -121,7 +123,7 @@ def test_load_allows_id_gaps(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("id,group,label,f0,f1\n3,0,1,0.5,0.5\n10,0,0,1.5,2.0\n")
     ds = sn.load_dataset(path)
-    assert ds.ids() == (3, 10)
+    assert ds.ids.tolist() == [3, 10]
 
 
 def test_load_reads_each_line_as_one_record(tmp_path):
@@ -134,7 +136,7 @@ def test_load_reads_each_line_as_one_record(tmp_path):
     with pytest.raises(sn.DataError, match="quoted field runs past its line, line 2"):
         sn.load_dataset(path)
     path.write_text('id,group,label,f0,f1\n0,0,1,"0.5",0.25\n')
-    assert sn.load_dataset(path).observations[0].features == (0.5, 0.25)
+    assert sn.load_dataset(path).observation(0).features == (0.5, 0.25)
 
 
 def test_load_crlf_file_equals_lf_file(tmp_path):
@@ -208,6 +210,164 @@ def test_load_unknown_group_against_declared(tmp_path):
         sn.load_dataset(path)
 
 
+HEADER = "id,group,label,f0,f1\n"
+# Each whole-dataset fault, as a CSV and the one error `load_dataset` gives:
+# the message a row-by-row reader gave, naming the earliest faulty row's
+# physical line. Duplicate ids and undeclared group gaps are whole-table
+# faults, found once every row has passed, and name no line.
+LOAD_FAULTS = {
+    "width": (HEADER + "0,0,1,0.5,0.5\n1,0,1,0.5\n", "expected 5 columns, got 4, line 3"),
+    "unknown group": ("# group 0: a\n" + HEADER + "0,0,1,0.5,0.5\n1,3,1,0.5,0.5\n",
+                      "unknown group 3, line 4"),
+    "duplicate id": (HEADER + "4,0,1,0.5,0.5\n7,0,1,0.5,0.5\n4,0,0,0.5,0.5\n",
+                     "duplicate observation id 4"),
+    "negative id": (HEADER + "0,0,1,0.5,0.5\n-1,0,1,0.5,0.5\n",
+                    "observation id/group must be non-negative, got id=-1 group=0, line 3"),
+    "negative group": (HEADER + "0,-2,1,0.5,0.5\n",
+                       "observation id/group must be non-negative, got id=0 group=-2, line 2"),
+    "non-finite feature": (HEADER + "0,0,1,0.5,0.5\n1,0,1,0.5,inf\n",
+                           "observation 1: non-finite feature, line 3"),
+    "bad label": (HEADER + "0,0,1,0.5,0.5\n1,0,2,0.5,0.5\n", "invalid label, line 3"),
+    "declared group gap": ("# group 0: a\n# group 2: c\n" + HEADER + "0,0,1,0.5,0.5\n2,2,1,0.5,0.5\n",
+                            r"group ids must be dense 0..G-1 in order, got [0, 2]"),
+    "undeclared group gap": (HEADER + "0,0,1,0.5,0.5\n1,2,1,0.5,0.5\n",
+                             "group ids must be dense 0..G-1 in order, got [0, 2]"),
+    # the earliest row wins, whichever check finds it
+    "row check before a later parse fault": (HEADER + "0,0,1,nan,0.5\n1,0,1,0.5\n",
+                                             "observation 0: non-finite feature, line 2"),
+    "parse fault before a later row check": (HEADER + "0,0,1,0.5\n-1,0,1,0.5,0.5\n",
+                                             "expected 5 columns, got 4, line 2"),
+    "unknown group before non-finite on one row": ("# group 0: a\n" + HEADER + "0,5,1,nan,0.5\n",
+                                                   "unknown group 5, line 3"),
+    "negative id before non-finite on one row": (HEADER + "-3,0,1,nan,0.5\n",
+                                                 "observation id/group must be non-negative, "
+                                                 "got id=-3 group=0, line 2"),
+    "row fault before a duplicate": (HEADER + "0,0,1,0.5,0.5\n0,0,1,0.5,0.5\n1,0,1,-inf,0.5\n",
+                                     "observation 1: non-finite feature, line 4"),
+    "lines counted past comments": (HEADER + "# a note\n\n0,0,1,0.5,oops\n",
+                                    "non-numeric feature, line 4"),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_FAULTS)
+def test_load_whole_dataset_fault_names_earliest_line(tmp_path, case):
+    text, message = LOAD_FAULTS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(sn.DataError) as info:
+        sn.load_dataset(path)
+    assert str(info.value) == message
+
+
+def _obs(obs_id, group=0, features=(0.5, 0.5)):
+    return sn.Observation(id=obs_id, group=group, label=1, features=features)
+
+
+# The same faults in a dataset built from rows: the messages a row-by-row check
+# gave, for the earliest faulty row.
+ROW_FAULTS = {
+    "width": ((_obs(0), _obs(1, features=(0.5,))), "observation 1 has 1 features, expected 2"),
+    "unknown group": ((_obs(0), _obs(1, group=3)), "observation 1 references unknown group 3"),
+    "duplicate id": ((_obs(4), _obs(7), _obs(4)), "duplicate observation id 4"),
+    "duplicate before a later width fault": ((_obs(4), _obs(4), _obs(5, features=(1.0,))),
+                                             "duplicate observation id 4"),
+    "width before a later unknown group": ((_obs(0, features=(1.0,)), _obs(1, group=9)),
+                                           "observation 0 has 1 features, expected 2"),
+    "unknown group before duplicate on one row": ((_obs(2), _obs(2, group=9)),
+                                                  "observation 2 references unknown group 9"),
+}
+
+
+@pytest.mark.parametrize("case", ROW_FAULTS)
+def test_dataset_from_rows_fault_names_earliest_row(case):
+    rows, message = ROW_FAULTS[case]
+    with pytest.raises(sn.DataError) as info:
+        sn.Dataset.from_observations(dim=2, groups=((0, "a"),), observations=rows)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("ids", [0, -1], "observation id/group must be non-negative, got id=-1 group=0"),
+    ("labels", [1, 2], "invalid label 2 for observation 1"),
+    ("features", [[0.5, 0.5], [0.5, float("nan")]], "observation 1: non-finite feature"),
+    ("ids", [0.0, 1.0], "dataset ids must be int64 numbers, got dtype float64"),
+    ("labels", [True, False], "dataset labels must be int64 numbers, got dtype bool"),
+    ("features", [0.5, 0.5], r"features must have shape (2, 2), got (2,)"),
+    ("row_groups", [0], "ids, row_groups and labels must be 1-D columns of one length"),
+])
+def test_dataset_column_checks(column, value, message):
+    columns = {"ids": [0, 1], "row_groups": [0, 0], "labels": [1, 1],
+               "features": [[0.5, 0.5], [0.5, 0.5]]}
+    columns[column] = value
+    with pytest.raises(sn.DataError) as info:
+        sn.Dataset(dim=2, groups=((0, "a"),), **columns)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("obs_id, dtype", [(1.5, "float64"), (2**63, "uint64"), (True, "bool")])
+def test_dataset_from_rows_never_truncates_an_id(obs_id, dtype):
+    # an `Observation` takes any non-negative number as its id; the id column takes only int64
+    rows = (sn.Observation(id=obs_id, group=0, label=1, features=(1.0,)),)
+    with pytest.raises(sn.DataError, match=f"^dataset ids must be int64 numbers, got dtype {dtype}$"):
+        sn.Dataset.from_observations(dim=1, groups=((0, "a"),), observations=rows)
+
+
+def test_load_id_beyond_64_bits_names_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + "0,0,1,0.5,0.5\n" + f"{2**63},0,1,0.5,0.5\n")
+    with pytest.raises(sn.DataError, match=r"^observation id/group does not fit in 64 bits, line 3$"):
+        sn.load_dataset(path)
+
+
+def _every_kind_of_dataset(tmp_path):
+    generated = sn.generate_synthetic(specs_for((4, 3)), seed=8)
+    sn.save_dataset(generated, tmp_path / "ds.csv")
+    rows = (_obs(3), _obs(1, features=(-0.0, 2.5)))
+    return {"generated": generated, "loaded": sn.load_dataset(tmp_path / "ds.csv"),
+            "from rows": sn.Dataset.from_observations(dim=2, groups=((0, "a"),), observations=rows),
+            "subset": generated.subset([5, 0, 2]),
+            "unpickled": pickle.loads(pickle.dumps(generated))}
+
+
+def test_columns_are_read_only(tmp_path):
+    for kind, ds in _every_kind_of_dataset(tmp_path).items():
+        for name in ("ids", "row_groups", "labels", "features"):
+            column = getattr(ds, name)
+            assert not column.flags.writeable, (kind, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+
+def test_columns_are_copies_of_what_the_constructor_is_given():
+    features = np.array([[0.5, 0.5], [1.5, -2.0]])
+    ds = sn.Dataset(dim=2, groups=((0, "a"),), ids=[7, 3], row_groups=[0, 0], labels=[1, 0],
+                    features=features)
+    features[0, 0] = 99.0
+    assert ds.observation(7).features == (0.5, 0.5)
+
+
+def test_observation_returns_the_row_it_was_built_from():
+    rows = (sn.Observation(id=9, group=1, label=0, features=(-0.0, 5e-324)),
+            sn.Observation(id=2, group=0, label=1, features=(1.5, -2.25)))
+    ds = sn.Dataset.from_observations(dim=2, groups=((0, "a"), (1, "b")), observations=rows)
+    for row in rows:
+        built = ds.observation(row.id)
+        assert built == row and repr(built) == repr(row)
+        assert type(built.id) is int and type(built.label) is int
+    assert ds.ids.tolist() == [9, 2]
+    with pytest.raises(sn.DataError, match="unknown observation id 5"):
+        ds.observation(5)
+
+
+def test_subset_keeps_the_order_of_its_ids():
+    ds = sn.generate_synthetic(specs_for((4, 3)), seed=8)
+    ids = [6, 0, 4, 2]
+    sub = ds.subset(ids)
+    assert sub.ids.tolist() == ids
+    assert sub.groups == ds.groups
+    assert [sub.observation(i) for i in ids] == [ds.observation(i) for i in ids]
+
+
 def test_load_missing_file():
     with pytest.raises(sn.DataError, match="not found"):
         sn.load_dataset("/nonexistent/nowhere.csv")
@@ -225,14 +385,14 @@ def test_partition_paper_split_sizes_and_disjointness():
     for ids in parts.subsets:
         assert not seen.intersection(ids)
         seen.update(ids)
-    assert seen <= set(ds.ids())
+    assert seen <= set(ds.ids.tolist())
 
 
 def test_partition_exhaustive_contiguous():
     ds = sn.generate_synthetic(specs_for((60, 40)), seed=1)
     plan = sn.PartitionPlan.from_counts([100], selection="contiguous")
     parts = sn.partition(ds, plan, seed=1)
-    assert set(parts.subsets[0]) == set(ds.ids())
+    assert set(parts.subsets[0]) == set(ds.ids.tolist())
 
 
 def test_partition_pigeonhole_error():
@@ -311,7 +471,7 @@ def _partitioned(counts, plan_counts, seed=21):
 def test_non_overlapping_is_exact_set_difference():
     ds, parts = _partitioned((25, 35, 15, 25, 25), [20, 30, 10, 20, 20])
     overlapping, non_overlapping = sn.make_test_sets(ds, parts, 0.2, seed=21)
-    expected = sorted(set(ds.ids()) - set(parts.assigned_ids()))
+    expected = sorted(set(ds.ids.tolist()) - set(parts.assigned_ids()))
     assert list(non_overlapping) == expected
     assert len(non_overlapping) == 25
 
@@ -440,10 +600,11 @@ def test_partition_set_json_roundtrip_explicit():
 
 
 def test_group_specs_file_roundtrip(tmp_path):
+    # a specs file, as `gen-data --specs` reads it: a JSON list of `GroupSpec.to_json` documents
     specs = specs_for((4, 4), label_rule=sn.LabelRule("linear-threshold", weights=(1.0, 2.0), bias=-0.5))
     path = tmp_path / "specs.json"
-    sn.save_group_specs(specs, path)
-    assert sn.load_group_specs(path) == specs
+    path.write_text(json.dumps([s.to_json() for s in specs]))
+    assert tuple(map(sn.GroupSpec.from_json, json.loads(path.read_text()))) == specs
 
 
 @pytest.mark.parametrize("name", ["Young\nLow Income", "Young\rLow Income", "trailing\r\n"])
@@ -451,20 +612,20 @@ def test_group_name_with_line_break_rejected(name):
     with pytest.raises(sn.DataError, match="line break"):
         sn.GroupSpec(name=name, mean=(0.0,), scale=(1.0,), label_rule=sn.LabelRule("all-one"), count=1)
     with pytest.raises(sn.DataError, match="line break"):
-        sn.Dataset(dim=1, groups=((0, name),), observations=())
+        sn.Dataset.from_observations(dim=1, groups=((0, name),), observations=())
 
 
 def test_dataset_validation():
     with pytest.raises(sn.DataError, match="dense"):
-        sn.Dataset(dim=1, groups=((0, "a"), (2, "c")), observations=())
+        sn.Dataset.from_observations(dim=1, groups=((0, "a"), (2, "c")), observations=())
     with pytest.raises(sn.DataError, match="dense"):
-        sn.Dataset(dim=1, groups=((1, "b"), (0, "a")), observations=())
+        sn.Dataset.from_observations(dim=1, groups=((1, "b"), (0, "a")), observations=())
     obs = sn.Observation(id=0, group=0, label=1, features=(1.0,))
     with pytest.raises(sn.DataError, match="duplicate"):
-        sn.Dataset(dim=1, groups=((0, "a"),), observations=(obs, obs))
+        sn.Dataset.from_observations(dim=1, groups=((0, "a"),), observations=(obs, obs))
     with pytest.raises(sn.DataError, match="unknown group"):
-        sn.Dataset(dim=1, groups=((0, "a"),),
-                   observations=(sn.Observation(id=1, group=5, label=0, features=(1.0,)),))
+        sn.Dataset.from_observations(dim=1, groups=((0, "a"),),
+                                     observations=(sn.Observation(id=1, group=5, label=0, features=(1.0,)),))
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -1,4 +1,5 @@
-"""Property tests: the dataset CSV round-trip on generated names and features.
+"""Property tests: the dataset CSV round-trip and the row view of the columns, on generated
+names and features.
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
@@ -26,16 +27,26 @@ def datasets(draw):
                        label=draw(st.integers(0, 1)),
                        features=tuple(draw(FEATURES) for _ in range(dim)))
         for i in ids)
-    return sn.Dataset(dim=dim, groups=tuple(enumerate(names)), observations=observations)
+    return observations, sn.Dataset.from_observations(dim=dim, groups=tuple(enumerate(names)),
+                                                      observations=observations)
 
 
 @settings(max_examples=80, deadline=None)
 @given(datasets())
-def test_save_load_roundtrip(tmp_path_factory, dataset):
+def test_observation_returns_the_row_it_was_built_from(case):
+    rows, dataset = case
+    assert dataset.ids.tolist() == [o.id for o in rows]
+    for row in rows:
+        assert repr(dataset.observation(row.id)) == repr(row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets())
+def test_save_load_roundtrip(tmp_path_factory, case):
+    _, dataset = case
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
     sn.save_dataset(dataset, path)
     loaded = sn.load_dataset(path)
     assert loaded == dataset
     # equal as values, and bit for bit (the sign of zero included)
-    assert [repr(o.features) for o in loaded.observations] == \
-        [repr(o.features) for o in dataset.observations]
+    assert repr(loaded.features.tolist()) == repr(dataset.features.tolist())

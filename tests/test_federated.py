@@ -21,9 +21,19 @@ def test_make_nodes_sizes_and_locality():
     dataset, parts, units = five_group_setup()
     nodes = sn.make_nodes(parts, dataset, units)
     assert [len(n.local_data) for n in nodes] == [20, 30, 10, 20, 20]
-    node2_ids = {o.id for o in nodes[2].local_data}
+    node2_ids = set(nodes[2].local_data.ids.tolist())
     assert node2_ids == set(parts.subsets[2])
     assert not node2_ids & set(parts.subsets[3])
+
+
+def test_node_data_keeps_its_subset_order():
+    dataset, _, units = five_group_setup()
+    subsets = ((7, 3, 0), (25, 21), (58, 50, 52), (70,), (99, 80))
+    parts = sn.PartitionSet(subsets=subsets, plan=sn.PartitionPlan.from_counts([3, 2, 3, 1, 2]), seed=0)
+    for node, ids in zip(sn.make_nodes(parts, dataset, units), subsets):
+        assert node.local_data.ids.tolist() == list(ids)
+        assert node.local_data.features.tolist() == [list(dataset.observation(i).features) for i in ids]
+        assert node.local_data.labels.tolist() == [dataset.observation(i).label for i in ids]
 
 
 def test_make_nodes_count_mismatch():
@@ -115,7 +125,7 @@ def test_collect_equals_direct_assembly():
     collected = sn.collect(sn.with_trained_units(nodes, trained), table)
     direct = sn.assemble(trained, table)
     assert collected == direct
-    probe = dataset.observations[0]
+    probe = dataset.observation(dataset.ids[0])
     assert sn.forward(collected, probe) == sn.forward(direct, probe)
 
 

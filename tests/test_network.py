@@ -41,7 +41,7 @@ def trained_two_unit_net(dataset, epochs=80, aggregation="router-mean"):
     cfg = sn.TrainConfig(learning_rate=0.5, epochs=epochs, loss="bce", seed=1, shuffle=True)
     units = []
     for g in range(2):
-        subset = [o for o in dataset.observations if o.group == g]
+        subset = dataset.subset(dataset.ids[dataset.row_groups == g].tolist())
         unit, _ = sn.train_unit(sn.init_unit(2, "sigmoid", g, seed=2), subset, cfg)
         units.append(unit)
     return sn.assemble(units, identity_switch(2), aggregation)
@@ -156,10 +156,10 @@ def test_probe_scalar_oracle():
 def test_evaluate_perfectly_separable_clusters():
     dataset = two_group_dataset(label_by_group=(1, 0))
     net = trained_two_unit_net(dataset)
-    ids = dataset.ids()
+    ids = dataset.ids.tolist()
     metrics = sn.evaluate(net, ids, dataset, "non-overlapping")
     # brute-force oracle: compare each unit's own prediction to the label
-    for o in dataset.observations:
+    for o in map(dataset.observation, ids):
         score = sn.unit_forward(net.units[o.group], o.features)
         assert (1 if score >= 0.5 else 0) == o.label
     assert metrics.accuracy == 1.0
@@ -170,8 +170,8 @@ def test_evaluate_perfectly_separable_clusters():
 def test_evaluate_group_accuracies_recompose():
     dataset = two_group_dataset(label_by_group=(1, 1))
     net = sn.assemble(zero_units(2), identity_switch(2))
-    metrics = sn.evaluate(net, dataset.ids(), dataset, "overlapping")
-    counts = {g: sum(1 for o in dataset.observations if o.group == g) for g in (0, 1)}
+    metrics = sn.evaluate(net, dataset.ids.tolist(), dataset, "overlapping")
+    counts = {g: int(np.count_nonzero(dataset.row_groups == g)) for g in (0, 1)}
     recomposed = sum(metrics.per_group_accuracy[g] * counts[g] for g in counts) / metrics.n
     assert abs(recomposed - metrics.accuracy) < 1e-12
 
@@ -179,7 +179,7 @@ def test_evaluate_group_accuracies_recompose():
 def test_evaluate_order_independent():
     dataset = two_group_dataset()
     net = trained_two_unit_net(dataset)
-    ids = list(dataset.ids())
+    ids = list(dataset.ids.tolist())
     forward_metrics = sn.evaluate(net, ids, dataset, "overlapping")
     reversed_metrics = sn.evaluate(net, list(reversed(ids)), dataset, "overlapping")
     assert forward_metrics == reversed_metrics
@@ -198,7 +198,7 @@ def test_evaluate_rejects_bad_set_kind():
     dataset = two_group_dataset()
     net = trained_two_unit_net(dataset)
     with pytest.raises(sn.NetworkError, match="set_kind"):
-        sn.evaluate(net, dataset.ids(), dataset, "validation")
+        sn.evaluate(net, dataset.ids.tolist(), dataset, "validation")
 
 
 @pytest.mark.parametrize("call", [
@@ -209,11 +209,12 @@ def test_evaluate_rejects_bad_set_kind():
 ], ids=["evaluate", "contribution", "heatmap", "fit_readout"])
 def test_batch_passes_reject_dataset_of_other_dimension(call):
     # the block kernel reads features by column, so a width mismatch must fail, not truncate
-    dataset = sn.Dataset(dim=3, groups=((0, "a"),),
-                         observations=(sn.Observation(id=0, group=0, label=1, features=(1.0, 2.0, 3.0)),))
+    dataset = sn.Dataset.from_observations(
+        dim=3, groups=((0, "a"),),
+        observations=(sn.Observation(id=0, group=0, label=1, features=(1.0, 2.0, 3.0)),))
     net = sn.assemble(zero_units(1), identity_switch(1), "linear-readout")
     with pytest.raises(sn.NetworkError, match="3 features per observation, the network expects 2"):
-        call(net, dataset.ids(), dataset)
+        call(net, dataset.ids.tolist(), dataset)
 
 
 # ------------------------------------------------------------------ readout
@@ -231,7 +232,7 @@ def readout_mean_loss(net, ids, dataset):
 def test_fit_readout_keeps_units_frozen():
     dataset = two_group_dataset(label_by_group=(1, 0))
     net = trained_two_unit_net(dataset, aggregation="linear-readout")
-    fitted = sn.fit_readout(net, dataset.ids(), dataset, sn.TrainConfig(epochs=10, seed=3))
+    fitted = sn.fit_readout(net, dataset.ids.tolist(), dataset, sn.TrainConfig(epochs=10, seed=3))
     assert fitted.units == net.units
     assert isinstance(fitted.aggregation, sn.LinearReadout)
     assert len(fitted.aggregation.weights) == 2
@@ -240,7 +241,7 @@ def test_fit_readout_keeps_units_frozen():
 def test_fit_readout_loss_decreases_over_first_epochs():
     dataset = two_group_dataset(label_by_group=(1, 0))
     net = trained_two_unit_net(dataset, aggregation="linear-readout")
-    ids = dataset.ids()
+    ids = dataset.ids.tolist()
     losses = [readout_mean_loss(net, ids, dataset)]
     for epochs in range(1, 6):
         fitted = sn.fit_readout(net, ids, dataset, sn.TrainConfig(epochs=epochs, seed=3))
@@ -252,7 +253,7 @@ def test_fit_readout_requires_readout_aggregation():
     dataset = two_group_dataset()
     net = trained_two_unit_net(dataset)
     with pytest.raises(sn.NetworkError, match="linear-readout"):
-        sn.fit_readout(net, dataset.ids(), dataset, sn.TrainConfig())
+        sn.fit_readout(net, dataset.ids.tolist(), dataset, sn.TrainConfig())
 
 
 def test_fit_readout_rejects_empty_calibration():
@@ -270,7 +271,7 @@ def test_fit_readout_non_finite_guard_names_the_readout():
     net = sn.assemble(units, identity_switch(2), "linear-readout")
     config = sn.TrainConfig(learning_rate=1e300, epochs=3, seed=3)
     with pytest.raises(sn.NetworkError, match=r"^readout: non-finite parameters at epoch 0 step 0$"):
-        sn.fit_readout(net, dataset.ids(), dataset, config)
+        sn.fit_readout(net, dataset.ids.tolist(), dataset, config)
     assert net.units == units
     assert net.aggregation == sn.LinearReadout(weights=(0.0, 0.0), bias=0.0)
 
@@ -282,7 +283,7 @@ def test_contribution_zero_for_never_activated_unit():
     units = zero_units(3)
     table, _ = sn.build_switch(3, {0: {0}, 1: {1}})  # unit 2 never routed
     net = sn.assemble(units, table)
-    report = sn.neuron_contribution(net, dataset.ids(), dataset)
+    report = sn.neuron_contribution(net, dataset.ids.tolist(), dataset)
     assert report.rows[2].contribution == 0.0
     assert len(report.rows) == 3
 
@@ -290,11 +291,11 @@ def test_contribution_zero_for_never_activated_unit():
 def test_contribution_identity_switch_touches_only_own_group():
     dataset = two_group_dataset(label_by_group=(1, 0))
     net = trained_two_unit_net(dataset)
-    ids = dataset.ids()
+    ids = dataset.ids.tolist()
     full = sn.evaluate(net, ids, dataset, "overlapping")
     report = sn.neuron_contribution(net, ids, dataset)
     # ablating unit 1 (group 1, label 0) flips group 1 to the 0.5 -> label 1 rule
-    group_sizes = {g: sum(1 for o in dataset.observations if o.group == g) for g in (0, 1)}
+    group_sizes = {g: int(np.count_nonzero(dataset.row_groups == g)) for g in (0, 1)}
     row = report.rows[1]
     assert row.full_accuracy == full.accuracy
     expected_drop = group_sizes[1] / len(ids)  # every group-1 prediction goes wrong
@@ -306,7 +307,7 @@ def test_contribution_identity_switch_touches_only_own_group():
 def test_contribution_identity():
     dataset = two_group_dataset()
     net = trained_two_unit_net(dataset)
-    report = sn.neuron_contribution(net, dataset.ids(), dataset)
+    report = sn.neuron_contribution(net, dataset.ids.tolist(), dataset)
     for row in report.rows:
         assert row.contribution == row.full_accuracy - row.ablated_accuracy
 
@@ -320,14 +321,14 @@ def test_network_bundle_roundtrip_bit_identical_predictions(tmp_path):
     sn.save_network(net, path)
     loaded = sn.load_network(path)
     assert loaded == net
-    for o in dataset.observations[:10]:
+    for o in map(dataset.observation, dataset.ids[:10].tolist()):
         assert sn.forward(loaded, o) == sn.forward(net, o)
 
 
 def test_network_bundle_roundtrip_with_readout(tmp_path):
     dataset = two_group_dataset(label_by_group=(1, 0))
     net = trained_two_unit_net(dataset, aggregation="linear-readout")
-    fitted = sn.fit_readout(net, dataset.ids(), dataset, sn.TrainConfig(epochs=5, seed=3))
+    fitted = sn.fit_readout(net, dataset.ids.tolist(), dataset, sn.TrainConfig(epochs=5, seed=3))
     path = tmp_path / "network.json"
     sn.save_network(fitted, path)
     assert sn.load_network(path) == fitted
@@ -347,11 +348,12 @@ def test_network_bundle_rejects_bad_aggregation(aggregation, message):
 def test_contribution_call_counts(monkeypatch):
     dataset = two_group_dataset()
     extra = sn.Observation(id=99, group=2, label=1, features=(0.0, 3.0))
-    dataset = sn.Dataset(dim=2, groups=((0, "left"), (1, "right"), (2, "top")),
-                         observations=dataset.observations + (extra,))
+    dataset = sn.Dataset.from_observations(
+        dim=2, groups=((0, "left"), (1, "right"), (2, "top")),
+        observations=(*map(dataset.observation, dataset.ids.tolist()), extra))
     table, _ = sn.build_switch(3, {0: {0, 2}, 1: {1}}, fallback="all-active")
     net = sn.assemble(trained_two_unit_net(dataset).units + (zero_units(3)[2],), table)
-    ids = dataset.ids()
+    ids = dataset.ids.tolist()
     active_total = sum(len(sn.route(table, dataset.observation(i).group).active_indices())
                        for i in ids)
     calls = {"unit_forward": 0, "route": 0, "column_rows": 0}

@@ -62,9 +62,9 @@ def cases(draw, dead_nan_unit=False):
                        label=draw(st.integers(0, 1)),
                        features=tuple(draw(FLOATS) for _ in range(dim)))
         for i in range(n_obs))
-    dataset = sn.Dataset(dim=dim, groups=tuple((g, f"g{g}") for g in range(n_groups)),
-                         observations=observations)
-    ids = draw(st.permutations(dataset.ids()))
+    dataset = sn.Dataset.from_observations(dim=dim, groups=tuple((g, f"g{g}") for g in range(n_groups)),
+                                           observations=observations)
+    ids = draw(st.permutations(dataset.ids.tolist()))
     ids = ids[:draw(st.integers(1, len(ids)))]
     net = sn.assemble(units, switch, aggregation)
     if not dead_nan_unit:
@@ -114,7 +114,8 @@ def contribution_oracle(net, ids, dataset):
 
 def heatmap_oracle(net, dataset, statistic):
     groups = sorted(dataset.groups)
-    probes = {g: [sn.probe_activations(net, o) for o in dataset.observations if o.group == g]
+    rows = [dataset.observation(i) for i in dataset.ids.tolist()]
+    probes = {g: [sn.probe_activations(net, o) for o in rows if o.group == g]
               for g, _ in groups}
     # left to right from 0.0 as `_mean` sums; builtin sum() is compensated from Python 3.12 on
     stat = max if statistic == "max" else (lambda s: functools.reduce(operator.add, s, 0.0) / len(s))
@@ -163,13 +164,54 @@ def test_score_column_equals_scalar_score(n_units, n, readout, data):
     assert repr(score) == repr([network._score(aggregation, row, active) for row in rows])
 
 
+@st.composite
+def gather_cases(draw):
+    """Rows with gappy ids and random groups, the dataset built from them, and a
+    random id list drawn from its ids (any order, possibly a strict subset)."""
+    dim = draw(st.integers(1, 3))
+    n_groups = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=24, unique=True))
+    rows = tuple(sn.Observation(id=i, group=draw(st.integers(0, n_groups - 1)),
+                                label=draw(st.integers(0, 1)),
+                                features=tuple(draw(EDGE_FLOATS.filter(np.isfinite)) for _ in range(dim)))
+                 for i in ids)
+    dataset = sn.Dataset.from_observations(dim=dim, groups=tuple((g, f"g{g}") for g in range(n_groups)),
+                                           observations=rows)
+    picked = draw(st.permutations(ids))[:draw(st.integers(1, len(ids)))]
+    return rows, dataset, picked
+
+
+def group_blocks_oracle(rows, ids):
+    """Per-id gather from the rows themselves: (group, positions, labels, feature reprs)
+    per group, groups in order of first appearance."""
+    by_id = {o.id: o for o in rows}
+    members = {}
+    for position, obs_id in enumerate(ids):
+        members.setdefault(by_id[obs_id].group, []).append((position, by_id[obs_id]))
+    return [(group, [p for p, _ in block], [o.label for _, o in block],
+             [repr(o.features) for _, o in block]) for group, block in members.items()]
+
+
+@PROPERTY
+@given(gather_cases())
+def test_group_blocks_equal_per_id_gather(case):
+    rows, dataset, ids = case
+    net = sn.assemble(
+        [sn.NeuronUnit(unit_index=0, activation="sigmoid", weights=(0.0,) * dataset.dim, bias=0.0)],
+        sn.build_switch(1, {}, "all-active")[0])
+    blocks = [(block.group, block.positions.tolist(), block.labels.tolist(),
+               [repr(tuple(f)) for f in block.features.tolist()])
+              for block in network._group_blocks(net, ids, dataset)]
+    assert blocks == group_blocks_oracle(rows, ids)
+
+
 @PROPERTY
 @given(cases())
 def test_gated_table_rows_equal_forward(case):
     net, dataset, ids = case
     positions = []
     for block, active, columns in network._gated_table(net, ids, dataset):
-        positions += block.positions
+        positions += block.positions.tolist()
         gated = np.column_stack(columns).tolist()
         for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
             obs = dataset.observation(ids[position])
@@ -200,7 +242,7 @@ def test_contribution_equals_brute_force_ablation(case):
 @given(cases(), st.sampled_from(sn.analysis.STATISTICS))
 def test_heatmap_equals_per_id_probes(case, statistic):
     net, dataset, _ = case
-    matrix = sn.heatmap(net, dataset.ids(), dataset, statistic)
+    matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, statistic)
     assert repr(matrix.values) == repr(heatmap_oracle(net, dataset, statistic))
 
 

@@ -17,6 +17,12 @@ def obs(features, label, oid=0, group=0):
     return sn.Observation(id=oid, group=group, label=label, features=tuple(features))
 
 
+def rows(*observations, dim=None):
+    """The observations as a training subset (a dataset of these rows, in this order)."""
+    dim = dim or len(observations[0].features)
+    return sn.Dataset.from_observations(dim=dim, groups=((0, "group 0"),), observations=observations)
+
+
 # ------------------------------------------------------------------- init
 
 def test_init_deterministic_with_pinned_values():
@@ -130,7 +136,7 @@ def test_gradient_matches_fd_over_random_configurations():
 
 def test_train_single_analytic_step():
     cfg = sn.TrainConfig(learning_rate=0.1, epochs=1, loss="mse", seed=0, shuffle=False)
-    trained, log = sn.train_unit(make_unit((0.0, 0.0)), [obs((1.0, 1.0), 1)], cfg)
+    trained, log = sn.train_unit(make_unit((0.0, 0.0)), rows(obs((1.0, 1.0), 1)), cfg)
     assert trained.weights == (0.025, 0.025)
     assert trained.bias == 0.025
     assert log.steps == 1
@@ -143,13 +149,13 @@ def test_train_loss_decreases_on_separable_subset():
     subset = [obs((float(gen.normal(2.0, 0.3)), 1.0), 1, oid=i) for i in range(5)]
     subset += [obs((float(gen.normal(-2.0, 0.3)), 1.0), 0, oid=5 + i) for i in range(5)]
     cfg = sn.TrainConfig(learning_rate=0.1, epochs=50, loss="bce", seed=1, shuffle=True)
-    _, log = sn.train_unit(sn.init_unit(2, "sigmoid", 0, seed=3), subset, cfg)
+    _, log = sn.train_unit(sn.init_unit(2, "sigmoid", 0, seed=3), rows(*subset), cfg)
     assert log.final_loss < log.epoch_losses[0]
     assert len(log.epoch_losses) == 50
 
 
 def test_train_bit_identical_reruns():
-    subset = [obs((0.5, -0.5), 1, oid=0), obs((-0.5, 0.5), 0, oid=1), obs((1.0, 1.0), 1, oid=2)]
+    subset = rows(obs((0.5, -0.5), 1, oid=0), obs((-0.5, 0.5), 0, oid=1), obs((1.0, 1.0), 1, oid=2))
     cfg = sn.TrainConfig(learning_rate=0.2, epochs=20, loss="bce", seed=9, shuffle=True)
     first = sn.train_unit(sn.init_unit(2, "sigmoid", 0, seed=4), subset, cfg)
     second = sn.train_unit(sn.init_unit(2, "sigmoid", 0, seed=4), subset, cfg)
@@ -158,8 +164,8 @@ def test_train_bit_identical_reruns():
 
 def test_train_isolation_order_independent():
     # training one unit must not affect another, whichever order runs
-    subset_a = [obs((1.0, 0.0), 1, oid=0), obs((-1.0, 0.0), 0, oid=1)]
-    subset_b = [obs((0.0, 1.0), 1, oid=2), obs((0.0, -1.0), 0, oid=3)]
+    subset_a = rows(obs((1.0, 0.0), 1, oid=0), obs((-1.0, 0.0), 0, oid=1))
+    subset_b = rows(obs((0.0, 1.0), 1, oid=2), obs((0.0, -1.0), 0, oid=3))
     cfg = sn.TrainConfig(learning_rate=0.1, epochs=10, loss="bce", seed=2, shuffle=True)
     unit_a = sn.init_unit(2, "sigmoid", 0, seed=8)
     unit_b = sn.init_unit(2, "sigmoid", 1, seed=8)
@@ -172,18 +178,23 @@ def test_train_isolation_order_independent():
 def test_train_rejects_empty_subset():
     cfg = sn.TrainConfig()
     with pytest.raises(sn.TrainingError, match="empty"):
-        sn.train_unit(make_unit((0.0,)), [], cfg)
+        sn.train_unit(make_unit((0.0,)), rows(dim=1), cfg)
+
+
+def test_train_rejects_subset_of_other_width():
+    with pytest.raises(sn.TrainingError, match=r"^unit 0: subset has 1 features per observation, expected 2$"):
+        sn.train_unit(make_unit((0.0, 0.0)), rows(obs((1.0,), 1)), sn.TrainConfig())
 
 
 def test_train_aborts_on_non_finite_loss():
     cfg = sn.TrainConfig(learning_rate=0.1, epochs=1, loss="mse", seed=0, shuffle=False)
     diverged = make_unit((1.0,), activation="relu")
     with pytest.raises(sn.TrainingError, match=r"^unit 0: non-finite loss at epoch 0 step 0$"):
-        sn.train_unit(diverged, [obs((1e200,), 0)], cfg)
+        sn.train_unit(diverged, rows(obs((1e200,), 0)), cfg)
 
 
 def test_train_parameters_stay_finite():
-    subset = [obs((0.3, -0.7), 1, oid=0), obs((-0.2, 0.4), 0, oid=1)]
+    subset = rows(obs((0.3, -0.7), 1, oid=0), obs((-0.2, 0.4), 0, oid=1))
     cfg = sn.TrainConfig(learning_rate=0.5, epochs=100, loss="bce", seed=0, shuffle=True)
     trained, _ = sn.train_unit(sn.init_unit(2, "sigmoid", 0, seed=0), subset, cfg)
     assert math.isfinite(trained.bias)
@@ -202,7 +213,7 @@ def test_train_config_validation():
 def test_train_bce_requires_sigmoid_unit():
     cfg = sn.TrainConfig(loss="bce")
     with pytest.raises(sn.TrainingError, match="bce"):
-        sn.train_unit(make_unit((0.0,), activation="tanh"), [obs((1.0,), 1)], cfg)
+        sn.train_unit(make_unit((0.0,), activation="tanh"), rows(obs((1.0,), 1)), cfg)
 
 
 # ------------------------------------------------------------------- scalar oracle
@@ -270,14 +281,14 @@ def _default_subsets():
 def test_train_unit_matches_scalar_oracle_bit_for_bit(activation, loss, shuffle):
     config, dataset, parts = _default_subsets()
     for k, ids in enumerate(parts.subsets):
-        subset = [dataset.observation(i) for i in ids]
+        subset = dataset.subset(ids)
         unit = sn.init_unit(dataset.dim, activation, k, seed=config.seed)
         train = sn.TrainConfig(learning_rate=config.train.learning_rate, epochs=config.train.epochs,
                                loss=loss, seed=sn.node_train_config(config.train, k).seed,
                                shuffle=shuffle)
         trained, log = sn.train_unit(unit, subset, train)
         weights, bias, losses = replay_sgd(unit.weights, unit.bias,
-                                           [(o.features, o.label) for o in subset],
+                                           [(o.features, o.label) for o in map(dataset.observation, ids)],
                                            activation, train, k)
         assert repr(trained.weights) == repr(tuple(weights)), f"unit {k}"
         assert repr(trained.bias) == repr(bias), f"unit {k}"
@@ -289,7 +300,7 @@ def test_train_unit_matches_scalar_oracle_bit_for_bit(activation, loss, shuffle)
 def test_fit_readout_matches_scalar_oracle_bit_for_bit(loss, shuffle):
     config, dataset, parts = _default_subsets()
     units = [sn.train_unit(sn.init_unit(dataset.dim, "sigmoid", k, seed=config.seed),
-                           [dataset.observation(i) for i in ids],
+                           dataset.subset(ids),
                            sn.node_train_config(config.train, k))[0]
              for k, ids in enumerate(parts.subsets)]
     # three active units per group, so the order of the readout's sum matters
@@ -361,7 +372,7 @@ def test_loss_dz_matches_two_call_formulas_bit_for_bit(activation, loss):
 # ------------------------------------------------------------------- serialization
 
 def test_unit_json_roundtrip_exact(tmp_path):
-    subset = [obs((0.5, -0.5), 1, oid=0), obs((-0.5, 0.5), 0, oid=1)]
+    subset = rows(obs((0.5, -0.5), 1, oid=0), obs((-0.5, 0.5), 0, oid=1))
     trained, _ = sn.train_unit(sn.init_unit(2, "sigmoid", 3, seed=4), subset,
                                sn.TrainConfig(epochs=7, seed=4))
     path = tmp_path / "unit.json"

@@ -534,7 +534,7 @@ def test_train_subcommand_matches_pipeline_unit(tmp_path):
 def test_gen_data_from_specs_file_matches_config_route(tmp_path):
     config = sn.load_config(sn.default_config_path())
     specs_path = tmp_path / "specs.json"
-    sn.save_group_specs(config.specs, specs_path)
+    specs_path.write_text(json.dumps([s.to_json() for s in config.specs]))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("gen-data", "--out", a) == 0  # packaged default config
     assert run_cli("gen-data", "--specs", specs_path, "--seed", 42, "--out", b) == 0

@@ -102,6 +102,13 @@ def test_switch_json_rejects_non_integer_n_units(n_units):
         sn.SwitchTable.from_json(doc)
 
 
+@pytest.mark.parametrize("unit", [0.5, True, 1.0], ids=repr)
+def test_switch_table_rejects_non_integer_unit_index(unit):
+    # built directly, with no `build_switch` to check the entry first
+    with pytest.raises(sn.RoutingError, match=r"group 0: unit indices must be integers, got \["):
+        sn.SwitchTable(n_units=2, entries={0: frozenset({unit})})
+
+
 def test_invalid_fallback():
     with pytest.raises(sn.RoutingError, match="fallback"):
         sn.build_switch(2, {0: {0}}, fallback="explode")
