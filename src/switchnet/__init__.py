@@ -17,9 +17,9 @@ from .federated import (FedRunReport, Node, collect, make_nodes, node_train_conf
                         run_local_training, with_trained_units)
 from .network import (ContributionReport, LinearReadout, Metrics, ModularNetwork, Prediction,
                       UnitContribution, assemble, evaluate, fit_readout, forward, load_network,
-                      neuron_contribution, probe_activations, save_network)
+                      neuron_contribution, save_network)
 from .neuron import (ACTIVATIONS, LOSSES, Gradient, NeuronUnit, TrainConfig, TrainLog, fd_gradient,
-                     init_unit, load_unit, save_unit, train_unit, unit_forward, unit_gradient)
+                     init_unit, save_unit, train_unit, unit_forward, unit_gradient)
 from .pipeline import (ExperimentConfig, ReportBundle, apply_overrides, config_to_doc,
                        default_config_path, load_config, parse_config, run_pipeline)
-from .switching import ActivationMask, SwitchTable, build_switch, route
+from .switching import SwitchTable, build_switch, route

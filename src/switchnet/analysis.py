@@ -3,7 +3,7 @@
 Heatmaps aggregate ungated probe activations so every unit is observable on
 every group, regardless of how the switch would gate it. Probes are computed
 per group block through the network's column kernel, bit for bit equal to
-`probe_activations`.
+`unit_forward` on each observation.
 """
 
 import csv

@@ -217,10 +217,6 @@ class LabelRule:
             raise DataError("label rule weight length does not match features")
         return np.where(_z(self.weights, self.bias, features.T) > 0, 1, 0)
 
-    def apply(self, features) -> int:
-        """The label of one feature vector."""
-        return int(self.labels(np.array([features], dtype=float))[0])
-
     def to_json(self):
         if self.kind == "linear-threshold":
             return {"kind": self.kind, "weights": list(self.weights), "bias": self.bias}

@@ -1,16 +1,16 @@
 """Assembled network: trained units behind a switch, with gated evaluation.
 
-The forward pass computes only the units the switch activates; inactive units
-are skipped entirely, so their gated activation is exactly 0.0 and their
-parameters are never read. Evaluation, readout fitting and ablation read one
-gated table per id list, built by group block. A block is one index gather
-from the dataset's columns (the id list's rows of one group, in id-list
-order), and each active unit is computed over its block's feature columns by
-the scalar kernel itself, since `_z` and `_mean` given numpy float64 columns
-sum elementwise in the same left-to-right order (exp and tanh stay on
-`math`), so every value equals the per-observation `forward` bit for bit.
-Ablating a unit re-scores the blocks where it is active. The probe pass
-forces every switch open and is the basis for heatmap analysis.
+The switch routes each group to its active units; inactive units are skipped
+entirely, so their gated activation is exactly 0.0 and their parameters are
+never read. Every gated pass reads one gated table per id list, built by group
+block. A block is one index gather from the dataset's columns (the id list's
+rows of one group, in id-list order), and each active unit is computed over
+its block's feature columns by the column kernel, which runs the scalar
+kernel's `_z` and `_mean` on numpy float64 columns: they sum elementwise in
+the same left-to-right order (exp and tanh stay on `math`), so every value
+equals `unit_forward` and the router mean on one observation bit for bit.
+`forward` is the table's one-row case. Ablating a unit re-scores the blocks
+where it is active.
 """
 
 import math
@@ -23,9 +23,10 @@ from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
 from .jsonio import is_number, read_json, write_json
-from .neuron import (NeuronUnit, TrainConfig, _sgd, _sigmoid, _z, unit_forward, unit_from_dict,
-                     unit_to_dict)
-from .switching import ActivationMask, SwitchTable, route
+from .neuron import NeuronUnit, TrainConfig, _sgd, _z, unit_from_dict, unit_to_dict
+# Unused here, but the benchmark's tracer counts calls through this name: keep it bound.
+from .neuron import unit_forward  # noqa: F401
+from .switching import SwitchTable, route
 
 ROUTER_MEAN = "router-mean"
 AGGREGATIONS = (ROUTER_MEAN, "linear-readout")
@@ -78,7 +79,7 @@ class ModularNetwork:
 class Prediction:
     score: float
     predicted_label: int
-    active_mask: ActivationMask
+    active: tuple[int, ...]
     gated_activations: tuple[float, ...]
 
 
@@ -124,14 +125,6 @@ def assemble(units, switch: SwitchTable, aggregation="router-mean") -> ModularNe
     return ModularNetwork(units=tuple(units), switch=switch, aggregation=aggregation)
 
 
-def _score(aggregation, gated, active) -> float:
-    """Score of one gated vector: the readout's sigmoid over every slot, or the
-    left-to-right mean of the active slots (0.5 when none is active)."""
-    if isinstance(aggregation, LinearReadout):
-        return _sigmoid(_z(aggregation.weights, aggregation.bias, gated))
-    return _mean([gated[i] for i in active]) if active else 0.5
-
-
 def _mean(values) -> float:
     """Mean summed left to right, on every Python (builtin `sum` of floats is
     compensated from 3.12 on, which would move the bits)."""
@@ -139,34 +132,6 @@ def _mean(values) -> float:
     for v in values:
         total += v
     return total / len(values)
-
-
-def _label(score: float) -> int:
-    return 1 if score >= 0.5 else 0
-
-
-def _gated_prediction(net: ModularNetwork, x, mask: ActivationMask) -> Prediction:
-    gated = [0.0] * net.n_units
-    active = mask.active_indices()
-    for i in active:
-        gated[i] = unit_forward(net.units[i], x)
-    score = _score(net.aggregation, gated, active)
-    return Prediction(score=score, predicted_label=_label(score),
-                      active_mask=mask, gated_activations=tuple(gated))
-
-
-def forward(net: ModularNetwork, obs: Observation) -> Prediction:
-    """Switch-gated prediction for one observation."""
-    if len(obs.features) != net.dim:
-        raise NetworkError(f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
-    return _gated_prediction(net, obs.features, route(net.switch, obs.group))
-
-
-def probe_activations(net: ModularNetwork, obs: Observation) -> tuple[float, ...]:
-    """Ungated activation of every unit on the observation (all switches forced open)."""
-    if len(obs.features) != net.dim:
-        raise NetworkError(f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
-    return tuple(unit_forward(unit, obs.features) for unit in net.units)
 
 
 @np.errstate(all="ignore")
@@ -194,16 +159,23 @@ def _unit_column(unit: NeuronUnit, features: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _score_column(aggregation, columns, active, n: int) -> np.ndarray:
-    """`_score` on every row of a block of gated columns."""
+    """Score of every row of a block of gated columns: the readout's sigmoid over
+    every slot, or the left-to-right mean of the active slots (0.5 when none is
+    active)."""
     if isinstance(aggregation, LinearReadout):
         return _sigmoid_column(_z(aggregation.weights, aggregation.bias, columns))
     return _mean([columns[i] for i in active]) if active else np.full(n, 0.5)
 
 
+def _label_column(score: np.ndarray) -> np.ndarray:
+    """Predicted label of every score: 1 from 0.5 up, so a tie falls to label 1."""
+    return np.where(score >= 0.5, 1, 0)
+
+
 def _hits(aggregation, columns, active, labels: np.ndarray) -> int:
     """Correct predictions in a block."""
     score = _score_column(aggregation, columns, active, len(labels))
-    return int(np.count_nonzero(np.where(score >= 0.5, 1, 0) == labels))
+    return int(np.count_nonzero(_label_column(score) == labels))
 
 
 @dataclass(frozen=True)
@@ -233,21 +205,35 @@ def _group_blocks(net: ModularNetwork, ids, dataset: Dataset) -> list:
     return blocks
 
 
+def _gated_columns(net: ModularNetwork, active, features: np.ndarray) -> list:
+    """One column per unit over a (rows, dim) feature array: each active unit's
+    activations, and for every inactive slot one shared zero column, its unit
+    never read."""
+    columns = [np.zeros(len(features))] * net.n_units
+    for i in active:
+        columns[i] = _unit_column(net.units[i], features)
+    return columns
+
+
 def _gated_table(net: ModularNetwork, ids, dataset: Dataset) -> list:
     """Gated columns of an id list by group block: one (block, active units,
-    columns) triple per group, one column per unit.
-
-    `route` runs once per distinct group and each active unit once over its
-    block; inactive slots share one zero column and their units are never read.
-    """
+    columns) triple per group, `route` run once per distinct group."""
     table = []
     for block in _group_blocks(net, ids, dataset):
-        active = route(net.switch, block.group).active_indices()
-        columns = [np.zeros(len(block.positions))] * net.n_units
-        for i in active:
-            columns[i] = _unit_column(net.units[i], block.features)
-        table.append((block, active, columns))
+        active = route(net.switch, block.group)
+        table.append((block, active, _gated_columns(net, active, block.features)))
     return table
+
+
+def forward(net: ModularNetwork, obs: Observation) -> Prediction:
+    """Switch-gated prediction for one observation: the gated table's one-row case."""
+    if len(obs.features) != net.dim:
+        raise NetworkError(f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
+    active = route(net.switch, obs.group)
+    columns = _gated_columns(net, active, np.array([obs.features], dtype=float))
+    score = _score_column(net.aggregation, columns, active, 1)
+    return Prediction(score=score.item(), predicted_label=_label_column(score).item(), active=active,
+                      gated_activations=tuple(column.item() for column in columns))
 
 
 def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:

@@ -3,17 +3,16 @@
 A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
 The finite-difference gradient is the verification oracle for the analytic one.
-Training, readout fitting and inference share one scalar kernel (`_z`,
-`_loss_dz`, `_sgd`) on Python floats, so their bits do not depend on the BLAS
-build.
+Training and readout fitting share one scalar kernel (`_z`, `_loss_dz`,
+`_sgd`) on Python floats, and inference runs the same `_z` over numpy float64
+columns, so no bit depends on the BLAS build.
 """
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import TrainingError
-from .jsonio import is_int, is_number, read_json, write_json
+from .jsonio import is_int, is_number, write_json
 from .seeding import rng_for
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh")
@@ -251,7 +250,3 @@ def unit_from_dict(obj: dict) -> NeuronUnit:
 
 def save_unit(unit: NeuronUnit, path) -> None:
     write_json(unit_to_dict(unit), path)
-
-
-def load_unit(path) -> NeuronUnit:
-    return unit_from_dict(read_json(Path(path)))

@@ -14,14 +14,6 @@ FALLBACKS = ("error", "all-active", "none-active")
 
 
 @dataclass(frozen=True)
-class ActivationMask:
-    bits: tuple[bool, ...]
-
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, on in enumerate(self.bits) if on)
-
-
-@dataclass(frozen=True)
 class SwitchTable:
     n_units: int
     entries: dict
@@ -99,13 +91,14 @@ def build_switch(n_units: int, entries, fallback: str = "error",
     return table, tuple(warnings)
 
 
-def route(table: SwitchTable, group: int) -> ActivationMask:
-    """Mask with bits set exactly for the group's configured units."""
+def route(table: SwitchTable, group: int) -> tuple[int, ...]:
+    """The group's active unit indices, ascending: exactly its configured units;
+    for a group with no entry, every unit under `all-active` and none under
+    `none-active`."""
     units = table.entries.get(group)
     if units is None:
         if table.fallback == "error":
             raise RoutingError(f"no switch entry for group {group} (fallback=error)")
-        if table.fallback == "all-active":
-            return ActivationMask(bits=(True,) * table.n_units)
-        return ActivationMask(bits=(False,) * table.n_units)
-    return ActivationMask(bits=tuple(u in units for u in range(table.n_units)))
+        return tuple(range(table.n_units)) if table.fallback == "all-active" else ()
+    # by index, not sorted(units): a table built directly may hold a list with repeats
+    return tuple(u for u in range(table.n_units) if u in units)

@@ -66,13 +66,13 @@ def test_criterion_1_partition_reproduction():
 
 
 def test_criterion_2_switch_semantics_and_zero_activation():
-    with criterion(2, "switch masks match config; inactive activations exactly 0.0", budget_s=1.0):
+    with criterion(2, "switch routes match config; inactive activations exactly 0.0", budget_s=1.0):
         config = default_config()
         table = default_switch(config)
         for group in range(5):
-            mask = sn.route(table, group)
+            active = sn.route(table, group)
             for unit in range(5):
-                assert mask.bits[unit] == (unit in config.switch.entries[group])
+                assert (unit in active) == (unit in config.switch.entries[group])
         units = [sn.init_unit(2, "sigmoid", k, config.seed) for k in range(5)]
         net = sn.assemble(units, table)
         gen = np.random.default_rng(20_240_001)
@@ -80,7 +80,7 @@ def test_criterion_2_switch_semantics_and_zero_activation():
             obs = random_observation(gen, i, int(gen.integers(0, 5)))
             pred = sn.forward(net, obs)
             for unit in range(5):
-                if not pred.active_mask.bits[unit]:
+                if unit not in pred.active:
                     assert pred.gated_activations[unit] == 0.0
 
 
@@ -95,7 +95,7 @@ def test_criterion_3_gating_invariance():
             group = int(gen.integers(0, 5))
             obs = random_observation(gen, trial, group)
             baseline = sn.forward(net, obs)
-            inactive = [u for u in range(5) if not baseline.active_mask.bits[u]]
+            inactive = [u for u in range(5) if u not in baseline.active]
             victim = int(inactive[int(gen.integers(0, len(inactive)))])
             perturbed_units = list(net.units)
             perturbed_units[victim] = sn.NeuronUnit(

@@ -75,7 +75,7 @@ def test_heatmap_mean_sums_left_to_right():
                          for i, x in enumerate((40.0, -36.8, -36.8)))
     dataset = sn.Dataset.from_observations(dim=1, groups=((0, "only"),), observations=observations)
     net = sn.assemble([unit], identity_switch(1))
-    probes = [sn.probe_activations(net, o)[0] for o in observations]
+    probes = [sn.unit_forward(unit, o.features) for o in observations]
     assert math.fsum(probes) != functools.reduce(operator.add, probes)
     matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, "mean")
     assert matrix.values == ((functools.reduce(operator.add, probes) / 3,),)

@@ -67,13 +67,17 @@ def test_generate_group_prefix_ignores_counts(grown):
         assert _group_features(specs_for(grown), g)[:count] == _group_features(specs_for((3, 4)), g)
 
 
+def label_of(rule, features):
+    return rule.labels(np.array([features]))[0]
+
+
 def test_label_rules():
-    assert sn.LabelRule("all-zero").apply((5.0, 5.0)) == 0
-    assert sn.LabelRule("all-one").apply((-5.0, 0.0)) == 1
+    assert label_of(sn.LabelRule("all-zero"), (5.0, 5.0)) == 0
+    assert label_of(sn.LabelRule("all-one"), (-5.0, 0.0)) == 1
     rule = sn.LabelRule("linear-threshold", weights=(1.0, -1.0), bias=0.0)
-    assert rule.apply((2.0, 1.0)) == 1
-    assert rule.apply((1.0, 2.0)) == 0
-    assert rule.apply((1.0, 1.0)) == 0  # ties fall to label 0
+    assert label_of(rule, (2.0, 1.0)) == 1
+    assert label_of(rule, (1.0, 2.0)) == 0
+    assert label_of(rule, (1.0, 1.0)) == 0  # ties fall to label 0
 
 
 def test_linear_threshold_sums_left_to_right():
@@ -82,7 +86,7 @@ def test_linear_threshold_sums_left_to_right():
     features = (1.0, 1.0, 1.0)
     z = functools.reduce(operator.add, [w * x for w, x in zip(rule.weights, features)]) + rule.bias
     assert z == 0.0
-    assert rule.apply(features) == 0
+    assert label_of(rule, features) == 0
 
 
 def test_generate_rejects_dimension_mismatch():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -5,6 +6,7 @@ import operator
 import numpy as np
 import pytest
 
+import oracle
 import switchnet as sn
 from switchnet import network
 from switchnet.neuron import _loss_dz, _z
@@ -95,7 +97,7 @@ def test_zero_activation_law_exact():
     net = trained_two_unit_net(two_group_dataset())
     pred = sn.forward(net, obs((0.3, 0.4), group=0))
     assert pred.gated_activations[1] == 0.0
-    assert pred.active_mask.bits == (True, False)
+    assert pred.active == (0,)
 
 
 def test_gating_invariance_under_inactive_perturbation():
@@ -115,10 +117,24 @@ def test_gating_invariance_under_inactive_perturbation():
 
 def test_forward_empty_active_set_under_none_fallback():
     net = sn.assemble(zero_units(2), identity_switch(2, fallback="none-active"))
-    pred = sn.forward(net, obs((1.0, 1.0), group=7))
+    point = obs((1.0, 1.0), group=7)
+    pred = sn.forward(net, point)
     assert pred.score == 0.5
     assert pred.predicted_label == 1
     assert pred.gated_activations == (0.0, 0.0)
+    assert pred.active == ()
+    assert repr(pred) == repr(oracle.forward(net, point))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_forward_rejects_wrong_width_observation(width):
+    net = sn.assemble(zero_units(2), identity_switch(2))
+    point = obs((1.0,) * width, oid=41)
+    with pytest.raises(sn.NetworkError, match=f"^observation 41 has {width} features, expected 2$") as got:
+        sn.forward(net, point)
+    with pytest.raises(sn.NetworkError) as expected:
+        oracle.forward(net, point)
+    assert repr(got.value) == repr(expected.value)
 
 
 def test_forward_routing_error_propagates():
@@ -129,17 +145,28 @@ def test_forward_routing_error_propagates():
 
 # ------------------------------------------------------------------ probe
 
+def heatmap_probe(net, point):
+    """Every unit's ungated activation on one observation, read from the heatmap
+    over a dataset of that observation alone (the mean of one value is itself;
+    probes ignore the switch, so the row may stand in group 0)."""
+    dataset = sn.Dataset.from_observations(dim=net.dim, groups=((0, "only"),),
+                                           observations=(dataclasses.replace(point, group=0),))
+    return tuple(row[0] for row in sn.heatmap(net, [point.id], dataset).values)
+
+
 def test_probe_all_zero_weight_units():
     net = sn.assemble(zero_units(5), identity_switch(5))
-    assert sn.probe_activations(net, obs((1.0, 2.0))) == (0.5,) * 5
+    point = obs((1.0, 2.0))
+    assert heatmap_probe(net, point) == oracle.probes(net, point) == (0.5,) * 5
 
 
 def test_probe_matches_gated_on_active_indices():
     net = trained_two_unit_net(two_group_dataset())
     point = obs((-1.5, 0.2), group=1)
-    probe = sn.probe_activations(net, point)
+    probe = heatmap_probe(net, point)
+    assert repr(probe) == repr(oracle.probes(net, point))
     pred = sn.forward(net, point)
-    for i in pred.active_mask.active_indices():
+    for i in pred.active:
         assert probe[i] == pred.gated_activations[i]
 
 
@@ -147,7 +174,7 @@ def test_probe_scalar_oracle():
     units = zero_units(3)
     units[1] = sn.NeuronUnit(unit_index=1, activation="sigmoid", weights=(1.0, -1.0), bias=0.0)
     net = sn.assemble(units, identity_switch(3))
-    probe = sn.probe_activations(net, obs((2.0, 1.0)))
+    probe = heatmap_probe(net, obs((2.0, 1.0)))
     assert abs(probe[1] - 0.7310585786300049) < 1e-6
 
 
@@ -354,8 +381,7 @@ def test_contribution_call_counts(monkeypatch):
     table, _ = sn.build_switch(3, {0: {0, 2}, 1: {1}}, fallback="all-active")
     net = sn.assemble(trained_two_unit_net(dataset).units + (zero_units(3)[2],), table)
     ids = dataset.ids.tolist()
-    active_total = sum(len(sn.route(table, dataset.observation(i).group).active_indices())
-                       for i in ids)
+    active_total = sum(len(sn.route(table, dataset.observation(i).group)) for i in ids)
     calls = {"unit_forward": 0, "route": 0, "column_rows": 0}
 
     def counted(name, fn):

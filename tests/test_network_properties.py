@@ -1,10 +1,7 @@
-"""Property tests: the gated table against the per-observation scalar oracles.
+"""Property tests: the gated table against the per-observation scalar oracle.
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
-import functools
-import operator
-
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -14,6 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import oracle  # noqa: E402
 import switchnet as sn  # noqa: E402
 from switchnet import network  # noqa: E402
 from switchnet.neuron import _activate, _z  # noqa: E402
@@ -75,52 +73,18 @@ def cases(draw, dead_nan_unit=False):
     return nan_net, net, dataset, ids
 
 
-def evaluate_oracle(net, ids, dataset, set_kind):
-    group_n, group_correct, correct = {}, {}, 0
-    for i in ids:
-        o = dataset.observation(i)
-        hit = int(sn.forward(net, o).predicted_label == o.label)
-        correct += hit
-        group_n[o.group] = group_n.get(o.group, 0) + 1
-        group_correct[o.group] = group_correct.get(o.group, 0) + hit
-    return sn.Metrics(accuracy=correct / len(ids),
-                      per_group_accuracy={g: group_correct[g] / group_n[g] for g in sorted(group_n)},
-                      n=len(ids), set_kind=set_kind)
-
-
-def mask_without(mask, unit):
-    """The mask with one unit forced inactive."""
-    return sn.ActivationMask(bits=tuple(on and i != unit for i, on in enumerate(mask.bits)))
-
-
-def contribution_oracle(net, ids, dataset):
-    """U + 1 full gated passes, the unit ablated through its mask."""
-    def accuracy(disabled):
-        correct = 0
-        for i in ids:
-            o = dataset.observation(i)
-            mask = sn.route(net.switch, o.group)
-            if disabled is not None:
-                mask = mask_without(mask, disabled)
-            correct += int(network._gated_prediction(net, o.features, mask).predicted_label == o.label)
-        return correct / len(ids)
-
-    full = accuracy(None)
-    return sn.ContributionReport(rows=tuple(
-        sn.UnitContribution(unit_index=u, full_accuracy=full, ablated_accuracy=accuracy(u),
-                            contribution=full - accuracy(u))
-        for u in range(net.n_units)))
-
-
-def heatmap_oracle(net, dataset, statistic):
-    groups = sorted(dataset.groups)
-    rows = [dataset.observation(i) for i in dataset.ids.tolist()]
-    probes = {g: [sn.probe_activations(net, o) for o in rows if o.group == g]
-              for g, _ in groups}
-    # left to right from 0.0 as `_mean` sums; builtin sum() is compensated from Python 3.12 on
-    stat = max if statistic == "max" else (lambda s: functools.reduce(operator.add, s, 0.0) / len(s))
-    return tuple(tuple(stat([p[u] for p in probes[g]]) for g, _ in groups)
-                 for u in range(net.n_units))
+def fallback_case(fallback, readout=False):
+    """Group 0 routed to unit 1, group 1 to the fallback, and the ids of both groups."""
+    units = [sn.NeuronUnit(unit_index=0, activation="sigmoid", weights=(0.5, -1.0), bias=0.25),
+             sn.NeuronUnit(unit_index=1, activation="tanh", weights=(-0.75, 0.5), bias=-0.1)]
+    switch, _ = sn.build_switch(2, {0: {1}}, fallback)
+    aggregation = sn.LinearReadout(weights=(1.5, -2.0), bias=0.3) if readout else "router-mean"
+    observations = (sn.Observation(id=0, group=0, label=1, features=(0.2, -1.3)),
+                    sn.Observation(id=1, group=1, label=0, features=(1.1, 0.4)),
+                    sn.Observation(id=2, group=1, label=1, features=(-2.0, 3.5)))
+    dataset = sn.Dataset.from_observations(dim=2, groups=((0, "g0"), (1, "g1")),
+                                           observations=observations)
+    return sn.assemble(units, switch, aggregation), dataset, [2, 0, 1]
 
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -161,7 +125,7 @@ def test_score_column_equals_scalar_score(n_units, n, readout, data):
                    if readout else "router-mean")
     columns = list(np.array(rows, dtype=float).T)
     score = network._score_column(aggregation, columns, active, n).tolist()
-    assert repr(score) == repr([network._score(aggregation, row, active) for row in rows])
+    assert repr(score) == repr([oracle.score(aggregation, row, active) for row in rows])
 
 
 @st.composite
@@ -207,7 +171,12 @@ def test_group_blocks_equal_per_id_gather(case):
 
 @PROPERTY
 @given(cases())
+@example(fallback_case("none-active"))
+@example(fallback_case("none-active", readout=True))
+@example(fallback_case("all-active"))
+@example(fallback_case("all-active", readout=True))
 def test_gated_table_rows_equal_forward(case):
+    # every table row, and `forward` as the table's one-row case, equal the scalar pass
     net, dataset, ids = case
     positions = []
     for block, active, columns in network._gated_table(net, ids, dataset):
@@ -215,10 +184,11 @@ def test_gated_table_rows_equal_forward(case):
         gated = np.column_stack(columns).tolist()
         for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
             obs = dataset.observation(ids[position])
-            pred = sn.forward(net, obs)
+            pred = oracle.forward(net, obs)
             assert obs.group == block.group and label == obs.label
             assert repr(tuple(vector)) == repr(pred.gated_activations)
-            assert active == pred.active_mask.active_indices()
+            assert active == pred.active
+            assert repr(sn.forward(net, obs)) == repr(pred)
     assert sorted(positions) == list(range(len(ids)))
 
 
@@ -227,7 +197,7 @@ def test_gated_table_rows_equal_forward(case):
 def test_evaluate_equals_per_id_forward(case, set_kind):
     net, dataset, ids = case
     assert repr(sn.evaluate(net, ids, dataset, set_kind)) == repr(
-        evaluate_oracle(net, ids, dataset, set_kind))
+        oracle.evaluate(net, ids, dataset, set_kind))
 
 
 @PROPERTY
@@ -235,7 +205,7 @@ def test_evaluate_equals_per_id_forward(case, set_kind):
 def test_contribution_equals_brute_force_ablation(case):
     net, dataset, ids = case
     assert repr(sn.neuron_contribution(net, ids, dataset)) == repr(
-        contribution_oracle(net, ids, dataset))
+        oracle.contribution(net, ids, dataset))
 
 
 @PROPERTY
@@ -243,7 +213,7 @@ def test_contribution_equals_brute_force_ablation(case):
 def test_heatmap_equals_per_id_probes(case, statistic):
     net, dataset, _ = case
     matrix = sn.heatmap(net, dataset.ids.tolist(), dataset, statistic)
-    assert repr(matrix.values) == repr(heatmap_oracle(net, dataset, statistic))
+    assert repr(matrix.values) == repr(oracle.heatmap(net, dataset, statistic))
 
 
 @PROPERTY
@@ -256,3 +226,7 @@ def test_nan_unit_no_group_activates_changes_nothing(case):
     report = sn.neuron_contribution(nan_net, ids, dataset)
     assert repr(report) == repr(sn.neuron_contribution(net, ids, dataset))
     assert report.rows[dead].contribution == 0.0
+    for obs in map(dataset.observation, ids):
+        pred = sn.forward(nan_net, obs)
+        assert repr(pred) == repr(oracle.forward(nan_net, obs)) == repr(sn.forward(net, obs))
+        assert pred.gated_activations[dead] == 0.0

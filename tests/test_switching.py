@@ -17,8 +17,7 @@ def test_identity_switch_builds_without_warnings():
 
 def test_group_of_units_entry():
     table, _ = sn.build_switch(5, {0: {0}, 1: {1}, 2: {2, 4}, 3: {3}, 4: {4}})
-    mask = sn.route(table, 2)
-    assert mask.bits == (False, False, True, False, True)
+    assert sn.route(table, 2) == (2, 4)
 
 
 def test_out_of_range_unit_rejected():
@@ -33,32 +32,42 @@ def test_empty_entry_rejected():
 
 def test_route_identity_mask():
     table, _ = sn.build_switch(5, identity_entries(5))
-    assert sn.route(table, 3).bits == (False, False, False, True, False)
+    assert sn.route(table, 3) == (3,)
 
 
 def test_route_unknown_group_fallbacks():
     all_active, _ = sn.build_switch(3, {0: {0}}, fallback="all-active")
-    assert sn.route(all_active, 9).bits == (True, True, True)
+    assert sn.route(all_active, 9) == (0, 1, 2)
     none_active, _ = sn.build_switch(3, {0: {0}}, fallback="none-active")
-    assert sn.route(none_active, 9).bits == (False, False, False)
+    assert sn.route(none_active, 9) == ()
     error_table, _ = sn.build_switch(3, {0: {0}}, fallback="error")
     with pytest.raises(sn.RoutingError, match="group 9"):
         sn.route(error_table, 9)
+
+
+@pytest.mark.parametrize("fallback", sn.switching.FALLBACKS)
+def test_route_returns_ascending_unique_indices(fallback):
+    built, _ = sn.build_switch(5, {0: [4, 0, 2, 2, 0], 1: [3]}, fallback=fallback)
+    direct = sn.SwitchTable(n_units=5, entries={0: [4, 0, 2, 2, 0], 1: [3]}, fallback=fallback)
+    for table in (built, direct):
+        for group in (0, 1) if fallback == "error" else (0, 1, 9):
+            active = sn.route(table, group)
+            assert type(active) is tuple and list(active) == sorted(set(active))
 
 
 def test_masks_match_configuration_exhaustively():
     entries = {0: {0, 2}, 1: {1}, 2: {3, 4}, 3: {0, 1, 2, 3, 4}, 4: {2}}
     table, _ = sn.build_switch(5, entries)
     for group in range(5):
-        mask = sn.route(table, group)
+        active = sn.route(table, group)
         for unit in range(5):
-            assert mask.bits[unit] == (unit in entries[group])
+            assert (unit in active) == (unit in entries[group])
 
 
 def test_configured_groups_have_nonempty_masks():
     table, _ = sn.build_switch(4, {0: {1}, 1: {0, 3}})
     for group in table.entries:
-        assert sn.route(table, group).active_indices()
+        assert sn.route(table, group)
 
 
 def test_dead_unit_warning():
