@@ -37,12 +37,15 @@ def _load_cli_config(args):
 
 
 def _read_input(path, what: str, parse=lambda doc: doc):
-    """`parse` the JSON file at `path`. A file that is not JSON, lacks a key
-    `parse` needs, has a value of the wrong JSON type where `parse` looks (a
-    list for an object, say) or fails its checks is a DataError naming the file."""
+    """`parse` the JSON file at `path`. A file that cannot be read (a directory,
+    say), is not JSON, lacks a key `parse` needs, has a value of the wrong JSON
+    type where `parse` looks (a list for an object, say) or fails its checks is
+    a DataError naming the file."""
     path = _require_file(path, what)
     try:
         doc = read_json(path)
+    except OSError as exc:  # a directory, say
+        raise DataError(f"{what} {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
     try:

@@ -17,6 +17,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -400,84 +401,88 @@ def save_dataset(dataset: Dataset, path) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _parse_lines(linenos, lines) -> list:
-    """One record per line, through one strict CSV reader.
+def _data_lines(fh, linenos: array, names: dict):
+    """The file's data lines, without their line endings; on the side, each one's
+    line number goes to `linenos` and each `# group` comment to `names`."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.rstrip("\r\n")
+        if line.startswith("#"):
+            m = _GROUP_COMMENT.match(line)
+            if m:
+                names[int(m.group(1))] = m.group(2)
+        elif line:
+            linenos.append(lineno)
+            yield line
 
-    A quoted field left open at the end of its line, and any other CSV error,
-    is a DataError naming the line where that record starts.
-    """
-    reader = csv.reader(lines, strict=True)
-    records = []
+
+def _read_rows(reader, width: int, ids: array, groups: array, labels: array, values: array):
+    """Convert each record into the buffers as it is read, up to the first that
+    fails to read or parse, and return that one's fault (None if none). A row's
+    label goes in last, so `len(labels)` counts the rows read in full."""
     try:
-        for record in reader:
-            if reader.line_num != len(records) + 1:
-                break
-            records.append(record)
+        for row in reader:
+            if reader.line_num != len(labels) + 2:  # one line each for the header and every row
+                return "quoted field runs past its line"
+            if len(row) != width:
+                return f"expected {width} columns, got {len(row)}"
+            try:
+                ids.append(int(row[0]))
+                groups.append(int(row[1]))
+            except ValueError:
+                return "non-integer id/group"
+            except OverflowError:
+                return "observation id/group does not fit in 64 bits"
+            if row[2] not in ("0", "1"):
+                return "invalid label"
+            try:
+                values.extend(map(float, row[3:]))
+            except ValueError:
+                return "non-numeric feature"
+            labels.append(row[2] == "1")
     except csv.Error as exc:
-        raise DataError(f"malformed CSV ({exc}), line {linenos[len(records)]}") from None
-    if len(records) != len(lines):
-        raise DataError(f"quoted field runs past its line, line {linenos[len(records)]}")
-    return records
+        return f"malformed CSV ({exc})"
+    return None
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset CSV (LF or CRLF); errors name the offending physical line.
+    """Parse a dataset CSV (UTF-8, LF or CRLF) in one pass; errors name the offending physical line.
 
-    Each value goes through `int` or `float`, row by row, up to the first row
-    that fails to parse; the parsed rows then become columns and take the row
-    checks as a whole. A row fault is reported for the earliest faulty row,
-    so the line named is the one a row-by-row reader would name.
-    """
+    Records stream from one strict CSV reader into typed buffers up to the first
+    line that fails to read or parse; the rows read then take the row checks as
+    columns. The earliest faulty line wins, whatever the check (CSV syntax, a
+    quoted field running past its line, columns, numbers, a row check), as in a
+    row-by-row reader. A file that is not UTF-8, or a path that cannot be read,
+    is an error naming the file, not a line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    names = {}
-    linenos, lines = [], []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _GROUP_COMMENT.match(line)
-                if m:
-                    names[int(m.group(1))] = m.group(2)
-                continue
-            linenos.append(lineno)
-            lines.append(line)
-    if not lines:
-        raise DataError(f"no header line in {path}")
-    header, *rows = _parse_lines(linenos, lines)
-    if header[:3] != ["id", "group", "label"] or any(
-            h != f"f{i}" for i, h in enumerate(header[3:])) or len(header) < 4:
-        raise DataError(f"bad header, line {linenos[0]}: {lines[0]!r}")
-    dim = len(header) - 3
+    names, linenos = {}, array("q")
     # machine-typed buffers: 8 bytes a value, and an id or group beyond 64 bits does not fit
     ids, groups, labels, values = array("q"), array("q"), array("q"), array("d")
-    parse_fault = None
-    for row in rows:
-        if len(row) != len(header):
-            parse_fault = f"expected {len(header)} columns, got {len(row)}"
-            break
-        try:
-            ids.append(int(row[0]))
-            groups.append(int(row[1]))
-        except ValueError:
-            parse_fault = "non-integer id/group"
-            break
-        except OverflowError:
-            parse_fault = "observation id/group does not fit in 64 bits"
-            break
-        if row[2] not in ("0", "1"):
-            parse_fault = "invalid label"
-            break
-        try:
-            values.extend(map(float, row[3:]))
-        except ValueError:
-            parse_fault = "non-numeric feature"
-            break
-        labels.append(row[2] == "1")
-    n = len(labels)  # the rows parsed in full, all before any parse fault
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            lines = _data_lines(fh, linenos, names)
+            first = next(lines, None)
+            if first is None:
+                raise DataError(f"no header line in {path}")
+            reader = csv.reader(chain([first], lines), strict=True)
+            try:
+                header = next(reader)
+            except csv.Error as exc:
+                raise DataError(f"malformed CSV ({exc}), line {linenos[0]}") from None
+            if reader.line_num != 1:
+                raise DataError(f"quoted field runs past its line, line {linenos[0]}")
+            if len(header) < 4 or header != ["id", "group", "label"] + [f"f{i}" for i in range(len(header) - 3)]:
+                raise DataError(f"bad header, line {linenos[0]}: {first!r}")
+            parse_fault = _read_rows(reader, len(header), ids, groups, labels, values)
+            for _ in lines:  # past a fault, a group comment still declares its group
+                pass
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file {path} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"dataset file {path} cannot be read: {exc.strerror}") from None
+    dim = len(header) - 3
+    n = len(labels)  # the rows read in full, all before any parse fault
     id_column, group_column, label_column = (np.frombuffer(c, dtype=np.int64)[:n] for c in (ids, groups, labels))
     features = np.frombuffer(values, dtype=float)[:n * dim].reshape(n, dim)
     checks = _row_checks(id_column, group_column, label_column, features)

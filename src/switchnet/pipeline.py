@@ -106,6 +106,14 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
+def _need_path(section: dict, key: str, where: str) -> str:
+    """A path entry: a non-empty JSON string, never a number or `null` coerced by `str`."""
+    value = _need(section, key, where)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}.{key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     """Validate a config document; raises ConfigError before anything runs."""
     if not isinstance(doc, dict):
@@ -135,7 +143,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
         if not specs:
             raise ConfigError("data.groups must be non-empty")
     else:
-        dataset_path = base / str(data_sec["dataset"])
+        dataset_path = base / _need_path(data_sec, "dataset", "data")
     holdout = data_sec.get("holdout_fraction", 0.2)
     if not isinstance(holdout, (int, float)) or not 0.0 < holdout < 1.0:
         raise ConfigError(f"data.holdout_fraction must be in (0, 1), got {holdout}")
@@ -200,7 +208,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
                     f"{specs[unit].count}; the non-overlapping test set needs at least one left over")
 
     out_sec = doc["output"]
-    out_dir = Path(str(_need(out_sec, "dir", "output")))
+    out_dir = Path(_need_path(out_sec, "dir", "output"))
 
     return ExperimentConfig(seed=doc["seed"], specs=specs, dataset_path=dataset_path, plan=plan,
                             switch=switch, train=train, activation=activation,
@@ -215,6 +223,10 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     doc = apply_overrides(doc, overrides)

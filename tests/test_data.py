@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -216,9 +217,12 @@ def test_load_unknown_group_against_declared(tmp_path):
 
 HEADER = "id,group,label,f0,f1\n"
 # Each whole-dataset fault, as a CSV and the one error `load_dataset` gives:
-# the message a row-by-row reader gave, naming the earliest faulty row's
-# physical line. Duplicate ids and undeclared group gaps are whole-table
-# faults, found once every row has passed, and name no line.
+# the message a row-by-row reader gave, naming the earliest faulty line. There
+# is one fault order: CSV syntax, a quoted field running past its line, the
+# column count, a number that does not parse and the row checks all rank by
+# line. Duplicate ids and undeclared group gaps are whole-table faults, found
+# once every row has passed, and name no line; a file that is not UTF-8 or a
+# path that cannot be read names the file, not a line.
 LOAD_FAULTS = {
     "width": (HEADER + "0,0,1,0.5,0.5\n1,0,1,0.5\n", "expected 5 columns, got 4, line 3"),
     "unknown group": ("# group 0: a\n" + HEADER + "0,0,1,0.5,0.5\n1,3,1,0.5,0.5\n",
@@ -250,6 +254,14 @@ LOAD_FAULTS = {
                                      "observation 1: non-finite feature, line 4"),
     "lines counted past comments": (HEADER + "# a note\n\n0,0,1,0.5,oops\n",
                                     "non-numeric feature, line 4"),
+    "row fault before a later CSV error": (HEADER + '0,0,2,0.5,0.5\n1,0,1,"0.5,0.5\n',
+                                           "invalid label, line 2"),
+    "row fault before a later quoted field running past its line": (
+        HEADER + '0,0,1,nan,0.5\n1,0,1,"0.5\n",0.5\n2,0,1,0.5,0.5\n',
+        "observation 0: non-finite feature, line 2"),
+    "group comment after a parse fault still declares its group": (
+        "# group 0: a\n" + HEADER + "0,3,1,0.5,0.5\n1,0,1,0.5,oops\n# group 3: d\n",
+        "non-numeric feature, line 4"),
 }
 
 
@@ -375,6 +387,19 @@ def test_subset_keeps_the_order_of_its_ids():
 def test_load_missing_file():
     with pytest.raises(sn.DataError, match="not found"):
         sn.load_dataset("/nonexistent/nowhere.csv")
+
+
+def test_load_non_utf8_file_names_the_file(tmp_path):
+    # decoding runs in chunks, so the fault names the file, not a line
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(HEADER.encode() + b"0,0,1,0.5,0.5\n# caf\xe9\n")
+    with pytest.raises(sn.DataError, match=f"^dataset file {re.escape(str(path))} is not UTF-8 text "):
+        sn.load_dataset(path)
+
+
+def test_load_directory_names_the_path(tmp_path):
+    with pytest.raises(sn.DataError, match=f"^dataset file {re.escape(str(tmp_path))} cannot be read: "):
+        sn.load_dataset(tmp_path)
 
 
 # ----------------------------------------------------------------- partitioning

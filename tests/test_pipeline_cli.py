@@ -80,6 +80,23 @@ def test_unknown_section_rejected():
         sn.parse_config({"seed": 1, "bogus": {}})
 
 
+@pytest.mark.parametrize("key", ["output.dir", "data.dataset"])
+@pytest.mark.parametrize("raw", ["null", "7", "[]", ""])
+def test_path_entries_must_be_non_empty_strings(tmp_path, monkeypatch, capsys, key, raw):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["output"]["dir"] = "out"
+    if key == "data.dataset":
+        doc["data"] = {"dataset": "data.csv", "holdout_fraction": 0.2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(sn.ConfigError, match=f"^{key} must be a non-empty string, got "):
+        sn.load_config(cfg_path, [f"{key}={raw}"])
+    assert run_cli("pipeline", "--config", cfg_path, "--set", f"{key}={raw}") == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be a non-empty string")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_config_requires_exactly_one_data_source(tmp_path):
     doc = json.loads(sn.default_config_path().read_text())
     doc["data"]["dataset"] = "somewhere.csv"
@@ -700,3 +717,54 @@ def test_malformed_json_input_gives_one_error_line(tmp_path, capsys, small_bundl
     assert run_cli(*argv(tmp_path, small_bundle)) == code
     _only_error_line(capsys, prefix, str(tmp_path / name))
     assert not any((tmp_path / out).exists() for out in ("out.json", "out.csv", "out.svg", "out"))
+
+
+def _make_directory(path):
+    path.mkdir()
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"caf\xe9": 1}\n')
+
+
+# An input path that is a directory, or a file that is not UTF-8: one error line
+# naming the path. A bad config is a config error (exit 1), any other input a
+# data error (exit 2).
+UNREADABLE = [
+    ("config", _make_directory, lambda d, b: ["pipeline", "--config", d / "input"], 1,
+     "config error: config file", "cannot be read: Is a directory"),
+    ("config", _not_utf8, lambda d, b: ["pipeline", "--config", d / "input"], 1,
+     "config error: config file", "is not UTF-8 text"),
+    ("dataset", _make_directory, lambda d, b: ["partition", "--dataset", d / "input",
+                                               "--out", d / "out.json"], 2,
+     "error: dataset file", "cannot be read: Is a directory"),
+    ("dataset", _not_utf8, lambda d, b: ["partition", "--dataset", d / "input",
+                                         "--out", d / "out.json"], 2,
+     "error: dataset file", "is not UTF-8 text"),
+    ("network", _make_directory, lambda d, b: ["eval", "--network", d / "input",
+                                               "--dataset", b / "dataset.csv",
+                                               "--test-sets", b / "test_sets.json",
+                                               "--kind", "overlapping", "--out", d / "out.json"], 2,
+     "error: network bundle", "cannot be read: Is a directory"),
+    ("partition", _make_directory, lambda d, b: ["fedsim", "--dataset", b / "dataset.csv",
+                                                 "--partition", d / "input", "--out-dir", d / "out"], 2,
+     "error: partition JSON", "cannot be read: Is a directory"),
+    ("test sets", _make_directory, lambda d, b: ["eval", "--network", b / "network.json",
+                                                 "--dataset", b / "dataset.csv",
+                                                 "--test-sets", d / "input",
+                                                 "--kind", "overlapping", "--out", d / "out.json"], 2,
+     "error: test-sets file", "cannot be read: Is a directory"),
+    ("specs", _make_directory, lambda d, b: ["gen-data", "--specs", d / "input", "--seed", 1,
+                                             "--out", d / "out.csv"], 2,
+     "error: group specs file", "cannot be read: Is a directory"),
+]
+
+
+@pytest.mark.parametrize("what, make, argv, code, prefix, reason", UNREADABLE,
+                         ids=[f"{what}-{make.__name__.strip('_')}" for what, make, *_ in UNREADABLE])
+def test_unreadable_input_gives_one_error_line(tmp_path, capsys, small_bundle, what, make, argv,
+                                               code, prefix, reason):
+    make(tmp_path / "input")
+    assert run_cli(*argv(tmp_path, small_bundle)) == code
+    _only_error_line(capsys, prefix, str(tmp_path / "input"), reason)
+    assert not any((tmp_path / out).exists() for out in ("out.json", "out.csv", "out"))
