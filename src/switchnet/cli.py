@@ -254,14 +254,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
-        return 1
     except StageError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 2
     except SwitchNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # inputs fail as SwitchNetErrors, so this is an output that cannot be written
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -447,6 +447,9 @@ def _read_rows(reader, width: int, ids: array, groups: array, labels: array, val
 def load_dataset(path) -> Dataset:
     """Parse a dataset CSV (UTF-8, LF or CRLF) in one pass; errors name the offending physical line.
 
+    A byte-order mark at the start of the file, as spreadsheet exports write it,
+    is skipped; anywhere else it is part of the line it sits in.
+
     Records stream from one strict CSV reader into typed buffers up to the first
     line that fails to read or parse; the rows read then take the row checks as
     columns. The earliest faulty line wins, whatever the check (CSV syntax, a
@@ -460,7 +463,7 @@ def load_dataset(path) -> Dataset:
     # machine-typed buffers: 8 bytes a value, and an id or group beyond 64 bits does not fit
     ids, groups, labels, values = array("q"), array("q"), array("q"), array("d")
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             lines = _data_lines(fh, linenos, names)
             first = next(lines, None)
             if first is None:

@@ -5,7 +5,9 @@ touches only the given unit's parameters; nothing is shared across units.
 The finite-difference gradient is the verification oracle for the analytic one.
 Training and readout fitting share one scalar kernel (`_z`, `_loss_dz`,
 `_sgd`) on Python floats, and inference runs the same `_z` over numpy float64
-columns, so no bit depends on the BLAS build.
+columns, so no bit depends on the BLAS build. `_sgd` checks finiteness once
+per epoch; an epoch that ends non-finite is replayed from its start with a
+check after every step, which names the faulty step.
 """
 
 import math
@@ -183,29 +185,54 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
 
     When shuffling, epoch e visits the rows in the e-th `permutation(n)` of the
     one generator `rng_for(config.seed, "shuffle", stream)`.
+
+    Finiteness is checked once per epoch, on the epoch's loss total and its
+    final bias and weights. An epoch that ends non-finite is replayed from its
+    start with a check after every step (`_replay_epoch`), which raises the
+    TrainingError naming the first faulty step.
     """
     weights = list(weights)
     n = len(rows)
     lr = config.learning_rate
+    loss_kind = config.loss
     epoch_losses = []
     shuffler = rng_for(config.seed, "shuffle", stream)
     for epoch in range(config.epochs):
         order = shuffler.permutation(n).tolist() if config.shuffle else range(n)
+        start_weights, start_bias = weights, bias
         total = 0.0
-        for step, idx in enumerate(order):
+        for idx in order:
             x, y = rows[idx]
-            z = _z(weights, bias, x)
-            loss, dz = _loss_dz(activation, config.loss, z, y)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
+            loss, dz = _loss_dz(activation, loss_kind, _z(weights, bias, x), y)
             g = lr * dz
             weights = [w - g * xi for w, xi in zip(weights, x)]
             bias = bias - g
-            if not (math.isfinite(bias) and all(map(math.isfinite, weights))):
-                raise TrainingError(f"non-finite parameters at epoch {epoch} step {step}")
             total += loss
+        # One check finds every faulty step of the epoch: every loss is >= 0 (or
+        # nan), under + and - an inf or nan never turns finite again, and no step
+        # can raise (exp only gets arguments <= 0 or nan, then log1p, then
+        # comparisons). So an epoch that ends finite had no faulty step. A total
+        # that overflowed from finite losses is no fault: the replay returns.
+        if not (math.isfinite(total) and math.isfinite(bias) and all(map(math.isfinite, weights))):
+            _replay_epoch(epoch, start_weights, start_bias, rows, order, activation, config)
         epoch_losses.append(total / n)
     return weights, bias, epoch_losses
+
+
+def _replay_epoch(epoch: int, weights, bias: float, rows, order, activation: str,
+                  config: TrainConfig) -> None:
+    """Run epoch `epoch` again from its start, checking after every step; raise at the first fault."""
+    lr = config.learning_rate
+    for step, idx in enumerate(order):
+        x, y = rows[idx]
+        loss, dz = _loss_dz(activation, config.loss, _z(weights, bias, x), y)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
+        g = lr * dz
+        weights = [w - g * xi for w, xi in zip(weights, x)]
+        bias = bias - g
+        if not (math.isfinite(bias) and all(map(math.isfinite, weights))):
+            raise TrainingError(f"non-finite parameters at epoch {epoch} step {step}")
 
 
 def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUnit, TrainLog]:

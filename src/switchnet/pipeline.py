@@ -27,8 +27,11 @@ from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
 from .switching import SwitchTable, build_switch
 
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
-# train in this process whatever `network.workers` says: on a 2-vCPU Xeon,
-# starting a 2-process pool cost more than it saved up to about 15,000 steps.
+# train in this process whatever `network.workers` says. On a 2-vCPU Xeon (the
+# packaged config scaled to 10k-30k steps, 30 alternating pairs of in-process
+# and 2-worker `run_local_training`), the pool lost 13 ms at 10,000 steps, broke
+# even at 15,000 (median -3 ms, quartiles -8 to +1 ms, of about 50 ms) and won
+# 5 ms at 20,000; its quartiles straddle zero up to 25,000 steps.
 POOL_MIN_STEPS = 15_000
 _SECTIONS = ("seed", "data", "partition", "switch", "train", "network", "output")
 

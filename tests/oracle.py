@@ -1,16 +1,22 @@
-"""The per-observation scalar pass: the reference the gated table is checked against.
+"""Reference implementations the fast paths are checked against.
 
-One observation at a time, on Python floats: each active unit's gated value
-is `unit_forward`, the router mean sums left to right from 0.0 and the readout
-is `_sigmoid` of `_z` over the gated vector. Evaluation, ablation and heatmap
-probes are built from those per-observation values only, so they share no
-code with the column kernel in `switchnet.network` beyond `route`.
+The per-observation scalar pass: one observation at a time, on Python floats,
+each active unit's gated value is `unit_forward`, the router mean sums left to
+right from 0.0 and the readout is `_sigmoid` of `_z` over the gated vector.
+Evaluation, ablation and heatmap probes are built from those per-observation
+values only, so they share no code with the column kernel in
+`switchnet.network` beyond `route`.
+
+The per-step-checked SGD: `sgd` checks the loss and the parameters after every
+step, the reference for `neuron._sgd`, which checks once per epoch.
 """
 import functools
+import math
 import operator
 
 import switchnet as sn
-from switchnet.neuron import _sigmoid, _z
+from switchnet.neuron import _loss_dz, _sigmoid, _z
+from switchnet.seeding import rng_for
 
 
 def mean(values) -> float:
@@ -83,3 +89,30 @@ def heatmap(net, dataset, statistic) -> tuple:
     stat = max if statistic == "max" else mean
     return tuple(tuple(stat([p[u] for p in by_group[g]]) for g, _ in groups)
                  for u in range(net.n_units))
+
+
+def sgd(weights, bias, rows, activation, config, stream):
+    """`neuron._sgd` with a finiteness check after every step: the same visiting
+    order, update and epoch losses, and a TrainingError at the first faulty step."""
+    weights = list(weights)
+    n = len(rows)
+    lr = config.learning_rate
+    epoch_losses = []
+    shuffler = rng_for(config.seed, "shuffle", stream)
+    for epoch in range(config.epochs):
+        order = shuffler.permutation(n).tolist() if config.shuffle else range(n)
+        total = 0.0
+        for step, idx in enumerate(order):
+            x, y = rows[idx]
+            z = _z(weights, bias, x)
+            loss, dz = _loss_dz(activation, config.loss, z, y)
+            if not math.isfinite(loss):
+                raise sn.TrainingError(f"non-finite loss at epoch {epoch} step {step}")
+            g = lr * dz
+            weights = [w - g * xi for w, xi in zip(weights, x)]
+            bias = bias - g
+            if not (math.isfinite(bias) and all(map(math.isfinite, weights))):
+                raise sn.TrainingError(f"non-finite parameters at epoch {epoch} step {step}")
+            total += loss
+        epoch_losses.append(total / n)
+    return weights, bias, epoch_losses

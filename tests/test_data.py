@@ -153,6 +153,18 @@ def test_load_crlf_file_equals_lf_file(tmp_path):
     assert sn.load_dataset(crlf) == sn.load_dataset(lf) == ds
 
 
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    # as spreadsheet exports write it, before a group comment or before the header
+    ds = sn.generate_synthetic(specs_for((4, 3)), seed=5)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    sn.save_dataset(ds, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert sn.load_dataset(marked) == sn.load_dataset(plain) == ds
+    plain.write_text("id,group,label,f0\n0,0,1,0.5\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert sn.load_dataset(marked) == sn.load_dataset(plain)
+
+
 @pytest.mark.parametrize("line", [1, 2])  # the header, then a data line
 def test_load_oversized_field_names_line(tmp_path, line):
     # over the csv module's field size limit (131,072 characters)
@@ -259,6 +271,13 @@ LOAD_FAULTS = {
     "row fault before a later quoted field running past its line": (
         HEADER + '0,0,1,nan,0.5\n1,0,1,"0.5\n",0.5\n2,0,1,0.5,0.5\n',
         "observation 0: non-finite feature, line 2"),
+    # only a byte-order mark that starts the file is skipped
+    "byte-order mark before a data line": (HEADER + "0,0,1,0.5,0.5\n\ufeff1,0,1,0.5,0.5\n",
+                                            "non-integer id/group, line 3"),
+    "byte-order mark inside a field": (HEADER + "0,0,1,0.5,\ufeff0.5\n", "non-numeric feature, line 2"),
+    "second byte-order mark": ("\ufeff\ufeff" + HEADER, r"bad header, line 1: '\ufeffid,group,label,f0,f1'"),
+    "byte-order mark after a comment": ("# group 0: a\n\ufeff" + HEADER,
+                                        r"bad header, line 2: '\ufeffid,group,label,f0,f1'"),
     "group comment after a parse fault still declares its group": (
         "# group 0: a\n" + HEADER + "0,3,1,0.5,0.5\n1,0,1,0.5,oops\n# group 3: d\n",
         "non-numeric feature, line 4"),
@@ -269,7 +288,7 @@ LOAD_FAULTS = {
 def test_load_whole_dataset_fault_names_earliest_line(tmp_path, case):
     text, message = LOAD_FAULTS[case]
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(sn.DataError) as info:
         sn.load_dataset(path)
     assert str(info.value) == message

@@ -303,6 +303,25 @@ def test_fit_readout_non_finite_guard_names_the_readout():
     assert net.aggregation == sn.LinearReadout(weights=(0.0, 0.0), bias=0.0)
 
 
+@pytest.mark.parametrize("learning_rate,features,labels,message", [
+    (5e307, (3.0, 1.0, 0.5, 1.0), (1, 0, 1, 1), "non-finite loss at epoch 5 step 1"),
+    (7e307, (0.5, 2.0, 1.0), (0, 1, 0), "non-finite parameters at epoch 3 step 1"),
+])
+def test_fit_readout_names_a_later_faulty_step(learning_rate, features, labels, message):
+    # one relu unit whose activation is the feature, so the readout's rows are
+    # (feature, label); its weight and bias swing by about the learning rate a
+    # step until one overflows. In the second case the loss totals of epochs 0
+    # and 2 overflow too, with no faulty step, and training goes on.
+    dataset = sn.Dataset.from_observations(
+        dim=1, groups=((0, "group 0"),),
+        observations=[obs((x,), y, oid=i) for i, (x, y) in enumerate(zip(features, labels))])
+    unit = sn.NeuronUnit(unit_index=0, activation="relu", weights=(1.0,), bias=0.0)
+    net = sn.assemble((unit,), identity_switch(1), "linear-readout")
+    config = sn.TrainConfig(learning_rate=learning_rate, epochs=6, loss="bce", seed=0, shuffle=False)
+    with pytest.raises(sn.NetworkError, match=rf"^readout: {message}$"):
+        sn.fit_readout(net, dataset.ids.tolist(), dataset, config)
+
+
 # ------------------------------------------------------------------ contribution
 
 def test_contribution_zero_for_never_activated_unit():

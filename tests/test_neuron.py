@@ -194,6 +194,29 @@ def test_train_aborts_on_non_finite_loss():
         sn.train_unit(diverged, rows(obs((1e200,), 0)), cfg)
 
 
+@pytest.mark.parametrize("learning_rate,features,labels,message", [
+    # the weight grows about 1e46-fold an epoch until the loss overflows
+    (2e22, (2.0, 3.0, -2.0, -3.0), (1, 0, 0, 0), "non-finite loss at epoch 3 step 2"),
+    # a finite loss whose update overflows the weight
+    (1e154, (-1.0, -2.0, 1.0), (1, 1, 0), "non-finite parameters at epoch 1 step 1"),
+])
+def test_train_names_a_later_faulty_step(learning_rate, features, labels, message):
+    cfg = sn.TrainConfig(learning_rate=learning_rate, epochs=6, loss="mse", seed=0, shuffle=False)
+    subset = rows(*(obs((x,), y, oid=i) for i, (x, y) in enumerate(zip(features, labels))))
+    with pytest.raises(sn.TrainingError, match=rf"^unit 0: {message}$"):
+        sn.train_unit(make_unit((0.5,), activation="relu"), subset, cfg)
+
+
+def test_train_loss_total_may_overflow_from_finite_losses():
+    # each step's loss is about 1e308 and finite, the parameters stay finite, and
+    # only the epoch's sum overflows: no step is at fault, so training goes on
+    cfg = sn.TrainConfig(learning_rate=5e-324, epochs=2, loss="mse", seed=0, shuffle=False)
+    subset = rows(obs((1e154,), 0, oid=0), obs((1e154,), 0, oid=1))
+    trained, log = sn.train_unit(make_unit((1.0,), activation="relu"), subset, cfg)
+    assert log.epoch_losses == (math.inf, math.inf)
+    assert all(map(math.isfinite, trained.weights + (trained.bias,)))
+
+
 def test_train_parameters_stay_finite():
     subset = rows(obs((0.3, -0.7), 1, oid=0), obs((-0.2, 0.4), 0, oid=1))
     cfg = sn.TrainConfig(learning_rate=0.5, epochs=100, loss="bce", seed=0, shuffle=True)

@@ -768,3 +768,70 @@ def test_unreadable_input_gives_one_error_line(tmp_path, capsys, small_bundle, w
     assert run_cli(*argv(tmp_path, small_bundle)) == code
     _only_error_line(capsys, prefix, str(tmp_path / "input"), reason)
     assert not any((tmp_path / out).exists() for out in ("out.json", "out.csv", "out"))
+
+
+# ---------------------------------------------------------------- unwritable outputs
+
+def _with_outputs(d, b):
+    """Each subcommand's argv with every output flag set to a path in `d`."""
+    network, test_sets = b / "network.json", b / "test_sets.json"
+    inputs = ["--dataset", b / "dataset.csv"]
+    return {
+        "gen-data": ["gen-data", "--out", d / "data.csv"],
+        "partition": ["partition", *inputs, "--out", d / "partition.json", "--test-sets", d / "sets.json"],
+        "train": ["train", *inputs, "--partition", b / "partition.json", "--unit", 0,
+                  "--out-unit", d / "unit.json", "--out-log", d / "log.json"],
+        "fedsim": ["fedsim", *inputs, "--partition", b / "partition.json", "--out-dir", d / "fed"],
+        "eval": ["eval", "--network", network, *inputs, "--test-sets", test_sets,
+                 "--kind", "overlapping", "--out", d / "metrics.json",
+                 "--out-contribution", d / "contribution.json"],
+        "heatmap": ["heatmap", "--network", network, *inputs, "--test-sets", test_sets,
+                    "--out-csv", d / "heatmap.csv", "--out-svg", d / "heatmap.svg",
+                    "--out-attribution", d / "attribution.json"],
+    }
+
+
+OUTPUT_FLAGS = [("gen-data", "--out"), ("partition", "--out"), ("partition", "--test-sets"),
+                ("train", "--out-unit"), ("train", "--out-log"), ("fedsim", "--out-dir"),
+                ("eval", "--out"), ("eval", "--out-contribution"), ("heatmap", "--out-csv"),
+                ("heatmap", "--out-svg"), ("heatmap", "--out-attribution")]
+
+
+def _existing_other_kind(path, flag):
+    """A directory where a file goes; a file where a directory goes."""
+    if flag == "--out-dir":
+        path.write_text("")
+    else:
+        path.mkdir()
+    return path
+
+
+def _under_a_file(path, flag):
+    path.write_text("")
+    return path / "x"
+
+
+def _in_a_missing_directory(path, flag):
+    return path / "missing" / "x"
+
+
+# fedsim creates a missing output directory, so that one is writable
+UNWRITABLE = [(command, flag, make) for command, flag in OUTPUT_FLAGS
+              for make in (_existing_other_kind, _under_a_file, _in_a_missing_directory)
+              if not (flag == "--out-dir" and make is _in_a_missing_directory)]
+
+
+@pytest.mark.parametrize("command, flag, make", UNWRITABLE,
+                         ids=[f"{c}{f}-{m.__name__.strip('_')}" for c, f, m in UNWRITABLE])
+def test_unwritable_output_gives_one_error_line(tmp_path, capsys, small_bundle, command, flag, make):
+    argv = _with_outputs(tmp_path, small_bundle)[command]
+    argv[argv.index(flag) + 1] = make(tmp_path / "target", flag)
+    assert run_cli(*argv) == 2
+    _only_error_line(capsys, "error: cannot write ", str(tmp_path / "target"))
+
+
+def test_pipeline_output_dir_under_a_file_gives_one_error_line(tmp_path, capsys):
+    (tmp_path / "target").write_text("")
+    sets = fast_sets(tmp_path / "target" / "out", epochs=2)
+    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 2
+    _only_error_line(capsys, "error: cannot write ", str(tmp_path / "target"))
