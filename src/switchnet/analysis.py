@@ -3,13 +3,13 @@
 Heatmaps aggregate ungated probe activations so every unit is observable on
 every group, regardless of how the switch would gate it. Probes are computed
 per group block through the network's column kernel, bit for bit equal to
-`unit_forward` on each observation.
+`unit_forward` on each observation. The SVG writer escapes its labels itself
+(`_escape`), so importing this module loads no XML library.
 """
 
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .data import Dataset
 from .errors import AnalysisError
@@ -137,6 +137,12 @@ def _cell_color(v: float, lo: float, hi: float) -> tuple[str, float]:
     return "#%02x%02x%02x" % rgb, t
 
 
+def _escape(text: str) -> str:
+    """XML-escape text content: `&` first, then `<` and `>` (what
+    `xml.sax.saxutils.escape` does, without loading the XML and HTTP stack)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_heatmap_svg(matrix: HeatmapMatrix, path) -> None:
     """Standalone SVG heatmap: one rect per cell, linear light-to-dark scale,
     row/column labels, the numeric value in each cell. Byte-deterministic."""
@@ -148,17 +154,17 @@ def render_heatmap_svg(matrix: HeatmapMatrix, path) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif">',
         f'<text x="{_LEFT}" y="22" font-size="14" font-weight="bold">'
-        f'Unit activation heatmap ({escape(matrix.statistic)})</text>',
+        f'Unit activation heatmap ({_escape(matrix.statistic)})</text>',
     ]
     for j, label in enumerate(matrix.col_labels):
         cx = _LEFT + j * _CELL_W + 8
         cy = _TOP - 10
         parts.append(f'<text x="{cx}" y="{cy}" font-size="11" '
-                     f'transform="rotate(-18 {cx} {cy})">{escape(label)}</text>')
+                     f'transform="rotate(-18 {cx} {cy})">{_escape(label)}</text>')
     for i, label in enumerate(matrix.row_labels):
         ty = _TOP + i * _CELL_H + _CELL_H // 2 + 4
         parts.append(f'<text x="{_LEFT - 8}" y="{ty}" font-size="12" '
-                     f'text-anchor="end">{escape(label)}</text>')
+                     f'text-anchor="end">{_escape(label)}</text>')
     for i, row in enumerate(matrix.values):
         for j, v in enumerate(row):
             x = _LEFT + j * _CELL_W

@@ -7,6 +7,7 @@ reproduces the pipeline's artifacts byte-for-byte (timings aside).
 """
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 
@@ -29,6 +30,19 @@ def _require_file(path, what: str) -> Path:
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     return path
+
+
+def _check_outputs(*paths) -> None:
+    """Refuse an output file path that is a directory or whose parent is not an
+    existing directory. A subcommand with several outputs checks them all after
+    reading its inputs, so a bad later output does not leave the earlier ones
+    written. `None` (an optional output left unset) is skipped."""
+    for path in (Path(p) for p in paths if p is not None):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+        if not path.parent.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, f"{path.parent} is not an existing directory",
+                                     str(path))
 
 
 def _load_cli_config(args):
@@ -104,13 +118,15 @@ def cmd_gen_data(args) -> int:
 def cmd_partition(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
+    _check_outputs(args.out, args.test_sets)
     parts = partition(dataset, config.plan, config.seed)
     write_json(parts.to_json(), args.out)
-    print(f"wrote partition of {len(parts.assigned_ids())} observations to {args.out}")
     if args.test_sets:
         overlapping, non_overlapping = make_test_sets(dataset, parts, config.holdout_fraction,
                                                       config.seed)
         write_test_sets(args.test_sets, config, overlapping, non_overlapping)
+    print(f"wrote partition of {len(parts.assigned_ids())} observations to {args.out}")
+    if args.test_sets:
         print(f"wrote test sets ({len(overlapping)} overlapping, "
               f"{len(non_overlapping)} non-overlapping) to {args.test_sets}")
     return 0
@@ -122,15 +138,16 @@ def cmd_train(args) -> int:
     parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
     if not 0 <= args.unit < len(parts.subsets):
         raise ConfigError(f"partition has no unit {args.unit}")
+    _check_outputs(args.out_unit, args.out_log)
     subset = dataset.subset(parts.subsets[args.unit])
     unit = init_unit(dataset.dim, config.activation, args.unit, config.seed)
     trained, log = train_unit(unit, subset, node_train_config(config.train, args.unit))
     save_unit(trained, args.out_unit)
-    print(f"trained unit {args.unit} on {len(subset)} observations "
-          f"(final loss {log.final_loss:.6f}) -> {args.out_unit}")
     if args.out_log:
         write_json({"unit_index": args.unit, "epoch_losses": list(log.epoch_losses),
                     "final_loss": log.final_loss, "steps": log.steps}, args.out_log)
+    print(f"trained unit {args.unit} on {len(subset)} observations "
+          f"(final loss {log.final_loss:.6f}) -> {args.out_unit}")
     return 0
 
 
@@ -153,12 +170,13 @@ def cmd_eval(args) -> int:
     net = _read_input(args.network, "network bundle", network_from_dict)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
+    _check_outputs(args.out, args.out_contribution)
     metrics = evaluate(net, ids, dataset, args.kind)
     write_json(metrics.to_json(), args.out)
-    print(f"{args.kind} accuracy {metrics.accuracy:.4f} over {metrics.n} observations -> {args.out}")
     if args.out_contribution:
         report = neuron_contribution(net, ids, dataset)
         write_json(report.to_json(), args.out_contribution)
+    print(f"{args.kind} accuracy {metrics.accuracy:.4f} over {metrics.n} observations -> {args.out}")
     return 0
 
 
@@ -166,12 +184,13 @@ def cmd_heatmap(args) -> int:
     net = _read_input(args.network, "network bundle", network_from_dict)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
+    _check_outputs(args.out_csv, args.out_svg, args.out_attribution)
     matrix = heatmap(net, ids, dataset, args.statistic)
     export_heatmap_csv(matrix, args.out_csv)
     render_heatmap_svg(matrix, args.out_svg)
-    print(f"heatmap ({matrix.n_rows} units x {matrix.n_cols} groups) -> {args.out_csv}, {args.out_svg}")
     if args.out_attribution:
         save_attribution(attribute(matrix), args.out_attribution)
+    print(f"heatmap ({matrix.n_rows} units x {matrix.n_cols} groups) -> {args.out_csv}, {args.out_svg}")
     return 0
 
 

@@ -9,11 +9,14 @@ pool pays for itself (`pipeline.POOL_MIN_STEPS`). Every node trains under its
 own seed, `derive_seed(seed, "node", node_id)`, never one taken from scheduling
 order, so results are bit-identical for any worker count. Collection is pure
 assembly: no weight averaging.
+
+`concurrent.futures.ProcessPoolExecutor` is imported where a pool starts, so a
+run that trains in this process never loads the process-pool modules
+(`multiprocessing`, `subprocess`, `logging`, ...).
 """
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -100,7 +103,10 @@ def run_local_training(nodes, config: TrainConfig,
 
     trained, logs, durations_ms, schedule, worker_ids = [], [], [], [], {}
     with ExitStack() as stack:
-        run = map if workers == 1 else stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        run = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         outcomes = run(_train_node, nodes, repeat(config))
         for node in nodes:
             try:

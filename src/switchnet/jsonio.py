@@ -9,7 +9,8 @@ def write_json(obj, path) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON document in the UTF-8 file at `path`; a leading byte-order mark is skipped."""
+    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def is_int(value) -> bool:

@@ -20,7 +20,7 @@ from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_syn
                    load_dataset, make_test_sets, partition, save_dataset)
 from .errors import ConfigError, RoutingError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
-from .jsonio import is_int, write_json
+from .jsonio import is_int, read_json, write_json
 from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
                       save_network)
 from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
@@ -220,18 +220,19 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
-    """Read a config file, apply dotted-key overrides, validate."""
+    """Read a config file (UTF-8, with or without a byte-order mark), apply
+    dotted-key overrides, validate."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path)
     except OSError as exc:  # a directory, say
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     doc = apply_overrides(doc, overrides)
     return parse_config(doc, base_dir=path.parent)
 
@@ -386,7 +387,8 @@ def _is_previous_bundle(out_dir: Path) -> bool:
 
 def _check_output_dir(out_dir: Path) -> None:
     """A run may replace a missing or empty directory or a previous bundle, never
-    foreign files and never the working directory or one that holds it.
+    foreign files and never the working directory or one that holds it; and it
+    may create a missing one only under directories.
 
     `out_dir` is resolved.
     """
@@ -394,6 +396,10 @@ def _check_output_dir(out_dir: Path) -> None:
     if out_dir == cwd or out_dir in cwd.parents:
         raise ConfigError(f"output.dir {out_dir} is the working directory or holds it; "
                           "refusing to replace it")
+    nearest = next(p for p in out_dir.parents if p.exists())  # the root always exists
+    if not nearest.is_dir():
+        raise ConfigError(f"output.dir {out_dir} is under {nearest}, which exists and is not "
+                          "a directory")
     if out_dir.is_dir():
         if not any(out_dir.iterdir()) or _is_previous_bundle(out_dir):
             return

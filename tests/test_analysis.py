@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import operator
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -215,3 +216,15 @@ def test_svg_escapes_labels(tmp_path):
     text = path.read_text()
     assert "a &amp; b" in text
     assert "unit &lt;0&gt;" in text
+
+
+def test_svg_escapes_labels_as_saxutils_does(tmp_path, monkeypatch):
+    matrix = sn.HeatmapMatrix(values=((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9)),
+                              row_labels=("a & b", "<unit>", "x > y"),
+                              col_labels=('say "hi"', "it's", "&amp;"), statistic="mean")
+    sn.render_heatmap_svg(matrix, tmp_path / "own.svg")
+    monkeypatch.setattr("switchnet.analysis._escape", escape)
+    sn.render_heatmap_svg(matrix, tmp_path / "saxutils.svg")
+    own = (tmp_path / "own.svg").read_bytes()
+    assert own == (tmp_path / "saxutils.svg").read_bytes()
+    assert b">&amp;amp;</text>" in own and b">&lt;unit&gt;</text>" in own

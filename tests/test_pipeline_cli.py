@@ -1,10 +1,10 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
 import pytest
 
 import switchnet as sn
-import switchnet.federated
 import switchnet.pipeline
 from switchnet.cli import main
 
@@ -28,7 +28,7 @@ def no_pool(monkeypatch):
     """Fail any attempt to start a process pool."""
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
-    monkeypatch.setattr(switchnet.federated, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 # ---------------------------------------------------------------- config handling
@@ -830,8 +830,76 @@ def test_unwritable_output_gives_one_error_line(tmp_path, capsys, small_bundle, 
     _only_error_line(capsys, "error: cannot write ", str(tmp_path / "target"))
 
 
-def test_pipeline_output_dir_under_a_file_gives_one_error_line(tmp_path, capsys):
+def test_pipeline_output_dir_under_a_file_gives_one_error_line(tmp_path, monkeypatch, capsys):
     (tmp_path / "target").write_text("")
-    sets = fast_sets(tmp_path / "target" / "out", epochs=2)
-    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 2
-    _only_error_line(capsys, "error: cannot write ", str(tmp_path / "target"))
+    refuse_compute(monkeypatch)
+    sets = fast_sets(tmp_path / "target" / "out" / "deeper", epochs=2)
+    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 1
+    _only_error_line(capsys, "config error: output.dir ", f"under {tmp_path / 'target'}, which exists")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+
+@pytest.mark.parametrize("command, flag", [("heatmap", "--out-attribution"), ("heatmap", "--out-svg"),
+                                           ("partition", "--test-sets"), ("train", "--out-log"),
+                                           ("eval", "--out-contribution")])
+def test_bad_later_output_writes_nothing(tmp_path, capsys, small_bundle, command, flag):
+    """A subcommand checks every output path before it writes one: a bad last
+    output leaves the earlier ones unwritten and prints no success line."""
+    argv = _with_outputs(tmp_path, small_bundle)[command]
+    argv[argv.index(flag) + 1] = _existing_other_kind(tmp_path / "target", flag)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path / 'target'}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+    assert not any((tmp_path / "target").iterdir())
+
+
+# ---------------------------------------------------------------- byte-order marks
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _bom_copy(src, dest):
+    dest.write_bytes(BOM + src.read_bytes())
+    return dest
+
+
+def test_config_with_byte_order_mark_loads_as_without(tmp_path):
+    plain = tmp_path / "plain.json"
+    plain.write_bytes(sn.default_config_path().read_bytes())
+    assert sn.load_config(_bom_copy(plain, tmp_path / "bom.json")) == sn.load_config(plain)
+
+
+def test_json_inputs_with_byte_order_mark_give_the_same_outputs(tmp_path, small_bundle):
+    b = small_bundle
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for name in ("network.json", "partition.json", "test_sets.json"):
+        _bom_copy(b / name, bom / name)
+    for d in (b, bom):
+        assert run_cli("eval", "--network", d / "network.json", "--dataset", b / "dataset.csv",
+                       "--test-sets", d / "test_sets.json", "--kind", "overlapping",
+                       "--out", tmp_path / f"{d.name}_metrics.json") == 0
+        assert run_cli("train", "--dataset", b / "dataset.csv", "--partition", d / "partition.json",
+                       "--unit", 1, "--set", "train.epochs=2",
+                       "--out-unit", tmp_path / f"{d.name}_unit.json") == 0
+    assert sn.load_network(bom / "network.json") == sn.load_network(b / "network.json")
+    for kind in ("metrics", "unit"):
+        assert (tmp_path / f"bom_{kind}.json").read_bytes() == \
+            (tmp_path / f"{b.name}_{kind}.json").read_bytes()
+
+
+@pytest.mark.parametrize("prefix", [b" " + BOM, BOM + BOM], ids=["space-then-bom", "two-boms"])
+def test_byte_order_mark_after_the_first_character_fails(tmp_path, capsys, small_bundle, prefix):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(prefix + sn.default_config_path().read_bytes())
+    assert run_cli("pipeline", "--config", cfg) == 1
+    _only_error_line(capsys, f"config error: config file {cfg} is not valid JSON: ")
+    network = tmp_path / "network.json"
+    network.write_bytes(prefix + (small_bundle / "network.json").read_bytes())
+    assert run_cli("eval", "--network", network, "--dataset", small_bundle / "dataset.csv",
+                   "--test-sets", small_bundle / "test_sets.json", "--kind", "overlapping",
+                   "--out", tmp_path / "metrics.json") == 2
+    _only_error_line(capsys, f"error: network bundle {network} is not valid JSON: ")
+    assert not (tmp_path / "metrics.json").exists()
