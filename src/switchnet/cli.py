@@ -45,6 +45,18 @@ def _check_outputs(*paths) -> None:
                                      str(path))
 
 
+def _check_output_dir(path) -> None:
+    """Refuse an output directory path that exists and is not a directory, or
+    whose nearest existing ancestor is not a directory; a missing one under
+    directories is created when written."""
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(path))
+    nearest = next(p for p in path.absolute().parents if p.exists())  # the root always exists
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, f"{nearest} is not a directory", str(path))
+
+
 def _load_cli_config(args):
     path = args.config if args.config else default_config_path()
     return load_config(_require_file(path, "config file"), getattr(args, "set", None) or [])
@@ -155,6 +167,7 @@ def cmd_fedsim(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
+    _check_output_dir(args.out_dir)
     switch, warnings = switch_stage(config, dataset)
     _print_warnings(warnings)
     net, fed = train_stage(config, dataset, parts, switch)

@@ -28,11 +28,14 @@ from .switching import SwitchTable, build_switch
 
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
 # train in this process whatever `network.workers` says. On a 2-vCPU Xeon (the
-# packaged config scaled to 10k-30k steps, 30 alternating pairs of in-process
-# and 2-worker `run_local_training`), the pool lost 13 ms at 10,000 steps, broke
-# even at 15,000 (median -3 ms, quartiles -8 to +1 ms, of about 50 ms) and won
-# 5 ms at 20,000; its quartiles straddle zero up to 25,000 steps.
-POOL_MIN_STEPS = 15_000
+# packaged config scaled x2-x16, 30 alternating pairs of in-process and
+# 2-worker `run_local_training` per size, median pool minus in-process), the
+# pool lost 13 ms at 10,000 steps (quartiles +12 to +14) and 8 ms at 20,000
+# (+6 to +13), broke even at 30,000 (+6 ms, then -0.5 ms with quartiles -5 to
+# +5), won at 40,000 in two passes of three (+1.5, -7.6 and -11.3 ms; quartiles
+# -18 to -6 in the last), and won in every pass from 50,000 (-2 to -9 ms) and
+# at 80,000 (-29 ms, quartiles -38 to -10).
+POOL_MIN_STEPS = 40_000
 _SECTIONS = ("seed", "data", "partition", "switch", "train", "network", "output")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import switchnet as sn
+from switchnet import neuron
 from switchnet.jsonio import read_json
 from switchnet.neuron import _loss_dz, unit_from_dict
 from switchnet.seeding import rng_for
@@ -391,6 +392,25 @@ def test_loss_dz_matches_two_call_formulas_bit_for_bit(activation, loss):
             got_loss, got_dz = _loss_dz(activation, loss, z, y)
             assert repr(got_loss) == repr(_two_call_loss(z, y, loss, activation)), (z, y)
             assert repr(got_dz) == repr(_two_call_dz(activation, loss, z, y)), (z, y)
+
+
+def test_sgd_compiles_one_epoch_per_width(monkeypatch):
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(neuron, "compile", counting_compile, raising=False)
+    neuron._epoch_for.cache_clear()
+    config = sn.TrainConfig(epochs=2, loss="mse", seed=0)
+    rows = [([1.0, -2.0], 1), ([0.5, 0.25], 0)]
+    for _ in range(2):
+        neuron._sgd([0.1, 0.2], 0.0, rows, "tanh", config, stream=0)
+    assert len(compiled) == 1
+    assert neuron._epoch_for(2) is neuron._epoch_for(2)
+    assert neuron._epoch_for(1) is not neuron._epoch_for(2)
+    assert len(compiled) == 2
 
 
 # ------------------------------------------------------------------- serialization

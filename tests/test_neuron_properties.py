@@ -2,6 +2,8 @@
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -25,7 +27,8 @@ RATES = st.builds(lambda m, e: m * 10.0 ** e, st.sampled_from([1, 2, 5, 7]), st.
 def runs(draw):
     """(weights, bias, rows, activation, config) for one `_sgd` call."""
     activation, loss = draw(st.sampled_from(PAIRS))
-    dim = draw(st.integers(1, 3))
+    # wide enough that a slip in the generated epoch's summation order moves bits
+    dim = draw(st.integers(1, 12))
     rows = draw(st.lists(st.tuples(st.lists(FEATURES, min_size=dim, max_size=dim), st.integers(0, 1)),
                          min_size=1, max_size=5))
     weights = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=dim, max_size=dim))
@@ -53,6 +56,16 @@ def relu_mse_run(rate, features, labels, weight=0.5, epochs=6):
     return [weight], 0.0, [([x], y) for x, y in zip(features, labels)], "relu", config
 
 
+def wide_run():
+    """A width-300 run whose sums of 300 mixed-sign terms round differently in
+    any other order."""
+    rng = random.Random(300)
+    rows = [([rng.uniform(-2.0, 2.0) for _ in range(300)], r % 2) for r in range(4)]
+    weights = [rng.uniform(-0.1, 0.1) for _ in range(300)]
+    config = sn.TrainConfig(learning_rate=0.05, epochs=3, loss="bce", seed=3, shuffle=True)
+    return weights, 0.25, rows, "sigmoid", config
+
+
 @settings(max_examples=400, deadline=None)
 @given(runs())
 # the faults past epoch 0 step 0 of test_neuron.py and test_network.py, then a
@@ -65,6 +78,11 @@ def relu_mse_run(rate, features, labels, weight=0.5, epochs=6):
 # only the bias overflows, on the epoch's last step
 @example(([8e307, 8e307], -1.5e308, [([1.0, 1.0], 0)], "sigmoid",
           sn.TrainConfig(learning_rate=5e307, epochs=1, loss="bce")))
+# only the last weight overflows, on the epoch's last step: the second row's
+# g * 8.0 is inf while every other weight, the bias and the loss stay finite
+@example(([0.25, 0.25, 0.25], 0.0, [([0.0, 0.0, 0.0], 1), ([1.0, 1.0, 8.0], 0)], "sigmoid",
+          sn.TrainConfig(learning_rate=5e307, epochs=1, loss="bce", shuffle=False)))
+@example(wide_run())
 def test_sgd_matches_the_per_step_checked_oracle(case):
     expected = outcome(oracle.sgd, case)
     event("diverges" if expected.startswith("TrainingError") else

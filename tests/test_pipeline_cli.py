@@ -839,6 +839,26 @@ def test_pipeline_output_dir_under_a_file_gives_one_error_line(tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
 
 
+@pytest.mark.parametrize("under", ["x", "x/deeper"])
+def test_fedsim_out_dir_under_a_file_refused_before_training(tmp_path, monkeypatch, capsys,
+                                                            small_bundle, under):
+    (tmp_path / "target").write_text("")
+
+    def no_training(*args):
+        raise AssertionError("train_stage ran")
+
+    monkeypatch.setattr("switchnet.cli.train_stage", no_training)
+    argv = _with_outputs(tmp_path, small_bundle)["fedsim"]
+    argv[argv.index("--out-dir") + 1] = tmp_path / "target" / under
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {tmp_path / 'target' / under}: "
+                            f"{tmp_path / 'target'} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+    assert (tmp_path / "target").read_text() == ""
+
+
 @pytest.mark.parametrize("command, flag", [("heatmap", "--out-attribution"), ("heatmap", "--out-svg"),
                                            ("partition", "--test-sets"), ("train", "--out-log"),
                                            ("eval", "--out-contribution")])
