@@ -8,6 +8,7 @@ reproduces the pipeline's artifacts byte-for-byte (timings aside).
 
 import argparse
 import errno
+import re
 import sys
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from .data import (GroupSpec, PartitionSet, generate_synthetic, load_dataset, ma
                    partition, save_dataset)
 from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import node_train_config
-from .jsonio import is_int, read_json, write_json
-from .network import SET_KINDS, evaluate, network_from_dict, neuron_contribution
+from .jsonio import is_int, read_input, write_json
+from .network import SET_KINDS, evaluate, load_network, neuron_contribution
 from .neuron import init_unit, save_unit, train_unit
 from .pipeline import (ReportBundle, data_stage, default_config_path, load_config, readout_stage,
                        run_pipeline, switch_stage, train_stage, write_test_sets, write_training)
@@ -58,34 +59,11 @@ def _check_output_dir(path) -> None:
 
 
 def _load_cli_config(args):
-    path = args.config if args.config else default_config_path()
-    return load_config(_require_file(path, "config file"), getattr(args, "set", None) or [])
-
-
-def _read_input(path, what: str, parse=lambda doc: doc):
-    """`parse` the JSON file at `path`. A file that cannot be read (a directory,
-    say), is not JSON, lacks a key `parse` needs, has a value of the wrong JSON
-    type where `parse` looks (a list for an object, say) or fails its checks is
-    a DataError naming the file."""
-    path = _require_file(path, what)
-    try:
-        doc = read_json(path)
-    except OSError as exc:  # a directory, say
-        raise DataError(f"{what} {path} cannot be read: {exc.strerror}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
-    try:
-        return parse(doc)
-    except KeyError as exc:
-        raise DataError(f"{what} {path} lacks key {exc}") from None
-    except (TypeError, AttributeError) as exc:  # e.g. `[]` indexed by a key, or `.items()` on it
-        raise DataError(f"{what} {path} has the wrong shape: {exc}") from None
-    except SwitchNetError as exc:
-        raise DataError(f"{what} {path}: {exc}") from None
+    return load_config(args.config or default_config_path(), getattr(args, "set", None) or [])
 
 
 def _ids_for_kind(test_sets_path, kind: str):
-    doc = _read_input(test_sets_path, "test-sets file")
+    doc = read_input(_require_file(test_sets_path, "test-sets file"), "test-sets file")
     key = kind.replace("-", "_")
     if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise ConfigError(f"test-sets file {test_sets_path} has no {key!r} id list")
@@ -114,8 +92,8 @@ def cmd_gen_data(args) -> int:
     if args.specs is not None:
         if args.seed is None:
             raise ConfigError("gen-data with --specs also needs --seed")
-        specs = _read_input(args.specs, "group specs file",
-                            lambda doc: tuple(map(GroupSpec.from_json, doc)))
+        specs = read_input(_require_file(args.specs, "group specs file"), "group specs file",
+                           lambda doc: tuple(map(GroupSpec.from_json, doc)))
         dataset = generate_synthetic(specs, args.seed)
     else:
         config = _load_cli_config(args)
@@ -147,7 +125,7 @@ def cmd_partition(args) -> int:
 def cmd_train(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
-    parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
+    parts = read_input(_require_file(args.partition, "partition JSON"), "partition JSON", PartitionSet.from_json)
     if not 0 <= args.unit < len(parts.subsets):
         raise ConfigError(f"partition has no unit {args.unit}")
     _check_outputs(args.out_unit, args.out_log)
@@ -166,13 +144,18 @@ def cmd_train(args) -> int:
 def cmd_fedsim(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
-    parts = _read_input(args.partition, "partition JSON", PartitionSet.from_json)
-    _check_output_dir(args.out_dir)
+    parts = read_input(_require_file(args.partition, "partition JSON"), "partition JSON", PartitionSet.from_json)
+    out = Path(args.out_dir)
+    _check_output_dir(out)
+    n = len(parts.subsets)  # a unit file past these would sit beside a network without that unit
+    stale = sorted(p for p in out.glob("unit_*.json") if re.fullmatch(r"unit_\d+", p.stem) and int(p.stem[5:]) >= n)
+    if stale:
+        raise DataError(f"{stale[0]} is a stale unit file: the partition has {n} units; "
+                        "remove it or choose another --out-dir")
     switch, warnings = switch_stage(config, dataset)
     _print_warnings(warnings)
     net, fed = train_stage(config, dataset, parts, switch)
     net = readout_stage(config, net, dataset, parts)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_training(ReportBundle(out, net.n_units), net, fed)
     print(f"trained {len(net.units)} nodes with {fed.workers} worker(s) -> {out}")
@@ -180,7 +163,7 @@ def cmd_fedsim(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net = _read_input(args.network, "network bundle", network_from_dict)
+    net = load_network(_require_file(args.network, "network bundle"))
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
     _check_outputs(args.out, args.out_contribution)
@@ -194,7 +177,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    net = _read_input(args.network, "network bundle", network_from_dict)
+    net = load_network(_require_file(args.network, "network bundle"))
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
     _check_outputs(args.out_csv, args.out_svg, args.out_attribution)

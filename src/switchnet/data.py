@@ -6,7 +6,8 @@ built on first use. `Observation` is the row type at the API edge:
 `Dataset.observation` builds one on demand, and `Dataset.from_observations`
 builds a dataset from rows. Every pass over the data (generation, the CSV
 reader and writer, partitioning, test splits, a node's rows, the network's
-group blocks) works on the columns. Partitioning assigns disjoint subsets of
+group blocks) works on the columns, and one list of row rules checks them for
+the constructor and the CSV reader alike. Partitioning assigns disjoint subsets of
 observation ids to neuron units. All operations are pure functions of their
 inputs and a seed.
 """
@@ -79,12 +80,18 @@ def _first_fault(checks):
     return None if found is None else (found[0], found[1](found[0]))
 
 
-def _row_checks(ids, groups, labels, features) -> list:
-    """An `Observation`'s checks, over columns, with its messages."""
+def _row_rules(ids, groups, labels, features, group_ids) -> list:
+    """Every rule a dataset applies to its rows, over columns, each with its
+    message, in the order a row-by-row scan applies them on one row."""
+    # a dense group list, the usual case, declares exactly the ids below its length
+    dense = group_ids == list(range(len(group_ids)))
+    undeclared = groups >= len(group_ids) if dense else ~np.isin(groups, group_ids)
     return [((ids < 0) | (groups < 0), lambda r: "observation id/group must be non-negative, "
              f"got id={ids[r]} group={groups[r]}"),
+            (undeclared, lambda r: f"observation {ids[r]} references unknown group {groups[r]}"),
             ((labels != 0) & (labels != 1), lambda r: f"invalid label {int(labels[r])!r} for observation {ids[r]}"),
-            (~np.isfinite(features).all(axis=1), lambda r: f"observation {ids[r]}: non-finite feature")]
+            (~np.isfinite(features).all(axis=1), lambda r: f"observation {ids[r]}: non-finite feature"),
+            (_repeats(ids), lambda r: f"duplicate observation id {ids[r]}")]
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
@@ -103,7 +110,8 @@ class Dataset:
 
     The columns are read-only copies of what the constructor is given, and they
     are checked as a whole: integer ids, groups and labels, one row per entry,
-    every row's checks an `Observation` makes, known groups and unique ids.
+    then the row rules, which name the earliest faulty row, then the group list
+    (ids dense 0..G-1, names on one line), which names no row.
     """
     dim: int
     groups: tuple[tuple[int, str], ...]
@@ -115,11 +123,6 @@ class Dataset:
     def __post_init__(self):
         if self.dim < 1:
             raise DataError("dataset dimension must be >= 1")
-        group_ids = [g for g, _ in self.groups]
-        if group_ids != list(range(len(group_ids))):  # in order, as the dataset CSV reads them back
-            raise DataError(f"group ids must be dense 0..G-1 in order, got {group_ids}")
-        for _, name in self.groups:
-            _check_group_name(name)
         for name, kinds, dtype in (("ids", "iu", np.int64), ("row_groups", "iu", np.int64),
                                    ("labels", "iu", np.int64), ("features", "fiu", np.float64)):
             object.__setattr__(self, name, _column(getattr(self, name), kinds, dtype, name))
@@ -130,12 +133,15 @@ class Dataset:
                             f"{ids.shape}, {groups.shape} and {labels.shape}")
         if features.shape != (n, self.dim):
             raise DataError(f"features must have shape ({n}, {self.dim}), got {features.shape}")
-        fault = _first_fault(_row_checks(ids, groups, labels, features)) or _first_fault([
-            (groups >= len(self.groups),
-             lambda r: f"observation {ids[r]} references unknown group {groups[r]}"),
-            (_repeats(ids), lambda r: f"duplicate observation id {ids[r]}")])
+        group_ids = [g for g, _ in self.groups]
+        fault = _first_fault(_row_rules(ids, groups, labels, features, group_ids))
         if fault:
             raise DataError(fault[1])
+        # the group list names no row, so its faults come after every row's
+        if group_ids != list(range(len(group_ids))):  # in order, as the dataset CSV reads them back
+            raise DataError(f"group ids must be dense 0..G-1 in order, got {group_ids}")
+        for _, name in self.groups:
+            _check_group_name(name)
 
     @classmethod
     def from_observations(cls, dim: int, groups, observations) -> "Dataset":
@@ -451,11 +457,12 @@ def load_dataset(path) -> Dataset:
     is skipped; anywhere else it is part of the line it sits in.
 
     Records stream from one strict CSV reader into typed buffers up to the first
-    line that fails to read or parse; the rows read then take the row checks as
-    columns. The earliest faulty line wins, whatever the check (CSV syntax, a
-    quoted field running past its line, columns, numbers, a row check), as in a
-    row-by-row reader. A file that is not UTF-8, or a path that cannot be read,
-    is an error naming the file, not a line."""
+    line that fails to read or parse; the rows read then take the dataset's row
+    rules, over the groups the `# group` comments declare (or else the rows hold).
+    The earliest faulty line wins, whatever the check (CSV syntax, a quoted field
+    running past its line, columns, numbers, a row rule), as in a row-by-row
+    reader. A group list that is not dense names no line and comes last; a file
+    that is not UTF-8, or a path that cannot be read, names the file, not a line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -488,16 +495,12 @@ def load_dataset(path) -> Dataset:
     n = len(labels)  # the rows read in full, all before any parse fault
     id_column, group_column, label_column = (np.frombuffer(c, dtype=np.int64)[:n] for c in (ids, groups, labels))
     features = np.frombuffer(values, dtype=float)[:n * dim].reshape(n, dim)
-    checks = _row_checks(id_column, group_column, label_column, features)
-    if names:
-        checks.insert(0, (~np.isin(group_column, list(names)),
-                          lambda r: f"unknown group {group_column[r]}"))
-    fault = _first_fault(checks)
+    group_ids = sorted(names) if names else np.unique(group_column).tolist()
+    fault = _first_fault(_row_rules(id_column, group_column, label_column, features, group_ids))
     if fault:
         raise DataError(f"{fault[1]}, line {linenos[1 + fault[0]]}")
     if parse_fault:
         raise DataError(f"{parse_fault}, line {linenos[1 + n]}")
-    group_ids = sorted(names) if names else np.unique(group_column).tolist()
     return Dataset(dim=dim, groups=tuple((g, names.get(g, f"group {g}")) for g in group_ids),
                    ids=id_column, row_groups=group_column, labels=label_column, features=features)
 

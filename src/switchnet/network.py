@@ -15,14 +15,13 @@ where it is active.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
-from .jsonio import is_number, read_json, write_json
+from .jsonio import is_number, read_input, write_json
 from .neuron import NeuronUnit, TrainConfig, _sgd, _z, unit_from_dict, unit_to_dict
 # Unused here, but the benchmark's tracer counts calls through this name: keep it bound.
 from .neuron import unit_forward  # noqa: F401
@@ -340,4 +339,4 @@ def save_network(net: ModularNetwork, path) -> None:
 
 
 def load_network(path) -> ModularNetwork:
-    return network_from_dict(read_json(Path(path)))
+    return read_input(path, "network bundle", network_from_dict)

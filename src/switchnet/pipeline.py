@@ -18,12 +18,12 @@ from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, rende
                        save_attribution)
 from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_synthetic,
                    load_dataset, make_test_sets, partition, save_dataset)
-from .errors import ConfigError, RoutingError, StageError, SwitchNetError
+from .errors import ConfigError, DataError, RoutingError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
-from .jsonio import is_int, read_json, write_json
+from .jsonio import is_int, read_input, write_json
 from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
                       save_network)
-from .neuron import ACTIVATIONS, TrainConfig, init_unit, save_unit
+from .neuron import ACTIVATIONS, TrainConfig, _check_pair, init_unit, save_unit
 from .switching import SwitchTable, build_switch
 
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
@@ -194,6 +194,10 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     activation = net_sec.get("activation", "sigmoid")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"network.activation must be one of {ACTIVATIONS}, got {activation!r}")
+    try:
+        _check_pair(activation, train.loss)
+    except SwitchNetError as exc:
+        raise ConfigError(f"network.activation cannot train with train.loss: {exc}") from None
     aggregation = net_sec.get("aggregation", "router-mean")
     if aggregation not in AGGREGATIONS:
         raise ConfigError(f"network.aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
@@ -229,15 +233,10 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = read_json(path)
-    except OSError as exc:  # a directory, say
-        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    doc = apply_overrides(doc, overrides)
-    return parse_config(doc, base_dir=path.parent)
+        doc = read_input(path, "config file")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_config(apply_overrides(doc, overrides), base_dir=path.parent)
 
 
 def apply_overrides(doc: dict, overrides) -> dict:

@@ -9,6 +9,10 @@ values only, so they share no code with the column kernel in
 
 The per-step-checked SGD: `sgd` checks the loss and the parameters after every
 step, the reference for `neuron._sgd`, which checks once per epoch.
+
+The row-by-row dataset scan: `dataset_fault` applies a dataset's row rules one
+row at a time, with a set of the ids seen, the reference for the column rules
+`Dataset` and `load_dataset` share.
 """
 import functools
 import math
@@ -116,3 +120,23 @@ def sgd(weights, bias, rows, activation, config, stream):
             total += loss
         epoch_losses.append(total / n)
     return weights, bias, epoch_losses
+
+
+def dataset_fault(ids, groups, labels, features, n_groups):
+    """(row, message) of the first faulty row of a dataset over groups 0..n_groups-1,
+    or None: on each row, in order, a non-negative id and group, a declared group,
+    a 0/1 label, finite features and an id no earlier row has."""
+    seen = set()
+    for row, (i, g, label, x) in enumerate(zip(ids, groups, labels, features)):
+        if i < 0 or g < 0:
+            return row, f"observation id/group must be non-negative, got id={i} group={g}"
+        if g >= n_groups:
+            return row, f"observation {i} references unknown group {g}"
+        if label not in (0, 1):
+            return row, f"invalid label {label!r} for observation {i}"
+        if not all(map(math.isfinite, x)):
+            return row, f"observation {i}: non-finite feature"
+        if i in seen:
+            return row, f"duplicate observation id {i}"
+        seen.add(i)
+    return None

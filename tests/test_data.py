@@ -231,16 +231,16 @@ HEADER = "id,group,label,f0,f1\n"
 # Each whole-dataset fault, as a CSV and the one error `load_dataset` gives:
 # the message a row-by-row reader gave, naming the earliest faulty line. There
 # is one fault order: CSV syntax, a quoted field running past its line, the
-# column count, a number that does not parse and the row checks all rank by
-# line. Duplicate ids and undeclared group gaps are whole-table faults, found
-# once every row has passed, and name no line; a file that is not UTF-8 or a
-# path that cannot be read names the file, not a line.
+# column count, a number that does not parse and the row rules (a repeated id
+# included) all rank by line. A group list that is not dense 0..G-1 names no
+# line and comes after every line's fault; a file that is not UTF-8 or a path
+# that cannot be read names the file, not a line.
 LOAD_FAULTS = {
     "width": (HEADER + "0,0,1,0.5,0.5\n1,0,1,0.5\n", "expected 5 columns, got 4, line 3"),
     "unknown group": ("# group 0: a\n" + HEADER + "0,0,1,0.5,0.5\n1,3,1,0.5,0.5\n",
-                      "unknown group 3, line 4"),
+                      "observation 1 references unknown group 3, line 4"),
     "duplicate id": (HEADER + "4,0,1,0.5,0.5\n7,0,1,0.5,0.5\n4,0,0,0.5,0.5\n",
-                     "duplicate observation id 4"),
+                     "duplicate observation id 4, line 4"),
     "negative id": (HEADER + "0,0,1,0.5,0.5\n-1,0,1,0.5,0.5\n",
                     "observation id/group must be non-negative, got id=-1 group=0, line 3"),
     "negative group": (HEADER + "0,-2,1,0.5,0.5\n",
@@ -258,12 +258,12 @@ LOAD_FAULTS = {
     "parse fault before a later row check": (HEADER + "0,0,1,0.5\n-1,0,1,0.5,0.5\n",
                                              "expected 5 columns, got 4, line 2"),
     "unknown group before non-finite on one row": ("# group 0: a\n" + HEADER + "0,5,1,nan,0.5\n",
-                                                   "unknown group 5, line 3"),
+                                                   "observation 0 references unknown group 5, line 3"),
     "negative id before non-finite on one row": (HEADER + "-3,0,1,nan,0.5\n",
                                                  "observation id/group must be non-negative, "
                                                  "got id=-3 group=0, line 2"),
-    "row fault before a duplicate": (HEADER + "0,0,1,0.5,0.5\n0,0,1,0.5,0.5\n1,0,1,-inf,0.5\n",
-                                     "observation 1: non-finite feature, line 4"),
+    "duplicate before a later row fault": (HEADER + "0,0,1,0.5,0.5\n0,0,1,0.5,0.5\n1,0,1,-inf,0.5\n",
+                                           "duplicate observation id 0, line 3"),
     "lines counted past comments": (HEADER + "# a note\n\n0,0,1,0.5,oops\n",
                                     "non-numeric feature, line 4"),
     "row fault before a later CSV error": (HEADER + '0,0,2,0.5,0.5\n1,0,1,"0.5,0.5\n',
@@ -337,6 +337,21 @@ def test_dataset_column_checks(column, value, message):
     with pytest.raises(sn.DataError) as info:
         sn.Dataset(dim=2, groups=((0, "a"),), **columns)
     assert str(info.value).startswith(message)
+
+
+def test_dataset_reports_the_earliest_faulty_row_whatever_the_rule():
+    with pytest.raises(sn.DataError, match="^observation 1 references unknown group 5$"):
+        sn.Dataset(dim=1, groups=((0, "a"),), ids=[0, 1, 2], row_groups=[0, 5, 0], labels=[1, 0, 1],
+                   features=[[0.5], [0.25], [float("nan")]])
+
+
+def test_group_list_fault_comes_after_every_row_fault():
+    with pytest.raises(sn.DataError, match="^observation 0: non-finite feature$"):
+        sn.Dataset(dim=1, groups=((0, "a"), (2, "c")), ids=[0], row_groups=[2], labels=[1],
+                   features=[[float("inf")]])
+    with pytest.raises(sn.DataError, match=r"^group ids must be dense 0..G-1 in order, got \[0, 2\]$"):
+        sn.Dataset(dim=1, groups=((0, "a"), (2, "c")), ids=[0], row_groups=[2], labels=[1],
+                   features=[[0.5]])
 
 
 @pytest.mark.parametrize("obs_id, dtype", [(1.5, "float64"), (2**63, "uint64"), (True, "bool")])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,15 @@ def test_network_bundle_roundtrip_with_readout(tmp_path):
     path = tmp_path / "network.json"
     sn.save_network(fitted, path)
     assert sn.load_network(path) == fitted
+
+
+def test_load_network_names_the_file_it_cannot_parse(tmp_path):
+    dataset = two_group_dataset(label_by_group=(1, 0))
+    path = tmp_path / "network.json"
+    sn.save_network(trained_two_unit_net(dataset), path)
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(sn.DataError, match=f"^network bundle {re.escape(str(path))} is not valid JSON: "):
+        sn.load_network(path)
 
 
 @pytest.mark.parametrize("aggregation, message", [

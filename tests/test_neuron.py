@@ -5,7 +5,7 @@ import pytest
 
 import switchnet as sn
 from switchnet import neuron
-from switchnet.jsonio import read_json
+from switchnet.jsonio import read_input
 from switchnet.neuron import _loss_dz, unit_from_dict
 from switchnet.seeding import rng_for
 
@@ -421,7 +421,7 @@ def test_unit_json_roundtrip_exact(tmp_path):
                                sn.TrainConfig(epochs=7, seed=4))
     path = tmp_path / "unit.json"
     sn.save_unit(trained, path)
-    assert unit_from_dict(read_json(path)) == trained
+    assert read_input(path, "unit file", unit_from_dict) == trained
 
 
 @pytest.mark.parametrize("unit_index", [1.0, "1", True])

@@ -180,6 +180,32 @@ def test_unevaluable_test_sets_are_config_errors(tmp_path, capsys, override, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_activation_that_cannot_train_with_the_loss_is_config_error(tmp_path, monkeypatch, capsys,
+                                                                    small_bundle, activation):
+    # the default loss is bce, defined only for sigmoid units
+    message = ("config error: network.activation cannot train with train.loss: "
+               f"bce loss is only defined with sigmoid units, got '{activation}'\n")
+    override = f"network.activation={activation}"
+    with pytest.raises(sn.ConfigError, match=f"got '{activation}'$"):
+        sn.load_config(sn.default_config_path(), [override])
+    refuse_compute(monkeypatch)
+    inputs = ["--dataset", small_bundle / "dataset.csv", "--partition", small_bundle / "partition.json"]
+    for argv in (["pipeline", "--set", f"output.dir={tmp_path / 'out'}"],
+                 ["fedsim", *inputs, "--out-dir", tmp_path / "fed"],
+                 ["train", *inputs, "--unit", 0, "--out-unit", tmp_path / "unit_0.json"]):
+        assert run_cli(*argv, "--set", override) == 1
+        assert capsys.readouterr().err == message
+    assert not any(tmp_path.iterdir())
+
+
+def test_relu_units_train_with_mse(tmp_path):
+    out = tmp_path / "out"
+    sets = fast_sets(out, epochs=2) + ["network.activation=relu", "train.loss=mse"]
+    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 0
+    assert sn.load_network(out / "network.json").units[0].activation == "relu"
+
+
 def test_dataset_group_left_out_of_test_sets_fails_before_training(tmp_path, monkeypatch, capsys):
     base = sn.load_config(sn.default_config_path())
     csv_path = tmp_path / "data.csv"
@@ -306,14 +332,17 @@ def test_unroutable_dataset_config_fails_in_switch_stage(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# the packaged config with unit 4 left out: group 4 routes to unit 3
+FOUR_UNITS = ["switch.n_units=4", "partition.counts=[20, 30, 10, 20]",
+              'switch.entries={"0": [0], "1": [1], "2": [2], "3": [3], "4": [3]}']
+
+
 def test_rerun_with_fewer_units_leaves_no_stale_files(tmp_path):
     out = tmp_path / "out"
     sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=2)))
     assert (out / "unit_4.json").exists()
-    four_units = ["switch.n_units=4", "partition.counts=[20, 30, 10, 20]",
-                  'switch.entries={"0": [0], "1": [1], "2": [2], "3": [3], "4": [3]}']
     bundle = sn.run_pipeline(sn.load_config(sn.default_config_path(),
-                                            fast_sets(out, epochs=2) + four_units))
+                                            fast_sets(out, epochs=2) + FOUR_UNITS))
     manifest = json.loads(bundle.manifest_json.read_text())
     assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"] + ["manifest.json"])
     assert not (out / "unit_4.json").exists()
@@ -728,7 +757,7 @@ def _not_utf8(path):
 
 
 # An input path that is a directory, or a file that is not UTF-8: one error line
-# naming the path. A bad config is a config error (exit 1), any other input a
+# naming the path, the same for every input. A bad config is a config error (exit 1), any other input a
 # data error (exit 2).
 UNREADABLE = [
     ("config", _make_directory, lambda d, b: ["pipeline", "--config", d / "input"], 1,
@@ -741,22 +770,25 @@ UNREADABLE = [
     ("dataset", _not_utf8, lambda d, b: ["partition", "--dataset", d / "input",
                                          "--out", d / "out.json"], 2,
      "error: dataset file", "is not UTF-8 text"),
-    ("network", _make_directory, lambda d, b: ["eval", "--network", d / "input",
-                                               "--dataset", b / "dataset.csv",
-                                               "--test-sets", b / "test_sets.json",
-                                               "--kind", "overlapping", "--out", d / "out.json"], 2,
-     "error: network bundle", "cannot be read: Is a directory"),
-    ("partition", _make_directory, lambda d, b: ["fedsim", "--dataset", b / "dataset.csv",
-                                                 "--partition", d / "input", "--out-dir", d / "out"], 2,
-     "error: partition JSON", "cannot be read: Is a directory"),
-    ("test sets", _make_directory, lambda d, b: ["eval", "--network", b / "network.json",
-                                                 "--dataset", b / "dataset.csv",
-                                                 "--test-sets", d / "input",
-                                                 "--kind", "overlapping", "--out", d / "out.json"], 2,
-     "error: test-sets file", "cannot be read: Is a directory"),
-    ("specs", _make_directory, lambda d, b: ["gen-data", "--specs", d / "input", "--seed", 1,
-                                             "--out", d / "out.csv"], 2,
-     "error: group specs file", "cannot be read: Is a directory"),
+    *[case for make, reason in ((_make_directory, "cannot be read: Is a directory"),
+                                (_not_utf8, "is not UTF-8 text"))
+      for case in [
+          ("network", make, lambda d, b: ["eval", "--network", d / "input",
+                                          "--dataset", b / "dataset.csv",
+                                          "--test-sets", b / "test_sets.json",
+                                          "--kind", "overlapping", "--out", d / "out.json"], 2,
+           "error: network bundle", reason),
+          ("partition", make, lambda d, b: ["fedsim", "--dataset", b / "dataset.csv",
+                                            "--partition", d / "input", "--out-dir", d / "out"], 2,
+           "error: partition JSON", reason),
+          ("test sets", make, lambda d, b: ["eval", "--network", b / "network.json",
+                                            "--dataset", b / "dataset.csv",
+                                            "--test-sets", d / "input",
+                                            "--kind", "overlapping", "--out", d / "out.json"], 2,
+           "error: test-sets file", reason),
+          ("specs", make, lambda d, b: ["gen-data", "--specs", d / "input", "--seed", 1,
+                                        "--out", d / "out.csv"], 2,
+           "error: group specs file", reason)]],
 ]
 
 
@@ -857,6 +889,31 @@ def test_fedsim_out_dir_under_a_file_refused_before_training(tmp_path, monkeypat
                             f"{tmp_path / 'target'} is not a directory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
     assert (tmp_path / "target").read_text() == ""
+
+
+def test_fedsim_refuses_a_stale_unit_file_before_training(tmp_path, monkeypatch, capsys, small_bundle):
+    four = tmp_path / "four"
+    sets = fast_sets(four, epochs=2) + FOUR_UNITS
+    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 0
+    out = tmp_path / "fed"
+    assert run_cli("fedsim", "--set", "train.epochs=2", "--dataset", small_bundle / "dataset.csv",
+                   "--partition", small_bundle / "partition.json", "--out-dir", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "unit_4.json" in before
+
+    def no_training(*args):
+        raise AssertionError("train_stage ran")
+
+    monkeypatch.setattr("switchnet.cli.train_stage", no_training)
+    capsys.readouterr()
+    assert run_cli("fedsim", *[a for s in FOUR_UNITS for a in ("--set", s)],
+                   "--dataset", four / "dataset.csv", "--partition", four / "partition.json",
+                   "--out-dir", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out / 'unit_4.json'} is a stale unit file: the partition has "
+                            "4 units; remove it or choose another --out-dir\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, flag", [("heatmap", "--out-attribution"), ("heatmap", "--out-svg"),
