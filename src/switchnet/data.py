@@ -7,16 +7,19 @@ built on first use. `Observation` is the row type at the API edge:
 builds a dataset from rows. Every pass over the data (generation, the CSV
 reader and writer, partitioning, test splits, a node's rows, the network's
 group blocks) works on the columns, and one list of row rules checks them for
-the constructor and the CSV reader alike. Partitioning assigns disjoint subsets of
+the constructor and the CSV reader alike. A dataset read from a CSV also keeps
+the file's bytes as its `source`, and writing it writes those bytes back: a run
+on a CSV carries its input as given. Partitioning assigns disjoint subsets of
 observation ids to neuron units. All operations are pure functions of their
 inputs and a seed.
 """
 
 import csv
+import io
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -112,6 +115,10 @@ class Dataset:
     are checked as a whole: integer ids, groups and labels, one row per entry,
     then the row rules, which name the earliest faulty row, then the group list
     (ids dense 0..G-1, names on one line), which names no row.
+
+    `source` is the bytes of the CSV file the dataset was read from, set by
+    `load_dataset` only; it is not compared, and a dataset built any other way
+    (`subset`, `from_observations`, `generate_synthetic`, a pickled copy) has none.
     """
     dim: int
     groups: tuple[tuple[int, str], ...]
@@ -119,6 +126,7 @@ class Dataset:
     row_groups: np.ndarray
     labels: np.ndarray
     features: np.ndarray
+    source: "bytes | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -173,7 +181,8 @@ class Dataset:
                 and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())))
 
     def __reduce__(self):
-        # rebuilt through the constructor, so the copy's columns are checked and read-only too
+        # rebuilt through the constructor, so the copy's columns are checked and
+        # read-only too; the source stays behind, so a pool worker gets the columns only
         return (Dataset, (self.dim, self.groups, *self._columns()))
 
     def _columns(self) -> tuple:
@@ -393,10 +402,15 @@ _GROUP_COMMENT = re.compile(r"^# group (\d+): (.*)$")
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the dataset CSV (group names carried in leading comment lines).
 
-    Each column is formatted as a whole; values leave the columns as Python
-    ints and floats, so each feature is written as its float `repr`.
+    A dataset read by `load_dataset` is written as the bytes it was parsed
+    from, byte for byte. Any other is formatted: each column as a whole, values
+    leaving the columns as Python ints and floats, so each feature is written
+    as its float `repr`.
     """
     path = Path(path)
+    if dataset.source is not None:
+        path.write_bytes(dataset.source)
+        return
     cells = [list(map(str, column.tolist())) for column in (dataset.ids, dataset.row_groups, dataset.labels)]
     cells += [list(map(repr, column)) for column in dataset.features.T.tolist()]
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -423,8 +437,10 @@ def _data_lines(fh, linenos: array, names: dict):
 
 def _read_rows(reader, width: int, ids: array, groups: array, labels: array, values: array):
     """Convert each record into the buffers as it is read, up to the first that
-    fails to read or parse, and return that one's fault (None if none). A row's
-    label goes in last, so `len(labels)` counts the rows read in full."""
+    fails to read or parse, and return that one's fault (None if none). Only
+    parsing happens here; a parsed value breaking a row rule (a label of 2, say)
+    is left to the row rules. A row's label goes in last, so `len(labels)`
+    counts the rows read in full."""
     try:
         for row in reader:
             if reader.line_num != len(labels) + 2:  # one line each for the header and every row
@@ -438,13 +454,18 @@ def _read_rows(reader, width: int, ids: array, groups: array, labels: array, val
                 return "non-integer id/group"
             except OverflowError:
                 return "observation id/group does not fit in 64 bits"
-            if row[2] not in ("0", "1"):
-                return "invalid label"
+            try:
+                label = int(row[2])
+            except ValueError:
+                return "non-integer label"
             try:
                 values.extend(map(float, row[3:]))
             except ValueError:
                 return "non-numeric feature"
-            labels.append(row[2] == "1")
+            try:
+                labels.append(label)
+            except OverflowError:
+                return "label does not fit in 64 bits"
     except csv.Error as exc:
         return f"malformed CSV ({exc})"
     return None
@@ -453,8 +474,11 @@ def _read_rows(reader, width: int, ids: array, groups: array, labels: array, val
 def load_dataset(path) -> Dataset:
     """Parse a dataset CSV (UTF-8, LF or CRLF) in one pass; errors name the offending physical line.
 
-    A byte-order mark at the start of the file, as spreadsheet exports write it,
-    is skipped; anywhere else it is part of the line it sits in.
+    The file is read once, as bytes; the reader streams over those bytes, and
+    the dataset keeps them as its `source`, so `save_dataset` writes the file
+    back as it was read. A byte-order mark at the start of the file, as
+    spreadsheet exports write it, is skipped; anywhere else it is part of the
+    line it sits in.
 
     Records stream from one strict CSV reader into typed buffers up to the first
     line that fails to read or parse; the rows read then take the dataset's row
@@ -467,10 +491,12 @@ def load_dataset(path) -> Dataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     names, linenos = {}, array("q")
-    # machine-typed buffers: 8 bytes a value, and an id or group beyond 64 bits does not fit
+    # machine-typed buffers: 8 bytes a value, and an id, group or label beyond 64 bits does not fit
     ids, groups, labels, values = array("q"), array("q"), array("q"), array("d")
     try:
-        with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        raw = path.read_bytes()
+        # decoded as it streams, so no second whole-file string is made
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
             lines = _data_lines(fh, linenos, names)
             first = next(lines, None)
             if first is None:
@@ -501,8 +527,10 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{fault[1]}, line {linenos[1 + fault[0]]}")
     if parse_fault:
         raise DataError(f"{parse_fault}, line {linenos[1 + n]}")
-    return Dataset(dim=dim, groups=tuple((g, names.get(g, f"group {g}")) for g in group_ids),
-                   ids=id_column, row_groups=group_column, labels=label_column, features=features)
+    dataset = Dataset(dim=dim, groups=tuple((g, names.get(g, f"group {g}")) for g in group_ids),
+                      ids=id_column, row_groups=group_column, labels=label_column, features=features)
+    object.__setattr__(dataset, "source", raw)
+    return dataset
 
 
 def partition(dataset: Dataset, plan: PartitionPlan, seed: int) -> PartitionSet:

@@ -271,7 +271,8 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 
 def config_to_doc(config: ExperimentConfig) -> dict:
-    """Canonical config document (what the bundle's config.json and hash use)."""
+    """Canonical config document: what the bundle's config.json and the manifest's
+    hash hold, less the `data.dataset_sha256` a run on a CSV adds."""
     data_sec = {"holdout_fraction": config.holdout_fraction}
     if config.specs is not None:
         data_sec["groups"] = [s.to_json() for s in config.specs]
@@ -292,11 +293,6 @@ def config_to_doc(config: ExperimentConfig) -> dict:
                     "workers": config.workers},
         "output": {"dir": str(config.output_dir)},
     }
-
-
-def _config_hash(config: ExperimentConfig) -> str:
-    doc = config_to_doc(config)
-    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _stage(name, fn):
@@ -459,8 +455,14 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
 
     matrix, attribution, contribution = _stage("analysis", analysis_stage)
 
+    # config.json and the manifest's hash: for a CSV run, they name the bytes read, not only the path
+    doc = config_to_doc(config)
+    if dataset.source is not None:
+        doc["data"]["dataset_sha256"] = hashlib.sha256(dataset.source).hexdigest()
+    config_sha256 = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
     def write_files(bundle: ReportBundle) -> None:
-        write_json(config_to_doc(config), bundle.config_json)
+        write_json(doc, bundle.config_json)
         save_dataset(dataset, bundle.dataset_csv)
         write_json(parts.to_json(), bundle.partition_json)
         write_test_sets(bundle.test_sets_json, config, overlapping, non_overlapping)
@@ -472,7 +474,7 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
         save_attribution(attribution, bundle.attribution_json)
         write_json(contribution.to_json(), bundle.contribution_json)
         write_json({"version": ARTIFACT_VERSION,
-                    "config_sha256": _config_hash(config),
+                    "config_sha256": config_sha256,
                     "switch_warnings": list(switch_warnings),
                     "artifacts": sorted(p.name for p in bundle.all_paths() if p != bundle.manifest_json)},
                    bundle.manifest_json)

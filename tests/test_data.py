@@ -165,6 +165,54 @@ def test_load_skips_a_leading_byte_order_mark(tmp_path):
     assert sn.load_dataset(marked) == sn.load_dataset(plain)
 
 
+# a byte-order mark, CRLF line ends and `1.50`: a file `save_dataset` would not write
+NON_CANONICAL = b"\xef\xbb\xbf# group 0: a\r\nid,group,label,f0,f1\r\n0,0,1,1.50,-0.25\r\n1,0,0,0.5,2.0\r\n"
+FORMATTED = b"# group 0: a\nid,group,label,f0,f1\n0,0,1,1.5,-0.25\n1,0,0,0.5,2.0\n"
+
+
+def test_loaded_dataset_is_written_back_as_read(tmp_path):
+    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_bytes(NON_CANONICAL)
+    loaded = sn.load_dataset(path)
+    assert loaded.source == NON_CANONICAL
+    sn.save_dataset(loaded, out)
+    assert out.read_bytes() == NON_CANONICAL
+    # the source is not compared: the same rows read from the formatted file are equal
+    path.write_bytes(FORMATTED)
+    assert sn.load_dataset(path) == loaded
+
+
+def test_a_dataset_built_from_a_loaded_one_is_written_formatted(tmp_path):
+    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_bytes(NON_CANONICAL)
+    loaded = sn.load_dataset(path)
+    ids = loaded.ids.tolist()
+    built = {"subset": loaded.subset(ids),
+             "from_observations": sn.Dataset.from_observations(
+                 loaded.dim, loaded.groups, [loaded.observation(i) for i in ids])}
+    for how, dataset in built.items():
+        assert dataset == loaded and dataset.source is None, how
+        sn.save_dataset(dataset, out)
+        assert out.read_bytes() == FORMATTED, how
+
+
+def test_pickled_dataset_leaves_its_source_behind(tmp_path):
+    # a pickled copy is rebuilt through the constructor; pool workers get columns only
+    path = tmp_path / "in.csv"
+    path.write_bytes(NON_CANONICAL)
+    loaded = sn.load_dataset(path)
+    copy = pickle.loads(pickle.dumps(loaded))
+    assert copy == loaded and copy.source is None
+    assert NON_CANONICAL not in pickle.dumps(loaded)
+
+
+def test_only_the_loader_sets_a_source():
+    assert sn.generate_synthetic(specs_for((2,)), seed=1).source is None
+    with pytest.raises(TypeError):
+        sn.Dataset(dim=1, groups=((0, "a"),), ids=[0], row_groups=[0], labels=[1], features=[[0.5]],
+                   source=b"0")
+
+
 @pytest.mark.parametrize("line", [1, 2])  # the header, then a data line
 def test_load_oversized_field_names_line(tmp_path, line):
     # over the csv module's field size limit (131,072 characters)
@@ -179,7 +227,7 @@ def test_load_oversized_field_names_line(tmp_path, line):
 def test_load_invalid_label_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,group,label,f0,f1\n0,0,1,0.5,0.5\n1,0,2,0.5,0.5\n")
-    with pytest.raises(sn.DataError, match="invalid label, line 3"):
+    with pytest.raises(sn.DataError, match="^invalid label 2 for observation 1, line 3$"):
         sn.load_dataset(path)
 
 
@@ -247,7 +295,14 @@ LOAD_FAULTS = {
                        "observation id/group must be non-negative, got id=0 group=-2, line 2"),
     "non-finite feature": (HEADER + "0,0,1,0.5,0.5\n1,0,1,0.5,inf\n",
                            "observation 1: non-finite feature, line 3"),
-    "bad label": (HEADER + "0,0,1,0.5,0.5\n1,0,2,0.5,0.5\n", "invalid label, line 3"),
+    "bad label": (HEADER + "0,0,1,0.5,0.5\n1,0,2,0.5,0.5\n", "invalid label 2 for observation 1, line 3"),
+    # a label cell is parsed as the id and group are; its value meets the row rules
+    "non-integer label": (HEADER + "0,0,1,0.5,0.5\n1,0,1.0,0.5,0.5\n", "non-integer label, line 3"),
+    "label past 64 bits": (HEADER + "0,0,1,0.5,0.5\n1,0,99999999999999999999,0.5,0.5\n",
+                           "label does not fit in 64 bits, line 3"),
+    "negative id before a bad label on one row": (HEADER + "-1,0,2,0.5,0.5\n",
+                                                  "observation id/group must be non-negative, "
+                                                  "got id=-1 group=0, line 2"),
     "declared group gap": ("# group 0: a\n# group 2: c\n" + HEADER + "0,0,1,0.5,0.5\n2,2,1,0.5,0.5\n",
                             r"group ids must be dense 0..G-1 in order, got [0, 2]"),
     "undeclared group gap": (HEADER + "0,0,1,0.5,0.5\n1,2,1,0.5,0.5\n",
@@ -267,7 +322,7 @@ LOAD_FAULTS = {
     "lines counted past comments": (HEADER + "# a note\n\n0,0,1,0.5,oops\n",
                                     "non-numeric feature, line 4"),
     "row fault before a later CSV error": (HEADER + '0,0,2,0.5,0.5\n1,0,1,"0.5,0.5\n',
-                                           "invalid label, line 2"),
+                                           "invalid label 2 for observation 0, line 2"),
     "row fault before a later quoted field running past its line": (
         HEADER + '0,0,1,nan,0.5\n1,0,1,"0.5\n",0.5\n2,0,1,0.5,0.5\n',
         "observation 0: non-finite feature, line 2"),

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 from pathlib import Path
 
@@ -307,6 +308,87 @@ def test_pipeline_from_dataset_file(tmp_path):
     doc["output"]["dir"] = str(tmp_path / "b")
     bundle = sn.run_pipeline(sn.parse_config(doc))
     assert bundle.dataset_csv.read_bytes() == csv_path.read_bytes()
+
+
+# ---------------------------------------------------------------- the bundle carries its input
+
+def _canonical_csv(tmp_path) -> bytes:
+    """The packaged config's dataset as `save_dataset` formats it."""
+    base = sn.load_config(sn.default_config_path())
+    path = tmp_path / "formatted.csv"
+    sn.save_dataset(sn.generate_synthetic(base.specs, base.seed), path)
+    return path.read_bytes()
+
+
+def _csv_run(tmp_path, raw: bytes, epochs=4):
+    """The packaged config run on a CSV holding `raw`, always at one input and one output path."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes(raw)
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["data"] = {"dataset": str(csv_path), "holdout_fraction": 0.2}
+    doc["train"]["epochs"] = epochs
+    doc["network"]["workers"] = 1
+    doc["output"]["dir"] = str(tmp_path / "out")
+    return sn.run_pipeline(sn.parse_config(doc))
+
+
+def _config_hash(config_json: Path) -> str:
+    doc = json.loads(config_json.read_text())
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_non_canonical_input_is_carried_verbatim_and_reproduces(tmp_path):
+    # a byte-order mark, CRLF line ends and a `1.50` feature
+    lines = _canonical_csv(tmp_path).decode().splitlines()
+    row = next(k for k, line in enumerate(lines) if line[0].isdigit())
+    lines[row] = ",".join(lines[row].split(",")[:3] + ["1.50"] + lines[row].split(",")[4:])
+    raw = b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n"
+    bundle = _csv_run(tmp_path, raw, epochs=6)
+    assert bundle.dataset_csv.read_bytes() == raw
+
+    # the CLI chain from the bundle's own dataset.csv reproduces the bundle
+    b, d = bundle.out_dir, tmp_path / "chain"
+    d.mkdir()
+    set_args = ["--set", "train.epochs=6", "--set", "network.workers=1"]
+    assert run_cli("partition", *set_args, "--dataset", b / "dataset.csv",
+                   "--out", d / "partition.json", "--test-sets", d / "test_sets.json") == 0
+    assert run_cli("fedsim", *set_args, "--dataset", b / "dataset.csv",
+                   "--partition", d / "partition.json", "--out-dir", d) == 0
+    for kind in ("overlapping", "non-overlapping"):
+        assert run_cli("eval", "--network", d / "network.json", "--dataset", b / "dataset.csv",
+                       "--test-sets", d / "test_sets.json", "--kind", kind,
+                       "--out", d / f"metrics_{kind.replace('-', '_')}.json") == 0
+    shared = ["partition.json", "test_sets.json", "network.json", "fed_report.json",
+              "metrics_overlapping.json", "metrics_non_overlapping.json"]
+    shared += [f"unit_{k}.json" for k in range(5)]
+    for name in shared:
+        assert (d / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_csv_run_records_the_sha256_of_the_bytes_it_read(tmp_path):
+    raw = _canonical_csv(tmp_path)
+    first = _csv_run(tmp_path, raw)
+    doc = json.loads(first.config_json.read_text())
+    assert doc["data"]["dataset_sha256"] == hashlib.sha256(raw).hexdigest()
+    first_hash = json.loads(first.manifest_json.read_text())["config_sha256"]
+    # the manifest hashes the document config.json holds
+    assert first_hash == _config_hash(first.config_json)
+
+    # other bytes at the same path, parsing to the same rows: another config hash
+    other = raw + b"# a note\n"
+    second = _csv_run(tmp_path, other)
+    assert sn.load_dataset(second.dataset_csv) == sn.load_dataset(tmp_path / "formatted.csv")
+    second_doc = json.loads(second.config_json.read_text())
+    assert second_doc["data"].pop("dataset_sha256") == hashlib.sha256(other).hexdigest()
+    del doc["data"]["dataset_sha256"]
+    assert second_doc == doc
+    assert json.loads(second.manifest_json.read_text())["config_sha256"] != first_hash
+
+
+def test_synthetic_run_records_no_dataset_sha256(tmp_path):
+    bundle = sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(tmp_path / "out", epochs=2)))
+    assert "dataset_sha256" not in json.loads(bundle.config_json.read_text())["data"]
+    assert json.loads(bundle.manifest_json.read_text())["config_sha256"] == _config_hash(bundle.config_json)
 
 
 def test_pipeline_runtime_failure_names_stage(tmp_path):
