@@ -4,17 +4,20 @@ A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
 The finite-difference gradient is the verification oracle for the analytic one.
 Training and readout fitting share one SGD trainer (`_sgd`) on Python floats:
-each epoch runs a loop generated once per input width from one source
-template (`_epoch_for`), which sums `w.x + b` left to right from 0.0 as `_z`
-does and takes the loss and gradient from `_loss_dz`, the one copy of both
-formulas. Inference runs the same `_z` over numpy float64 columns, so no bit
-depends on the BLAS build. `_sgd` checks finiteness once per epoch; an epoch
-that ends non-finite is replayed from its start by the generic loop
-`_replay_epoch`, with a check after every step, which names the faulty step.
+each epoch runs a loop generated once per (input width, activation, loss)
+from one source template (`_epoch_for`), which sums `w.x + b` left to right
+from 0.0 as `_z` does and computes the loss and gradient inline from the
+pair's snippet in `_LOSS_SNIPPETS`, the one copy of both formulas, so a step
+makes no Python-level call. `_loss_dz` is compiled from the same snippets.
+Inference runs the same `_z` over numpy float64 columns, so no bit depends on
+the BLAS build. `_sgd` checks finiteness once per epoch; an epoch that ends
+non-finite is replayed from its start by the generic loop `_replay_epoch`,
+with a check after every step, which names the faulty step.
 """
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 
 from .errors import TrainingError
@@ -48,27 +51,76 @@ def _z(weights, bias: float, x) -> float:
     return z + bias
 
 
-def _loss_dz(activation: str, loss: str, z: float, y) -> tuple[float, float]:
-    """(loss, d loss / d z) at pre-activation z; the one copy of both formulas.
+# One snippet per (activation, loss) pair the trainer accepts, the one copy of
+# both formulas: it sets `loss` and `dz` (d loss / d z) from the pre-activation
+# `z` and the label `y`, calling only `exp`, `log1p` and `tanh`. `_epoch_for`
+# writes it into the generated epoch's loop body and `_loss_dz` is compiled from
+# it. bce branches once on the sign of z and takes one exp, the same bits as
+# exp(-|z|), max(z, 0.0) and `_sigmoid`'s two branches; the loss is the logit
+# form of -[y log(s) + (1-y) log(1-s)], finite for any float z, and dz the
+# canonical bce+sigmoid gradient s - y. mse squares the difference by one
+# multiplication, not diff**2, so an overflow yields inf, not OverflowError,
+# and the relu derivative at exactly 0 is 0.
+_LOSS_SNIPPETS = {
+    ("sigmoid", "bce"): """\
+if z >= 0:
+    e = exp(-z)
+    loss = z - z * y + log1p(e)
+    dz = 1.0 / (1.0 + e) - y
+else:
+    e = exp(z)
+    loss = 0.0 - z * y + log1p(e)
+    dz = e / (1.0 + e) - y
+""",
+    ("sigmoid", "mse"): """\
+if z >= 0:
+    a = 1.0 / (1.0 + exp(-z))
+else:
+    e = exp(z)
+    a = e / (1.0 + e)
+diff = a - y
+loss = diff * diff
+dz = 2.0 * diff * (a * (1.0 - a))
+""",
+    ("tanh", "mse"): """\
+a = tanh(z)
+diff = a - y
+loss = diff * diff
+dz = 2.0 * diff * (1.0 - a * a)
+""",
+    ("relu", "mse"): """\
+diff = (z if z > 0 else 0.0) - y
+loss = diff * diff
+dz = 2.0 * diff * (1.0 if z > 0 else 0.0)
+""",
+}
 
-    bce takes one exp(-|z|) for the logit-form loss and the sigmoid; mse takes
-    the activation once for the difference and the derivative.
-    """
-    if loss == "bce":
-        e = math.exp(-abs(z))
-        s = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)  # _sigmoid(z), same bits
-        # logit form of -[y log(s) + (1-y) log(1-s)]; finite for any float z
-        return max(z, 0.0) - z * y + math.log1p(e), s - y  # canonical bce+sigmoid gradient
-    a = _activate(activation, z)
-    if activation == "sigmoid":
-        prime = a * (1.0 - a)
-    elif activation == "relu":
-        prime = 1.0 if z > 0 else 0.0  # derivative at exactly 0 defined as 0
-    else:
-        prime = 1.0 - a * a
-    diff = a - y
-    # not diff**2: squared overflow must yield inf, not OverflowError
-    return diff * diff, 2.0 * diff * prime
+
+def _snippet(activation: str, loss: str, depth: int) -> str:
+    """The pair's snippet, indented by `depth` spaces, without its last line break."""
+    return textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * depth).rstrip("\n")
+
+
+def _define(source: str, filename: str, name: str):
+    """The function `name` defined by `source`, with the snippets' math functions in scope."""
+    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+_LOSS_DZ_TEMPLATE = """\
+def loss_dz(z, y):
+{loss}
+    return loss, dz
+"""
+_LOSS_DZ = {(activation, loss): _define(_LOSS_DZ_TEMPLATE.format(loss=_snippet(activation, loss, 4)),
+                                        f"<loss {activation}/{loss}>", "loss_dz")
+            for activation, loss in _LOSS_SNIPPETS}
+
+
+def _loss_dz(activation: str, loss: str, z: float, y) -> tuple[float, float]:
+    """(loss, d loss / d z) at pre-activation z, from the pair's snippet."""
+    return _LOSS_DZ[activation, loss](z, y)
 
 
 def _check_pair(activation: str, loss: str) -> None:
@@ -187,17 +239,20 @@ def fd_gradient(unit: NeuronUnit, x, y: int, loss: str, h: float = 1e-5) -> Grad
 # One SGD epoch over rows of width d, with the weights unpacked to locals
 # w0..w{d-1} and each row to x0..x{d-1}: `z` starts from `0.0 +` as `_z` does,
 # so a -0.0 product still gives 0.0. Sequential statements, not one nested
-# expression, so no width reaches the parser's nesting limit. Only integer
-# indices are interpolated.
+# expression, so no width reaches the parser's nesting limit. The loss and
+# gradient are the pair's snippet, written into the loop body, so a step makes
+# no Python-level call beyond the snippet's math functions. Only integer
+# indices and the snippets are interpolated.
 _EPOCH_TEMPLATE = """\
-def epoch(weights, bias, rows, order, activation, loss_kind, lr):
+def epoch(weights, bias, rows, order, lr):
     {w}, = weights
     total = 0.0
     for idx in order:
         ({x},), y = rows[idx]
         z = 0.0 + w0 * x0
 {sum}
-        loss, dz = _loss_dz(activation, loss_kind, z + bias, y)
+        z += bias
+{loss}
         g = lr * dz
 {update}
         bias = bias - g
@@ -207,23 +262,23 @@ def epoch(weights, bias, rows, order, activation, loss_kind, lr):
 
 
 @functools.cache
-def _epoch_for(d: int):
-    """The SGD epoch for rows of width d >= 1, compiled on first use and cached:
-    `epoch(weights, bias, rows, order, activation, loss_kind, lr)` returns the
-    new weights (a list), the new bias and the epoch's loss total.
+def _epoch_for(d: int, activation: str, loss: str):
+    """The SGD epoch for rows of width d >= 1 under an accepted (activation,
+    loss) pair, compiled on first use and cached: `epoch(weights, bias, rows,
+    order, lr)` returns the new weights (a list), the new bias and the epoch's
+    loss total.
 
-    Compiling costs about 0.3 ms at width 2, 10 ms at width 300 and 0.9 s at
-    width 20,000 (2-vCPU Xeon, Python 3.11), once per width per process.
+    Compiling costs about 0.4 ms at width 2, 10 ms at width 300 and 0.6 s at
+    width 20,000 (2-vCPU Xeon, Python 3.11), once per (width, activation,
+    loss) per process.
     """
     source = _EPOCH_TEMPLATE.format(
         w=", ".join(f"w{i}" for i in range(d)),
         x=", ".join(f"x{i}" for i in range(d)),
         sum="\n".join(f"        z += w{i} * x{i}" for i in range(1, d)),
+        loss=_snippet(activation, loss, 8),
         update="\n".join(f"        w{i} = w{i} - g * x{i}" for i in range(d)))
-    namespace = {}
-    # the module's globals, so the epoch calls this module's `_loss_dz`
-    exec(compile(source, f"<sgd epoch, width {d}>", "exec"), globals(), namespace)
-    return namespace["epoch"]
+    return _define(source, f"<sgd epoch, width {d}, {activation}/{loss}>", "epoch")
 
 
 def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream):
@@ -231,8 +286,9 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
 
     When shuffling, epoch e visits the rows in the e-th `permutation(n)` of the
     one generator `rng_for(config.seed, "shuffle", stream)`. Each epoch runs
-    the generated `_epoch_for(len(weights))`, which makes the same float
-    operations in the same order as `_z`, `_loss_dz` and the generic update.
+    the generated `_epoch_for(len(weights), activation, config.loss)`, which
+    makes the same float operations in the same order as `_z`, `_loss_dz` and
+    the generic update.
 
     Finiteness is checked once per epoch, on the epoch's loss total and its
     final bias and weights. An epoch that ends non-finite is replayed from its
@@ -242,14 +298,13 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
     weights = list(weights)
     n = len(rows)
     lr = config.learning_rate
-    loss_kind = config.loss
     epoch_losses = []
-    run_epoch = _epoch_for(len(weights))
+    run_epoch = _epoch_for(len(weights), activation, config.loss)
     shuffler = rng_for(config.seed, "shuffle", stream)
     for epoch in range(config.epochs):
         order = shuffler.permutation(n).tolist() if config.shuffle else range(n)
         start_weights, start_bias = weights, bias
-        weights, bias, total = run_epoch(weights, bias, rows, order, activation, loss_kind, lr)
+        weights, bias, total = run_epoch(weights, bias, rows, order, lr)
         # One check finds every faulty step of the epoch: every loss is >= 0 (or
         # nan), under + and - an inf or nan never turns finite again, and no step
         # can raise (exp only gets arguments <= 0 or nan, then log1p, then

@@ -7,6 +7,7 @@ config document, so whole-bundle determinism can be checked by file comparison.
 import hashlib
 import json
 import math
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -28,14 +29,13 @@ from .switching import SwitchTable, build_switch
 
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
 # train in this process whatever `network.workers` says. On a 2-vCPU Xeon (the
-# packaged config scaled x2-x16, 30 alternating pairs of in-process and
-# 2-worker `run_local_training` per size, median pool minus in-process), the
-# pool lost 13 ms at 10,000 steps (quartiles +12 to +14) and 8 ms at 20,000
-# (+6 to +13), broke even at 30,000 (+6 ms, then -0.5 ms with quartiles -5 to
-# +5), won at 40,000 in two passes of three (+1.5, -7.6 and -11.3 ms; quartiles
-# -18 to -6 in the last), and won in every pass from 50,000 (-2 to -9 ms) and
-# at 80,000 (-29 ms, quartiles -38 to -10).
-POOL_MIN_STEPS = 40_000
+# packaged config scaled x2-x24, three passes of 30 alternating pairs of
+# in-process and 2-worker `run_local_training` per size, median pool minus
+# in-process), the pool lost 14-15 ms at 10,000 steps, 3-8 ms at 40,000 to
+# 60,000 (winning 0-11 of 30 pairs), split at 70,000 (-4.7, -5.0 and +2.0 ms),
+# won in every pass from 80,000 (-8.7, -4.3 and -2.1 ms; 17-25 of 30 pairs),
+# and by 13-19 ms at 100,000 and 120,000 (21-29 of 30).
+POOL_MIN_STEPS = 80_000
 _SECTIONS = ("seed", "data", "partition", "switch", "train", "network", "output")
 
 
@@ -53,6 +53,7 @@ class ExperimentConfig:
     heatmap_statistic: str
     workers: int
     output_dir: Path
+    dataset_sha256: "str | None" = None
 
     @property
     def n_units(self) -> int:
@@ -150,6 +151,14 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
             raise ConfigError("data.groups must be non-empty")
     else:
         dataset_path = base / _need_path(data_sec, "dataset", "data")
+    dataset_sha256 = data_sec.get("dataset_sha256")
+    if "dataset_sha256" in data_sec:
+        if specs is not None:
+            raise ConfigError("data.dataset_sha256 names the bytes of a data.dataset file; "
+                              "this config has data.groups")
+        if not isinstance(dataset_sha256, str) or not re.fullmatch("[0-9a-f]{64}", dataset_sha256):
+            raise ConfigError("data.dataset_sha256 must be 64 lowercase hex digits, "
+                              f"got {dataset_sha256!r}")
     holdout = data_sec.get("holdout_fraction", 0.2)
     if not isinstance(holdout, (int, float)) or not 0.0 < holdout < 1.0:
         raise ConfigError(f"data.holdout_fraction must be in (0, 1), got {holdout}")
@@ -223,7 +232,8 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     return ExperimentConfig(seed=doc["seed"], specs=specs, dataset_path=dataset_path, plan=plan,
                             switch=switch, train=train, activation=activation,
                             aggregation=aggregation, holdout_fraction=float(holdout),
-                            heatmap_statistic=statistic, workers=workers, output_dir=out_dir)
+                            heatmap_statistic=statistic, workers=workers, output_dir=out_dir,
+                            dataset_sha256=dataset_sha256)
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
@@ -308,10 +318,20 @@ def _stage(name, fn):
 # tracer wraps: keep those names bound here.
 
 def data_stage(config: ExperimentConfig) -> Dataset:
-    """The config's dataset: generated from its group specs, or read from its CSV."""
+    """The config's dataset: generated from its group specs, or read from its CSV.
+
+    A CSV whose bytes do not hash to the config's `data.dataset_sha256`, when it
+    gives one, is a DataError naming the file and both hashes.
+    """
     if config.specs is not None:
         return generate_synthetic(config.specs, config.seed)
-    return load_dataset(config.dataset_path)
+    dataset = load_dataset(config.dataset_path)
+    if config.dataset_sha256 is not None:
+        actual = hashlib.sha256(dataset.source).hexdigest()
+        if actual != config.dataset_sha256:
+            raise DataError(f"dataset {config.dataset_path} has sha256 {actual}, but the config "
+                            f"records data.dataset_sha256 {config.dataset_sha256}")
+    return dataset
 
 
 def _routable_switch(n_units, entries, fallback, groups):

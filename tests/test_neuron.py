@@ -381,7 +381,7 @@ def _two_call_dz(activation, loss, z, y):
 
 EDGE_ZS = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308, 1e-17, -1e-17, 0.5, -0.5, 1.0, -1.0,
            36.7, -36.7, 699.9, -699.9, 709.78, -709.78, 710.0, -710.0, 745.2, -745.2,
-           1e300, -1e300)
+           1e300, -1e300, math.inf, -math.inf, math.nan)
 
 
 @pytest.mark.parametrize("activation,loss",
@@ -395,6 +395,7 @@ def test_loss_dz_matches_two_call_formulas_bit_for_bit(activation, loss):
 
 
 def test_sgd_compiles_one_epoch_per_width(monkeypatch):
+    """One compile per (width, activation, loss), cached for the process."""
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -408,9 +409,30 @@ def test_sgd_compiles_one_epoch_per_width(monkeypatch):
     for _ in range(2):
         neuron._sgd([0.1, 0.2], 0.0, rows, "tanh", config, stream=0)
     assert len(compiled) == 1
-    assert neuron._epoch_for(2) is neuron._epoch_for(2)
-    assert neuron._epoch_for(1) is not neuron._epoch_for(2)
+    assert neuron._epoch_for(2, "tanh", "mse") is neuron._epoch_for(2, "tanh", "mse")
+    assert neuron._epoch_for(1, "tanh", "mse") is not neuron._epoch_for(2, "tanh", "mse")
     assert len(compiled) == 2
+    # another activation or loss at the same width is another epoch
+    neuron._sgd([0.1, 0.2], 0.0, rows, "relu", config, stream=0)
+    neuron._sgd([0.1, 0.2], 0.0, rows, "sigmoid", sn.TrainConfig(epochs=2, loss="bce"), stream=0)
+    assert neuron._epoch_for(2, "relu", "mse") is not neuron._epoch_for(2, "tanh", "mse")
+    assert neuron._epoch_for(2, "sigmoid", "bce") is not neuron._epoch_for(2, "sigmoid", "mse")
+    assert len(compiled) == 5
+
+
+def test_loss_snippets_cover_exactly_the_accepted_pairs():
+    """Every pair `_check_pair` accepts has a snippet, so no pair trains without
+    a generated epoch, and no snippet exists for a pair it refuses."""
+    accepted = set()
+    for activation in neuron.ACTIVATIONS:
+        for loss in neuron.LOSSES:
+            try:
+                neuron._check_pair(activation, loss)
+            except sn.TrainingError:
+                continue
+            accepted.add((activation, loss))
+    assert set(neuron._LOSS_SNIPPETS) == accepted
+    assert set(neuron._LOSS_DZ) == accepted
 
 
 # ------------------------------------------------------------------- serialization

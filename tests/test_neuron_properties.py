@@ -66,8 +66,24 @@ def wide_run():
     return weights, 0.25, rows, "sigmoid", config
 
 
+def with_boundary_examples(test):
+    """An `@example` per pair at each branch boundary of its snippet: a first step
+    at z of exactly 0.0 (zero weights, bias 0.0 or -0.0; `0.0 +` makes the z of
+    either +0.0), and a first step whose sum overflows to +inf or -inf."""
+    for activation, loss in PAIRS:
+        config = sn.TrainConfig(learning_rate=0.5, epochs=2, loss=loss, shuffle=False)
+        for bias in (0.0, -0.0):
+            test = example(([0.0, 0.0], bias, [([1.0, -2.0], 1), ([0.5, 0.25], 0)], activation,
+                            config))(test)
+        for sign in (1.0, -1.0):
+            x = [sign * 1.7e308, sign * 1.7e308]
+            test = example(([1.0, 1.0], 0.0, [(x, 0), (x, 1)], activation, config))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(runs())
+@with_boundary_examples
 # the faults past epoch 0 step 0 of test_neuron.py and test_network.py, then a
 # loss total that overflows with no faulty step
 @example(relu_mse_run(2e22, (2.0, 3.0, -2.0, -3.0), (1, 0, 0, 0)))

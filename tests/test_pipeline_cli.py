@@ -391,6 +391,69 @@ def test_synthetic_run_records_no_dataset_sha256(tmp_path):
     assert json.loads(bundle.manifest_json.read_text())["config_sha256"] == _config_hash(bundle.config_json)
 
 
+def _bundle_bytes(bundle_dir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in bundle_dir.iterdir() if p.name != "fed_timings.json"}
+
+
+def refuse_compute_call(*args, **kwargs):
+    raise AssertionError("computed past the data stage")
+
+
+def test_rerun_of_a_csv_bundle_checks_the_recorded_dataset_sha256(tmp_path, monkeypatch, capsys):
+    raw = _canonical_csv(tmp_path)
+    first = _csv_run(tmp_path, raw)
+    before = _bundle_bytes(first.out_dir)
+
+    # the bundle's own config.json over an unchanged file: the same bundle
+    assert run_cli("pipeline", "--config", first.config_json) == 0
+    capsys.readouterr()
+    assert _bundle_bytes(first.out_dir) == before
+
+    # one comment line appended: refused in the data stage, before partition, and nothing written
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes(raw + b"# a note\n")
+    monkeypatch.setattr("switchnet.pipeline.partition", refuse_compute_call)
+    assert run_cli("pipeline", "--config", first.config_json) == 2
+    _only_error_line(capsys, f"pipeline error: stage 'data': dataset {csv_path} has sha256 ",
+                     hashlib.sha256(raw + b"# a note\n").hexdigest(), hashlib.sha256(raw).hexdigest())
+    assert _bundle_bytes(first.out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "formatted.csv", "out"]
+
+
+@pytest.mark.parametrize("value", ["A" * 64, "a" * 63, "a" * 65, "g" * 64, 7, None, ["a" * 64]])
+def test_dataset_sha256_must_be_64_lowercase_hex_digits(tmp_path, value):
+    doc = json.loads(sn.default_config_path().read_text())
+    doc["data"] = {"dataset": "data.csv", "holdout_fraction": 0.2, "dataset_sha256": value}
+    with pytest.raises(sn.ConfigError, match=r"^data\.dataset_sha256 must be 64 lowercase hex digits"):
+        sn.parse_config(doc, base_dir=tmp_path)
+
+
+def test_dataset_sha256_with_data_groups_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    override = f"data.dataset_sha256={'a' * 64}"
+    with pytest.raises(sn.ConfigError, match="this config has data.groups"):
+        sn.load_config(sn.default_config_path(), [override])
+    assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
+    _only_error_line(capsys, "config error: data.dataset_sha256 names the bytes of a data.dataset file")
+    assert not out.exists()
+
+
+def test_no_dataset_sha256_no_hashing(tmp_path, monkeypatch):
+    """A CSV config without the key reads the file without checking it; the run
+    records the hash of what it read, computed once."""
+    raw = _canonical_csv(tmp_path)
+    hashed = []
+    real_sha256 = hashlib.sha256
+
+    def counting_sha256(data=b""):
+        hashed.append(data)
+        return real_sha256(data)
+
+    monkeypatch.setattr("switchnet.pipeline.hashlib.sha256", counting_sha256)
+    _csv_run(tmp_path, raw)
+    assert hashed.count(raw) == 1
+
+
 def test_pipeline_runtime_failure_names_stage(tmp_path):
     doc = json.loads(sn.default_config_path().read_text())
     doc["data"] = {"dataset": str(tmp_path / "missing.csv"), "holdout_fraction": 0.2}
