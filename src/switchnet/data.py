@@ -7,7 +7,7 @@ built on first use. `Observation` is the row type at the API edge:
 builds a dataset from rows. Every pass over the data (generation, the CSV
 reader and writer, partitioning, test splits, a node's rows, the network's
 group blocks) works on the columns, and one list of row rules checks them for
-the constructor and the CSV reader alike. A dataset read from a CSV also keeps
+the constructor and the CSV readers alike. A dataset read from a CSV also keeps
 the file's bytes as its `source`, and writing it writes those bytes back: a run
 on a CSV carries its input as given. Partitioning assigns disjoint subsets of
 observation ids to neuron units. All operations are pure functions of their
@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -399,6 +400,10 @@ def generate_synthetic(specs, seed: int) -> Dataset:
 _GROUP_COMMENT = re.compile(r"^# group (\d+): (.*)$")
 
 
+def _header(dim: int) -> list:
+    return ["id", "group", "label"] + [f"f{i}" for i in range(dim)]
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the dataset CSV (group names carried in leading comment lines).
 
@@ -417,22 +422,28 @@ def save_dataset(dataset: Dataset, path) -> None:
         for g, name in dataset.groups:
             fh.write(f"# group {g}: {name}\n")
         # what csv.writer would write: ints and finite float reprs never need quoting
-        fh.write(",".join(["id", "group", "label"] + [f"f{i}" for i in range(dataset.dim)]) + "\n")
+        fh.write(",".join(_header(dataset.dim)) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _data_lines(fh, linenos: array, names: dict):
-    """The file's data lines, without their line endings; on the side, each one's
-    line number goes to `linenos` and each `# group` comment to `names`."""
-    for lineno, line in enumerate(fh, start=1):
-        line = line.rstrip("\r\n")
-        if line.startswith("#"):
-            m = _GROUP_COMMENT.match(line)
-            if m:
-                names[int(m.group(1))] = m.group(2)
-        elif line:
-            linenos.append(lineno)
-            yield line
+def _data_lines(raw: bytes, linenos: array, names: dict):
+    """The data lines of a dataset CSV's bytes, without their line endings; on
+    the side, each one's line number goes to `linenos` and each `# group`
+    comment to `names`. The bytes are decoded as they stream, so no second
+    whole-file string is made.
+
+    Both readers take their lines from here, so a line number, a group comment
+    and the byte-order mark mean the same to each."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if line.startswith("#"):
+                m = _GROUP_COMMENT.match(line)
+                if m:
+                    names[int(m.group(1))] = m.group(2)
+            elif line:
+                linenos.append(lineno)
+                yield line
 
 
 def _read_rows(reader, width: int, ids: array, groups: array, labels: array, values: array):
@@ -440,7 +451,12 @@ def _read_rows(reader, width: int, ids: array, groups: array, labels: array, val
     fails to read or parse, and return that one's fault (None if none). Only
     parsing happens here; a parsed value breaking a row rule (a label of 2, say)
     is left to the row rules. A row's label goes in last, so `len(labels)`
-    counts the rows read in full."""
+    counts the rows read in full.
+
+    This is the strict reader: Python's `csv`, `int` and `float` decide what a
+    cell holds. It reads a file the C reader refused, so it names that file's
+    earliest faulty line, and accepts what only these accept (a quoted cell,
+    `1_000`, non-ASCII digits)."""
     try:
         for row in reader:
             if reader.line_num != len(labels) + 2:  # one line each for the header and every row
@@ -471,56 +487,129 @@ def _read_rows(reader, width: int, ids: array, groups: array, labels: array, val
     return None
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a dataset CSV (UTF-8, LF or CRLF) in one pass; errors name the offending physical line.
+# numpy's number parsers strip these ASCII separators around a number as whitespace; int() and float() refuse them
+_UNSPACED_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-    The file is read once, as bytes; the reader streams over those bytes, and
+
+def _may_hold_long_line(raw: bytes, limit: int) -> bool:
+    """Whether a line of `raw` may be longer than `limit` characters.
+
+    Such a line holds more than `limit` bytes with no line break, and so a whole
+    stretch of `limit // 2 + 1` of them starting at a multiple of that length:
+    a few `find`s cover the file. A line of `limit` bytes or less never answers
+    True, since no whole stretch fits in it."""
+    stretch = limit // 2 + 1
+    return any(raw.find(b"\n", start, start + stretch) < 0 and raw.find(b"\r", start, start + stretch) < 0
+               for start in range(0, len(raw) - stretch + 1, stretch))
+
+
+def _read_fast(lines, dim: int):
+    """The columns of the data rows in `lines`, parsed by numpy's C reader, or
+    None if it refuses one (a cell no number, a column count, bytes not UTF-8)."""
+    row = np.dtype([("id", "i8"), ("group", "i8"), ("label", "i8"), ("features", "f8", (dim,))])
+    with warnings.catch_warnings():
+        # numpy releases from 1.23 on may read an integer cell such as `1.5` through a float, as 1, and only warn
+        warnings.simplefilter("error", DeprecationWarning)
+        first = next(lines, None)
+        if first is None:  # loadtxt warns on no rows
+            table = np.empty(0, dtype=row)
+        else:
+            try:
+                # one line at a time from the generator, so no whole-file string or list is made
+                table = np.loadtxt(chain([first], lines), dtype=row, delimiter=",", comments=None,
+                                   quotechar=None, ndmin=1)
+            except (ValueError, DeprecationWarning):
+                return None
+    return [table["id"], table["group"], table["label"], table["features"]]
+
+
+def _read_strict(first: str, lines, linenos: array):
+    """(dim, columns, parse fault) of a dataset CSV's header line `first` and the
+    data lines after it, read by Python's `csv` reader and numbers up to the
+    first line that fails to read or parse."""
+    # machine-typed buffers: 8 bytes a value, and an id, group or label beyond 64 bits does not fit
+    ids, groups, labels, values = array("q"), array("q"), array("q"), array("d")
+    reader = csv.reader(chain([first], lines), strict=True)
+    try:
+        header = next(reader)
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV ({exc}), line {linenos[0]}") from None
+    if reader.line_num != 1:
+        raise DataError(f"quoted field runs past its line, line {linenos[0]}")
+    if len(header) < 4 or header != _header(len(header) - 3):
+        raise DataError(f"bad header, line {linenos[0]}: {first!r}")
+    parse_fault = _read_rows(reader, len(header), ids, groups, labels, values)
+    for _ in lines:  # past a fault, a group comment still declares its group
+        pass
+    dim = len(header) - 3
+    n = len(labels)  # the rows read in full, all before any parse fault
+    columns = [np.frombuffer(c, dtype=np.int64)[:n] for c in (ids, groups, labels)]
+    columns.append(np.frombuffer(values, dtype=float)[:n * dim].reshape(n, dim))
+    return dim, columns, parse_fault
+
+
+def _read_csv(raw: bytes, path: Path):
+    """(dim, group names, line numbers, columns, parse fault) of a dataset CSV's
+    bytes: the C reader's if it takes every row, else the strict reader's.
+
+    The C reader reads only a file with the canonical header that holds nothing
+    the two might read differently: a line past `csv`'s field size limit, or a
+    byte the C reader strips as whitespace and Python's numbers refuse."""
+    names, linenos = {}, array("q")
+    lines = _data_lines(raw, linenos, names)
+    first = next(lines, None)
+    if first is None:
+        raise DataError(f"no header line in {path}")
+    dim = first.count(",") - 2
+    if (dim >= 1 and first == ",".join(_header(dim)) and not any(sep in raw for sep in _UNSPACED_SEPARATORS)
+            and not _may_hold_long_line(raw, csv.field_size_limit())):
+        columns = _read_fast(lines, dim)
+        if columns is not None:
+            return dim, names, linenos, columns, None
+        # it refused a row: the strict reader reads the file again from the start
+        names, linenos = {}, array("q")
+        lines = _data_lines(raw, linenos, names)
+        first = next(lines)
+    dim, columns, parse_fault = _read_strict(first, lines, linenos)
+    return dim, names, linenos, columns, parse_fault
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a dataset CSV (UTF-8, LF or CRLF); errors name the offending physical line.
+
+    The file is read once, as bytes; the readers stream over those bytes, and
     the dataset keeps them as its `source`, so `save_dataset` writes the file
     back as it was read. A byte-order mark at the start of the file, as
     spreadsheet exports write it, is skipped; anywhere else it is part of the
     line it sits in.
 
-    Records stream from one strict CSV reader into typed buffers up to the first
-    line that fails to read or parse; the rows read then take the dataset's row
-    rules, over the groups the `# group` comments declare (or else the rows hold).
-    The earliest faulty line wins, whatever the check (CSV syntax, a quoted field
-    running past its line, columns, numbers, a row rule), as in a row-by-row
-    reader. A group list that is not dense names no line and comes last; a file
-    that is not UTF-8, or a path that cannot be read, names the file, not a line."""
+    numpy's C reader (`np.loadtxt`) parses the rows of a file with the canonical
+    header, in one pass. If it refuses a row, or the file holds what the two
+    readers might read differently, the strict reader (`csv` with Python's
+    `int` and `float`) reads the same bytes, from the start if the C reader
+    began. The strict reader stays the judge of every file the C reader does
+    not take whole, so what a file may hold (a quoted cell, `1_000`, non-ASCII
+    digits) and what a fault reads are its own. It streams records into typed
+    buffers up to the first line that fails to read or parse.
+
+    The rows read then take the dataset's row rules, over the groups the `#
+    group` comments declare (or else the rows hold). The earliest faulty line
+    wins, whatever the check (CSV syntax, a quoted field running past its line,
+    columns, numbers, a row rule), as in a row-by-row reader. A group list that
+    is not dense names no line and comes last; a file that is not UTF-8, or a
+    path that cannot be read, names the file, not a line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    names, linenos = {}, array("q")
-    # machine-typed buffers: 8 bytes a value, and an id, group or label beyond 64 bits does not fit
-    ids, groups, labels, values = array("q"), array("q"), array("q"), array("d")
     try:
         raw = path.read_bytes()
-        # decoded as it streams, so no second whole-file string is made
-        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
-            lines = _data_lines(fh, linenos, names)
-            first = next(lines, None)
-            if first is None:
-                raise DataError(f"no header line in {path}")
-            reader = csv.reader(chain([first], lines), strict=True)
-            try:
-                header = next(reader)
-            except csv.Error as exc:
-                raise DataError(f"malformed CSV ({exc}), line {linenos[0]}") from None
-            if reader.line_num != 1:
-                raise DataError(f"quoted field runs past its line, line {linenos[0]}")
-            if len(header) < 4 or header != ["id", "group", "label"] + [f"f{i}" for i in range(len(header) - 3)]:
-                raise DataError(f"bad header, line {linenos[0]}: {first!r}")
-            parse_fault = _read_rows(reader, len(header), ids, groups, labels, values)
-            for _ in lines:  # past a fault, a group comment still declares its group
-                pass
+        dim, names, linenos, columns, parse_fault = _read_csv(raw, path)
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset file {path} is not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise DataError(f"dataset file {path} cannot be read: {exc.strerror}") from None
-    dim = len(header) - 3
-    n = len(labels)  # the rows read in full, all before any parse fault
-    id_column, group_column, label_column = (np.frombuffer(c, dtype=np.int64)[:n] for c in (ids, groups, labels))
-    features = np.frombuffer(values, dtype=float)[:n * dim].reshape(n, dim)
+    id_column, group_column, label_column, features = columns
+    n = len(id_column)
     group_ids = sorted(names) if names else np.unique(group_column).tolist()
     fault = _first_fault(_row_rules(id_column, group_column, label_column, features, group_ids))
     if fault:

@@ -475,10 +475,11 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
 
     matrix, attribution, contribution = _stage("analysis", analysis_stage)
 
-    # config.json and the manifest's hash: for a CSV run, they name the bytes read, not only the path
+    # config.json and the manifest's hash: for a CSV run, they name the bytes read, not only the path;
+    # a hash the config gives, the data stage has checked against those bytes already
     doc = config_to_doc(config)
     if dataset.source is not None:
-        doc["data"]["dataset_sha256"] = hashlib.sha256(dataset.source).hexdigest()
+        doc["data"]["dataset_sha256"] = config.dataset_sha256 or hashlib.sha256(dataset.source).hexdigest()
     config_sha256 = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
     def write_files(bundle: ReportBundle) -> None:

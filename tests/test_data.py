@@ -3,6 +3,7 @@ import json
 import operator
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,56 @@ def test_load_skips_a_leading_byte_order_mark(tmp_path):
     plain.write_text("id,group,label,f0\n0,0,1,0.5\n")
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert sn.load_dataset(marked) == sn.load_dataset(plain)
+
+
+def _refuse_strict_reader(*args, **kwargs):
+    raise AssertionError("the strict reader read a file the C reader should take whole")
+
+
+def _bench_shaped_csv(path, per_group=1250):
+    """The bench's eval-heavy input in shape: 8 groups declared by comments, then
+    the canonical header and `repr` features, past the `csv` field size limit in all."""
+    rng = np.random.default_rng(8)
+    lines = [f"# group {g}: sector {g}" for g in range(8)] + ["id,group,label,f0,f1"]
+    for obs_id, (x0, x1) in enumerate(rng.standard_normal((8 * per_group, 2)).tolist()):
+        lines.append(f"{obs_id},{obs_id // per_group},{int(x0 > 0)},{x0!r},{x1!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_canonical_files_load_through_the_c_reader_alone(tmp_path, monkeypatch):
+    base = sn.load_config(sn.default_config_path())
+    packaged = sn.generate_synthetic(base.specs, base.seed)
+    sn.save_dataset(packaged, tmp_path / "packaged.csv")
+    _bench_shaped_csv(tmp_path / "bench.csv")
+    (tmp_path / "header.csv").write_text("# group 0: a\nid,group,label,f0,f1\n")
+    monkeypatch.setattr("switchnet.data._read_rows", _refuse_strict_reader)
+    loaded = {}
+    for name in ("packaged.csv", "bench.csv", "header.csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's loadtxt warns on a file with no rows
+            loaded[name] = sn.load_dataset(tmp_path / name)
+        assert loaded[name].source == (tmp_path / name).read_bytes()
+    assert loaded["packaged.csv"] == packaged
+    assert len(loaded["bench.csv"]) == 10_000
+    assert loaded["bench.csv"].groups == tuple((g, f"sector {g}") for g in range(8))
+    assert loaded["header.csv"] == sn.Dataset(dim=2, groups=((0, "a"),), ids=[], row_groups=[],
+                                              labels=[], features=np.empty((0, 2)))
+
+
+def test_a_c_reader_deprecation_warning_hands_the_file_to_the_strict_reader(tmp_path, monkeypatch):
+    """numpy releases from 1.23 on may read an integer cell such as `1.5` through
+    a float, as 1, with only a DeprecationWarning: that reading must not stand."""
+    real_loadtxt = np.loadtxt
+
+    def truncating_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real_loadtxt((line.replace("1.5", "1") for line in lines), **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "ds.csv"
+    path.write_text("id,group,label,f0\n0,0,1.5,0.5\n")
+    with pytest.raises(sn.DataError, match=r"^non-integer label, line 2$"):
+        sn.load_dataset(path)
 
 
 # a byte-order mark, CRLF line ends and `1.50`: a file `save_dataset` would not write

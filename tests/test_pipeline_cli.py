@@ -454,6 +454,26 @@ def test_no_dataset_sha256_no_hashing(tmp_path, monkeypatch):
     assert hashed.count(raw) == 1
 
 
+def test_given_dataset_sha256_hashes_the_input_once(tmp_path, monkeypatch, capsys):
+    """A CSV config with the key hashes the file once, to check it, and records
+    that checked hash: the bundle is the one the same run without the key writes."""
+    raw = _canonical_csv(tmp_path)
+    first = _csv_run(tmp_path, raw)
+    before = _bundle_bytes(first.out_dir)
+    hashed = []
+    real_sha256 = hashlib.sha256
+
+    def counting_sha256(data=b""):
+        hashed.append(data)
+        return real_sha256(data)
+
+    monkeypatch.setattr("switchnet.pipeline.hashlib.sha256", counting_sha256)
+    assert run_cli("pipeline", "--config", first.config_json) == 0
+    capsys.readouterr()
+    assert hashed.count(raw) == 1
+    assert _bundle_bytes(first.out_dir) == before
+
+
 def test_pipeline_runtime_failure_names_stage(tmp_path):
     doc = json.loads(sn.default_config_path().read_text())
     doc["data"] = {"dataset": str(tmp_path / "missing.csv"), "holdout_fraction": 0.2}
