@@ -10,13 +10,22 @@ def write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def loads(text: str):
+    """The JSON document `text`; `NaN`, `Infinity` and `-Infinity` are invalid JSON."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def read_input(path, what: str, parse=lambda doc: doc):
     """`parse` the JSON file at `path` (UTF-8, a leading byte-order mark skipped).
     A file that cannot be read (a directory, say), is not UTF-8 or JSON, lacks a
     key `parse` needs, has a value of the wrong JSON type where `parse` looks (a
     list for an object, say) or fails its checks is a DataError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        doc = loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:  # a directory, say
         raise DataError(f"{what} {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

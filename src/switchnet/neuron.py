@@ -8,11 +8,11 @@ each epoch runs a loop generated once per (input width, activation, loss)
 from one source template (`_epoch_for`), which sums `w.x + b` left to right
 from 0.0 as `_z` does and computes the loss and gradient inline from the
 pair's snippet in `_LOSS_SNIPPETS`, the one copy of both formulas, so a step
-makes no Python-level call. `_loss_dz` is compiled from the same snippets.
-Inference runs the same `_z` over numpy float64 columns, so no bit depends on
-the BLAS build. `_sgd` checks finiteness once per epoch; an epoch that ends
-non-finite is replayed from its start by the generic loop `_replay_epoch`,
-with a check after every step, which names the faulty step.
+makes no Python-level call; it is the only SGD step, and the gradient checks'
+`_loss_dz` is compiled from the same snippets. Inference runs `_z` over numpy
+float64 columns, so no bit depends on the BLAS build. `_sgd` checks finiteness
+once per epoch; `_replay_epoch` reruns an epoch that ends non-finite through the
+same generated epoch, one row per call and checked each, to name the faulty step.
 """
 
 import functools
@@ -287,12 +287,11 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
     When shuffling, epoch e visits the rows in the e-th `permutation(n)` of the
     one generator `rng_for(config.seed, "shuffle", stream)`. Each epoch runs
     the generated `_epoch_for(len(weights), activation, config.loss)`, which
-    makes the same float operations in the same order as `_z`, `_loss_dz` and
-    the generic update.
+    sums `w.x + b` as `_z` does.
 
     Finiteness is checked once per epoch, on the epoch's loss total and its
     final bias and weights. An epoch that ends non-finite is replayed from its
-    start with a check after every step (`_replay_epoch`), which raises the
+    start, one row per call of the same epoch (`_replay_epoch`), and raises the
     TrainingError naming the first faulty step.
     """
     weights = list(weights)
@@ -311,23 +310,17 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
         # comparisons). So an epoch that ends finite had no faulty step. A total
         # that overflowed from finite losses is no fault: the replay returns.
         if not (math.isfinite(total) and math.isfinite(bias) and all(map(math.isfinite, weights))):
-            _replay_epoch(epoch, start_weights, start_bias, rows, order, activation, config)
+            _replay_epoch(epoch, start_weights, start_bias, rows, order, run_epoch, lr)
         epoch_losses.append(total / n)
     return weights, bias, epoch_losses
 
 
-def _replay_epoch(epoch: int, weights, bias: float, rows, order, activation: str,
-                  config: TrainConfig) -> None:
-    """Run epoch `epoch` again from its start, checking after every step; raise at the first fault."""
-    lr = config.learning_rate
+def _replay_epoch(epoch: int, weights, bias: float, rows, order, run_epoch, lr: float) -> None:
+    """Run epoch `epoch` again from its start, one row per call; raise at the first fault."""
     for step, idx in enumerate(order):
-        x, y = rows[idx]
-        loss, dz = _loss_dz(activation, config.loss, _z(weights, bias, x), y)
+        weights, bias, loss = run_epoch(weights, bias, rows, (idx,), lr)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
-        g = lr * dz
-        weights = [w - g * xi for w, xi in zip(weights, x)]
-        bias = bias - g
         if not (math.isfinite(bias) and all(map(math.isfinite, weights))):
             raise TrainingError(f"non-finite parameters at epoch {epoch} step {step}")
 

@@ -21,7 +21,7 @@ from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_syn
                    load_dataset, make_test_sets, partition, save_dataset)
 from .errors import ConfigError, DataError, RoutingError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
-from .jsonio import is_int, read_input, write_json
+from .jsonio import is_int, loads, read_input, write_json
 from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
                       save_network)
 from .neuron import ACTIVATIONS, TrainConfig, _check_pair, init_unit, save_unit
@@ -250,15 +250,15 @@ def load_config(path, overrides=()) -> ExperimentConfig:
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
-    """Apply `a.b.c=value` overrides (values parsed as JSON, falling back to strings)."""
+    """Apply `a.b.c=value` overrides (values parsed as strict JSON, falling back to strings)."""
     doc = json.loads(json.dumps(doc))  # deep copy
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = loads(raw)
+        except ValueError:
             value = raw
         target = doc
         parts = key.split(".")

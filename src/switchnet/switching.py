@@ -34,9 +34,11 @@ class SwitchTable:
             if not all(map(is_int, units)):
                 raise RoutingError(f"group {group}: unit indices must be integers, "
                                    f"got {sorted(units, key=repr)}")
-            bad = [u for u in units if not 0 <= u < self.n_units]
+            bad = sorted({u for u in units if not 0 <= u < self.n_units})
             if bad:
                 raise RoutingError(f"group {group}: unit indices {bad} out of range for {self.n_units} units")
+        # each entry as a set, checked first, so a unit listed twice is routed once
+        object.__setattr__(self, "entries", {g: frozenset(units) for g, units in self.entries.items()})
 
     def to_json(self) -> dict:
         return {"n_units": self.n_units, "fallback": self.fallback,
@@ -58,16 +60,8 @@ def _group_key(group):
 
 
 def _entries(entries) -> dict:
-    """The mapping group key -> unit indices as group id -> unit set."""
-    return {_group_key(g): _unit_set(g, units) for g, units in entries.items()}
-
-
-def _unit_set(group, units) -> frozenset:
-    """A switch entry's unit indices, each checked to be an integer before the set merges any."""
-    units = list(units)
-    if not all(map(is_int, units)):
-        raise RoutingError(f"group {group}: unit indices must be integers, got {units}")
-    return frozenset(units)
+    """The mapping group key -> unit indices as group id -> list of unit indices."""
+    return {_group_key(g): list(units) for g, units in entries.items()}
 
 
 def build_switch(n_units: int, entries, fallback: str = "error",
@@ -92,13 +86,12 @@ def build_switch(n_units: int, entries, fallback: str = "error",
 
 
 def route(table: SwitchTable, group: int) -> tuple[int, ...]:
-    """The group's active unit indices, ascending: exactly its configured units;
-    for a group with no entry, every unit under `all-active` and none under
-    `none-active`."""
+    """The group's active unit indices, ascending and each once: exactly its
+    configured units, which the table holds as a set; for a group with no entry,
+    every unit under `all-active` and none under `none-active`."""
     units = table.entries.get(group)
     if units is None:
         if table.fallback == "error":
             raise RoutingError(f"no switch entry for group {group} (fallback=error)")
         return tuple(range(table.n_units)) if table.fallback == "all-active" else ()
-    # by index, not sorted(units): a table built directly may hold a list with repeats
-    return tuple(u for u in range(table.n_units) if u in units)
+    return tuple(sorted(units))

@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 import switchnet as sn
-from switchnet import network
+from switchnet import network, neuron
 from switchnet.neuron import _loss_dz, _z
 
 
@@ -308,7 +308,7 @@ def test_fit_readout_non_finite_guard_names_the_readout():
     (5e307, (3.0, 1.0, 0.5, 1.0), (1, 0, 1, 1), "non-finite loss at epoch 5 step 1"),
     (7e307, (0.5, 2.0, 1.0), (0, 1, 0), "non-finite parameters at epoch 3 step 1"),
 ])
-def test_fit_readout_names_a_later_faulty_step(learning_rate, features, labels, message):
+def test_fit_readout_names_a_later_faulty_step(monkeypatch, learning_rate, features, labels, message):
     # one relu unit whose activation is the feature, so the readout's rows are
     # (feature, label); its weight and bias swing by about the learning rate a
     # step until one overflows. In the second case the loss totals of epochs 0
@@ -319,6 +319,15 @@ def test_fit_readout_names_a_later_faulty_step(learning_rate, features, labels, 
     unit = sn.NeuronUnit(unit_index=0, activation="relu", weights=(1.0,), bias=0.0)
     net = sn.assemble((unit,), identity_switch(1), "linear-readout")
     config = sn.TrainConfig(learning_rate=learning_rate, epochs=6, loss="bce", seed=0, shuffle=False)
+    with pytest.raises(sn.TrainingError, match=rf"^{message}$"):
+        oracle.sgd(net.aggregation.weights, net.aggregation.bias,
+                   [((x,), y) for x, y in zip(features, labels)], "sigmoid", config, "readout")
+
+    def no_call(*args):
+        raise AssertionError("called")
+
+    # the replay of the diverging epoch runs the generated epoch, not the gradient checks' step
+    monkeypatch.setattr(neuron, "_loss_dz", no_call)
     with pytest.raises(sn.NetworkError, match=rf"^readout: {message}$"):
         sn.fit_readout(net, dataset.ids.tolist(), dataset, config)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 import switchnet as sn
 from switchnet import neuron
 from switchnet.jsonio import read_input
@@ -201,11 +202,21 @@ def test_train_aborts_on_non_finite_loss():
     # a finite loss whose update overflows the weight
     (1e154, (-1.0, -2.0, 1.0), (1, 1, 0), "non-finite parameters at epoch 1 step 1"),
 ])
-def test_train_names_a_later_faulty_step(learning_rate, features, labels, message):
+def test_train_names_a_later_faulty_step(monkeypatch, learning_rate, features, labels, message):
     cfg = sn.TrainConfig(learning_rate=learning_rate, epochs=6, loss="mse", seed=0, shuffle=False)
+    unit = make_unit((0.5,), activation="relu")
+    with pytest.raises(sn.TrainingError, match=rf"^{message}$"):
+        oracle.sgd(unit.weights, unit.bias, [((x,), y) for x, y in zip(features, labels)], "relu",
+                   cfg, 0)
+
+    def no_call(*args):
+        raise AssertionError("called")
+
+    # the replay of the diverging epoch runs the generated epoch, not the gradient checks' step
+    monkeypatch.setattr(neuron, "_loss_dz", no_call)
     subset = rows(*(obs((x,), y, oid=i) for i, (x, y) in enumerate(zip(features, labels))))
     with pytest.raises(sn.TrainingError, match=rf"^unit 0: {message}$"):
-        sn.train_unit(make_unit((0.5,), activation="relu"), subset, cfg)
+        sn.train_unit(unit, subset, cfg)
 
 
 def test_train_loss_total_may_overflow_from_finite_losses():

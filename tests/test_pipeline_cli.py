@@ -1,6 +1,8 @@
 import concurrent.futures
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,32 @@ def test_mistyped_setting_is_config_error(tmp_path, capsys, override):
     assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_override_reads_nan_as_a_string(tmp_path, capsys):
+    # JSON has no NaN or Infinity, so such a value is the plain string it reads as
+    assert sn.apply_overrides({}, ["a=NaN", "b=-Infinity", "c=[1.0, Infinity]"]) == {
+        "a": "NaN", "b": "-Infinity", "c": "[1.0, Infinity]"}
+    out = tmp_path / "out"
+    rule = 'data.groups.0.label_rule={"kind": "linear-threshold", "weights": [NaN, 1.0]}'
+    assert run_cli("pipeline", "--set", rule, "--set", f"output.dir={out}") == 1
+    assert "config error: bad data.groups: unknown label rule" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_config_file_with_a_non_finite_constant_is_config_error(tmp_path, capsys, constant):
+    doc = json.loads(sn.default_config_path().read_text(encoding="utf-8"))
+    doc["data"]["groups"][0]["label_rule"] = {"kind": "linear-threshold", "weights": [0.5, 1.0]}
+    doc["output"]["dir"] = str(tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc).replace("0.5, 1.0", f"{constant}, 1.0"))
+    message = f"config file {cfg_path} is not valid JSON: {constant} is not a JSON number"
+    with pytest.raises(sn.ConfigError, match=f"^{re.escape(message)}$"):
+        sn.load_config(cfg_path)
+    assert run_cli("pipeline", "--config", cfg_path) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override, message", [
@@ -911,6 +939,21 @@ def test_malformed_json_input_gives_one_error_line(tmp_path, capsys, small_bundl
     assert run_cli(*argv(tmp_path, small_bundle)) == code
     _only_error_line(capsys, prefix, str(tmp_path / name))
     assert not any((tmp_path / out).exists() for out in ("out.json", "out.csv", "out.svg", "out"))
+
+
+def test_network_with_a_nan_weight_is_not_valid_json(tmp_path, capsys, small_bundle):
+    doc = json.loads((small_bundle / "network.json").read_text())
+    doc["units"][0]["weights"][0] = math.nan
+    (tmp_path / "network.json").write_text(json.dumps(doc))  # writes the weight as `NaN`
+    assert run_cli("eval", "--network", tmp_path / "network.json",
+                   "--dataset", small_bundle / "dataset.csv",
+                   "--test-sets", small_bundle / "test_sets.json", "--kind", "overlapping",
+                   "--out", tmp_path / "out.json") == 2
+    assert capsys.readouterr().err == (f"error: network bundle {tmp_path / 'network.json'} is not "
+                                       "valid JSON: NaN is not a JSON number\n")
+    with pytest.raises(sn.DataError, match="NaN is not a JSON number"):
+        sn.load_network(tmp_path / "network.json")
+    assert not (tmp_path / "out.json").exists()
 
 
 def _make_directory(path):

@@ -55,6 +55,14 @@ def test_route_returns_ascending_unique_indices(fallback):
             assert type(active) is tuple and list(active) == sorted(set(active))
 
 
+def test_switch_table_stores_each_entry_as_a_set():
+    direct = sn.SwitchTable(n_units=3, entries={0: [2, 0, 2]})
+    built, _ = sn.build_switch(3, {0: [2, 0, 2]})
+    assert direct.entries == {0: frozenset({0, 2})}
+    assert type(direct.entries[0]) is frozenset
+    assert direct.to_json() == built.to_json()
+
+
 def test_masks_match_configuration_exhaustively():
     entries = {0: {0, 2}, 1: {1}, 2: {3, 4}, 3: {0, 1, 2, 3, 4}, 4: {2}}
     table, _ = sn.build_switch(5, entries)
