@@ -8,6 +8,7 @@ per group block through the network's column kernel, bit for bit equal to
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,9 +39,13 @@ class HeatmapMatrix:
             raise AnalysisError(f"unknown statistic {self.statistic!r}")
         if len(self.values) != len(self.row_labels):
             raise AnalysisError("one row label per unit row required")
-        for row in self.values:
+        for row, row_label in zip(self.values, self.row_labels):
             if len(row) != len(self.col_labels):
                 raise AnalysisError("one column label per group column required")
+            # a non-finite value has no place on the colour scale and no CSV text to compare
+            for value, col_label in zip(row, self.col_labels):
+                if not math.isfinite(value):
+                    raise AnalysisError(f"heatmap value {value} at {row_label!r}, {col_label!r} is not finite")
 
     @property
     def n_rows(self) -> int:

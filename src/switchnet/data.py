@@ -284,9 +284,27 @@ class GroupSpec:
                    label_rule=LabelRule.from_json(obj["label_rule"]), count=obj["count"])
 
 
+def _check_subsets(counts, subsets) -> None:
+    """Unit k's subset holds counts[k] distinct integer ids, none held by an earlier unit."""
+    claimed = set()
+    for unit, (count, ids) in enumerate(zip(counts, subsets)):
+        if len(ids) != count:
+            raise DataError(f"unit {unit}: subset has {len(ids)} ids, plan says {count}")
+        bad = [i for i in ids if not is_int(i)]
+        if bad:
+            raise DataError(f"unit {unit}: subset ids must be integers, got {bad[0]!r}")
+        if len(set(ids)) != len(ids):
+            raise DataError(f"unit {unit}: subset repeats an observation id")
+        overlap = claimed.intersection(ids)
+        if overlap:
+            raise DataError(f"subsets overlap on observation ids {sorted(overlap)}")
+        claimed.update(ids)
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Planned subset sizes: unit k gets counts[k] observations."""
+    """Planned subset sizes: unit k gets counts[k] observations. An explicit plan's
+    id lists become `partition`'s subsets, so they pass a `PartitionSet`'s check."""
     counts: tuple[int, ...]
     selection: str = "stratified"
     explicit_ids: tuple[tuple[int, ...], ...] | None = None
@@ -299,13 +317,7 @@ class PartitionPlan:
         if self.selection == "explicit":
             if self.explicit_ids is None or len(self.explicit_ids) != len(self.counts):
                 raise DataError("explicit selection needs one id list per unit")
-            for unit, (count, ids) in enumerate(zip(self.counts, self.explicit_ids)):
-                if not all(map(is_int, ids)):
-                    raise DataError(f"unit {unit}: explicit ids must be integers, got {list(ids)}")
-                if len(set(ids)) != len(ids):
-                    raise DataError(f"unit {unit}: explicit id list has duplicates")
-                if len(ids) != count:
-                    raise DataError(f"unit {unit}: explicit list has {len(ids)} ids, plan says {count}")
+            _check_subsets(self.counts, self.explicit_ids)
         elif self.explicit_ids is not None:
             raise DataError("explicit_ids only valid with selection='explicit'")
 
@@ -328,19 +340,7 @@ class PartitionSet:
             raise DataError(f"partition seed must be an integer, got {self.seed!r}")
         if len(self.subsets) != len(self.plan.counts):
             raise DataError(f"{len(self.subsets)} subsets for a plan of {len(self.plan.counts)} units")
-        claimed = set()
-        for unit, (count, ids) in enumerate(zip(self.plan.counts, self.subsets)):
-            if len(ids) != count:
-                raise DataError(f"unit {unit}: subset has {len(ids)} ids, plan says {count}")
-            bad = [i for i in ids if not is_int(i)]
-            if bad:
-                raise DataError(f"unit {unit}: subset ids must be integers, got {bad[0]!r}")
-            if len(set(ids)) != len(ids):
-                raise DataError(f"unit {unit}: subset repeats an observation id")
-            overlap = claimed.intersection(ids)
-            if overlap:
-                raise DataError(f"subsets overlap on observation ids {sorted(overlap)}")
-            claimed.update(ids)
+        _check_subsets(self.plan.counts, self.subsets)
 
     def assigned_ids(self) -> frozenset:
         return frozenset(i for ids in self.subsets for i in ids)

@@ -134,13 +134,9 @@ def with_trained_units(nodes, units) -> tuple[Node, ...]:
 def collect(nodes, switch: SwitchTable, aggregation="router-mean") -> ModularNetwork:
     """Assemble trained node units into one network, ordered by node id.
 
-    Pure assembly: no weight averaging, no mutation of any unit.
+    Pure assembly: no weight averaging, no mutation of any unit. A missing,
+    repeated or extra node id is the network's NetworkError: the sorted ids
+    must be the switch's unit indices.
     """
     ordered = sorted(nodes, key=lambda n: n.node_id)
-    ids = [n.node_id for n in ordered]
-    if ids != list(range(switch.n_units)):
-        missing = sorted(set(range(switch.n_units)) - set(ids))
-        if missing:
-            raise FederatedError(f"missing node(s) {missing}: have ids {ids}")
-        raise FederatedError(f"node ids {ids} do not match the switch's {switch.n_units} units")
     return assemble(tuple(n.unit for n in ordered), switch, aggregation)

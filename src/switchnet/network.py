@@ -40,6 +40,8 @@ class LinearReadout:
 
 @dataclass(frozen=True)
 class ModularNetwork:
+    """Trained units behind a switch: units[k] is unit k, one per switch slot, so
+    the units' indices are exactly 0..switch.n_units-1 in order."""
     units: tuple[NeuronUnit, ...]
     switch: SwitchTable
     aggregation: "str | LinearReadout" = ROUTER_MEAN
@@ -47,14 +49,14 @@ class ModularNetwork:
     def __post_init__(self):
         if not self.units:
             raise NetworkError("a network needs at least one unit")
-        if self.switch.n_units != len(self.units):
-            raise NetworkError(f"switch expects {self.switch.n_units} units, got {len(self.units)}")
+        n = self.switch.n_units
+        indices = [unit.unit_index for unit in self.units]
+        if indices != list(range(n)):
+            raise NetworkError(f"switch expects {n} units, indices 0..{n - 1} in order; got indices {indices}")
         dim = self.units[0].dim
-        for pos, unit in enumerate(self.units):
+        for unit in self.units:
             if unit.dim != dim:
                 raise NetworkError(f"unit {unit.unit_index} has dim {unit.dim}, expected {dim}")
-            if unit.unit_index != pos:
-                raise NetworkError(f"unit at position {pos} carries index {unit.unit_index}")
         if isinstance(self.aggregation, str):
             if self.aggregation != ROUTER_MEAN:
                 raise NetworkError(f"unknown aggregation {self.aggregation!r}")

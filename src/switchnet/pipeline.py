@@ -19,7 +19,7 @@ from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, rende
                        save_attribution)
 from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_synthetic,
                    load_dataset, make_test_sets, partition, save_dataset)
-from .errors import ConfigError, DataError, RoutingError, StageError, SwitchNetError
+from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
 from .jsonio import is_int, loads, read_input, write_json
 from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
@@ -36,7 +36,13 @@ from .switching import SwitchTable, build_switch
 # won in every pass from 80,000 (-8.7, -4.3 and -2.1 ms; 17-25 of 30 pairs),
 # and by 13-19 ms at 100,000 and 120,000 (21-29 of 30).
 POOL_MIN_STEPS = 80_000
-_SECTIONS = ("seed", "data", "partition", "switch", "train", "network", "output")
+# the keys each config section may hold; `seed` is the one top-level value
+_SECTIONS = {"data": ("groups", "dataset", "dataset_sha256", "holdout_fraction"),
+             "partition": ("counts", "selection", "explicit_ids"),
+             "switch": ("n_units", "entries", "fallback"),
+             "train": ("learning_rate", "epochs", "loss", "shuffle"),
+             "network": ("activation", "aggregation", "heatmap_statistic", "workers"),
+             "output": ("dir",)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +131,15 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     """Validate a config document; raises ConfigError before anything runs."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
+    unknown = set(doc) - {"seed", *_SECTIONS}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name in _SECTIONS:
-        if name == "seed":
-            continue
+    for name, keys in _SECTIONS.items():
         if name not in doc or not isinstance(doc[name], dict):
             raise ConfigError(f"missing or invalid config section {name!r}")
+        unknown = set(doc[name]) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     if not is_int(doc.get("seed")):
         raise ConfigError("seed must be an integer")
     base = Path(base_dir) if base_dir is not None else Path.cwd()
@@ -184,8 +191,8 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
         raise ConfigError(f"switch.entries must be an object, got {entries_raw!r}")
     fallback = switch_sec.get("fallback", "error")
     try:
-        switch, _ = _routable_switch(n_units, entries_raw, fallback,
-                                     range(len(specs)) if specs is not None else ())
+        switch, _ = build_switch(n_units, entries_raw, fallback,
+                                 expected_groups=range(len(specs)) if specs is not None else None)
     except (SwitchNetError, TypeError) as exc:
         raise ConfigError(f"bad switch section: {exc}") from exc
 
@@ -334,19 +341,10 @@ def data_stage(config: ExperimentConfig) -> Dataset:
     return dataset
 
 
-def _routable_switch(n_units, entries, fallback, groups):
-    """`build_switch`, failing when a group has no entry and the fallback is 'error'."""
-    switch, warnings = build_switch(n_units, entries, fallback, expected_groups=groups)
-    missing = [g for g in groups if g not in switch.entries]
-    if fallback == "error" and missing:
-        raise RoutingError(f"no switch entry for group(s) {missing} (fallback=error)")
-    return switch, warnings
-
-
 def switch_stage(config: ExperimentConfig, dataset: Dataset) -> tuple[SwitchTable, tuple[str, ...]]:
     """The config's switch table and its warnings, checked against the dataset's groups."""
-    return _routable_switch(config.n_units, config.switch.entries, config.switch.fallback,
-                            [g for g, _ in dataset.groups])
+    return build_switch(config.n_units, config.switch.entries, config.switch.fallback,
+                        expected_groups=[g for g, _ in dataset.groups])
 
 
 def train_stage(config: ExperimentConfig, dataset: Dataset, parts: PartitionSet,

@@ -69,20 +69,18 @@ def build_switch(n_units: int, entries, fallback: str = "error",
     """Validate a switch configuration.
 
     Returns the immutable table plus diagnostics: a warning per unit that no
-    group ever activates (dead unit) and per expected group with no entry.
+    group ever activates (dead unit) and, under the `all-active` and
+    `none-active` fallbacks, per expected group with no entry. Under `error`
+    such a group could never be routed, so it raises RoutingError here.
     Dead units are warnings, not errors; probe analysis still evaluates them.
     """
     table = SwitchTable(n_units=n_units, entries=_entries(entries), fallback=fallback)
-    warnings = []
+    missing = [g for g in expected_groups or () if g not in table.entries]
+    if missing and fallback == "error":
+        raise RoutingError(f"no switch entry for group(s) {missing} (fallback=error)")
     routed = {u for units in table.entries.values() for u in units}
-    for u in range(n_units):
-        if u not in routed:
-            warnings.append(f"unit {u} appears in no switch entry (dead unit)")
-    if expected_groups is not None:
-        for g in expected_groups:
-            if g not in table.entries:
-                warnings.append(f"group {g} has no switch entry")
-    return table, tuple(warnings)
+    dead = [f"unit {u} appears in no switch entry (dead unit)" for u in range(n_units) if u not in routed]
+    return table, tuple(dead + [f"group {g} has no switch entry" for g in missing])
 
 
 def route(table: SwitchTable, group: int) -> tuple[int, ...]:

@@ -97,6 +97,12 @@ def test_heatmap_empty_group_column_rejected():
         sn.heatmap(net, ids_without_group_0, dataset)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_heatmap_matrix_refuses_a_non_finite_value(value):
+    with pytest.raises(sn.AnalysisError, match=f"^heatmap value {value} at 'unit 1', 'col 0' is not finite$"):
+        matrix_of([[0.5, 0.5], [value, 0.5]])
+
+
 def test_heatmap_uses_ungated_probe():
     # a unit the switch never routes still gets a full heatmap row
     dataset = five_group_dataset()

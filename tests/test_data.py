@@ -596,11 +596,22 @@ def test_partition_explicit_lists():
 
 
 def test_partition_explicit_overlap_rejected():
-    ds = sn.generate_synthetic(specs_for((5, 5)), seed=9)
-    plan = sn.PartitionPlan.from_counts([2, 2], selection="explicit",
-                                        explicit_ids=[[0, 1], [1, 2]])
-    with pytest.raises(sn.DataError, match="overlap"):
-        sn.partition(ds, plan, seed=9)
+    # the plan's lists are the subsets `partition` would return: refused before it runs
+    with pytest.raises(sn.DataError, match=r"^subsets overlap on observation ids \[1\]$"):
+        sn.PartitionPlan.from_counts([2, 2], selection="explicit", explicit_ids=[[0, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("explicit_ids, message", [
+    ([[0, 1.5], [2]], "unit 0: subset ids must be integers, got 1.5"),
+    ([[0, True], [2]], "unit 0: subset ids must be integers, got True"),
+    ([[0], [2]], "unit 0: subset has 1 ids, plan says 2"),
+    ([[0.5], [2]], "unit 0: subset has 1 ids, plan says 2"),  # the count is checked first
+    ([[0, 1], [2, 2, 3]], "unit 1: subset has 3 ids, plan says 1"),
+    ([[4, 4], [2]], "unit 0: subset repeats an observation id"),
+])
+def test_explicit_plan_lists_pass_the_subset_check(explicit_ids, message):
+    with pytest.raises(sn.DataError, match=f"^{re.escape(message)}$"):
+        sn.PartitionPlan.from_counts([2, 1], selection="explicit", explicit_ids=explicit_ids)
 
 
 def test_partition_explicit_unknown_id():

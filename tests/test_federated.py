@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -152,8 +153,10 @@ def test_collect_missing_node():
     dataset, parts, units = five_group_setup()
     nodes = sn.make_nodes(parts, dataset, units)
     table, _ = sn.build_switch(5, {g: {g} for g in range(5)})
-    with pytest.raises(sn.FederatedError, match="missing node"):
-        sn.collect(nodes[:4], table)
+    # the network owns the unit-index rule; collect only orders the nodes
+    message = "switch expects 5 units, indices 0..4 in order; got indices [0, 1, 3, 4]"
+    with pytest.raises(sn.NetworkError, match=f"^{re.escape(message)}$"):
+        sn.collect(nodes[:2] + nodes[3:], table)
 
 
 def test_run_local_training_validates_workers():

@@ -57,6 +57,14 @@ def test_assemble_validates_unit_count():
         sn.assemble(zero_units(5), identity_switch(4))
 
 
+def test_assemble_rejects_unit_at_wrong_position():
+    units = zero_units(4)
+    units[2], units[3] = units[3], units[2]
+    message = "switch expects 4 units, indices 0..3 in order; got indices [0, 1, 3, 2]"
+    with pytest.raises(sn.NetworkError, match=f"^{re.escape(message)}$"):
+        sn.assemble(units, identity_switch(4))
+
+
 def test_assemble_rejects_empty():
     with pytest.raises(sn.NetworkError, match="at least one"):
         sn.assemble([], identity_switch(1))

@@ -83,6 +83,28 @@ def test_unknown_section_rejected():
         sn.parse_config({"seed": 1, "bogus": {}})
 
 
+@pytest.mark.parametrize("override, section, key", [
+    ("train.epoch=3", "train", "epoch"), ("network.worker=4", "network", "worker"),
+    ("output.dirr=x", "output", "dirr"), ("data.holdout=0.3", "data", "holdout"),
+    ("partition.count=[1]", "partition", "count"), ("switch.fallbak=error", "switch", "fallbak")])
+def test_unknown_key_in_a_section_is_config_error(tmp_path, capsys, override, section, key):
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
+    assert capsys.readouterr().err == f"config error: unknown keys in config section {section!r}: {[key]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pipeline"])
+def test_overlapping_explicit_lists_are_config_error(tmp_path, capsys, command):
+    overrides = ["partition.selection=explicit", "partition.explicit_ids=[[0,1],[1,30],[60],[80],[100]]",
+                 "partition.counts=[2,2,1,1,1]", f"output.dir={tmp_path / 'out'}"]
+    extra = ["--out", tmp_path / "data.csv"] if command == "gen-data" else []
+    assert run_cli(command, *[a for o in overrides for a in ("--set", o)], *extra) == 1
+    assert capsys.readouterr().err == ("config error: bad partition plan: "
+                                       "subsets overlap on observation ids [1]\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["output.dir", "data.dataset"])
 @pytest.mark.parametrize("raw", ["null", "7", "[]", ""])
 def test_path_entries_must_be_non_empty_strings(tmp_path, monkeypatch, capsys, key, raw):
@@ -954,6 +976,25 @@ def test_network_with_a_nan_weight_is_not_valid_json(tmp_path, capsys, small_bun
     with pytest.raises(sn.DataError, match="NaN is not a JSON number"):
         sn.load_network(tmp_path / "network.json")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_non_finite_heatmap_gives_one_error_line(tmp_path, capsys, small_bundle):
+    doc = json.loads((small_bundle / "network.json").read_text())
+    doc["units"][0].update(activation="relu", weights=[1e308, 1e308])  # z overflows to inf
+    (tmp_path / "network.json").write_text(json.dumps(doc))
+    assert run_cli("heatmap", "--network", tmp_path / "network.json",
+                   "--dataset", small_bundle / "dataset.csv", "--test-sets", small_bundle / "test_sets.json",
+                   "--out-csv", tmp_path / "out.csv", "--out-svg", tmp_path / "out.svg") == 2
+    _only_error_line(capsys, "error: heatmap value inf at 'unit 0', ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["network.json"]
+
+
+def test_non_finite_heatmap_fails_the_analysis_stage(tmp_path, monkeypatch):
+    monkeypatch.setattr("switchnet.analysis._mean", lambda samples: math.nan)
+    config = sn.load_config(sn.default_config_path(), fast_sets(tmp_path / "out", epochs=2))
+    with pytest.raises(sn.StageError, match="^stage 'analysis': heatmap value nan at 'unit 0', "):
+        sn.run_pipeline(config)
+    assert not (tmp_path / "out").exists()
 
 
 def _make_directory(path):

@@ -85,8 +85,16 @@ def test_dead_unit_warning():
 
 
 def test_missing_expected_group_warning():
-    _, warnings = sn.build_switch(2, {0: {0}, 1: {1}}, expected_groups=[0, 1, 2])
-    assert any("group 2" in w for w in warnings)
+    for fallback in ("all-active", "none-active"):
+        _, warnings = sn.build_switch(2, {0: {0}, 1: {1}}, fallback, expected_groups=[0, 1, 2, 3])
+        assert warnings == ("group 2 has no switch entry", "group 3 has no switch entry")
+
+
+def test_missing_expected_group_refused_under_error_fallback():
+    # the default fallback: such a group could never be routed
+    with pytest.raises(sn.RoutingError,
+                       match=r"^no switch entry for group\(s\) \[2, 3\] \(fallback=error\)$"):
+        sn.build_switch(2, {0: {0}, 1: {1}}, expected_groups=[0, 1, 2, 3])
 
 
 def test_switch_json_roundtrip():
