@@ -18,8 +18,8 @@ from .federated import (FedRunReport, Node, collect, make_nodes, node_train_conf
 from .network import (ContributionReport, LinearReadout, Metrics, ModularNetwork, Prediction,
                       UnitContribution, assemble, evaluate, fit_readout, forward, load_network,
                       neuron_contribution, save_network)
-from .neuron import (ACTIVATIONS, LOSSES, Gradient, NeuronUnit, TrainConfig, TrainLog, fd_gradient,
-                     init_unit, save_unit, train_unit, unit_forward, unit_gradient)
+from .neuron import (ACTIVATIONS, LOSSES, NeuronUnit, TrainConfig, TrainLog, init_unit, save_unit,
+                     train_unit, unit_forward)
 from .pipeline import (ExperimentConfig, ReportBundle, apply_overrides, config_to_doc,
                        default_config_path, load_config, parse_config, run_pipeline)
 from .switching import SwitchTable, build_switch, route

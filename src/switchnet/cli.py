@@ -110,15 +110,15 @@ def cmd_partition(args) -> int:
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     _check_outputs(args.out, args.test_sets)
     parts = partition(dataset, config.plan, config.seed)
+    test_sets = None
+    if args.test_sets:  # drawn before either file is written, so a failed draw writes neither
+        test_sets = make_test_sets(dataset, parts, config.holdout_fraction, config.seed)
     write_json(parts.to_json(), args.out)
-    if args.test_sets:
-        overlapping, non_overlapping = make_test_sets(dataset, parts, config.holdout_fraction,
-                                                      config.seed)
-        write_test_sets(args.test_sets, config, overlapping, non_overlapping)
     print(f"wrote partition of {len(parts.assigned_ids())} observations to {args.out}")
-    if args.test_sets:
-        print(f"wrote test sets ({len(overlapping)} overlapping, "
-              f"{len(non_overlapping)} non-overlapping) to {args.test_sets}")
+    if test_sets:
+        write_test_sets(args.test_sets, config, *test_sets)
+        print(f"wrote test sets ({len(test_sets[0])} overlapping, "
+              f"{len(test_sets[1])} non-overlapping) to {args.test_sets}")
     return 0
 
 
@@ -134,8 +134,7 @@ def cmd_train(args) -> int:
     trained, log = train_unit(unit, subset, node_train_config(config.train, args.unit))
     save_unit(trained, args.out_unit)
     if args.out_log:
-        write_json({"unit_index": args.unit, "epoch_losses": list(log.epoch_losses),
-                    "final_loss": log.final_loss, "steps": log.steps}, args.out_log)
+        write_json({"unit_index": args.unit, **log.to_json()}, args.out_log)
     print(f"trained unit {args.unit} on {len(subset)} observations "
           f"(final loss {log.final_loss:.6f}) -> {args.out_unit}")
     return 0

@@ -213,6 +213,20 @@ class Dataset:
                        features=self.features[rows])
 
 
+def _check_keys(obj, required: tuple, optional: tuple, what: str) -> None:
+    """Refuse a JSON object with a key outside `required` and `optional`, or
+    without one of `required`, naming the keys: a misspelt key is an error,
+    never a setting silently left at its default."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise DataError(f"unknown keys in {what}: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise DataError(f"missing keys in {what}: {missing}")
+
+
 @dataclass(frozen=True)
 class LabelRule:
     kind: str
@@ -243,6 +257,7 @@ class LabelRule:
     def from_json(cls, obj) -> "LabelRule":
         if isinstance(obj, str):
             return cls(kind=obj)
+        _check_keys(obj, ("kind", "weights"), ("bias",), "label rule")
         weights, bias = list(obj["weights"]), obj.get("bias", 0.0)
         if not all(map(is_number, weights + [bias])):
             raise DataError(f"label rule weights and bias must be JSON numbers, got {weights} and {bias!r}")
@@ -274,6 +289,7 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupSpec":
+        _check_keys(obj, ("name", "mean", "scale", "label_rule", "count"), (), "group spec")
         name, mean, scale = obj["name"], list(obj["mean"]), list(obj["scale"])
         if not isinstance(name, str):
             raise DataError(f"group name must be a string, got {name!r}")

@@ -49,10 +49,7 @@ class FedRunReport:
     def to_json(self) -> dict:
         """The deterministic part (`fed_report.json`): per-node losses, epochs and
         steps; no worker count, so it is the same for any number of workers."""
-        return {"nodes": [{"node_id": i, "final_loss": log.final_loss,
-                           "epochs": len(log.epoch_losses), "steps": log.steps,
-                           "epoch_losses": list(log.epoch_losses)}
-                          for i, log in enumerate(self.logs)]}
+        return {"nodes": [{"node_id": i, **log.to_json()} for i, log in enumerate(self.logs)]}
 
     def timings_to_json(self) -> dict:
         """The timing part (`fed_timings.json`): per-node durations and the worker schedule."""

@@ -2,14 +2,14 @@
 
 A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
-The finite-difference gradient is the verification oracle for the analytic one.
 Training and readout fitting share one SGD trainer (`_sgd`) on Python floats:
 each epoch runs a loop generated once per (input width, activation, loss)
 from one source template (`_epoch_for`), which sums `w.x + b` left to right
 from 0.0 as `_z` does and computes the loss and gradient inline from the
 pair's snippet in `_LOSS_SNIPPETS`, the one copy of both formulas, so a step
-makes no Python-level call; it is the only SGD step, and the gradient checks'
-`_loss_dz` is compiled from the same snippets. Inference runs `_z` over numpy
+makes no Python-level call. `_epoch_for` is the one place a snippet is
+compiled, and the generated epoch is the only SGD step: the gradient checks
+read their gradients off one step of it. Inference runs `_z` over numpy
 float64 columns, so no bit depends on the BLAS build. `_sgd` checks finiteness
 once per epoch; `_replay_epoch` reruns an epoch that ends non-finite through the
 same generated epoch, one row per call and checked each, to name the faulty step.
@@ -54,8 +54,8 @@ def _z(weights, bias: float, x) -> float:
 # One snippet per (activation, loss) pair the trainer accepts, the one copy of
 # both formulas: it sets `loss` and `dz` (d loss / d z) from the pre-activation
 # `z` and the label `y`, calling only `exp`, `log1p` and `tanh`. `_epoch_for`
-# writes it into the generated epoch's loop body and `_loss_dz` is compiled from
-# it. bce branches once on the sign of z and takes one exp, the same bits as
+# writes it into the generated epoch's loop body, the one place it is compiled.
+# bce branches once on the sign of z and takes one exp, the same bits as
 # exp(-|z|), max(z, 0.0) and `_sigmoid`'s two branches; the loss is the logit
 # form of -[y log(s) + (1-y) log(1-s)], finite for any float z, and dz the
 # canonical bce+sigmoid gradient s - y. mse squares the difference by one
@@ -94,33 +94,6 @@ loss = diff * diff
 dz = 2.0 * diff * (1.0 if z > 0 else 0.0)
 """,
 }
-
-
-def _snippet(activation: str, loss: str, depth: int) -> str:
-    """The pair's snippet, indented by `depth` spaces, without its last line break."""
-    return textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * depth).rstrip("\n")
-
-
-def _define(source: str, filename: str, name: str):
-    """The function `name` defined by `source`, with the snippets' math functions in scope."""
-    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
-_LOSS_DZ_TEMPLATE = """\
-def loss_dz(z, y):
-{loss}
-    return loss, dz
-"""
-_LOSS_DZ = {(activation, loss): _define(_LOSS_DZ_TEMPLATE.format(loss=_snippet(activation, loss, 4)),
-                                        f"<loss {activation}/{loss}>", "loss_dz")
-            for activation, loss in _LOSS_SNIPPETS}
-
-
-def _loss_dz(activation: str, loss: str, z: float, y) -> tuple[float, float]:
-    """(loss, d loss / d z) at pre-activation z, from the pair's snippet."""
-    return _LOSS_DZ[activation, loss](z, y)
 
 
 def _check_pair(activation: str, loss: str) -> None:
@@ -176,11 +149,10 @@ class TrainLog:
     final_loss: float
     steps: int
 
-
-@dataclass(frozen=True)
-class Gradient:
-    d_weights: tuple[float, ...]
-    d_bias: float
+    def to_json(self) -> dict:
+        """The log as a JSON object; each writer adds the index it is keyed by."""
+        return {"epoch_losses": list(self.epoch_losses), "epochs": len(self.epoch_losses),
+                "final_loss": self.final_loss, "steps": self.steps}
 
 
 def init_unit(dim: int, activation: str, unit_index: int, seed: int) -> NeuronUnit:
@@ -192,48 +164,11 @@ def init_unit(dim: int, activation: str, unit_index: int, seed: int) -> NeuronUn
                       weights=tuple(float(w) for w in weights), bias=0.0)
 
 
-def _preactivation(unit: NeuronUnit, x) -> float:
-    if len(x) != unit.dim:
-        raise TrainingError(f"unit {unit.unit_index} expects {unit.dim} features, got {len(x)}")
-    return _z(unit.weights, unit.bias, x)
-
-
 def unit_forward(unit: NeuronUnit, x) -> float:
     """Activation value act(w.x + b); pure."""
-    return _activate(unit.activation, _preactivation(unit, x))
-
-
-def unit_gradient(unit: NeuronUnit, x, y: int, loss: str) -> Gradient:
-    """Analytic gradient of loss(act(w.x + b), y) with respect to (w, b)."""
-    _check_pair(unit.activation, loss)
-    _, dz = _loss_dz(unit.activation, loss, _preactivation(unit, x), y)
-    return Gradient(d_weights=tuple(float(dz * xi) for xi in x), d_bias=float(dz))
-
-
-def fd_gradient(unit: NeuronUnit, x, y: int, loss: str, h: float = 1e-5) -> Gradient:
-    """Central-difference gradient; the verification oracle for unit_gradient.
-
-    Unreliable at the relu kink (|w.x + b| comparable to h); callers exclude
-    that neighborhood.
-    """
-    _check_pair(unit.activation, loss)
-    if h <= 0:
-        raise TrainingError(f"fd step must be > 0, got {h}")
     if len(x) != unit.dim:
         raise TrainingError(f"unit {unit.unit_index} expects {unit.dim} features, got {len(x)}")
-
-    def loss_at(weights, bias):
-        return _loss_dz(unit.activation, loss, _z(weights, bias, x), y)[0]
-
-    d_weights = []
-    base = list(unit.weights)
-    for i in range(unit.dim):
-        up, down = list(base), list(base)
-        up[i] += h
-        down[i] -= h
-        d_weights.append((loss_at(up, unit.bias) - loss_at(down, unit.bias)) / (2 * h))
-    d_bias = (loss_at(base, unit.bias + h) - loss_at(base, unit.bias - h)) / (2 * h)
-    return Gradient(d_weights=tuple(d_weights), d_bias=d_bias)
+    return _activate(unit.activation, _z(unit.weights, unit.bias, x))
 
 
 # One SGD epoch over rows of width d, with the weights unpacked to locals
@@ -276,9 +211,11 @@ def _epoch_for(d: int, activation: str, loss: str):
         w=", ".join(f"w{i}" for i in range(d)),
         x=", ".join(f"x{i}" for i in range(d)),
         sum="\n".join(f"        z += w{i} * x{i}" for i in range(1, d)),
-        loss=_snippet(activation, loss, 8),
+        loss=textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * 8).rstrip("\n"),
         update="\n".join(f"        w{i} = w{i} - g * x{i}" for i in range(d)))
-    return _define(source, f"<sgd epoch, width {d}, {activation}/{loss}>", "epoch")
+    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh}
+    exec(compile(source, f"<sgd epoch, width {d}, {activation}/{loss}>", "exec"), namespace)
+    return namespace["epoch"]
 
 
 def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream):

@@ -8,7 +8,12 @@ values only, so they share no code with the column kernel in
 `switchnet.network` beyond `route`.
 
 The per-step-checked SGD: `sgd` checks the loss and the parameters after every
-step, the reference for `neuron._sgd`, which checks once per epoch.
+step, the reference for `neuron._sgd`, which checks once per epoch. Its loss
+and gradient come from `loss_dz`, written out here by hand (the activation's
+derivative and the loss as separate formulas), not from the trainer's
+`_LOSS_SNIPPETS`, so the per-step reference shares no code with the
+generated epoch it checks. `fd_gradient` is the central-difference
+gradient of any loss, the reference the trainer's gradient is checked against.
 
 The row-by-row dataset scan: `dataset_fault` applies a dataset's row rules one
 row at a time, with a set of the ids seen, the reference for the column rules
@@ -19,7 +24,7 @@ import math
 import operator
 
 import switchnet as sn
-from switchnet.neuron import _loss_dz, _sigmoid, _z
+from switchnet.neuron import _activate, _sigmoid, _z
 from switchnet.seeding import rng_for
 
 
@@ -95,6 +100,41 @@ def heatmap(net, dataset, statistic) -> tuple:
                  for u in range(net.n_units))
 
 
+def activate_prime(kind, z) -> float:
+    if kind == "sigmoid":
+        s = _sigmoid(z)
+        return s * (1.0 - s)
+    if kind == "relu":
+        return 1.0 if z > 0 else 0.0
+    t = math.tanh(z)
+    return 1.0 - t * t
+
+
+def loss_dz(activation, loss, z, y) -> tuple:
+    """(loss, d loss / d z) at pre-activation z: bce in its logit form, with the
+    canonical gradient sigmoid(z) - y; mse by the chain rule through `activate_prime`."""
+    if loss == "bce":
+        return max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z))), _sigmoid(z) - y
+    diff = _activate(activation, z) - y
+    return diff * diff, 2.0 * diff * activate_prime(activation, z)
+
+
+def fd_gradient(loss_at, weights, bias, h=1e-5) -> tuple:
+    """(d_weights, d_bias): central differences of `loss_at(weights, bias)` with step h.
+
+    Unreliable at the relu kink (|w.x + b| comparable to h); callers exclude
+    that neighborhood.
+    """
+    d_weights = []
+    for i in range(len(weights)):
+        up, down = list(weights), list(weights)
+        up[i] += h
+        down[i] -= h
+        d_weights.append((loss_at(up, bias) - loss_at(down, bias)) / (2 * h))
+    d_bias = (loss_at(list(weights), bias + h) - loss_at(list(weights), bias - h)) / (2 * h)
+    return tuple(d_weights), d_bias
+
+
 def sgd(weights, bias, rows, activation, config, stream):
     """`neuron._sgd` with a finiteness check after every step: the same visiting
     order, update and epoch losses, and a TrainingError at the first faulty step."""
@@ -109,7 +149,7 @@ def sgd(weights, bias, rows, activation, config, stream):
         for step, idx in enumerate(order):
             x, y = rows[idx]
             z = _z(weights, bias, x)
-            loss, dz = _loss_dz(activation, config.loss, z, y)
+            loss, dz = loss_dz(activation, config.loss, z, y)
             if not math.isfinite(loss):
                 raise sn.TrainingError(f"non-finite loss at epoch {epoch} step {step}")
             g = lr * dz

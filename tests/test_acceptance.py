@@ -12,7 +12,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import oracle
 import switchnet as sn
+from test_neuron import epoch_step
 
 
 def _report(line):
@@ -123,9 +125,12 @@ def test_criterion_4_gradient_correctness():
             z = sum(w * xi for w, xi in zip(unit.weights, x)) + unit.bias
             if activation == "relu" and abs(z) < 1e-4:
                 continue
-            analytic = sn.unit_gradient(unit, x, y, loss)
-            fd = sn.fd_gradient(unit, x, y, loss, h=1e-5)
-            values = list(zip(analytic.d_weights, fd.d_weights)) + [(analytic.d_bias, fd.d_bias)]
+            # the gradient the trainer applies, read off one step of its generated epoch
+            _, d_weights, d_bias = epoch_step(activation, loss, unit.weights, unit.bias, x, y)
+            fd_weights, fd_bias = oracle.fd_gradient(
+                lambda w, b: epoch_step(activation, loss, w, b, x, y)[0], unit.weights, unit.bias,
+                h=1e-5)
+            values = list(zip(d_weights, fd_weights)) + [(d_bias, fd_bias)]
             rel = max(abs(a - f) / max(abs(a), abs(f), 1e-8) for a, f in values)
             assert rel <= 1e-4, f"{activation}+{loss}: rel err {rel}"
             checked += 1

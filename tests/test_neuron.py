@@ -7,8 +7,7 @@ import oracle
 import switchnet as sn
 from switchnet import neuron
 from switchnet.jsonio import read_input
-from switchnet.neuron import _loss_dz, unit_from_dict
-from switchnet.seeding import rng_for
+from switchnet.neuron import unit_from_dict
 
 
 def make_unit(weights, bias=0.0, activation="sigmoid", index=0):
@@ -83,35 +82,35 @@ def test_forward_dimension_mismatch():
 
 # ------------------------------------------------------------------- gradients
 
+def epoch_step(activation, loss, weights, bias, x, y):
+    """One step of the generated SGD epoch at learning rate 1.0 on the row (x, y):
+    (loss, d_weights, d_bias), the loss the epoch's returned total and the
+    gradient read off the update, d = old - new. The reading is exact for a
+    zero weight or bias; a bias of -0.0 also keeps the sign of a zero gradient."""
+    epoch = neuron._epoch_for(len(weights), activation, loss)
+    new_weights, new_bias, total = epoch(list(weights), bias, [(tuple(x), y)], (0,), 1.0)
+    return total, tuple(w - nw for w, nw in zip(weights, new_weights)), bias - new_bias
+
+
 def test_gradient_mse_sigmoid_at_zero_weights():
     # yhat = 0.5, dL/dyhat = 2(0.5 - 1) = -1, sigmoid'(0) = 0.25
-    g = sn.unit_gradient(make_unit((0.0, 0.0)), (1.0, 1.0), 1, "mse")
-    assert g.d_bias == -0.25
-    assert g.d_weights == (-0.25, -0.25)
+    loss, d_weights, d_bias = epoch_step("sigmoid", "mse", (0.0, 0.0), 0.0, (1.0, 1.0), 1)
+    assert loss == 0.25
+    assert d_bias == -0.25
+    assert d_weights == (-0.25, -0.25)
 
 
 def test_gradient_bce_sigmoid_at_zero_weights():
-    g = sn.unit_gradient(make_unit((0.0, 0.0)), (1.0, 1.0), 1, "bce")
-    assert g.d_bias == -0.5
-    assert g.d_weights == (-0.5, -0.5)
-
-
-def test_gradient_bce_requires_sigmoid():
-    with pytest.raises(sn.TrainingError, match="bce"):
-        sn.unit_gradient(make_unit((0.0,), activation="relu"), (1.0,), 1, "bce")
-    with pytest.raises(sn.TrainingError, match="bce"):
-        sn.unit_gradient(make_unit((0.0,), activation="tanh"), (1.0,), 0, "bce")
+    _, d_weights, d_bias = epoch_step("sigmoid", "bce", (0.0, 0.0), 0.0, (1.0, 1.0), 1)
+    assert d_bias == -0.5
+    assert d_weights == (-0.5, -0.5)
 
 
 def test_fd_matches_analytic_at_zero_weights():
-    fd = sn.fd_gradient(make_unit((0.0, 0.0)), (1.0, 1.0), 1, "mse")
-    assert abs(fd.d_bias - (-0.25)) < 1e-8
-    assert all(abs(d - (-0.25)) < 1e-8 for d in fd.d_weights)
-
-
-def _relative_errors(analytic, fd):
-    pairs = list(zip(analytic.d_weights, fd.d_weights)) + [(analytic.d_bias, fd.d_bias)]
-    return [abs(a - f) / max(abs(a), abs(f), 1e-8) for a, f in pairs]
+    fd_weights, fd_bias = oracle.fd_gradient(
+        lambda w, b: epoch_step("sigmoid", "mse", w, b, (1.0, 1.0), 1)[0], (0.0, 0.0), 0.0)
+    assert abs(fd_bias - (-0.25)) < 1e-8
+    assert all(abs(d - (-0.25)) < 1e-8 for d in fd_weights)
 
 
 def test_gradient_matches_fd_over_random_configurations():
@@ -129,9 +128,12 @@ def test_gradient_matches_fd_over_random_configurations():
         z = sum(w * xi for w, xi in zip(unit.weights, x)) + unit.bias
         if activation == "relu" and abs(z) < 1e-3:
             continue  # fd is unreliable across the kink
-        analytic = sn.unit_gradient(unit, x, y, loss)
-        fd = sn.fd_gradient(unit, x, y, loss, h=1e-5)
-        assert max(_relative_errors(analytic, fd)) <= 1e-4
+        _, d_weights, d_bias = epoch_step(activation, loss, unit.weights, unit.bias, x, y)
+        fd_weights, fd_bias = oracle.fd_gradient(
+            lambda w, b: epoch_step(activation, loss, w, b, x, y)[0], unit.weights, unit.bias,
+            h=1e-5)
+        values = list(zip(d_weights, fd_weights)) + [(d_bias, fd_bias)]
+        assert max(abs(a - f) / max(abs(a), abs(f), 1e-8) for a, f in values) <= 1e-4
         checked += 1
 
 
@@ -202,18 +204,12 @@ def test_train_aborts_on_non_finite_loss():
     # a finite loss whose update overflows the weight
     (1e154, (-1.0, -2.0, 1.0), (1, 1, 0), "non-finite parameters at epoch 1 step 1"),
 ])
-def test_train_names_a_later_faulty_step(monkeypatch, learning_rate, features, labels, message):
+def test_train_names_a_later_faulty_step(learning_rate, features, labels, message):
     cfg = sn.TrainConfig(learning_rate=learning_rate, epochs=6, loss="mse", seed=0, shuffle=False)
     unit = make_unit((0.5,), activation="relu")
     with pytest.raises(sn.TrainingError, match=rf"^{message}$"):
         oracle.sgd(unit.weights, unit.bias, [((x,), y) for x, y in zip(features, labels)], "relu",
                    cfg, 0)
-
-    def no_call(*args):
-        raise AssertionError("called")
-
-    # the replay of the diverging epoch runs the generated epoch, not the gradient checks' step
-    monkeypatch.setattr(neuron, "_loss_dz", no_call)
     subset = rows(*(obs((x,), y, oid=i) for i, (x, y) in enumerate(zip(features, labels))))
     with pytest.raises(sn.TrainingError, match=rf"^unit 0: {message}$"):
         sn.train_unit(unit, subset, cfg)
@@ -248,61 +244,12 @@ def test_train_config_validation():
 
 def test_train_bce_requires_sigmoid_unit():
     cfg = sn.TrainConfig(loss="bce")
-    with pytest.raises(sn.TrainingError, match="bce"):
-        sn.train_unit(make_unit((0.0,), activation="tanh"), rows(obs((1.0,), 1)), cfg)
+    for activation in ("relu", "tanh"):
+        with pytest.raises(sn.TrainingError, match="bce"):
+            sn.train_unit(make_unit((0.0,), activation=activation), rows(obs((1.0,), 1)), cfg)
 
 
 # ------------------------------------------------------------------- scalar oracle
-
-def _oracle_sigmoid(z):
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
-def replay_sgd(weights, bias, rows, activation, config, stream):
-    """Pure-Python SGD: per-step left-to-right z, the trainer's epoch order and update.
-
-    Epoch e's order is the e-th permutation drawn from the one (seed, "shuffle", stream)
-    generator.
-    """
-    weights = list(weights)
-    epoch_losses = []
-    shuffler = rng_for(config.seed, "shuffle", stream)
-    for epoch in range(config.epochs):
-        order = range(len(rows))
-        if config.shuffle:
-            order = shuffler.permutation(len(rows))
-        total = 0.0
-        for idx in order:
-            x, y = rows[idx]
-            z = 0.0
-            for w, xi in zip(weights, x):
-                z += w * xi
-            z += bias
-            if activation == "sigmoid":
-                a = _oracle_sigmoid(z)
-                da = a * (1.0 - a)
-            elif activation == "tanh":
-                a = math.tanh(z)
-                da = 1.0 - a * a
-            else:
-                a = z if z > 0 else 0.0
-                da = 1.0 if z > 0 else 0.0
-            if config.loss == "bce":
-                loss = max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
-                dz = _oracle_sigmoid(z) - y
-            else:
-                loss = (a - y) * (a - y)
-                dz = 2.0 * (a - y) * da
-            step = config.learning_rate * dz
-            weights = [w - step * xi for w, xi in zip(weights, x)]
-            bias = bias - step
-            total += loss
-        epoch_losses.append(total / len(rows))
-    return weights, bias, epoch_losses
-
 
 def _default_subsets():
     config = sn.load_config(sn.default_config_path())
@@ -323,7 +270,7 @@ def test_train_unit_matches_scalar_oracle_bit_for_bit(activation, loss, shuffle)
                                loss=loss, seed=sn.node_train_config(config.train, k).seed,
                                shuffle=shuffle)
         trained, log = sn.train_unit(unit, subset, train)
-        weights, bias, losses = replay_sgd(unit.weights, unit.bias,
+        weights, bias, losses = oracle.sgd(unit.weights, unit.bias,
                                            [(o.features, o.label) for o in map(dataset.observation, ids)],
                                            activation, train, k)
         assert repr(trained.weights) == repr(tuple(weights)), f"unit {k}"
@@ -352,42 +299,9 @@ def test_fit_readout_matches_scalar_oracle_bit_for_bit(loss, shuffle):
                      o.label))
     train = sn.TrainConfig(learning_rate=0.3, epochs=20, loss=loss, seed=config.seed, shuffle=shuffle)
     fitted = sn.fit_readout(net, ids, dataset, train)
-    weights, bias, _ = replay_sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
+    weights, bias, _ = oracle.sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
                                   train, "readout")
     assert repr(fitted.aggregation) == repr(sn.LinearReadout(weights=tuple(weights), bias=bias))
-
-
-def _two_call_activate(kind, z):
-    if kind == "sigmoid":
-        return _oracle_sigmoid(z)
-    if kind == "relu":
-        return z if z > 0 else 0.0
-    return math.tanh(z)
-
-
-def _two_call_activate_prime(kind, z):
-    if kind == "sigmoid":
-        s = _oracle_sigmoid(z)
-        return s * (1.0 - s)
-    if kind == "relu":
-        return 1.0 if z > 0 else 0.0
-    t = math.tanh(z)
-    return 1.0 - t * t
-
-
-def _two_call_loss(z, y, loss, activation):
-    """The loss as computed before `_loss_dz`, apart from the gradient."""
-    if loss == "bce":
-        return max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
-    diff = _two_call_activate(activation, z) - y
-    return diff * diff
-
-
-def _two_call_dz(activation, loss, z, y):
-    """The gradient as computed before `_loss_dz`, apart from the loss."""
-    if loss == "bce":
-        return _oracle_sigmoid(z) - y
-    return 2.0 * (_two_call_activate(activation, z) - y) * _two_call_activate_prime(activation, z)
 
 
 EDGE_ZS = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308, 1e-17, -1e-17, 0.5, -0.5, 1.0, -1.0,
@@ -398,11 +312,19 @@ EDGE_ZS = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308, 1e-17, -1e-17, 0.5, 
 @pytest.mark.parametrize("activation,loss",
                          [("sigmoid", "bce"), ("sigmoid", "mse"), ("tanh", "mse"), ("relu", "mse")])
 def test_loss_dz_matches_two_call_formulas_bit_for_bit(activation, loss):
+    """The generated epoch's loss and gradient at each edge z, read off one step
+    (the row (1.0,) and the weight z reach z exactly), equal the oracle's
+    hand-written formulas bit for bit. z = -0.0 is unreachable: the epoch's sum
+    starts from 0.0, and 0.0 + -0.0 is 0.0. The bias is -0.0, which leaves z as
+    it is and reads a zero gradient with its sign."""
     for z in EDGE_ZS:
+        if z == 0.0 and math.copysign(1.0, z) < 0:
+            continue
         for y in (0, 1):
-            got_loss, got_dz = _loss_dz(activation, loss, z, y)
-            assert repr(got_loss) == repr(_two_call_loss(z, y, loss, activation)), (z, y)
-            assert repr(got_dz) == repr(_two_call_dz(activation, loss, z, y)), (z, y)
+            got_loss, _, got_dz = epoch_step(activation, loss, (z,), -0.0, (1.0,), y)
+            want_loss, want_dz = oracle.loss_dz(activation, loss, z, y)
+            assert repr(got_loss) == repr(want_loss), (z, y)
+            assert repr(got_dz) == repr(want_dz), (z, y)
 
 
 def test_sgd_compiles_one_epoch_per_width(monkeypatch):
@@ -443,7 +365,6 @@ def test_loss_snippets_cover_exactly_the_accepted_pairs():
                 continue
             accepted.add((activation, loss))
     assert set(neuron._LOSS_SNIPPETS) == accepted
-    assert set(neuron._LOSS_DZ) == accepted
 
 
 # ------------------------------------------------------------------- serialization

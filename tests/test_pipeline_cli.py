@@ -790,6 +790,10 @@ def test_train_subcommand_matches_pipeline_unit(tmp_path):
     log = json.loads((d / "train_log_2.json").read_text())
     assert log["unit_index"] == 2
     assert len(log["epoch_losses"]) == 6
+    # one layout per training log: the pipeline's fed_report entry for node 2, keyed by node_id
+    node = json.loads((pipe_dir / "fed_report.json").read_text())["nodes"][2]
+    assert log == {"unit_index": 2, **{k: v for k, v in node.items() if k != "node_id"}}
+    assert log["epochs"] == 6
 
 
 def test_gen_data_from_specs_file_matches_config_route(tmp_path):
@@ -811,6 +815,54 @@ def test_gen_data_bad_specs_file_gives_one_error_line(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: group specs file {specs_path}"), err
     assert not (tmp_path / "a.csv").exists()
+
+
+# (group index and key, value, message): a misspelt or missing key in a group spec or
+# label rule is named, never dropped or left at its default
+GROUP_KEY_FAULTS = [
+    ((1, "colour"), "red", "unknown keys in group spec: ['colour']"),
+    ((0, "label_rule"), {"kind": "linear-threshold", "weights": [1.0, 0.0], "bais": 5},
+     "unknown keys in label rule: ['bais']"),
+    ((0, "label_rule"), {"kind": "all-one"}, "missing keys in label rule: ['weights']"),
+]
+
+
+@pytest.mark.parametrize("route", ["config-file", "set", "specs-file"])
+@pytest.mark.parametrize("where, value, message", GROUP_KEY_FAULTS,
+                         ids=["group-key", "rule-key", "rule-without-weights"])
+def test_group_spec_key_faults_are_refused_by_name(tmp_path, capsys, route, where, value, message):
+    (group, key), out = where, tmp_path / "out"
+    doc = json.loads(sn.default_config_path().read_text(encoding="utf-8"))
+    doc["output"]["dir"] = str(out)
+    if route == "set":
+        code = run_cli("pipeline", "--set", f"data.groups.{group}.{key}={json.dumps(value)}",
+                       "--set", f"output.dir={out}")
+        want = f"config error: bad data.groups: {message}\n"
+    else:
+        doc["data"]["groups"][group][key] = value
+        path = tmp_path / "input.json"
+        if route == "config-file":
+            path.write_text(json.dumps(doc))
+            code = run_cli("pipeline", "--config", path)
+            want = f"config error: bad data.groups: {message}\n"
+        else:
+            path.write_text(json.dumps(doc["data"]["groups"]))
+            code = run_cli("gen-data", "--specs", path, "--seed", 1, "--out", out)
+            want = f"error: group specs file {path}: {message}\n"
+    assert (code, capsys.readouterr().err) == (1 if route != "specs-file" else 2, want)
+    assert not out.exists()
+
+
+def test_partition_test_set_failure_writes_neither_file(tmp_path, capsys):
+    # contiguous counts that assign all 125 observations leave no non-overlapping test id
+    d = tmp_path
+    assert run_cli("gen-data", "--out", d / "dataset.csv") == 0
+    code = run_cli("partition", "--set", "partition.selection=contiguous",
+                   "--set", "partition.counts=[25, 35, 15, 25, 25]", "--dataset", d / "dataset.csv",
+                   "--out", d / "p.json", "--test-sets", d / "t.json")
+    assert code == 2
+    assert "no unassigned observations" in capsys.readouterr().err
+    assert not (d / "p.json").exists() and not (d / "t.json").exists()
 
 
 def test_train_subcommand_unknown_unit(tmp_path, capsys):
