@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .jsonio import is_int, is_number
+from .jsonio import check_keys, floats, is_int
 from .neuron import _z
 from .seeding import rng_for
 
@@ -213,31 +213,25 @@ class Dataset:
                        features=self.features[rows])
 
 
-def _check_keys(obj, required: tuple, optional: tuple, what: str) -> None:
-    """Refuse a JSON object with a key outside `required` and `optional`, or
-    without one of `required`, naming the keys: a misspelt key is an error,
-    never a setting silently left at its default."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{what} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise DataError(f"unknown keys in {what}: {sorted(unknown)}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise DataError(f"missing keys in {what}: {missing}")
-
-
 @dataclass(frozen=True)
 class LabelRule:
+    """A group's labels: a constant kind (`all-zero`, `all-one`) takes no weights
+    or bias; `linear-threshold` labels 1 where `w.x + b > 0` (bias 0.0 unless given).
+    In JSON, a kind's name or an object holding `kind` and only the fields it takes."""
     kind: str
     weights: tuple[float, ...] | None = None
-    bias: float = 0.0
+    bias: float | None = None
 
     def __post_init__(self):
         if self.kind not in LABEL_RULE_KINDS:
             raise DataError(f"unknown label rule {self.kind!r}")
-        if self.kind == "linear-threshold" and not self.weights:
+        if self.kind != "linear-threshold":
+            if self.weights is not None or self.bias is not None:
+                raise DataError(f"label rule {self.kind!r} takes no weights or bias")
+        elif not self.weights:
             raise DataError("linear-threshold rule needs weights")
+        elif self.bias is None:
+            object.__setattr__(self, "bias", 0.0)
 
     def labels(self, features: np.ndarray) -> np.ndarray:
         """The label of every row of a (rows, dim) feature array: `_z` over the
@@ -257,11 +251,10 @@ class LabelRule:
     def from_json(cls, obj) -> "LabelRule":
         if isinstance(obj, str):
             return cls(kind=obj)
-        _check_keys(obj, ("kind", "weights"), ("bias",), "label rule")
-        weights, bias = list(obj["weights"]), obj.get("bias", 0.0)
-        if not all(map(is_number, weights + [bias])):
-            raise DataError(f"label rule weights and bias must be JSON numbers, got {weights} and {bias!r}")
-        return cls(kind=obj["kind"], weights=tuple(map(float, weights)), bias=float(bias))
+        check_keys(obj, ("kind",), ("weights", "bias"), "label rule")
+        weights = floats(obj["weights"], "label rule weights") if "weights" in obj else None
+        bias = floats([obj["bias"]], "label rule bias")[0] if "bias" in obj else None
+        return cls(kind=obj["kind"], weights=weights, bias=bias)
 
 
 @dataclass(frozen=True)
@@ -289,14 +282,12 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupSpec":
-        _check_keys(obj, ("name", "mean", "scale", "label_rule", "count"), (), "group spec")
-        name, mean, scale = obj["name"], list(obj["mean"]), list(obj["scale"])
+        check_keys(obj, ("name", "mean", "scale", "label_rule", "count"), (), "group spec")
+        name = obj["name"]
         if not isinstance(name, str):
             raise DataError(f"group name must be a string, got {name!r}")
-        if not all(map(is_number, mean + scale)):
-            raise DataError(f"group {name!r}: mean and scale entries must be JSON numbers, "
-                            f"got {mean} and {scale}")
-        return cls(name=name, mean=tuple(map(float, mean)), scale=tuple(map(float, scale)),
+        entries = f"group {name!r}: mean and scale entries"
+        return cls(name=name, mean=floats(obj["mean"], entries), scale=floats(obj["scale"], entries),
                    label_rule=LabelRule.from_json(obj["label_rule"]), count=obj["count"])
 
 

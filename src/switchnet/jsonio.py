@@ -1,6 +1,9 @@
-"""JSON files: one deterministic layout for every file written, one reader for every input."""
+"""JSON files: one deterministic layout for every file written, one reader for
+every input, and one owner of each rule a value read keeps: an object's keys
+(`check_keys`), an integer (`is_int`), finite numbers as floats (`floats`)."""
 
 import json
+import math
 from pathlib import Path
 
 from .errors import DataError, SwitchNetError
@@ -36,7 +39,7 @@ def read_input(path, what: str, parse=lambda doc: doc):
         return parse(doc)
     except KeyError as exc:
         raise DataError(f"{what} {path} lacks key {exc}") from None
-    except (TypeError, AttributeError) as exc:  # e.g. `[]` indexed by a key, or `.items()` on it
+    except (TypeError, AttributeError, ValueError) as exc:  # e.g. `[]` indexed by a key, a pair unpacked from `[0]`
         raise DataError(f"{what} {path} has the wrong shape: {exc}") from None
     except SwitchNetError as exc:
         raise DataError(f"{what} {path}: {exc}") from None
@@ -50,3 +53,32 @@ def is_int(value) -> bool:
 def is_number(value) -> bool:
     """True for a JSON number (integer or float); `true`, `"0.5"` and `null` are none."""
     return is_int(value) or isinstance(value, float)
+
+
+def floats(values, what: str) -> tuple:
+    """`values` as finite floats: a value that is no JSON number, an integer past
+    float range or a float parsed as infinity (`1e400`) is a DataError naming it."""
+    out = []
+    for value in values:
+        try:
+            number = float(value) if is_number(value) else math.nan
+        except OverflowError:  # an integer past float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise DataError(f"{what} must be JSON numbers within float range, got {value!r}")
+        out.append(number)
+    return tuple(out)
+
+
+def check_keys(obj, required: tuple, optional: tuple, what: str, error=DataError) -> None:
+    """Refuse (as `error`) a JSON object with a key outside `required` and `optional`, or
+    without one of `required`, naming the keys: a misspelt key is an error,
+    never a setting silently left at its default."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise error(f"unknown keys in {what}: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise error(f"missing keys in {what}: {missing}")

@@ -21,7 +21,7 @@ import numpy as np
 from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
-from .jsonio import is_number, read_input, write_json
+from .jsonio import floats, read_input, write_json
 from .neuron import NeuronUnit, TrainConfig, _sgd, _z, unit_from_dict, unit_to_dict
 # Unused here, but the benchmark's tracer counts calls through this name: keep it bound.
 from .neuron import unit_forward  # noqa: F401
@@ -323,10 +323,8 @@ def network_to_dict(net: ModularNetwork) -> dict:
 def network_from_dict(obj: dict) -> ModularNetwork:
     agg = obj["aggregation"]
     if agg["kind"] == "linear-readout":
-        weights, bias = list(agg["weights"]), agg["bias"]
-        if not all(map(is_number, weights + [bias])):
-            raise NetworkError(f"readout weights and bias must be JSON numbers, got {weights} and {bias!r}")
-        aggregation = LinearReadout(weights=tuple(map(float, weights)), bias=float(bias))
+        values = floats([*agg["weights"], agg["bias"]], "readout weights and bias")
+        aggregation = LinearReadout(weights=values[:-1], bias=values[-1])
     elif agg["kind"] == ROUTER_MEAN:
         aggregation = ROUTER_MEAN
     else:

@@ -21,7 +21,7 @@ import textwrap
 from dataclasses import dataclass
 
 from .errors import TrainingError
-from .jsonio import is_int, is_number, write_json
+from .jsonio import floats, is_int, is_number, write_json
 from .seeding import rng_for
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh")
@@ -294,12 +294,9 @@ def unit_to_dict(unit: NeuronUnit) -> dict:
 
 
 def unit_from_dict(obj: dict) -> NeuronUnit:
-    weights, bias = list(obj["weights"]), obj["bias"]
-    if not all(map(is_number, weights + [bias])):
-        raise TrainingError(f"unit {obj['unit_index']!r}: weights and bias must be JSON numbers, "
-                            f"got {weights} and {bias!r}")
+    values = floats([*obj["weights"], obj["bias"]], f"unit {obj['unit_index']!r}: weights and bias")
     return NeuronUnit(unit_index=obj["unit_index"], activation=obj["activation"],
-                      weights=tuple(map(float, weights)), bias=float(bias))
+                      weights=values[:-1], bias=values[-1])
 
 
 def save_unit(unit: NeuronUnit, path) -> None:

@@ -21,7 +21,7 @@ from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_syn
                    load_dataset, make_test_sets, partition, save_dataset)
 from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
-from .jsonio import is_int, loads, read_input, write_json
+from .jsonio import check_keys, is_int, loads, read_input, write_json
 from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
                       save_network)
 from .neuron import ACTIVATIONS, TrainConfig, _check_pair, init_unit, save_unit
@@ -36,13 +36,13 @@ from .switching import SwitchTable, build_switch
 # won in every pass from 80,000 (-8.7, -4.3 and -2.1 ms; 17-25 of 30 pairs),
 # and by 13-19 ms at 100,000 and 120,000 (21-29 of 30).
 POOL_MIN_STEPS = 80_000
-# the keys each config section may hold; `seed` is the one top-level value
-_SECTIONS = {"data": ("groups", "dataset", "dataset_sha256", "holdout_fraction"),
-             "partition": ("counts", "selection", "explicit_ids"),
-             "switch": ("n_units", "entries", "fallback"),
-             "train": ("learning_rate", "epochs", "loss", "shuffle"),
-             "network": ("activation", "aggregation", "heatmap_statistic", "workers"),
-             "output": ("dir",)}
+# the keys each config section must and may hold; `seed` is the one top-level value
+_SECTIONS = {"data": ((), ("groups", "dataset", "dataset_sha256", "holdout_fraction")),
+             "partition": (("counts",), ("selection", "explicit_ids")),
+             "switch": (("entries",), ("n_units", "fallback")),
+             "train": ((), ("learning_rate", "epochs", "loss", "shuffle")),
+             "network": ((), ("activation", "aggregation", "heatmap_statistic", "workers")),
+             "output": (("dir",), ())}
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,9 @@ def default_config_path() -> Path:
     return Path(str(_resource_files("switchnet") / "configs" / "default.json"))
 
 
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing {where}.{key}")
-    return section[key]
-
-
 def _need_path(section: dict, key: str, where: str) -> str:
     """A path entry: a non-empty JSON string, never a number or `null` coerced by `str`."""
-    value = _need(section, key, where)
+    value = section[key]
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{where}.{key} must be a non-empty string, got {value!r}")
     return value
@@ -129,18 +123,10 @@ def _need_path(section: dict, key: str, where: str) -> str:
 
 def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     """Validate a config document; raises ConfigError before anything runs."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - {"seed", *_SECTIONS}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, keys in _SECTIONS.items():
-        if name not in doc or not isinstance(doc[name], dict):
-            raise ConfigError(f"missing or invalid config section {name!r}")
-        unknown = set(doc[name]) - set(keys)
-        if unknown:
-            raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    if not is_int(doc.get("seed")):
+    check_keys(doc, ("seed", *_SECTIONS), (), "config", ConfigError)
+    for name, (required, optional) in _SECTIONS.items():
+        check_keys(doc[name], required, optional, f"config section {name!r}", ConfigError)
+    if not is_int(doc["seed"]):
         raise ConfigError("seed must be an integer")
     base = Path(base_dir) if base_dir is not None else Path.cwd()
 
@@ -172,7 +158,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
 
     part_sec = doc["partition"]
     try:
-        plan = PartitionPlan.from_counts(_need(part_sec, "counts", "partition"),
+        plan = PartitionPlan.from_counts(part_sec["counts"],
                                          selection=part_sec.get("selection", "stratified"),
                                          explicit_ids=part_sec.get("explicit_ids"))
     except (SwitchNetError, TypeError) as exc:
@@ -186,7 +172,7 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     declared = switch_sec.get("n_units", n_units)
     if not is_int(declared) or declared != n_units:
         raise ConfigError(f"switch.n_units is {declared!r} but the partition plan has {n_units} units")
-    entries_raw = _need(switch_sec, "entries", "switch")
+    entries_raw = switch_sec["entries"]
     if not isinstance(entries_raw, dict):
         raise ConfigError(f"switch.entries must be an object, got {entries_raw!r}")
     fallback = switch_sec.get("fallback", "error")
@@ -196,13 +182,8 @@ def parse_config(doc: dict, base_dir: "Path | None" = None) -> ExperimentConfig:
     except (SwitchNetError, TypeError) as exc:
         raise ConfigError(f"bad switch section: {exc}") from exc
 
-    train_sec = doc["train"]
     try:
-        train = TrainConfig(learning_rate=train_sec.get("learning_rate", 0.1),
-                            epochs=train_sec.get("epochs", 50),
-                            loss=train_sec.get("loss", "bce"),
-                            seed=doc["seed"],
-                            shuffle=train_sec.get("shuffle", True))
+        train = TrainConfig(seed=doc["seed"], **doc["train"])
     except SwitchNetError as exc:
         raise ConfigError(f"bad train section: {exc}") from exc
 

@@ -822,6 +822,21 @@ def test_group_spec_json_rejects_non_numbers(field, value, message):
         sn.GroupSpec.from_json(doc)
 
 
+@pytest.mark.parametrize("kind", ["all-zero", "all-one"])
+@pytest.mark.parametrize("fields", [{"weights": (1.0, 0.0)}, {"bias": 0.0}, {"weights": (1.0,), "bias": 7.0}])
+def test_constant_label_rule_takes_no_weights_or_bias(kind, fields):
+    with pytest.raises(sn.DataError, match=f"^label rule '{kind}' takes no weights or bias$"):
+        sn.LabelRule(kind, **fields)
+    with pytest.raises(sn.DataError, match=f"^label rule '{kind}' takes no weights or bias$"):
+        sn.LabelRule.from_json({"kind": kind, **{key: list(v) if key == "weights" else v for key, v in fields.items()}})
+
+
+def test_label_rule_object_form_of_a_constant_kind_is_the_kind():
+    assert sn.LabelRule.from_json({"kind": "all-one"}) == sn.LabelRule("all-one")
+    assert sn.LabelRule.from_json({"kind": "all-one"}).to_json() == "all-one"
+    assert sn.LabelRule("linear-threshold", weights=(1.0,)).bias == 0.0
+
+
 def test_group_spec_json_reads_integers_as_floats():
     doc = specs_for((4,))[0].to_json()
     doc["mean"], doc["label_rule"] = [-2, 1], {"kind": "linear-threshold", "weights": [1, 0]}

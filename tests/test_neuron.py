@@ -389,7 +389,8 @@ def test_unit_json_rejects_non_integer_index(unit_index):
                                            ([0.5], True)])
 def test_unit_json_rejects_non_numbers(weights, bias):
     doc = {"unit_index": 0, "activation": "sigmoid", "weights": weights, "bias": bias}
-    with pytest.raises(sn.TrainingError, match="must be JSON numbers"):
+    # unit_from_dict reads its numbers through jsonio.floats: a DataError (a TrainingError before)
+    with pytest.raises(sn.DataError, match="must be JSON numbers"):
         sn.neuron.unit_from_dict(doc)
 
 

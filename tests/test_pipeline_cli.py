@@ -79,7 +79,8 @@ def test_stratified_overdraw_rejected_at_parse():
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(sn.ConfigError, match="unknown config section"):
+    # jsonio.check_keys reads the top level too ("unknown config sections: [...]" before)
+    with pytest.raises(sn.ConfigError, match=r"^unknown keys in config: \['bogus'\]$"):
         sn.parse_config({"seed": 1, "bogus": {}})
 
 
@@ -92,6 +93,14 @@ def test_unknown_key_in_a_section_is_config_error(tmp_path, capsys, override, se
     assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
     assert capsys.readouterr().err == f"config error: unknown keys in config section {section!r}: {[key]}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [("partition", "counts"), ("switch", "entries"), ("output", "dir")])
+def test_missing_required_key_in_a_section_is_config_error(section, key):
+    doc = json.loads(sn.default_config_path().read_text(encoding="utf-8"))
+    del doc[section][key]
+    with pytest.raises(sn.ConfigError, match=rf"^missing keys in config section '{section}': \['{key}'\]$"):
+        sn.parse_config(doc)
 
 
 @pytest.mark.parametrize("command", ["gen-data", "pipeline"])
@@ -818,18 +827,25 @@ def test_gen_data_bad_specs_file_gives_one_error_line(tmp_path, capsys, text):
 
 
 # (group index and key, value, message): a misspelt or missing key in a group spec or
-# label rule is named, never dropped or left at its default
+# label rule is named, never dropped or left at its default; a constant kind's object
+# form needs no weights, so the missing-weights case is a linear-threshold rule's
+# ("missing keys in label rule: ['weights']" before, for every kind), and weights or a
+# bias on a constant kind, which it would not use, are refused (dropped before)
 GROUP_KEY_FAULTS = [
     ((1, "colour"), "red", "unknown keys in group spec: ['colour']"),
     ((0, "label_rule"), {"kind": "linear-threshold", "weights": [1.0, 0.0], "bais": 5},
      "unknown keys in label rule: ['bais']"),
-    ((0, "label_rule"), {"kind": "all-one"}, "missing keys in label rule: ['weights']"),
+    ((0, "label_rule"), {"kind": "linear-threshold"}, "linear-threshold rule needs weights"),
+    ((0, "label_rule"), {"kind": "all-one", "weights": [1.0, 0.0], "bias": 7},
+     "label rule 'all-one' takes no weights or bias"),
+    ((2, "label_rule"), {"kind": "all-zero", "bias": 0}, "label rule 'all-zero' takes no weights or bias"),
 ]
 
 
 @pytest.mark.parametrize("route", ["config-file", "set", "specs-file"])
 @pytest.mark.parametrize("where, value, message", GROUP_KEY_FAULTS,
-                         ids=["group-key", "rule-key", "rule-without-weights"])
+                         ids=["group-key", "rule-key", "rule-without-weights", "constant-rule-weights",
+                              "constant-rule-bias"])
 def test_group_spec_key_faults_are_refused_by_name(tmp_path, capsys, route, where, value, message):
     (group, key), out = where, tmp_path / "out"
     doc = json.loads(sn.default_config_path().read_text(encoding="utf-8"))
@@ -851,6 +867,43 @@ def test_group_spec_key_faults_are_refused_by_name(tmp_path, capsys, route, wher
             want = f"error: group specs file {path}: {message}\n"
     assert (code, capsys.readouterr().err) == (1 if route != "specs-file" else 2, want)
     assert not out.exists()
+
+
+BIG = 10**400  # past float range: float(BIG) raises OverflowError
+FIRST_GROUP = "group 'Young – Low Income'"
+
+# (override, message): a group spec number past float range, as an integer or as a float
+# that parses to infinity, is refused by name, never a traceback or an infinite parameter
+OUT_OF_RANGE = [
+    (f"data.groups.0.mean=[{BIG},0]",
+     f"{FIRST_GROUP}: mean and scale entries must be JSON numbers within float range, got {BIG}"),
+    (f"data.groups.0.scale=[0.35,{BIG}]",
+     f"{FIRST_GROUP}: mean and scale entries must be JSON numbers within float range, got {BIG}"),
+    ('data.groups.0.label_rule={"kind":"linear-threshold","weights":[%d,0]}' % BIG,
+     f"label rule weights must be JSON numbers within float range, got {BIG}"),
+    ('data.groups.0.label_rule={"kind":"linear-threshold","weights":[1e400,0]}',
+     "label rule weights must be JSON numbers within float range, got inf"),
+    ('data.groups.0.label_rule={"kind":"linear-threshold","weights":[1,0],"bias":-1e400}',
+     "label rule bias must be JSON numbers within float range, got -inf")]
+
+
+@pytest.mark.parametrize("override, message", OUT_OF_RANGE,
+                         ids=["mean-int", "scale-int", "rule-weight-int", "rule-weight-1e400", "rule-bias-1e400"])
+def test_group_spec_number_past_float_range_is_config_error(tmp_path, capsys, override, message):
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
+    assert capsys.readouterr().err == f"config error: bad data.groups: {message}\n"
+    assert not out.exists()
+
+
+def test_constant_label_rule_object_form_writes_the_named_form_bundle(tmp_path, capsys):
+    out = tmp_path / "out"
+    bundles = []
+    for rule in ('"all-one"', '{"kind": "all-one"}'):
+        assert run_cli("pipeline", "--set", f"data.groups.0.label_rule={rule}",
+                       *[a for s in fast_sets(out, epochs=2) for a in ("--set", s)]) == 0
+        bundles.append(_bundle_bytes(out))
+    assert bundles[0] == bundles[1]
 
 
 def test_partition_test_set_failure_writes_neither_file(tmp_path, capsys):
@@ -979,6 +1032,11 @@ def _fedsim(d, bundle):
             "--out-dir", d / "out"]
 
 
+def _train(d, bundle):
+    return ["train", "--dataset", bundle / "dataset.csv", "--partition", d / "partition.json",
+            "--unit", 0, "--out-unit", d / "out.json"]
+
+
 # a test_sets.json without its id list (missing, or not a list) stays a config error (exit 1)
 MALFORMED = [
     ("network.json", "truncated", _truncate, _eval, 2, "error: network bundle"),
@@ -994,6 +1052,9 @@ MALFORMED = [
     ("partition.json", "top-level list", _top_level_list, _fedsim, 2, "error: partition JSON"),
     ("partition.json", "missing key", _edit(lambda doc: doc.pop("plan")), _fedsim, 2,
      "error: partition JSON"),
+    *[("partition.json", f"plan entry of one ({command.__name__[1:]})",
+       _edit(lambda doc: doc["plan"].__setitem__(0, [0])), command, 2, "error: partition JSON")
+      for command in (_fedsim, _train)],
     ("test_sets.json", "truncated", _truncate, _heatmap, 2, "error: test-sets file"),
     ("test_sets.json", "missing key", _edit(lambda doc: doc.pop("overlapping")), _eval, 1,
      "config error: test-sets file"),
@@ -1027,6 +1088,21 @@ def test_network_with_a_nan_weight_is_not_valid_json(tmp_path, capsys, small_bun
                                        "valid JSON: NaN is not a JSON number\n")
     with pytest.raises(sn.DataError, match="NaN is not a JSON number"):
         sn.load_network(tmp_path / "network.json")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("text, shown", [(str(BIG), str(BIG)), ("1e400", "inf"), ("-1e400", "-inf")],
+                         ids=["int", "1e400", "-1e400"])
+def test_network_weight_past_float_range_gives_one_error_line(tmp_path, capsys, small_bundle, text, shown):
+    doc = json.loads((small_bundle / "network.json").read_text())
+    doc["units"][0]["weights"][0] = "WEIGHT"
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(doc).replace('"WEIGHT"', text))
+    assert run_cli("eval", "--network", path, "--dataset", small_bundle / "dataset.csv",
+                   "--test-sets", small_bundle / "test_sets.json", "--kind", "overlapping",
+                   "--out", tmp_path / "out.json") == 2
+    assert capsys.readouterr().err == (f"error: network bundle {path}: unit 0: weights and bias must be "
+                                       f"JSON numbers within float range, got {shown}\n")
     assert not (tmp_path / "out.json").exists()
 
 
