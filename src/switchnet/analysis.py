@@ -3,8 +3,11 @@
 Heatmaps aggregate ungated probe activations so every unit is observable on
 every group, regardless of how the switch would gate it. Probes are computed
 per group block through the network's column kernel, bit for bit equal to
-`unit_forward` on each observation. The SVG writer escapes its labels itself
-(`_escape`), so importing this module loads no XML library.
+`unit_forward` on each observation, and a block's means come from one
+`np.add.accumulate` over its (unit, probe) table (`network._means`), with the
+bits of a left-to-right `_mean` over each unit's probes. The SVG writer
+escapes its labels itself (`_escape`), so importing this module loads no XML
+library.
 """
 
 import csv
@@ -15,7 +18,7 @@ from pathlib import Path
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import ModularNetwork, _group_blocks, _mean, _unit_column
+from .network import ModularNetwork, _group_blocks, _means, _unit_column
 
 STATISTICS = ("mean", "max")
 
@@ -87,16 +90,12 @@ def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean")
     empty = [g for g, _ in groups if g not in blocks]
     if empty:
         raise AnalysisError(f"groups {empty} have no observations among the evaluation ids")
-    probes = {g: [_unit_column(unit, blocks[g].features).tolist() for unit in net.units]
-              for g, _ in groups}
-    values = []
-    for u in range(net.n_units):
-        row = []
-        for g, _ in groups:
-            samples = probes[g][u]
-            row.append(max(samples) if statistic == "max" else _mean(samples))
-        values.append(tuple(row))
-    return HeatmapMatrix(values=tuple(values),
+    columns = []
+    for g, _ in groups:
+        probes = [_unit_column(unit, blocks[g].features) for unit in net.units]
+        # Python's max, since np.max treats NaN differently
+        columns.append([max(p.tolist()) for p in probes] if statistic == "max" else _means(probes))
+    return HeatmapMatrix(values=tuple(zip(*columns)),
                          row_labels=tuple(f"unit {u}" for u in range(net.n_units)),
                          col_labels=tuple(name for _, name in groups),
                          statistic=statistic)

@@ -52,6 +52,12 @@ class Observation:
             raise DataError(f"observation {self.id}: non-finite feature")
 
 
+def _is_count(value) -> bool:
+    """A positive JSON integer below 2**63: a numpy array dimension can hold it,
+    and a sum of a list of them converts to float."""
+    return is_int(value) and 1 <= value < 2**63
+
+
 def _check_group_name(name: str) -> None:
     # the dataset CSV carries each name on one comment line
     if "\n" in name or "\r" in name:
@@ -273,8 +279,9 @@ class GroupSpec:
             raise DataError(f"group {self.name!r}: mean and scale entries must be finite")
         if any(s <= 0 for s in self.scale):
             raise DataError(f"group {self.name!r}: scale entries must be > 0")
-        if not is_int(self.count) or self.count < 1:
-            raise DataError(f"group {self.name!r}: count must be an integer >= 1, got {self.count!r}")
+        if not _is_count(self.count):
+            raise DataError(f"group {self.name!r}: count must be a positive integer below 2**63, "
+                            f"got {self.count!r}")
 
     def to_json(self) -> dict:
         return {"name": self.name, "mean": list(self.mean), "scale": list(self.scale),
@@ -319,8 +326,8 @@ class PartitionPlan:
     def __post_init__(self):
         if self.selection not in SELECTIONS:
             raise DataError(f"unknown selection {self.selection!r}")
-        if not all(is_int(c) and c >= 1 for c in self.counts):
-            raise DataError(f"planned counts must be positive integers, got {list(self.counts)}")
+        if not all(map(_is_count, self.counts)):
+            raise DataError(f"planned counts must be positive integers below 2**63, got {list(self.counts)}")
         if self.selection == "explicit":
             if self.explicit_ids is None or len(self.explicit_ids) != len(self.counts):
                 raise DataError("explicit selection needs one id list per unit")

@@ -1,6 +1,7 @@
 """JSON files: one deterministic layout for every file written, one reader for
 every input, and one owner of each rule a value read keeps: an object's keys
-(`check_keys`), an integer (`is_int`), finite numbers as floats (`floats`)."""
+(`check_keys`), an integer (`is_int`), a number within float range
+(`is_finite`) and finite numbers as floats (`floats`)."""
 
 import json
 import math
@@ -55,19 +56,22 @@ def is_number(value) -> bool:
     return is_int(value) or isinstance(value, float)
 
 
+def is_finite(value) -> bool:
+    """True for a JSON number within float range: not an integer past it, nor a
+    float parsed as infinity (`1e400`)."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        return False
+
+
 def floats(values, what: str) -> tuple:
-    """`values` as finite floats: a value that is no JSON number, an integer past
-    float range or a float parsed as infinity (`1e400`) is a DataError naming it."""
-    out = []
+    """`values` as finite floats: a value `is_finite` refuses is a DataError naming it."""
+    values = tuple(values)
     for value in values:
-        try:
-            number = float(value) if is_number(value) else math.nan
-        except OverflowError:  # an integer past float range
-            number = math.inf
-        if not math.isfinite(number):
+        if not is_finite(value):
             raise DataError(f"{what} must be JSON numbers within float range, got {value!r}")
-        out.append(number)
-    return tuple(out)
+    return tuple(map(float, values))
 
 
 def check_keys(obj, required: tuple, optional: tuple, what: str, error=DataError) -> None:

@@ -11,6 +11,15 @@ the same left-to-right order (exp and tanh stay on `math`), so every value
 equals `unit_forward` and the router mean on one observation bit for bit.
 `forward` is the table's one-row case. Ablating a unit re-scores the blocks
 where it is active.
+
+A readout's label needs no sigmoid wherever the logit's sign decides it:
+`_label_column` labels a row 1 where its logit is >= 0 (there
+`1 / (1 + exp(-z))` is >= 0.5), and 0 where it is NaN or at most -1e-6 (there
+the sigmoid is at most about 0.49999975). Only logits in (-1e-6, 0) go
+through the sigmoid, since rounding takes some of them, the ones within about
+1.1e-16 of 0, to a score of exactly 0.5. So every label is the one the scalar
+pass's score gives. `math.exp` and `math.tanh` fill their columns through
+`np.fromiter`, without a list between them and numpy.
 """
 
 import math
@@ -135,10 +144,21 @@ def _mean(values) -> float:
     return total / len(values)
 
 
+@np.errstate(all="ignore")  # inf - inf and overflow as Python floats give them, without warnings
+def _means(columns) -> list:
+    """`_mean` of each equal-length column, bit for bit: one `np.add.accumulate`,
+    which adds strictly left to right, over the (column, row) table behind a
+    leading 0.0 column, which turns a first -0.0 into 0.0 as `_mean`'s running
+    total from 0.0 does."""
+    table = np.zeros((len(columns), len(columns[0]) + 1))
+    table[:, 1:] = columns
+    return (np.add.accumulate(table, axis=1)[:, -1] / len(columns[0])).tolist()
+
+
 @np.errstate(all="ignore")
 def _sigmoid_column(z: np.ndarray) -> np.ndarray:
     """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical."""
-    e = np.array(list(map(math.exp, (-np.abs(z)).tolist())), dtype=float)
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, count=len(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -148,7 +168,7 @@ def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
         return _sigmoid_column(z)
     if kind == "relu":
         return np.where(z > 0, z, 0.0)
-    return np.array(list(map(math.tanh, z.tolist())), dtype=float)
+    return np.fromiter(map(math.tanh, z.tolist()), float, count=len(z))
 
 
 @np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
@@ -168,15 +188,29 @@ def _score_column(aggregation, columns, active, n: int) -> np.ndarray:
     return _mean([columns[i] for i in active]) if active else np.full(n, 0.5)
 
 
-def _label_column(score: np.ndarray) -> np.ndarray:
-    """Predicted label of every score: 1 from 0.5 up, so a tie falls to label 1."""
-    return np.where(score >= 0.5, 1, 0)
+# Below this logit the readout's score is at most about 0.49999975, so label 0.
+_SIGN_DECIDES_BELOW = -1e-6
+
+
+@np.errstate(all="ignore")
+def _label_column(aggregation, columns, active, n: int) -> np.ndarray:
+    """Predicted label (bool) of every row of a block of gated columns: 1 where
+    the score `_score_column` gives is >= 0.5, so a tie falls to label 1. A
+    readout's label is read off its logit's sign, the sigmoid taken only for
+    logits in (-1e-6, 0), where rounding can lift the score to 0.5."""
+    if not isinstance(aggregation, LinearReadout):
+        return _score_column(aggregation, columns, active, n) >= 0.5
+    z = _z(aggregation.weights, aggregation.bias, columns)
+    labels = z >= 0
+    near = np.flatnonzero((z < 0) & (z > _SIGN_DECIDES_BELOW))
+    if len(near):
+        labels[near] = _sigmoid_column(z[near]) >= 0.5
+    return labels
 
 
 def _hits(aggregation, columns, active, labels: np.ndarray) -> int:
     """Correct predictions in a block."""
-    score = _score_column(aggregation, columns, active, len(labels))
-    return int(np.count_nonzero(_label_column(score) == labels))
+    return int(np.count_nonzero(_label_column(aggregation, columns, active, len(labels)) == labels))
 
 
 @dataclass(frozen=True)
@@ -232,9 +266,9 @@ def forward(net: ModularNetwork, obs: Observation) -> Prediction:
         raise NetworkError(f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
     active = route(net.switch, obs.group)
     columns = _gated_columns(net, active, np.array([obs.features], dtype=float))
-    score = _score_column(net.aggregation, columns, active, 1)
-    return Prediction(score=score.item(), predicted_label=_label_column(score).item(), active=active,
-                      gated_activations=tuple(column.item() for column in columns))
+    return Prediction(score=_score_column(net.aggregation, columns, active, 1).item(),
+                      predicted_label=int(_label_column(net.aggregation, columns, active, 1).item()),
+                      active=active, gated_activations=tuple(column.item() for column in columns))
 
 
 def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:

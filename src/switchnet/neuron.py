@@ -21,7 +21,7 @@ import textwrap
 from dataclasses import dataclass
 
 from .errors import TrainingError
-from .jsonio import floats, is_int, is_number, write_json
+from .jsonio import floats, is_finite, is_int, write_json
 from .seeding import rng_for
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh")
@@ -133,7 +133,7 @@ class TrainConfig:
 
     def __post_init__(self):
         rate = self.learning_rate
-        if not is_number(rate) or not 0 < rate < math.inf:
+        if not is_finite(rate) or not rate > 0:
             raise TrainingError(f"learning_rate must be a finite number > 0, got {rate!r}")
         if not is_int(self.epochs) or self.epochs < 1:
             raise TrainingError(f"epochs must be an integer >= 1, got {self.epochs!r}")

@@ -837,6 +837,18 @@ def test_label_rule_object_form_of_a_constant_kind_is_the_kind():
     assert sn.LabelRule("linear-threshold", weights=(1.0,)).bias == 0.0
 
 
+@pytest.mark.parametrize("count", [2**63, 2**64, 10**400], ids=["2**63", "2**64", "10**400"])
+def test_count_past_64_bits_is_refused_at_parse(count):
+    # parsing only: no array is sized, so nothing is allocated
+    doc = specs_for((4,))[0].to_json()
+    assert sn.GroupSpec.from_json({**doc, "count": 2**63 - 1}).count == 2**63 - 1
+    with pytest.raises(sn.DataError, match=f"count must be a positive integer below 2\\*\\*63, got {count}$"):
+        sn.GroupSpec.from_json({**doc, "count": count})
+    assert sn.PartitionPlan.from_counts([2**63 - 1, 1]).counts == (2**63 - 1, 1)
+    with pytest.raises(sn.DataError, match="planned counts must be positive integers below 2"):
+        sn.PartitionPlan.from_counts([count, 1])
+
+
 def test_group_spec_json_reads_integers_as_floats():
     doc = specs_for((4,))[0].to_json()
     doc["mean"], doc["label_rule"] = [-2, 1], {"kind": "linear-threshold", "weights": [1, 0]}

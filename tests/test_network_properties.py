@@ -23,6 +23,11 @@ FLOATS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinit
 EDGE_FLOATS = (st.floats(min_value=-1e300, max_value=1e300)
                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
                                   float("inf"), float("-inf"), float("nan")]))
+# readout logits packed about zero, where a sign rule and the sigmoid's score can
+# disagree: exp(-2**-54) rounds to 1.0, so its score is exactly 0.5
+NEAR_ZERO = [-0.0, 5e-324, -5e-324, -2**-53, -2**-54, -1e-6, -1.0000001e-6,
+             float("inf"), float("-inf"), float("nan")]
+LOGITS = st.sampled_from(NEAR_ZERO) | st.floats(min_value=-2e-6, max_value=1e-15)
 
 
 @st.composite
@@ -126,6 +131,57 @@ def test_score_column_equals_scalar_score(n_units, n, readout, data):
     columns = list(np.array(rows, dtype=float).T)
     score = network._score_column(aggregation, columns, active, n).tolist()
     assert repr(score) == repr([oracle.score(aggregation, row, active) for row in rows])
+
+
+def logit_case(logits):
+    """A one-unit readout of weight 1.0 and bias 0.0, so each row's logit is its
+    gated value (-0.0 summed from 0.0 gives 0.0), every row labelled 1."""
+    return sn.LinearReadout(weights=(1.0,), bias=0.0), (0,), [[z] for z in logits], [1] * len(logits)
+
+
+@st.composite
+def label_cases(draw):
+    """(aggregation, active, rows of gated values, true labels): a router mean or a
+    readout over EDGE_FLOATS, or a `logit_case` whose logits are drawn from LOGITS."""
+    if draw(st.booleans()):
+        aggregation, active, rows, _ = logit_case(draw(st.lists(LOGITS, min_size=1, max_size=12)))
+    else:
+        values = EDGE_FLOATS | LOGITS
+        n_units = draw(st.integers(1, 4))
+        active = tuple(sorted(draw(st.sets(st.integers(0, n_units - 1)))))
+        aggregation = draw(st.sampled_from(["router-mean", sn.LinearReadout(
+            weights=tuple(draw(values) for _ in range(n_units)), bias=draw(values))]))
+        rows = [[draw(values) for _ in range(n_units)] for _ in range(draw(st.integers(1, 6)))]
+    return aggregation, active, rows, [draw(st.integers(0, 1)) for _ in rows]
+
+
+@PROPERTY
+@given(label_cases())
+@example(logit_case(NEAR_ZERO))
+def test_labels_and_hits_equal_scalar_score_threshold(case):
+    aggregation, active, rows, truth = case
+    expected = [oracle.score(aggregation, row, active) >= 0.5 for row in rows]
+    columns = list(np.array(rows, dtype=float).T)
+    assert network._label_column(aggregation, columns, active, len(rows)).tolist() == expected
+    assert network._hits(aggregation, columns, active, np.array(truth)) == sum(
+        int(label) == t for label, t in zip(expected, truth))
+
+
+@st.composite
+def probe_cases(draw):
+    """An activation and 1-4 equal-length columns of logits from EDGE_FLOATS."""
+    n = draw(st.integers(1, 20))
+    return draw(st.sampled_from(sn.ACTIVATIONS)), [[draw(EDGE_FLOATS) for _ in range(n)]
+                                                   for _ in range(draw(st.integers(1, 4)))]
+
+
+@PROPERTY
+@given(probe_cases())
+@example(("tanh", [[-0.0, 2.0], [-0.0, -0.0]]))  # tanh(-0.0) is -0.0; a running total from 0.0 makes its mean 0.0
+def test_heatmap_means_equal_left_to_right_mean(case):
+    activation, logits = case
+    probes = [network._activate_column(activation, np.array(column)) for column in logits]
+    assert repr(network._means(probes)) == repr([network._mean(p.tolist()) for p in probes])
 
 
 @st.composite

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import switchnet as sn
@@ -896,6 +897,24 @@ def test_group_spec_number_past_float_range_is_config_error(tmp_path, capsys, ov
     assert not out.exists()
 
 
+# (override, message): a count past 64 bits, which would reach numpy, or a learning rate
+# past float range, which would reach the trainer, is refused by name before any stage runs
+BEYOND_RANGE = [
+    (f"partition.counts=[{BIG},1,1,1,1]",
+     f"bad partition plan: planned counts must be positive integers below 2**63, got [{BIG}, 1, 1, 1, 1]"),
+    (f"data.groups.0.count={2**64}",
+     f"bad data.groups: {FIRST_GROUP}: count must be a positive integer below 2**63, got {2**64}"),
+    (f"train.learning_rate={BIG}", f"bad train section: learning_rate must be a finite number > 0, got {BIG}")]
+
+
+@pytest.mark.parametrize("override, message", BEYOND_RANGE, ids=["partition-count", "group-count", "learning-rate"])
+def test_count_or_rate_beyond_range_is_config_error(tmp_path, capsys, override, message):
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--set", override, "--set", f"output.dir={out}") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_constant_label_rule_object_form_writes_the_named_form_bundle(tmp_path, capsys):
     out = tmp_path / "out"
     bundles = []
@@ -1118,7 +1137,8 @@ def test_non_finite_heatmap_gives_one_error_line(tmp_path, capsys, small_bundle)
 
 
 def test_non_finite_heatmap_fails_the_analysis_stage(tmp_path, monkeypatch):
-    monkeypatch.setattr("switchnet.analysis._mean", lambda samples: math.nan)
+    monkeypatch.setattr("switchnet.analysis._unit_column",
+                        lambda unit, features: np.full(len(features), math.nan))
     config = sn.load_config(sn.default_config_path(), fast_sets(tmp_path / "out", epochs=2))
     with pytest.raises(sn.StageError, match="^stage 'analysis': heatmap value nan at 'unit 0', "):
         sn.run_pipeline(config)
