@@ -418,26 +418,34 @@ def _header(dim: int) -> list:
     return ["id", "group", "label"] + [f"f{i}" for i in range(dim)]
 
 
+# rows `save_dataset` formats and writes at a time: its memory is one block's cells, not the file's
+_SAVE_BLOCK = 8192
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the dataset CSV (group names carried in leading comment lines).
 
     A dataset read by `load_dataset` is written as the bytes it was parsed
-    from, byte for byte. Any other is formatted: each column as a whole, values
-    leaving the columns as Python ints and floats, so each feature is written
-    as its float `repr`.
+    from, byte for byte. Any other is formatted `_SAVE_BLOCK` rows at a time,
+    each block column by column: values leave the columns as Python ints and
+    floats, so each feature is written as its float `repr`. A block's lines are
+    joined and written at once; the bytes do not depend on the block size, and
+    memory holds one block's cells, not the whole file's.
     """
     path = Path(path)
     if dataset.source is not None:
         path.write_bytes(dataset.source)
         return
-    cells = [list(map(str, column.tolist())) for column in (dataset.ids, dataset.row_groups, dataset.labels)]
-    cells += [list(map(repr, column)) for column in dataset.features.T.tolist()]
     with path.open("w", encoding="utf-8", newline="") as fh:
         for g, name in dataset.groups:
             fh.write(f"# group {g}: {name}\n")
         # what csv.writer would write: ints and finite float reprs never need quoting
         fh.write(",".join(_header(dataset.dim)) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, len(dataset), _SAVE_BLOCK):
+            block = slice(start, start + _SAVE_BLOCK)
+            cells = [map(str, column[block].tolist()) for column in (dataset.ids, dataset.row_groups, dataset.labels)]
+            cells += [map(repr, column) for column in dataset.features[block].T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _data_lines(raw: bytes, linenos: array, names: dict):
@@ -446,8 +454,11 @@ def _data_lines(raw: bytes, linenos: array, names: dict):
     comment to `names`. The bytes are decoded as they stream, so no second
     whole-file string is made.
 
-    Both readers take their lines from here, so a line number, a group comment
-    and the byte-order mark mean the same to each."""
+    Every file's group comments and header line are read here, and so is every
+    data line the strict reader reads, and the C reader's when the body is not
+    plain (`_plain_body`). A plain body holds no line this generator would skip
+    or strip differently, so a line number, a group comment and the byte-order
+    mark mean the same to each reader."""
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
@@ -517,9 +528,38 @@ def _may_hold_long_line(raw: bytes, limit: int) -> bool:
                for start in range(0, len(raw) - stretch + 1, stretch))
 
 
+def _plain_body(raw: bytes, header_line: int):
+    """Where the data rows of `raw` start, if its body (what follows the header
+    on line `header_line`) is plain, else None. A body is plain when the file
+    holds no `\\r` and the body holds no `#` and no empty line: then every body
+    line is a data row, and data row k is on line `header_line + 1 + k`."""
+    if b"\r" in raw:
+        return None
+    end = -1
+    for _ in range(header_line):  # the header ends at the header_line-th line break
+        end = raw.find(b"\n", end + 1)
+        if end < 0:  # the header is the last line, with no line break
+            return len(raw)
+    start = end + 1
+    if raw.startswith(b"\n", start) or raw.find(b"\n\n", start) >= 0 or raw.find(b"#", start) >= 0:
+        return None
+    return start
+
+
+def _body_lines(raw: bytes, start: int):
+    """The lines of `raw` from byte `start` on, decoded as they stream, with
+    their line breaks; a byte-order mark there is part of its line."""
+    body = io.BytesIO(raw)  # shares the bytes: no copy is made
+    body.seek(start)
+    return io.TextIOWrapper(body, encoding="utf-8", newline="")
+
+
 def _read_fast(lines, dim: int):
     """The columns of the data rows in `lines`, parsed by numpy's C reader, or
-    None if it refuses one (a cell no number, a column count, bytes not UTF-8)."""
+    None if it refuses one (a cell no number, a column count, bytes not UTF-8).
+    `lines` is an iterator of lines (with or without their line breaks): the
+    decoding stream of a plain body, which the C reader pulls lines from with
+    no Python frame in between, or the `_data_lines` generator."""
     row = np.dtype([("id", "i8"), ("group", "i8"), ("label", "i8"), ("features", "f8", (dim,))])
     with warnings.catch_warnings():
         # numpy releases from 1.23 on may read an integer cell such as `1.5` through a float, as 1, and only warn
@@ -529,7 +569,7 @@ def _read_fast(lines, dim: int):
             table = np.empty(0, dtype=row)
         else:
             try:
-                # one line at a time from the generator, so no whole-file string or list is made
+                # one line at a time from `lines`, so no whole-file string or list is made
                 table = np.loadtxt(chain([first], lines), dtype=row, delimiter=",", comments=None,
                                    quotechar=None, ndmin=1)
             except (ValueError, DeprecationWarning):
@@ -566,9 +606,14 @@ def _read_csv(raw: bytes, path: Path):
     """(dim, group names, line numbers, columns, parse fault) of a dataset CSV's
     bytes: the C reader's if it takes every row, else the strict reader's.
 
-    The C reader reads only a file with the canonical header that holds nothing
-    the two might read differently: a line past `csv`'s field size limit, or a
-    byte the C reader strips as whitespace and Python's numbers refuse."""
+    `_data_lines` reads the group comments and the header. The C reader reads
+    only a file with the canonical header that holds nothing the two might read
+    differently: a line past `csv`'s field size limit, or a byte the C reader
+    strips as whitespace and Python's numbers refuse. A plain body (see
+    `_plain_body`) goes to it straight from the bytes, its line numbers counted,
+    not recorded; any other body goes through `_data_lines`. A plain body
+    holding a `"` goes to the strict reader alone: the C reader reads no
+    quotes, so it would refuse that row."""
     names, linenos = {}, array("q")
     lines = _data_lines(raw, linenos, names)
     first = next(lines, None)
@@ -577,13 +622,21 @@ def _read_csv(raw: bytes, path: Path):
     dim = first.count(",") - 2
     if (dim >= 1 and first == ",".join(_header(dim)) and not any(sep in raw for sep in _UNSPACED_SEPARATORS)
             and not _may_hold_long_line(raw, csv.field_size_limit())):
-        columns = _read_fast(lines, dim)
-        if columns is not None:
-            return dim, names, linenos, columns, None
-        # it refused a row: the strict reader reads the file again from the start
-        names, linenos = {}, array("q")
-        lines = _data_lines(raw, linenos, names)
-        first = next(lines)
+        start = _plain_body(raw, linenos[0])
+        if start is None or raw.find(b'"', start) < 0:  # the C reader would refuse a row holding a quote
+            if start is not None:
+                lines.close()
+                lines = _body_lines(raw, start)
+            columns = _read_fast(lines, dim)
+            lines.close()
+            if columns is not None:
+                if start is not None:  # data row k is on the header's line + 1 + k
+                    linenos = range(linenos[0], linenos[0] + len(columns[0]) + 1)
+                return dim, names, linenos, columns, None
+            # it refused a row: the strict reader reads the file again from the start
+            names, linenos = {}, array("q")
+            lines = _data_lines(raw, linenos, names)
+            first = next(lines)
     dim, columns, parse_fault = _read_strict(first, lines, linenos)
     return dim, names, linenos, columns, parse_fault
 
@@ -598,13 +651,19 @@ def load_dataset(path) -> Dataset:
     line it sits in.
 
     numpy's C reader (`np.loadtxt`) parses the rows of a file with the canonical
-    header, in one pass. If it refuses a row, or the file holds what the two
+    header, in one pass. When the rows are a plain body (no `\\r` in the file,
+    no `#` and no empty line after the header) it reads them from a stream over
+    the bytes, with no Python step per line, and a row's line number is the
+    header's plus its index plus one; any other body reaches it line by line
+    through `_data_lines`. If it refuses a row, or the file holds what the two
     readers might read differently, the strict reader (`csv` with Python's
     `int` and `float`) reads the same bytes, from the start if the C reader
-    began. The strict reader stays the judge of every file the C reader does
-    not take whole, so what a file may hold (a quoted cell, `1_000`, non-ASCII
-    digits) and what a fault reads are its own. It streams records into typed
-    buffers up to the first line that fails to read or parse.
+    began; a plain body holding a `"` goes to the strict reader alone, since
+    the C reader would refuse that row. The strict reader stays the judge of
+    every file the C reader does not take whole, so what a file may hold (a
+    quoted cell, `1_000`, non-ASCII digits) and what a fault reads are its own.
+    It streams records into typed buffers up to the first line that fails to
+    read or parse.
 
     The rows read then take the dataset's row rules, over the groups the `#
     group` comments declare (or else the rows hold). The earliest faulty line

@@ -11,7 +11,35 @@ from .errors import DataError, SwitchNetError
 
 
 def write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write `obj` as `json.dumps(obj, indent=2, sort_keys=True)` and a line break.
+
+    `json.dumps` with an indent runs CPython's pure-Python encoder, one call per
+    value. So a non-empty list of ints (ids, say) is written by one join
+    instead, and the string-keyed objects that hold one are walked to reach it;
+    every other value is one `json.dumps` call. The bytes are the same."""
+    Path(path).write_text(_layout(obj, "") + "\n", encoding="utf-8")
+
+
+def _is_int_list(value) -> bool:
+    # `type(...) is int` leaves out bool, which json writes as `true`/`false`
+    return type(value) is list and bool(value) and set(map(type, value)) == {int}
+
+
+def _holds_int_list(value) -> bool:
+    return (type(value) is dict and all(type(key) is str for key in value)
+            and any(_is_int_list(v) or _holds_int_list(v) for v in value.values()))
+
+
+def _layout(obj, outer: str) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, each line after the first led by `outer`."""
+    pad = outer + "  "
+    if _is_int_list(obj):
+        return "[\n" + pad + (",\n" + pad).join(map(int.__repr__, obj)) + "\n" + outer + "]"
+    if _holds_int_list(obj):
+        items = (json.dumps(key) + ": " + _layout(obj[key], pad) for key in sorted(obj))
+        return "{\n" + pad + (",\n" + pad).join(items) + "\n" + outer + "}"
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + outer) if outer else text
 
 
 def _refuse_constant(name: str):

@@ -1,8 +1,11 @@
+import dataclasses
 import functools
+import io
 import json
 import operator
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -116,6 +119,32 @@ def test_csv_roundtrip_equal_dataset(tmp_path):
     assert sn.load_dataset(path) == ds
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_save_writes_the_same_bytes_whatever_the_block_size(tmp_path, monkeypatch, block):
+    ds = sn.generate_synthetic(specs_for((6, 7, 5)), seed=3)
+    lines = ["# group 0: group 0", "# group 1: group 1", "# group 2: group 2", "id,group,label,f0,f1"]
+    lines += [",".join([str(i), str(ds.observation(i).group), str(ds.observation(i).label),
+                        *map(repr, ds.observation(i).features)]) for i in ds.ids.tolist()]
+    monkeypatch.setattr("switchnet.data._SAVE_BLOCK", block)
+    sn.save_dataset(ds, tmp_path / "ds.csv")
+    assert (tmp_path / "ds.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_save_dataset_holds_one_block_of_cells(tmp_path):
+    # the packaged config x640, 80,000 rows: formatting every row's cells at once peaks at
+    # about 31.7 MB under tracemalloc, one 8,192-row block at a time at about 1.9 MB
+    base = sn.load_config(sn.default_config_path())
+    dataset = sn.generate_synthetic([dataclasses.replace(s, count=s.count * 640) for s in base.specs], base.seed)
+    assert len(dataset) == 80_000
+    tracemalloc.start()
+    try:
+        sn.save_dataset(dataset, tmp_path / "ds.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
 def test_load_plain_file(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("id,group,label,f0,f1\n0,0,1,0.5,-0.25\n1,0,0,1.5,2.0\n")
@@ -214,6 +243,89 @@ def test_a_c_reader_deprecation_warning_hands_the_file_to_the_strict_reader(tmp_
     path.write_text("id,group,label,f0\n0,0,1.5,0.5\n")
     with pytest.raises(sn.DataError, match=r"^non-integer label, line 2$"):
         sn.load_dataset(path)
+
+
+def _one_group(ids, labels, features, name="group 0"):
+    return sn.Dataset(dim=1, groups=((0, name),), ids=ids, row_groups=[0] * len(ids), labels=labels,
+                      features=np.array(features, dtype=float).reshape(-1, 1))
+
+
+# the rows after a canonical header are plain when the file holds no CR and they hold no `#` and no
+# empty line: the C reader then reads them from a stream over the bytes, line numbers counted;
+# each case: (bytes, what the C reader is handed, the dataset or message, as the line reader gives them)
+PLAIN_GATE = {
+    "LF, comments before the header": (
+        b"# group 0: a\n# a note\n\nid,group,label,f0\n0,0,1,0.5\n1,0,0,-1.5\n", "stream",
+        _one_group([0, 1], [1, 0], [0.5, -1.5], "a")),
+    "LF, a row fault": (b"# group 0: a\n\nid,group,label,f0\n0,0,1,0.5\n1,0,2,0.5\n", "stream",
+                        "invalid label 2 for observation 1, line 5"),
+    "no trailing newline": (b"id,group,label,f0\n0,0,1,0.5\n1,0,0,2.5", "stream",
+                            _one_group([0, 1], [1, 0], [0.5, 2.5])),
+    "header only": (b"# group 0: a\nid,group,label,f0\n", "stream", _one_group([], [], [], "a")),
+    "header only, no line break": (b"# group 0: a\nid,group,label,f0", "stream", _one_group([], [], [], "a")),
+    "byte-order mark": (b"\xef\xbb\xbfid,group,label,f0\n0,0,1,0.5\n", "stream", _one_group([0], [1], [0.5])),
+    # part of the row it starts, as anywhere but at the start of the file
+    "byte-order mark after the header": (b"# group 0: a\nid,group,label,f0\n\xef\xbb\xbf0,0,1,0.5\n", "stream",
+                                         "non-integer id/group, line 3"),
+    "CRLF": (b"id,group,label,f0\r\n0,0,1,0.5\r\n1,0,0,2.5\r\n", "lines", _one_group([0, 1], [1, 0], [0.5, 2.5])),
+    "CR": (b"id,group,label,f0\r0,0,1,0.5\r1,0,2,2.5\r", "lines", "invalid label 2 for observation 1, line 3"),
+    "CR in one line": (b"id,group,label,f0\n0,0,1,0.5\r\n1,0,2,2.5\n", "lines",
+                       "invalid label 2 for observation 1, line 3"),
+    "blank line after the header": (b"id,group,label,f0\n\n0,0,1,0.5\n\n1,0,2,0.5\n", "lines",
+                                    "invalid label 2 for observation 1, line 5"),
+    "comment after the header": (b"id,group,label,f0\n0,0,1,0.5\n# group 0: late\n", "lines",
+                                 _one_group([0], [1], [0.5], "late")),
+    "quoted cell": (b'id,group,label,f0\n0,0,1,0.5\n1,0,0,"2.5"\n', None, _one_group([0, 1], [1, 0], [0.5, 2.5])),
+    "quoted cell, a later fault": (b'id,group,label,f0\n0,0,1,"0.5"\n1,0,2,2.5\n', None,
+                                   "invalid label 2 for observation 1, line 3"),
+    # decoding runs in chunks of 8 KB: the bad byte sits past the first, so the header decodes
+    "non-UTF-8 byte in the body": (b"id,group,label,f0\n" + b"0,0,1,0.5\n" * 1000 + b"1,0,1,0.\xe95\n", "stream",
+                                   "dataset file {path} is not UTF-8 text (invalid continuation byte)"),
+}
+
+
+@pytest.mark.parametrize("case", PLAIN_GATE)
+def test_plain_gate_picks_what_the_c_reader_reads_and_keeps_every_result(tmp_path, monkeypatch, case):
+    raw, handed, want = PLAIN_GATE[case]
+    seen = []
+    real_read_fast = sn.data._read_fast
+
+    def spy(lines, dim):
+        seen.append("stream" if isinstance(lines, io.TextIOWrapper) else "lines")
+        return real_read_fast(lines, dim)
+
+    monkeypatch.setattr("switchnet.data._read_fast", spy)
+    path = tmp_path / "ds.csv"
+    path.write_bytes(raw)
+    if isinstance(want, str):
+        with pytest.raises(sn.DataError) as info:
+            sn.load_dataset(path)
+        assert str(info.value) == want.format(path=path)
+    else:
+        loaded = sn.load_dataset(path)
+        assert loaded == want and loaded.source == raw
+        assert loaded.features.tobytes() == want.features.tobytes()
+    assert seen == ([] if handed is None else [handed])
+
+
+def _refuse_c_reader(lines, dim):
+    raise AssertionError("the C reader was handed a plain body holding a quote")
+
+
+def test_a_quoted_cell_in_a_plain_body_goes_to_the_strict_reader_alone(tmp_path, monkeypatch):
+    # one parse: the C reader reads no quotes, so it is not run on a file it would refuse
+    path = tmp_path / "bench.csv"
+    _bench_shaped_csv(path)
+    raw = path.read_bytes()
+    head, last = raw.rstrip(b"\n").rsplit(b"\n", 1)
+    cells = last.split(b",")
+    quoted = head + b"\n" + b",".join(cells[:-1] + [b'"' + cells[-1] + b'"']) + b"\n"
+    want = sn.load_dataset(path)
+    path.write_bytes(quoted)
+    monkeypatch.setattr("switchnet.data._read_fast", _refuse_c_reader)
+    loaded = sn.load_dataset(path)
+    assert loaded == want and loaded.features.tobytes() == want.features.tobytes()
+    assert loaded.groups == tuple((g, f"sector {g}") for g in range(8))
 
 
 # a byte-order mark, CRLF line ends and `1.50`: a file `save_dataset` would not write

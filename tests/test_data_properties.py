@@ -4,6 +4,7 @@ and `load_dataset` on generated CSV bytes against its strict reader alone.
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
+import io
 import math
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import Phase, example, find, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import switchnet as sn  # noqa: E402
@@ -199,6 +200,14 @@ def _load(load, path):
 @example(b"id,group,label,f0\n\x1f0,0,1,0.5\n")
 # an integer cell numpy releases from 1.23 on may read through a float, as 1, with only a DeprecationWarning
 @example(b"id,group,label,f0\n0,0,1.5,0.5\n")
+# each side of the plain-body gate: a body the C reader streams from the bytes, with line numbers
+# counted, and bodies that go through the line generator (a blank line, a comment, a CR)
+@example(b"# group 0: g0\n\nid,group,label,f0\n0,0,1,0.5\n1,0,2,0.5")
+@example(b"id,group,label,f0\n0,0,1,0.5\n\n1,0,2,0.5\n")
+@example(b"id,group,label,f0\n0,0,1,0.5\n# group 0: g0\n1,0,2,0.5\n")
+@example(b"id,group,label,f0\n0,0,1,0.5\r\n1,0,2,0.5\n")
+# a quote in a plain body: the strict reader alone reads it
+@example(b'id,group,label,f0\n0,0,1,"0.5"\n1,0,2,0.5\n')
 def test_load_dataset_reads_what_the_strict_reader_reads(tmp_path_factory, raw):
     """An equal dataset, features bit for bit, or the same fault message."""
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
@@ -211,3 +220,29 @@ def test_load_dataset_reads_what_the_strict_reader_reads(tmp_path_factory, raw):
     else:
         assert loaded == strict
         assert loaded.features.tobytes() == strict.features.tobytes()  # -0.0 included
+
+
+def _c_reader_input(raw):
+    """What `_read_csv` hands the C reader for `raw`: "stream" (a plain body, read
+    from the bytes), "lines" (the line generator) or None (it is not run)."""
+    seen = []
+    real_read_fast = data._read_fast
+
+    def spy(lines, dim):
+        seen.append("stream" if isinstance(lines, io.TextIOWrapper) else "lines")
+        return real_read_fast(lines, dim)
+
+    with mock.patch.object(data, "_read_fast", spy):
+        try:
+            data._read_csv(raw, "ds.csv")
+        except (sn.DataError, UnicodeDecodeError):
+            pass
+    return seen[0] if seen else None
+
+
+@pytest.mark.parametrize("side", ["stream", "lines"])
+def test_csv_files_draw_both_sides_of_the_plain_gate(side):
+    """Among the files `test_load_dataset_reads_what_the_strict_reader_reads` draws,
+    some reach the C reader as a plain body's stream and some as lines."""
+    find(csv_files(), lambda raw: _c_reader_input(raw) == side,
+         settings=settings(database=None, phases=[Phase.generate]))
