@@ -22,8 +22,8 @@ from .federated import node_train_config
 from .jsonio import is_int, read_input, write_json
 from .network import SET_KINDS, evaluate, load_network, neuron_contribution
 from .neuron import init_unit, save_unit, train_unit
-from .pipeline import (ReportBundle, data_stage, default_config_path, load_config, readout_stage,
-                       run_pipeline, switch_stage, train_stage, write_test_sets, write_training)
+from .pipeline import (ReportBundle, _not_a_directory, data_stage, default_config_path, load_config,
+                       readout_stage, run_pipeline, switch_stage, train_stage, write_test_sets, write_training)
 
 
 def _require_file(path, what: str) -> Path:
@@ -51,11 +51,10 @@ def _check_output_dir(path) -> None:
     whose nearest existing ancestor is not a directory; a missing one under
     directories is created when written."""
     path = Path(path)
-    if path.exists() and not path.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(path))
-    nearest = next(p for p in path.absolute().parents if p.exists())  # the root always exists
-    if not nearest.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, f"{nearest} is not a directory", str(path))
+    blocker = _not_a_directory(path)
+    if blocker is not None:
+        reason = "Not a directory" if blocker == path else f"{blocker} is not a directory"
+        raise NotADirectoryError(errno.ENOTDIR, reason, str(path))
 
 
 def _load_cli_config(args):

@@ -6,12 +6,12 @@ built on first use. `Observation` is the row type at the API edge:
 `Dataset.observation` builds one on demand, and `Dataset.from_observations`
 builds a dataset from rows. Every pass over the data (generation, the CSV
 reader and writer, partitioning, test splits, a node's rows, the network's
-group blocks) works on the columns, and one list of row rules checks them for
-the constructor and the CSV readers alike. A dataset read from a CSV also keeps
-the file's bytes as its `source`, and writing it writes those bytes back: a run
-on a CSV carries its input as given. Partitioning assigns disjoint subsets of
-observation ids to neuron units. All operations are pure functions of their
-inputs and a seed.
+group blocks) works on the columns; the constructor alone checks them, by one
+list of row rules, and the CSV reader names a fault's line. A dataset read
+from a CSV also keeps the file's bytes as its `source`, and writing it writes
+those bytes back: a run on a CSV carries its input as given. Partitioning
+assigns disjoint subsets of observation ids to neuron units. All operations
+are pure functions of their inputs and a seed.
 """
 
 import csv
@@ -90,6 +90,14 @@ def _first_fault(checks):
     return None if found is None else (found[0], found[1](found[0]))
 
 
+class _RowFault(DataError):
+    """A row rule's fault: `args` are the earliest faulty row, which
+    `load_dataset` names by its line, and the message, all the fault reads."""
+
+    def __str__(self):
+        return self.args[1]
+
+
 def _row_rules(ids, groups, labels, features, group_ids) -> list:
     """Every rule a dataset applies to its rows, over columns, each with its
     message, in the order a row-by-row scan applies them on one row."""
@@ -109,7 +117,8 @@ def _repeats(ids: np.ndarray) -> np.ndarray:
     equal ids in row order, so every one after the first is a repeat."""
     order = np.argsort(ids, kind="stable")
     repeat = np.zeros(len(ids), dtype=bool)
-    repeat[order[1:][ids[order][1:] == ids[order][:-1]]] = True
+    ranked = ids[order]
+    repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
     return repeat
 
 
@@ -151,7 +160,7 @@ class Dataset:
         group_ids = [g for g, _ in self.groups]
         fault = _first_fault(_row_rules(ids, groups, labels, features, group_ids))
         if fault:
-            raise DataError(fault[1])
+            raise _RowFault(*fault)
         # the group list names no row, so its faults come after every row's
         if group_ids != list(range(len(group_ids))):  # in order, as the dataset CSV reads them back
             raise DataError(f"group ids must be dense 0..G-1 in order, got {group_ids}")
@@ -454,11 +463,10 @@ def _data_lines(raw: bytes, linenos: array, names: dict):
     comment to `names`. The bytes are decoded as they stream, so no second
     whole-file string is made.
 
-    Every file's group comments and header line are read here, and so is every
-    data line the strict reader reads, and the C reader's when the body is not
-    plain (`_plain_body`). A plain body holds no line this generator would skip
-    or strip differently, so a line number, a group comment and the byte-order
-    mark mean the same to each reader."""
+    Every file's group comments and header line are read here, and every data
+    line the strict reader reads. A plain body (`_plain_body`) holds no line this
+    generator would skip or strip differently, so a line number, a group comment
+    and the byte-order mark mean the same to each reader."""
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
@@ -530,10 +538,13 @@ def _may_hold_long_line(raw: bytes, limit: int) -> bool:
 
 def _plain_body(raw: bytes, header_line: int):
     """Where the data rows of `raw` start, if its body (what follows the header
-    on line `header_line`) is plain, else None. A body is plain when the file
-    holds no `\\r` and the body holds no `#` and no empty line: then every body
-    line is a data row, and data row k is on line `header_line + 1 + k`."""
-    if b"\r" in raw:
+    on line `header_line`) is plain, else None. A body is plain when every `\\r`
+    in the file starts a `\\r\\n` and the body holds no `#`, no `"` and no empty
+    line: then every body line is a data row, data row k is on line
+    `header_line + 1 + k`, and the C reader, which reads no quotes, reads it as
+    the strict reader does."""
+    crlf = b"\r" in raw  # one scan, so an LF file pays for no other
+    if crlf and raw.count(b"\r") != raw.count(b"\r\n"):
         return None
     end = -1
     for _ in range(header_line):  # the header ends at the header_line-th line break
@@ -541,39 +552,37 @@ def _plain_body(raw: bytes, header_line: int):
         if end < 0:  # the header is the last line, with no line break
             return len(raw)
     start = end + 1
-    if raw.startswith(b"\n", start) or raw.find(b"\n\n", start) >= 0 or raw.find(b"#", start) >= 0:
+    if (raw.startswith((b"\n", b"\r\n"), start) or raw.find(b"\n\n", start) >= 0
+            or crlf and raw.find(b"\n\r\n", start) >= 0 or raw.find(b"#", start) >= 0
+            or raw.find(b'"', start) >= 0):
         return None
     return start
 
 
 def _body_lines(raw: bytes, start: int):
-    """The lines of `raw` from byte `start` on, decoded as they stream, with
-    their line breaks; a byte-order mark there is part of its line."""
+    """The lines of `raw` from byte `start` on, decoded as they stream, each
+    ending in `\\n` (a `\\r\\n` is read as one); a byte-order mark there is part
+    of its line."""
     body = io.BytesIO(raw)  # shares the bytes: no copy is made
     body.seek(start)
-    return io.TextIOWrapper(body, encoding="utf-8", newline="")
+    return io.TextIOWrapper(body, encoding="utf-8", newline=None)
 
 
 def _read_fast(lines, dim: int):
     """The columns of the data rows in `lines`, parsed by numpy's C reader, or
     None if it refuses one (a cell no number, a column count, bytes not UTF-8).
-    `lines` is an iterator of lines (with or without their line breaks): the
-    decoding stream of a plain body, which the C reader pulls lines from with
-    no Python frame in between, or the `_data_lines` generator."""
+    `lines` is a plain body's decoding stream (`_body_lines`), which the C
+    reader pulls lines from with no Python frame in between."""
     row = np.dtype([("id", "i8"), ("group", "i8"), ("label", "i8"), ("features", "f8", (dim,))])
     with warnings.catch_warnings():
         # numpy releases from 1.23 on may read an integer cell such as `1.5` through a float, as 1, and only warn
         warnings.simplefilter("error", DeprecationWarning)
-        first = next(lines, None)
-        if first is None:  # loadtxt warns on no rows
-            table = np.empty(0, dtype=row)
-        else:
-            try:
-                # one line at a time from `lines`, so no whole-file string or list is made
-                table = np.loadtxt(chain([first], lines), dtype=row, delimiter=",", comments=None,
-                                   quotechar=None, ndmin=1)
-            except (ValueError, DeprecationWarning):
-                return None
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # a header-only file
+        try:
+            # one line at a time from `lines`, so no whole-file string or list is made
+            table = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
     return [table["id"], table["group"], table["label"], table["features"]]
 
 
@@ -606,14 +615,13 @@ def _read_csv(raw: bytes, path: Path):
     """(dim, group names, line numbers, columns, parse fault) of a dataset CSV's
     bytes: the C reader's if it takes every row, else the strict reader's.
 
-    `_data_lines` reads the group comments and the header. The C reader reads
-    only a file with the canonical header that holds nothing the two might read
-    differently: a line past `csv`'s field size limit, or a byte the C reader
-    strips as whitespace and Python's numbers refuse. A plain body (see
-    `_plain_body`) goes to it straight from the bytes, its line numbers counted,
-    not recorded; any other body goes through `_data_lines`. A plain body
-    holding a `"` goes to the strict reader alone: the C reader reads no
-    quotes, so it would refuse that row."""
+    `_data_lines` reads the group comments and the header, once. A plain body
+    (see `_plain_body`) after the canonical header goes to the C reader straight
+    from the bytes, its line numbers counted, not recorded, unless the file
+    holds what the two readers might read differently: a line past `csv`'s
+    field size limit, or a byte the C reader strips as whitespace and Python's
+    numbers refuse. Any other body, and one the C reader refuses, the strict
+    reader reads on from the header."""
     names, linenos = {}, array("q")
     lines = _data_lines(raw, linenos, names)
     first = next(lines, None)
@@ -623,20 +631,11 @@ def _read_csv(raw: bytes, path: Path):
     if (dim >= 1 and first == ",".join(_header(dim)) and not any(sep in raw for sep in _UNSPACED_SEPARATORS)
             and not _may_hold_long_line(raw, csv.field_size_limit())):
         start = _plain_body(raw, linenos[0])
-        if start is None or raw.find(b'"', start) < 0:  # the C reader would refuse a row holding a quote
-            if start is not None:
-                lines.close()
-                lines = _body_lines(raw, start)
-            columns = _read_fast(lines, dim)
-            lines.close()
-            if columns is not None:
-                if start is not None:  # data row k is on the header's line + 1 + k
-                    linenos = range(linenos[0], linenos[0] + len(columns[0]) + 1)
-                return dim, names, linenos, columns, None
-            # it refused a row: the strict reader reads the file again from the start
-            names, linenos = {}, array("q")
-            lines = _data_lines(raw, linenos, names)
-            first = next(lines)
+        if start is not None:
+            with _body_lines(raw, start) as body:
+                columns = _read_fast(body, dim)
+            if columns is not None:  # data row k is on the header's line + 1 + k
+                return dim, names, range(linenos[0], linenos[0] + len(columns[0]) + 1), columns, None
     dim, columns, parse_fault = _read_strict(first, lines, linenos)
     return dim, names, linenos, columns, parse_fault
 
@@ -651,26 +650,23 @@ def load_dataset(path) -> Dataset:
     line it sits in.
 
     numpy's C reader (`np.loadtxt`) parses the rows of a file with the canonical
-    header, in one pass. When the rows are a plain body (no `\\r` in the file,
-    no `#` and no empty line after the header) it reads them from a stream over
-    the bytes, with no Python step per line, and a row's line number is the
-    header's plus its index plus one; any other body reaches it line by line
-    through `_data_lines`. If it refuses a row, or the file holds what the two
-    readers might read differently, the strict reader (`csv` with Python's
-    `int` and `float`) reads the same bytes, from the start if the C reader
-    began; a plain body holding a `"` goes to the strict reader alone, since
-    the C reader would refuse that row. The strict reader stays the judge of
-    every file the C reader does not take whole, so what a file may hold (a
-    quoted cell, `1_000`, non-ASCII digits) and what a fault reads are its own.
-    It streams records into typed buffers up to the first line that fails to
-    read or parse.
+    header in one pass, from a stream over the bytes with no Python step per
+    line, when they are a plain body: LF or CRLF line ends, and no `#`, no `"`
+    and no empty line after the header; a row's line number is the header's
+    plus its index plus one. The strict reader (`csv` with Python's `int` and
+    `float`) reads any other file, and one whose rows the C reader refuses, on
+    from the header. It stays the judge of every file the C reader does not take
+    whole, so what a file may hold (a quoted cell, `1_000`, non-ASCII digits)
+    and what a fault reads are its own. It streams records into typed buffers
+    up to the first line that fails to read or parse.
 
-    The rows read then take the dataset's row rules, over the groups the `#
-    group` comments declare (or else the rows hold). The earliest faulty line
-    wins, whatever the check (CSV syntax, a quoted field running past its line,
-    columns, numbers, a row rule), as in a row-by-row reader. A group list that
-    is not dense names no line and comes last; a file that is not UTF-8, or a
-    path that cannot be read, names the file, not a line."""
+    The rows read then build the dataset, whose constructor applies the row
+    rules over the groups the `# group` comments declare (or else the rows
+    hold). The earliest faulty line wins, whatever the check (CSV syntax, a
+    quoted field running past its line, columns, numbers, a row rule), as in a
+    row-by-row reader. A group list that is not dense names no line and comes
+    last; a file that is not UTF-8, or a path that cannot be read, names the
+    file, not a line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
@@ -681,16 +677,16 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"dataset file {path} is not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise DataError(f"dataset file {path} cannot be read: {exc.strerror}") from None
-    id_column, group_column, label_column, features = columns
-    n = len(id_column)
-    group_ids = sorted(names) if names else np.unique(group_column).tolist()
-    fault = _first_fault(_row_rules(id_column, group_column, label_column, features, group_ids))
-    if fault:
-        raise DataError(f"{fault[1]}, line {linenos[1 + fault[0]]}")
+    group_ids = sorted(names) if names else np.unique(columns[1]).tolist()
+    try:
+        dataset = Dataset(dim, tuple((g, names.get(g, f"group {g}")) for g in group_ids), *columns)
+    except _RowFault as fault:  # its row was read in full, so it comes before a parse fault
+        raise DataError(f"{fault}, line {linenos[1 + fault.args[0]]}") from None
+    except DataError:  # the group list names no line, so a parse fault comes first
+        if not parse_fault:
+            raise
     if parse_fault:
-        raise DataError(f"{parse_fault}, line {linenos[1 + n]}")
-    dataset = Dataset(dim=dim, groups=tuple((g, names.get(g, f"group {g}")) for g in group_ids),
-                      ids=id_column, row_groups=group_column, labels=label_column, features=features)
+        raise DataError(f"{parse_fault}, line {linenos[1 + len(columns[0])]}")
     object.__setattr__(dataset, "source", raw)
     return dataset
 

@@ -382,6 +382,15 @@ def _is_previous_bundle(out_dir: Path) -> bool:
     return all(p.name in listed and p.is_file() for p in out_dir.iterdir())
 
 
+def _not_a_directory(path: Path) -> "Path | None":
+    """What refuses `path` as an output directory, or None: `path` if it exists
+    and is not a directory, else its nearest existing ancestor if that is not one."""
+    if path.exists():
+        return None if path.is_dir() else path
+    nearest = next(p for p in path.absolute().parents if p.exists())  # the root always exists
+    return None if nearest.is_dir() else nearest
+
+
 def _check_output_dir(out_dir: Path) -> None:
     """A run may replace a missing or empty directory or a previous bundle, never
     foreign files and never the working directory or one that holds it; and it
@@ -393,17 +402,13 @@ def _check_output_dir(out_dir: Path) -> None:
     if out_dir == cwd or out_dir in cwd.parents:
         raise ConfigError(f"output.dir {out_dir} is the working directory or holds it; "
                           "refusing to replace it")
-    nearest = next(p for p in out_dir.parents if p.exists())  # the root always exists
-    if not nearest.is_dir():
-        raise ConfigError(f"output.dir {out_dir} is under {nearest}, which exists and is not "
-                          "a directory")
-    if out_dir.is_dir():
-        if not any(out_dir.iterdir()) or _is_previous_bundle(out_dir):
-            return
+    blocker = _not_a_directory(out_dir)
+    if blocker is not None:
+        raise ConfigError(f"output.dir {out_dir} exists and is not a directory" if blocker == out_dir
+                          else f"output.dir {out_dir} is under {blocker}, which exists and is not a directory")
+    if out_dir.is_dir() and any(out_dir.iterdir()) and not _is_previous_bundle(out_dir):
         raise ConfigError(f"output.dir {out_dir} is not empty and is not a previous bundle "
                           "(a manifest.json listing every other file in it); refusing to replace it")
-    if out_dir.exists():
-        raise ConfigError(f"output.dir {out_dir} exists and is not a directory")
 
 
 def _move_into_place(staged: Path, out_dir: Path, aside: Path) -> None:

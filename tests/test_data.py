@@ -250,9 +250,10 @@ def _one_group(ids, labels, features, name="group 0"):
                       features=np.array(features, dtype=float).reshape(-1, 1))
 
 
-# the rows after a canonical header are plain when the file holds no CR and they hold no `#` and no
-# empty line: the C reader then reads them from a stream over the bytes, line numbers counted;
-# each case: (bytes, what the C reader is handed, the dataset or message, as the line reader gives them)
+# the rows after a canonical header are plain when every CR in the file starts a CRLF and they hold no
+# `#` and no empty line: the C reader then reads them from a stream over the bytes, line numbers
+# counted; any other body goes to the strict reader alone (no C reader call, None); each case:
+# (bytes, what the C reader is handed, the dataset or message, as the strict reader gives them)
 PLAIN_GATE = {
     "LF, comments before the header": (
         b"# group 0: a\n# a note\n\nid,group,label,f0\n0,0,1,0.5\n1,0,0,-1.5\n", "stream",
@@ -267,13 +268,22 @@ PLAIN_GATE = {
     # part of the row it starts, as anywhere but at the start of the file
     "byte-order mark after the header": (b"# group 0: a\nid,group,label,f0\n\xef\xbb\xbf0,0,1,0.5\n", "stream",
                                          "non-integer id/group, line 3"),
-    "CRLF": (b"id,group,label,f0\r\n0,0,1,0.5\r\n1,0,0,2.5\r\n", "lines", _one_group([0, 1], [1, 0], [0.5, 2.5])),
-    "CR": (b"id,group,label,f0\r0,0,1,0.5\r1,0,2,2.5\r", "lines", "invalid label 2 for observation 1, line 3"),
-    "CR in one line": (b"id,group,label,f0\n0,0,1,0.5\r\n1,0,2,2.5\n", "lines",
+    "CRLF": (b"id,group,label,f0\r\n0,0,1,0.5\r\n1,0,0,2.5\r\n", "stream", _one_group([0, 1], [1, 0], [0.5, 2.5])),
+    "CRLF, a row fault": (b"# group 0: a\r\n\r\nid,group,label,f0\r\n0,0,1,0.5\r\n1,0,2,0.5\r\n", "stream",
+                          "invalid label 2 for observation 1, line 5"),
+    "CRLF, byte-order mark and comments": (b"\xef\xbb\xbf# group 0: a\r\n# a note\r\nid,group,label,f0\r\n0,0,1,0.5\r\n",
+                                           "stream", _one_group([0], [1], [0.5], "a")),
+    "CRLF, blank line": (b"id,group,label,f0\r\n0,0,1,0.5\r\n\r\n1,0,2,0.5\r\n", None,
+                         "invalid label 2 for observation 1, line 4"),
+    "CRLF, blank line first": (b"id,group,label,f0\r\n\r\n0,0,1,0.5\r\n", None, _one_group([0], [1], [0.5])),
+    "CRLF, one lone CR": (b"id,group,label,f0\r\n0,0,1,0.5\r1,0,2,0.5\r\n", None,
+                          "invalid label 2 for observation 1, line 3"),
+    "CR": (b"id,group,label,f0\r0,0,1,0.5\r1,0,2,2.5\r", None, "invalid label 2 for observation 1, line 3"),
+    "CR in one line": (b"id,group,label,f0\n0,0,1,0.5\r\n1,0,2,2.5\n", "stream",
                        "invalid label 2 for observation 1, line 3"),
-    "blank line after the header": (b"id,group,label,f0\n\n0,0,1,0.5\n\n1,0,2,0.5\n", "lines",
+    "blank line after the header": (b"id,group,label,f0\n\n0,0,1,0.5\n\n1,0,2,0.5\n", None,
                                     "invalid label 2 for observation 1, line 5"),
-    "comment after the header": (b"id,group,label,f0\n0,0,1,0.5\n# group 0: late\n", "lines",
+    "comment after the header": (b"id,group,label,f0\n0,0,1,0.5\n# group 0: late\n", None,
                                  _one_group([0], [1], [0.5], "late")),
     "quoted cell": (b'id,group,label,f0\n0,0,1,0.5\n1,0,0,"2.5"\n', None, _one_group([0, 1], [1, 0], [0.5, 2.5])),
     "quoted cell, a later fault": (b'id,group,label,f0\n0,0,1,"0.5"\n1,0,2,2.5\n', None,
@@ -326,6 +336,46 @@ def test_a_quoted_cell_in_a_plain_body_goes_to_the_strict_reader_alone(tmp_path,
     loaded = sn.load_dataset(path)
     assert loaded == want and loaded.features.tobytes() == want.features.tobytes()
     assert loaded.groups == tuple((g, f"sector {g}") for g in range(8))
+
+
+def _counting(monkeypatch, name):
+    """Patch `switchnet.data.<name>` to count its calls, in the list returned."""
+    calls, real = [], getattr(sn.data, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(f"switchnet.data.{name}", spy)
+    return calls
+
+
+def test_a_refused_plain_body_reads_its_head_once(tmp_path, monkeypatch):
+    # numpy refuses `1_0.5`, Python's float reads 10.5: the strict reader reads on from the header
+    path = tmp_path / "ds.csv"
+    path.write_bytes(b"# group 0: a\nid,group,label,f0\n0,0,1,0.5\n1,0,0,1_0.5\n")
+    line_readers = _counting(monkeypatch, "_data_lines")
+    fast_reads = _counting(monkeypatch, "_read_fast")
+    loaded = sn.load_dataset(path)
+    assert loaded == _one_group([0, 1], [1, 0], [0.5, 10.5], "a")
+    assert line_readers == ["_data_lines"] and fast_reads == ["_read_fast"]
+
+
+@pytest.mark.parametrize("raw, want", [
+    (b"id,group,label,f0\n0,0,1,0.5\n1,0,0,2.5\n", None),
+    (b"id,group,label,f0\n0,0,1,0.5\n1,0,2,2.5\n", "invalid label 2 for observation 1, line 3"),
+    (b"id,group,label,f0\n0,0,1,0.5\n1,0,x,2.5\n", "non-integer label, line 3"),
+], ids=["valid", "row fault", "parse fault"])
+def test_load_dataset_runs_the_row_rules_once(tmp_path, monkeypatch, raw, want):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(raw)
+    rule_runs = _counting(monkeypatch, "_row_rules")
+    if want is None:
+        sn.load_dataset(path)
+    else:
+        with pytest.raises(sn.DataError, match=f"^{re.escape(want)}$"):
+            sn.load_dataset(path)
+    assert rule_runs == ["_row_rules"]
 
 
 # a byte-order mark, CRLF line ends and `1.50`: a file `save_dataset` would not write

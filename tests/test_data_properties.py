@@ -200,12 +200,15 @@ def _load(load, path):
 @example(b"id,group,label,f0\n\x1f0,0,1,0.5\n")
 # an integer cell numpy releases from 1.23 on may read through a float, as 1, with only a DeprecationWarning
 @example(b"id,group,label,f0\n0,0,1.5,0.5\n")
-# each side of the plain-body gate: a body the C reader streams from the bytes, with line numbers
-# counted, and bodies that go through the line generator (a blank line, a comment, a CR)
+# each side of the plain-body gate: bodies the C reader streams from the bytes, with line numbers
+# counted (LF, a CRLF line among LF ones), and bodies the strict reader alone reads (a blank line,
+# a comment, a CRLF blank line, a lone CR among CRLF line ends)
 @example(b"# group 0: g0\n\nid,group,label,f0\n0,0,1,0.5\n1,0,2,0.5")
+@example(b"id,group,label,f0\n0,0,1,0.5\r\n1,0,2,0.5\n")
 @example(b"id,group,label,f0\n0,0,1,0.5\n\n1,0,2,0.5\n")
 @example(b"id,group,label,f0\n0,0,1,0.5\n# group 0: g0\n1,0,2,0.5\n")
-@example(b"id,group,label,f0\n0,0,1,0.5\r\n1,0,2,0.5\n")
+@example(b"id,group,label,f0\r\n0,0,1,0.5\r\n\r\n1,0,2,0.5\r\n")
+@example(b"id,group,label,f0\r\n0,0,1,0.5\r1,0,2,0.5\r\n")
 # a quote in a plain body: the strict reader alone reads it
 @example(b'id,group,label,f0\n0,0,1,"0.5"\n1,0,2,0.5\n')
 def test_load_dataset_reads_what_the_strict_reader_reads(tmp_path_factory, raw):
@@ -224,7 +227,7 @@ def test_load_dataset_reads_what_the_strict_reader_reads(tmp_path_factory, raw):
 
 def _c_reader_input(raw):
     """What `_read_csv` hands the C reader for `raw`: "stream" (a plain body, read
-    from the bytes), "lines" (the line generator) or None (it is not run)."""
+    from the bytes), "lines" (anything else) or None (it is not run)."""
     seen = []
     real_read_fast = data._read_fast
 
@@ -240,9 +243,10 @@ def _c_reader_input(raw):
     return seen[0] if seen else None
 
 
-@pytest.mark.parametrize("side", ["stream", "lines"])
+@pytest.mark.parametrize("side", ["stream", None])
 def test_csv_files_draw_both_sides_of_the_plain_gate(side):
     """Among the files `test_load_dataset_reads_what_the_strict_reader_reads` draws,
-    some reach the C reader as a plain body's stream and some as lines."""
+    some reach the C reader as a plain body's stream and some reach the strict
+    reader alone."""
     find(csv_files(), lambda raw: _c_reader_input(raw) == side,
          settings=settings(database=None, phases=[Phase.generate]))

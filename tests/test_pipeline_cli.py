@@ -1288,6 +1288,32 @@ def test_fedsim_out_dir_under_a_file_refused_before_training(tmp_path, monkeypat
     assert (tmp_path / "target").read_text() == ""
 
 
+def test_pipeline_output_dir_that_is_a_file_gives_one_error_line(tmp_path, monkeypatch, capsys):
+    (tmp_path / "target").write_text("")
+    refuse_compute(monkeypatch)
+    sets = fast_sets(tmp_path / "target", epochs=2)
+    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 1
+    _only_error_line(capsys, "config error: output.dir ", f"{tmp_path / 'target'} exists and is not a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+    assert (tmp_path / "target").read_text() == ""
+
+
+def test_fedsim_out_dir_that_is_a_file_refused_before_training(tmp_path, monkeypatch, capsys, small_bundle):
+    (tmp_path / "target").write_text("")
+
+    def no_training(*args):
+        raise AssertionError("train_stage ran")
+
+    monkeypatch.setattr("switchnet.cli.train_stage", no_training)
+    argv = _with_outputs(tmp_path, small_bundle)["fedsim"]
+    argv[argv.index("--out-dir") + 1] = tmp_path / "target"
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path / 'target'}: Not a directory\n"
+    assert (tmp_path / "target").read_text() == ""
+
+
 def test_fedsim_refuses_a_stale_unit_file_before_training(tmp_path, monkeypatch, capsys, small_bundle):
     four = tmp_path / "four"
     sets = fast_sets(four, epochs=2) + FOUR_UNITS
