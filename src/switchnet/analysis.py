@@ -1,13 +1,16 @@
 """Per-neuron interpretability: activation heatmaps, attribution, exports.
 
 Heatmaps aggregate ungated probe activations so every unit is observable on
-every group, regardless of how the switch would gate it. Probes are computed
-per group block through the network's column kernel, bit for bit equal to
-`unit_forward` on each observation, and a block's means come from one
-`np.add.accumulate` over its (unit, probe) table (`network._means`), with the
-bits of a left-to-right `_mean` over each unit's probes. The SVG writer
-escapes its labels itself (`_escape`), so importing this module loads no XML
-library.
+every group, regardless of how the switch would gate it. Probes come from the
+network's one per-block forward (`network._gated_blocks`): each group block's
+(unit, row) table is one kernel call, bit for bit equal to `unit_forward` on
+each observation, and its means come from one `np.add.accumulate` over that
+table (`network._means`), with the bits of a left-to-right `_mean` over each
+unit's probes. `readings` takes an id list's metrics, ablation contribution
+and heatmap from that one pass, the gated columns being the probe table's
+active rows, so each (unit, row) activation is computed once; the pipeline
+reads the non-overlapping set so. The SVG writer escapes its labels itself
+(`_escape`), so importing this module loads no XML library.
 """
 
 import csv
@@ -18,7 +21,8 @@ from pathlib import Path
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import ModularNetwork, _group_blocks, _means, _unit_column
+from .network import (ContributionReport, Metrics, ModularNetwork, _check_evaluation, _gated_blocks,
+                      _means, _tally, _Tally)
 
 STATISTICS = ("mean", "max")
 
@@ -74,31 +78,62 @@ class AttributionReport:
         return [{"unit": r.unit_index, "group": r.group, "margin": r.margin} for r in self.rows]
 
 
+def _check_statistic(statistic: str) -> None:
+    if statistic not in STATISTICS:
+        raise AnalysisError(f"unknown statistic {statistic!r}")
+
+
+def _probe_pass(net: ModularNetwork, ids, dataset: Dataset, statistic: str,
+                tally: "_Tally | None" = None) -> HeatmapMatrix:
+    """The heatmap of the id list from one walk over its group blocks: each
+    block's (unit, row) probe table comes from one kernel call and is reduced
+    by the statistic, and its active rows, as the gated columns, feed `tally`
+    when one is given."""
+    stats = {}
+    for block, active, columns, probes in _gated_blocks(net, ids, dataset, probe=True):
+        if tally is not None:
+            tally.add(block, active, columns)
+        # Python's max, since np.max treats NaN differently
+        stats[block.group] = list(map(max, probes.tolist())) if statistic == "max" else _means(probes)
+    groups = sorted(dataset.groups)
+    empty = [g for g, _ in groups if g not in stats]
+    if empty:
+        raise AnalysisError(f"groups {empty} have no observations among the evaluation ids")
+    return HeatmapMatrix(values=tuple(zip(*(stats[g] for g, _ in groups))),
+                         row_labels=tuple(f"unit {u}" for u in range(net.n_units)),
+                         col_labels=tuple(name for _, name in groups),
+                         statistic=statistic)
+
+
 def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean") -> HeatmapMatrix:
     """Probe-activation intensity per (unit, group) over the evaluation ids.
 
     Entry (u, g) is the statistic of unit u's ungated activation across the
     ids belonging to group g. Columns follow group id order.
     """
-    if statistic not in STATISTICS:
-        raise AnalysisError(f"unknown statistic {statistic!r}")
+    _check_statistic(statistic)
     ids = tuple(ids)
     if not ids:
         raise AnalysisError("heatmap needs at least one observation id")
-    groups = sorted(dataset.groups)
-    blocks = {block.group: block for block in _group_blocks(net, ids, dataset)}
-    empty = [g for g, _ in groups if g not in blocks]
-    if empty:
-        raise AnalysisError(f"groups {empty} have no observations among the evaluation ids")
-    columns = []
-    for g, _ in groups:
-        probes = [_unit_column(unit, blocks[g].features) for unit in net.units]
-        # Python's max, since np.max treats NaN differently
-        columns.append([max(p.tolist()) for p in probes] if statistic == "max" else _means(probes))
-    return HeatmapMatrix(values=tuple(zip(*columns)),
-                         row_labels=tuple(f"unit {u}" for u in range(net.n_units)),
-                         col_labels=tuple(name for _, name in groups),
-                         statistic=statistic)
+    return _probe_pass(net, ids, dataset, statistic)
+
+
+def readings(net: ModularNetwork, ids, dataset: Dataset, set_kind: str,
+             statistic: "str | None" = None) -> "tuple[Metrics, ContributionReport, HeatmapMatrix | None]":
+    """`evaluate`, `neuron_contribution` and, given a statistic, `heatmap` of one
+    id list, their values from one pass over its group blocks, so each
+    (unit, row) activation is computed once. Without a statistic the pass
+    computes the active units only. An id list or set kind `evaluate` refuses
+    fails first, with its message."""
+    ids = tuple(ids)
+    _check_evaluation(ids, set_kind)
+    if statistic is None:
+        tally, matrix = _tally(net, ids, dataset, ablate=True), None
+    else:
+        _check_statistic(statistic)
+        tally = _Tally(net, ablate=True)
+        matrix = _probe_pass(net, ids, dataset, statistic, tally)
+    return tally.metrics(set_kind), tally.contribution(), matrix
 
 
 def attribute(matrix: HeatmapMatrix) -> AttributionReport:

@@ -13,14 +13,14 @@ import sys
 from pathlib import Path
 
 from ._version import ARTIFACT_VERSION
-from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, render_heatmap_svg,
-                       save_attribution)
+from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, readings,
+                       render_heatmap_svg, save_attribution)
 from .data import (GroupSpec, PartitionSet, generate_synthetic, load_dataset, make_test_sets,
                    partition, save_dataset)
 from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import node_train_config
 from .jsonio import is_int, read_input, write_json
-from .network import SET_KINDS, evaluate, load_network, neuron_contribution
+from .network import SET_KINDS, evaluate, load_network
 from .neuron import init_unit, save_unit, train_unit
 from .pipeline import (ReportBundle, _not_a_directory, data_stage, default_config_path, load_config,
                        readout_stage, run_pipeline, switch_stage, train_stage, write_test_sets, write_training)
@@ -165,11 +165,13 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
     _check_outputs(args.out, args.out_contribution)
-    metrics = evaluate(net, ids, dataset, args.kind)
-    write_json(metrics.to_json(), args.out)
-    if args.out_contribution:
-        report = neuron_contribution(net, ids, dataset)
+    if args.out_contribution:  # both reports from one gated pass, through the pipeline's `readings`
+        metrics, report, _ = readings(net, ids, dataset, args.kind)
+        write_json(metrics.to_json(), args.out)
         write_json(report.to_json(), args.out_contribution)
+    else:
+        metrics = evaluate(net, ids, dataset, args.kind)
+        write_json(metrics.to_json(), args.out)
     print(f"{args.kind} accuracy {metrics.accuracy:.4f} over {metrics.n} observations -> {args.out}")
     return 0
 

@@ -2,15 +2,19 @@
 
 The switch routes each group to its active units; inactive units are skipped
 entirely, so their gated activation is exactly 0.0 and their parameters are
-never read. Every gated pass reads one gated table per id list, built by group
-block. A block is one index gather from the dataset's columns (the id list's
-rows of one group, in id-list order), and each active unit is computed over
-its block's feature columns by the column kernel, which runs the scalar
-kernel's `_z` and `_mean` on numpy float64 columns: they sum elementwise in
-the same left-to-right order (exp and tanh stay on `math`), so every value
-equals `unit_forward` and the router mean on one observation bit for bit.
-`forward` is the table's one-row case. Ablating a unit re-scores the blocks
-where it is active.
+never read. Every pass over an id list walks it by group block through one
+per-block forward, `_gated_blocks`. A block is one index gather from the
+dataset's columns (the id list's rows of one group, in id-list order), and its
+(unit, row) activations come from one kernel call, `_unit_table`: the active
+units alone on the gated path, or every unit when the heatmap's probes are
+wanted, the gated columns then being the probe table's active rows. The kernel
+runs the scalar kernel's `_z` on the whole (units, rows) table in one
+broadcast and each distinct activation once over its units' rows, so the
+float64 operations are elementwise in the same left-to-right order (exp and
+tanh stay on `math`), and every value equals `unit_forward` on one
+observation bit for bit, as the router mean equals `_mean`. `forward` is a
+one-row block. `_Tally` counts a block's hits and re-scores it once per
+active unit for the ablation.
 
 A readout's label needs no sigmoid wherever the logit's sign decides it:
 `_label_column` labels a row 1 where its logit is >= 0 (there
@@ -18,8 +22,9 @@ A readout's label needs no sigmoid wherever the logit's sign decides it:
 the sigmoid is at most about 0.49999975). Only logits in (-1e-6, 0) go
 through the sigmoid, since rounding takes some of them, the ones within about
 1.1e-16 of 0, to a score of exactly 0.5. So every label is the one the scalar
-pass's score gives. `math.exp` and `math.tanh` fill their columns through
-`np.fromiter`, without a list between them and numpy.
+pass's score gives. `math.exp` and `math.tanh` read a column's values one
+Python float at a time through a `memoryview` and fill their column through
+`np.fromiter`, so no list of a whole table's values is built on either side.
 """
 
 import math
@@ -157,9 +162,13 @@ def _means(columns) -> list:
 
 @np.errstate(all="ignore")
 def _sigmoid_column(z: np.ndarray) -> np.ndarray:
-    """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical."""
-    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, count=len(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical.
+    Both branches divide into `e` in place: a block-sized table allocates no buffer per branch."""
+    e = np.fromiter(map(math.exp, memoryview(-np.abs(z))), float, count=len(z))
+    d = 1.0 + e
+    np.divide(e, d, out=e)  # e / (1 + e) where z < 0
+    np.divide(1.0, d, out=e, where=z >= 0)  # 1 / (1 + e) where z >= 0
+    return e
 
 
 def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
@@ -168,14 +177,30 @@ def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
         return _sigmoid_column(z)
     if kind == "relu":
         return np.where(z > 0, z, 0.0)
-    return np.fromiter(map(math.tanh, z.tolist()), float, count=len(z))
+    return np.fromiter(map(math.tanh, memoryview(z)), float, count=len(z))
 
 
 @np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
-def _unit_column(unit: NeuronUnit, features: np.ndarray) -> np.ndarray:
-    """`unit_forward` on every row of a (rows, dim) feature array, bit for bit:
-    `_z` over the feature columns sums elementwise in the same order."""
-    return _activate_column(unit.activation, _z(unit.weights, unit.bias, features.T))
+def _unit_table(units, features: np.ndarray) -> np.ndarray:
+    """`unit_forward` of each unit on every row of a (rows, dim) feature array,
+    as one (units, rows) table, bit for bit: `z` starts at 0.0 and adds
+    `W[:, i:i+1] * X[:, i]` for each feature in turn, then the biases, the
+    elementwise float64 operations of `_z` in its order; then each distinct
+    activation runs once over its units' flattened rows, so every unit keeps
+    its own."""
+    weights = np.array([unit.weights for unit in units], dtype=float)
+    z = np.zeros((len(units), len(features)))
+    for i in range(features.shape[1]):
+        z += weights[:, i:i + 1] * features[:, i]
+    z += np.array([[unit.bias] for unit in units], dtype=float)
+    kinds = [unit.activation for unit in units]
+    for kind in dict.fromkeys(kinds):
+        rows = [k for k, other in enumerate(kinds) if other == kind]
+        if len(rows) == len(kinds):
+            rows = slice(None)  # one activation: the whole table, not a gathered copy of it
+        table = z[rows]
+        z[rows] = _activate_column(kind, table.ravel()).reshape(table.shape)
+    return z
 
 
 @np.errstate(all="ignore")
@@ -240,28 +265,87 @@ def _group_blocks(net: ModularNetwork, ids, dataset: Dataset) -> list:
     return blocks
 
 
-def _gated_columns(net: ModularNetwork, active, features: np.ndarray) -> list:
+def _gated_columns(net: ModularNetwork, active, features: np.ndarray, probes=None) -> list:
     """One column per unit over a (rows, dim) feature array: each active unit's
-    activations, and for every inactive slot one shared zero column, its unit
-    never read."""
-    columns = [np.zeros(len(features))] * net.n_units
-    for i in active:
-        columns[i] = _unit_column(net.units[i], features)
-    return columns
+    activations, and for every inactive slot one shared zero column. The active
+    units' columns are their rows of `probes`, every unit's table over these
+    rows, when it is given; else the kernel runs on the active units alone, so
+    an inactive unit is never read."""
+    if probes is None and active:
+        probes = dict(zip(active, _unit_table([net.units[i] for i in active], features)))
+    zero = np.zeros(len(features))
+    return [probes[i] if i in active else zero for i in range(net.n_units)]
 
 
-def _gated_table(net: ModularNetwork, ids, dataset: Dataset) -> list:
-    """Gated columns of an id list by group block: one (block, active units,
-    columns) triple per group, `route` run once per distinct group."""
-    table = []
+def _gated_blocks(net: ModularNetwork, ids, dataset: Dataset, probe: bool = False):
+    """The one per-block forward: for each group block of the id list, a
+    (block, active units, gated columns, probes) tuple, `route` run once per
+    block. With `probe`, `probes` is every unit's (unit, row) table from one
+    kernel call and the gated columns are its active rows; else it is None and
+    only the active units are computed. A generator, so a block's tables die
+    with the block."""
     for block in _group_blocks(net, ids, dataset):
         active = route(net.switch, block.group)
-        table.append((block, active, _gated_columns(net, active, block.features)))
-    return table
+        probes = _unit_table(net.units, block.features) if probe else None
+        yield block, active, _gated_columns(net, active, block.features, probes), probes
+
+
+class _Tally:
+    """Hits of the gated predictions per group block and, when ablating, the
+    hits each unit's ablation loses.
+
+    Ablating unit u changes only the blocks where u is active; each is
+    re-scored once with u's column at 0.0 and u out of the active set.
+    """
+
+    def __init__(self, net: ModularNetwork, ablate: bool):
+        self.aggregation = net.aggregation
+        self.group_n = {}
+        self.group_correct = {}
+        self.lost = [0] * net.n_units if ablate else None
+
+    def add(self, block: _Block, active, columns) -> None:
+        hits = _hits(self.aggregation, columns, active, block.labels)
+        self.group_n[block.group] = len(block.positions)
+        self.group_correct[block.group] = hits
+        if self.lost is None:
+            return
+        zero = np.zeros(len(block.positions))
+        for u in active:
+            ablated = list(columns)
+            ablated[u] = zero
+            self.lost[u] += hits - _hits(self.aggregation, ablated, tuple(i for i in active if i != u),
+                                         block.labels)
+
+    def metrics(self, set_kind: str) -> Metrics:
+        n = sum(self.group_n.values())
+        per_group = {g: self.group_correct[g] / self.group_n[g] for g in sorted(self.group_n)}
+        return Metrics(accuracy=sum(self.group_correct.values()) / n, per_group_accuracy=per_group,
+                       n=n, set_kind=set_kind)
+
+    def contribution(self) -> ContributionReport:
+        n = sum(self.group_n.values())
+        correct = sum(self.group_correct.values())
+        full = correct / n
+        rows = []
+        for u, lost in enumerate(self.lost):
+            ablated_accuracy = (correct - lost) / n
+            rows.append(UnitContribution(unit_index=u, full_accuracy=full,
+                                         ablated_accuracy=ablated_accuracy,
+                                         contribution=full - ablated_accuracy))
+        return ContributionReport(rows=tuple(rows))
+
+
+def _tally(net: ModularNetwork, ids, dataset: Dataset, ablate: bool) -> _Tally:
+    """The id list's gated pass, without probes."""
+    tally = _Tally(net, ablate)
+    for block, active, columns, _ in _gated_blocks(net, ids, dataset):
+        tally.add(block, active, columns)
+    return tally
 
 
 def forward(net: ModularNetwork, obs: Observation) -> Prediction:
-    """Switch-gated prediction for one observation: the gated table's one-row case."""
+    """Switch-gated prediction for one observation: a one-row block."""
     if len(obs.features) != net.dim:
         raise NetworkError(f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
     active = route(net.switch, obs.group)
@@ -271,21 +355,19 @@ def forward(net: ModularNetwork, obs: Observation) -> Prediction:
                       active=active, gated_activations=tuple(column.item() for column in columns))
 
 
-def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:
-    """Accuracy and per-group accuracy of gated predictions over the id list."""
-    ids = tuple(ids)
+def _check_evaluation(ids: tuple, set_kind: str) -> None:
+    """The id list and set kind `evaluate` takes."""
     if not ids:
         raise NetworkError("evaluate needs at least one observation id")
     if set_kind not in SET_KINDS:
         raise NetworkError(f"set_kind must be one of {SET_KINDS}, got {set_kind!r}")
-    group_n = {}
-    group_correct = {}
-    for block, active, columns in _gated_table(net, ids, dataset):
-        group_n[block.group] = len(block.positions)
-        group_correct[block.group] = _hits(net.aggregation, columns, active, block.labels)
-    per_group = {g: group_correct[g] / group_n[g] for g in sorted(group_n)}
-    return Metrics(accuracy=sum(group_correct.values()) / len(ids), per_group_accuracy=per_group,
-                   n=len(ids), set_kind=set_kind)
+
+
+def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:
+    """Accuracy and per-group accuracy of gated predictions over the id list."""
+    ids = tuple(ids)
+    _check_evaluation(ids, set_kind)
+    return _tally(net, ids, dataset, ablate=False).metrics(set_kind)
 
 
 def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig) -> ModularNetwork:
@@ -301,7 +383,7 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
     rows = [None] * len(ids)
-    for block, _, columns in _gated_table(net, ids, dataset):
+    for block, _, columns, _ in _gated_blocks(net, ids, dataset):
         gated = np.column_stack(columns).tolist()
         for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
             rows[position] = (vector, label)
@@ -315,33 +397,12 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
 
 
 def neuron_contribution(net: ModularNetwork, ids, dataset: Dataset) -> ContributionReport:
-    """Per-unit accuracy contribution: full accuracy minus accuracy with the unit ablated.
-
-    Ablating unit u changes only the blocks where u is active; each is
-    re-scored once with u's column at 0.0 and u out of the active set.
-    """
+    """Per-unit accuracy contribution: full accuracy minus accuracy with the unit
+    ablated, each ablated block re-scored once (`_Tally`)."""
     ids = tuple(ids)
     if not ids:
         raise NetworkError("neuron_contribution needs at least one observation id")
-    full_correct = 0
-    lost = [0] * net.n_units
-    for block, active, columns in _gated_table(net, ids, dataset):
-        hits = _hits(net.aggregation, columns, active, block.labels)
-        full_correct += hits
-        zero = np.zeros(len(block.positions))
-        for u in active:
-            ablated = list(columns)
-            ablated[u] = zero
-            lost[u] += hits - _hits(net.aggregation, ablated, tuple(i for i in active if i != u),
-                                    block.labels)
-    full = full_correct / len(ids)
-    rows = []
-    for u in range(net.n_units):
-        ablated_accuracy = (full_correct - lost[u]) / len(ids)
-        rows.append(UnitContribution(unit_index=u, full_accuracy=full,
-                                     ablated_accuracy=ablated_accuracy,
-                                     contribution=full - ablated_accuracy))
-    return ContributionReport(rows=tuple(rows))
+    return _tally(net, ids, dataset, ablate=True).contribution()
 
 
 def network_to_dict(net: ModularNetwork) -> dict:

@@ -15,15 +15,17 @@ from importlib.resources import files as _resource_files
 from pathlib import Path
 
 from ._version import ARTIFACT_VERSION
-from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, render_heatmap_svg,
-                       save_attribution)
+# `heatmap` and `neuron_contribution` are unused here, but the benchmark's tracer
+# wraps every name in its table: keep them bound.
+from .analysis import (STATISTICS, attribute, export_heatmap_csv, heatmap, readings,  # noqa: F401
+                       render_heatmap_svg, save_attribution)
 from .data import (Dataset, GroupSpec, PartitionPlan, PartitionSet, generate_synthetic,
                    load_dataset, make_test_sets, partition, save_dataset)
 from .errors import ConfigError, DataError, StageError, SwitchNetError
 from .federated import FedRunReport, collect, make_nodes, run_local_training, with_trained_units
 from .jsonio import check_keys, is_int, loads, read_input, write_json
-from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout, neuron_contribution,
-                      save_network)
+from .network import (AGGREGATIONS, ModularNetwork, evaluate, fit_readout,  # noqa: F401
+                      neuron_contribution, save_network)
 from .neuron import ACTIVATIONS, TrainConfig, _check_pair, init_unit, save_unit
 from .switching import SwitchTable, build_switch
 
@@ -451,13 +453,14 @@ def run_pipeline(config: ExperimentConfig) -> ReportBundle:
     net = _stage("readout", lambda: readout_stage(config, net, dataset, parts))
 
     metrics_over = _stage("evaluate", lambda: evaluate(net, overlapping, dataset, "overlapping"))
-    metrics_non = _stage("evaluate", lambda: evaluate(net, non_overlapping, dataset, "non-overlapping"))
 
     def analysis_stage():
-        matrix = heatmap(net, non_overlapping, dataset, config.heatmap_statistic)
-        return matrix, attribute(matrix), neuron_contribution(net, non_overlapping, dataset)
+        # one pass over the unseen ids gives their metrics, ablation and heatmap
+        metrics, contribution, matrix = readings(net, non_overlapping, dataset, "non-overlapping",
+                                                 config.heatmap_statistic)
+        return metrics, matrix, attribute(matrix), contribution
 
-    matrix, attribution, contribution = _stage("analysis", analysis_stage)
+    metrics_non, matrix, attribution, contribution = _stage("analysis", analysis_stage)
 
     # config.json and the manifest's hash: for a CSV run, they name the bytes read, not only the path;
     # a hash the config gives, the data stage has checked against those bytes already

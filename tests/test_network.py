@@ -426,7 +426,7 @@ def test_contribution_call_counts(monkeypatch):
     net = sn.assemble(trained_two_unit_net(dataset).units + (zero_units(3)[2],), table)
     ids = dataset.ids.tolist()
     active_total = sum(len(sn.route(table, dataset.observation(i).group)) for i in ids)
-    calls = {"unit_forward": 0, "route": 0, "column_rows": 0}
+    calls = {"unit_forward": 0, "route": 0, "unit_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -434,17 +434,17 @@ def test_contribution_call_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def counted_column(unit, features):
-        calls["column_rows"] += len(features)
-        return unit_column(unit, features)
+    def counted_table(units, features):
+        calls["unit_rows"] += len(units) * len(features)
+        return unit_table(units, features)
 
-    unit_column = network._unit_column
-    monkeypatch.setattr(network, "_unit_column", counted_column)
+    unit_table = network._unit_table
+    monkeypatch.setattr(network, "_unit_table", counted_table)
     monkeypatch.setattr(network, "unit_forward", counted("unit_forward", network.unit_forward))
     monkeypatch.setattr(network, "route", counted("route", network.route))
     sn.neuron_contribution(net, ids, dataset)
-    # each active (unit, observation) is computed exactly once, as one row of a unit's column
-    assert calls["column_rows"] == active_total
+    # each active (unit, observation) is computed exactly once, as one cell of a block's table
+    assert calls["unit_rows"] == active_total
     assert calls["unit_forward"] == 0
     assert calls["route"] == len({dataset.observation(i).group for i in ids})
 

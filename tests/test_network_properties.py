@@ -2,6 +2,9 @@
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
+import collections
+import contextlib
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -97,27 +100,34 @@ PROPERTY = settings(max_examples=80, deadline=None)
 
 @st.composite
 def kernel_cases(draw):
-    """An activation, weights and bias, and 1-6 feature rows, all from EDGE_FLOATS."""
+    """1-4 units, each with its own activation and weights and bias from
+    EDGE_FLOATS, and 1-6 feature rows from EDGE_FLOATS."""
     dim = draw(st.integers(1, 4))
-    return (draw(st.sampled_from(sn.ACTIVATIONS)), tuple(draw(EDGE_FLOATS) for _ in range(dim)),
-            draw(EDGE_FLOATS),
-            [tuple(draw(EDGE_FLOATS) for _ in range(dim)) for _ in range(draw(st.integers(1, 6)))])
+    units = [(draw(st.sampled_from(sn.ACTIVATIONS)), tuple(draw(EDGE_FLOATS) for _ in range(dim)),
+              draw(EDGE_FLOATS)) for _ in range(draw(st.integers(1, 4)))]
+    return units, [tuple(draw(EDGE_FLOATS) for _ in range(dim)) for _ in range(draw(st.integers(1, 6)))]
 
 
 @PROPERTY
 @given(kernel_cases())
-@example(("tanh", (-0.0,), -0.0, [(1.0,)]))  # the sum starts at +0.0: z is 0.0, tanh keeps its sign
+@example(([("tanh", (-0.0,), -0.0)], [(1.0,)]))  # the sum starts at +0.0: z is 0.0, tanh keeps its sign
+@example(([("relu", (float("inf"), 1.0), 0.0), ("sigmoid", (-0.0, 2.0), -0.0), ("tanh", (1.0, -0.0), 0.5)],
+          [(0.0, -0.0), (-0.0, 5e-324), (1e300, -1e300)]))  # inf * 0.0 is nan; mixed activations
 def test_column_kernel_equals_scalar_kernel(case):
-    activation, weights, bias, rows = case
+    params, rows = case
     features = np.array(rows, dtype=float)
-    with np.errstate(all="ignore"):
-        z = _z(weights, bias, features.T).tolist()
-    assert repr(z) == repr([_z(weights, bias, x) for x in rows])
-    activated = network._activate_column(activation, np.array(z)).tolist()
-    assert repr(activated) == repr([_activate(activation, v) for v in z])
-    unit = sn.NeuronUnit(unit_index=0, activation=activation, weights=weights, bias=bias)
-    assert repr(network._unit_column(unit, features).tolist()) == repr(
-        [sn.unit_forward(unit, x) for x in rows])
+    for activation, weights, bias in params:
+        with np.errstate(all="ignore"):
+            z = _z(weights, bias, features.T).tolist()
+        assert repr(z) == repr([_z(weights, bias, x) for x in rows])
+        activated = network._activate_column(activation, np.array(z)).tolist()
+        assert repr(activated) == repr([_activate(activation, v) for v in z])
+    # the k-unit table: row k is unit k's `unit_forward` on every feature row
+    units = [sn.NeuronUnit(unit_index=k, activation=activation, weights=weights, bias=bias)
+             for k, (activation, weights, bias) in enumerate(params)]
+    table = network._unit_table(units, features)
+    assert table.shape == (len(units), len(rows))
+    assert repr(table.tolist()) == repr([[sn.unit_forward(unit, x) for x in rows] for unit in units])
 
 
 @PROPERTY
@@ -232,20 +242,96 @@ def test_group_blocks_equal_per_id_gather(case):
 @example(fallback_case("all-active"))
 @example(fallback_case("all-active", readout=True))
 def test_gated_table_rows_equal_forward(case):
-    # every table row, and `forward` as the table's one-row case, equal the scalar pass
+    # every gated row, and `forward` as a one-row block, equal the scalar pass,
+    # whether the gated columns are computed alone or taken from the probe table
     net, dataset, ids = case
-    positions = []
-    for block, active, columns in network._gated_table(net, ids, dataset):
-        positions += block.positions.tolist()
-        gated = np.column_stack(columns).tolist()
-        for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
-            obs = dataset.observation(ids[position])
-            pred = oracle.forward(net, obs)
-            assert obs.group == block.group and label == obs.label
-            assert repr(tuple(vector)) == repr(pred.gated_activations)
-            assert active == pred.active
-            assert repr(sn.forward(net, obs)) == repr(pred)
-    assert sorted(positions) == list(range(len(ids)))
+    for probe in (False, True):
+        positions = []
+        for block, active, columns, probes in network._gated_blocks(net, ids, dataset, probe):
+            positions += block.positions.tolist()
+            gated = np.column_stack(columns).tolist()
+            assert (probes is None) != probe
+            probe_rows = probes.T.tolist() if probe else [None] * len(gated)
+            for position, vector, label, probe_row in zip(block.positions, gated, block.labels.tolist(),
+                                                          probe_rows):
+                obs = dataset.observation(ids[position])
+                pred = oracle.forward(net, obs)
+                assert obs.group == block.group and label == obs.label
+                assert repr(tuple(vector)) == repr(pred.gated_activations)
+                assert active == pred.active
+                assert repr(sn.forward(net, obs)) == repr(pred)
+                if probe:
+                    assert repr(tuple(probe_row)) == repr(oracle.probes(net, obs))
+        assert sorted(positions) == list(range(len(ids)))
+
+
+@PROPERTY
+@given(cases(), st.sampled_from(sn.network.SET_KINDS), st.sampled_from(sn.analysis.STATISTICS))
+@example(fallback_case("none-active"), "non-overlapping", "mean")
+@example(fallback_case("none-active", readout=True), "non-overlapping", "max")
+@example(fallback_case("all-active"), "overlapping", "max")
+@example(fallback_case("all-active", readout=True), "overlapping", "mean")
+def test_one_pass_equals_evaluate_contribution_and_heatmap(case, set_kind, statistic):
+    # the pass over the whole dataset (every group present, as the heatmap needs),
+    # and without a statistic over the case's own id list, equal the scalar passes
+    net, dataset, ids = case
+    every = dataset.ids.tolist()
+    metrics, report, matrix = sn.analysis.readings(net, every, dataset, set_kind, statistic)
+    assert repr(metrics) == repr(oracle.evaluate(net, every, dataset, set_kind))
+    assert repr(report) == repr(oracle.contribution(net, every, dataset))
+    assert repr(matrix.values) == repr(oracle.heatmap(net, dataset, statistic))
+    assert matrix.statistic == statistic
+    metrics, report, none = sn.analysis.readings(net, ids, dataset, set_kind)
+    assert repr(metrics) == repr(oracle.evaluate(net, ids, dataset, set_kind))
+    assert repr(report) == repr(oracle.contribution(net, ids, dataset))
+    assert none is None
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """Record each kernel call as (unit indices, rows)."""
+    calls = []
+    table = network._unit_table
+
+    def spy(units, features):
+        calls.append((tuple(unit.unit_index for unit in units), len(features)))
+        return table(units, features)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_unit_table", spy)
+        yield calls
+
+
+def routed_calls(net, ids, dataset) -> list:
+    """One (active units, rows) per group of the id list with an active unit:
+    what the gated path may ask the kernel."""
+    sizes = collections.Counter(dataset.observation(i).group for i in ids)
+    return sorted((sn.route(net.switch, g), n) for g, n in sizes.items() if sn.route(net.switch, g))
+
+
+@PROPERTY
+@given(cases())
+@example(fallback_case("none-active"))
+@example(fallback_case("none-active", readout=True))
+@example(fallback_case("all-active"))
+@example(fallback_case("all-active", readout=True))
+def test_gated_path_gives_the_kernel_active_units_only(case):
+    # evaluate, fit_readout and forward ask the kernel for each group's active units once
+    net, dataset, ids = case
+    with kernel_calls() as calls:
+        sn.evaluate(net, ids, dataset, "overlapping")
+    assert sorted(calls) == routed_calls(net, ids, dataset)
+    readout_net = sn.assemble(net.units, net.switch, "linear-readout")
+    with kernel_calls() as calls:
+        try:
+            sn.fit_readout(readout_net, ids, dataset, sn.TrainConfig(seed=0, epochs=1))
+        except sn.NetworkError:  # a diverging readout fails after the gated pass
+            pass
+    assert sorted(calls) == routed_calls(net, ids, dataset)
+    for obs in map(dataset.observation, ids):
+        with kernel_calls() as calls:
+            sn.forward(net, obs)
+        assert calls == routed_calls(net, [obs.id], dataset)
 
 
 @PROPERTY

@@ -744,9 +744,16 @@ def test_cli_version(capsys):
 
 # ---------------------------------------------------------------- stage composability
 
-def test_subcommand_chain_reproduces_pipeline(tmp_path):
+# the packaged config, and the digest-pinned multi-unit linear-readout run, where
+# the pipeline and the subcommands also share the readout's calibration pass
+CHAIN_RUNS = {"default": [],
+              "multi-unit-linear-readout": ["switch.entries.2=[1,2,3]", "network.aggregation=linear-readout"]}
+
+
+@pytest.mark.parametrize("run", sorted(CHAIN_RUNS))
+def test_subcommand_chain_reproduces_pipeline(tmp_path, run):
     pipe_dir = tmp_path / "pipeline"
-    sets = fast_sets(pipe_dir, epochs=6, workers=1)
+    sets = fast_sets(pipe_dir, epochs=6, workers=1) + CHAIN_RUNS[run]
     set_args = []
     for s in sets:
         set_args += ["--set", s]
@@ -1137,12 +1144,41 @@ def test_non_finite_heatmap_gives_one_error_line(tmp_path, capsys, small_bundle)
 
 
 def test_non_finite_heatmap_fails_the_analysis_stage(tmp_path, monkeypatch):
-    monkeypatch.setattr("switchnet.analysis._unit_column",
-                        lambda unit, features: np.full(len(features), math.nan))
+    monkeypatch.setattr("switchnet.network._unit_table",
+                        lambda units, features: np.full((len(units), len(features)), math.nan))
     config = sn.load_config(sn.default_config_path(), fast_sets(tmp_path / "out", epochs=2))
     with pytest.raises(sn.StageError, match="^stage 'analysis': heatmap value nan at 'unit 0', "):
         sn.run_pipeline(config)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("run", sorted(CHAIN_RUNS))
+def test_pipeline_computes_each_unit_row_activation_once(tmp_path, monkeypatch, run):
+    # every unit on every unseen row (the probes, whose active rows are the gated
+    # columns), and the active units alone on the overlapping rows and the readout's
+    # calibration rows: no (unit, row) activation is computed twice
+    cells = []
+    unit_table = sn.network._unit_table
+
+    def counted(units, features):
+        cells.append(len(units) * len(features))
+        return unit_table(units, features)
+
+    monkeypatch.setattr(sn.network, "_unit_table", counted)
+    out = tmp_path / "out"
+    sn.run_pipeline(sn.load_config(sn.default_config_path(), fast_sets(out, epochs=2) + CHAIN_RUNS[run]))
+    net = sn.load_network(out / "network.json")
+    dataset = sn.load_dataset(out / "dataset.csv")
+    test_sets = json.loads((out / "test_sets.json").read_text())
+
+    def active_cells(ids):
+        return sum(len(sn.route(net.switch, dataset.observation(i).group)) for i in ids)
+
+    calibration = []
+    if run != "default":
+        calibration = sn.PartitionSet.from_json(json.loads((out / "partition.json").read_text())).assigned_ids()
+    assert sum(cells) == (net.n_units * len(test_sets["non_overlapping"])
+                          + active_cells(test_sets["overlapping"]) + active_cells(calibration))
 
 
 def _make_directory(path):
