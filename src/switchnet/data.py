@@ -198,7 +198,7 @@ class Dataset:
 
     def __reduce__(self):
         # rebuilt through the constructor, so the copy's columns are checked and
-        # read-only too; the source stays behind, so a pool worker gets the columns only
+        # read-only too; the source stays behind, so a spawned child gets the columns only
         return (Dataset, (self.dim, self.groups, *self._columns()))
 
     def _columns(self) -> tuple:

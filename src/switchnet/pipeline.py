@@ -32,12 +32,14 @@ from .switching import SwitchTable, build_switch
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
 # train in this process whatever `network.workers` says. On a 2-vCPU Xeon (the
 # packaged config scaled x2-x24, three passes of 30 alternating pairs of
-# in-process and 2-worker `run_local_training` per size, median pool minus
-# in-process), the pool lost 14-15 ms at 10,000 steps, 3-8 ms at 40,000 to
-# 60,000 (winning 0-11 of 30 pairs), split at 70,000 (-4.7, -5.0 and +2.0 ms),
-# won in every pass from 80,000 (-8.7, -4.3 and -2.1 ms; 17-25 of 30 pairs),
-# and by 13-19 ms at 100,000 and 120,000 (21-29 of 30).
-POOL_MIN_STEPS = 80_000
+# in-process and 2-worker `run_local_training` per size, median 2-worker minus
+# in-process, this process training one share and one child the other), the
+# children lost 0.3-0.5 ms at 10,000 steps, split at 20,000 (-0.7, -0.7 and
+# +0.1 ms) and 30,000 (+0.9, -1.4 and -1.1 ms), and won every pass from 40,000
+# to 100,000: by 2.2-2.3 ms at 40,000 (30 of 30 pairs), 5-9 ms at 70,000 to
+# 100,000 (24-30 of 30). At 120,000 one pass was even (+0.0 ms, 15 of 30), the
+# others won (-9.9 and -1.3 ms). A second round at 25,000-45,000 won every pass.
+POOL_MIN_STEPS = 40_000
 # the keys each config section must and may hold; `seed` is the one top-level value
 _SECTIONS = {"data": ((), ("groups", "dataset", "dataset_sha256", "holdout_fraction")),
              "partition": (("counts",), ("selection", "explicit_ids")),
@@ -335,7 +337,8 @@ def train_stage(config: ExperimentConfig, dataset: Dataset, parts: PartitionSet,
     """Train one unit per subset on its own virtual node and collect the network.
 
     `config.workers` is an upper bound: a run of fewer than `POOL_MIN_STEPS` SGD
-    steps trains in this process, since a pool would cost more than it saves.
+    steps trains in this process, since child processes would cost more than
+    they save.
     The report records the worker count used.
     """
     units = [init_unit(dataset.dim, config.activation, k, config.seed) for k in range(config.n_units)]

@@ -237,7 +237,7 @@ def test_criterion_9_parallel_speedup_informational():
         units = [sn.init_unit(dataset.dim, config.activation, k, config.seed)
                  for k in range(config.n_units)]
         nodes = sn.make_nodes(parts, dataset, units)
-        # longer runs so per-node work dominates worker-pool startup
+        # longer runs so per-node work dominates child-process startup
         train_cfg = dataclasses.replace(config.train, epochs=config.train.epochs * 16)
 
         t0 = time.perf_counter()

@@ -410,7 +410,7 @@ def test_a_dataset_built_from_a_loaded_one_is_written_formatted(tmp_path):
 
 
 def test_pickled_dataset_leaves_its_source_behind(tmp_path):
-    # a pickled copy is rebuilt through the constructor; pool workers get columns only
+    # a pickled copy is rebuilt through the constructor; spawned children get columns only
     path = tmp_path / "in.csv"
     path.write_bytes(NON_CANONICAL)
     loaded = sn.load_dataset(path)

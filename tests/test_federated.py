@@ -1,9 +1,18 @@
 import dataclasses
+import multiprocessing
+import os
 import re
+import time
 
 import pytest
 
 import switchnet as sn
+import switchnet.federated
+import switchnet.neuron
+
+# A monkeypatched `_train_node` or `_child` reaches a child process only when it is forked.
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="monkeypatches reach only forked children")
 
 
 def five_group_setup(counts=(20, 30, 10, 20, 20), seed=42):
@@ -48,7 +57,7 @@ def test_worker_counts_bit_identical():
     nodes = sn.make_nodes(parts, dataset, units)
     config = sn.TrainConfig(epochs=10, seed=42)
     reference, _ = sn.run_local_training(nodes, config, workers=1)
-    for workers in (2, 4):
+    for workers in (2, 4, 5):
         trained, report = sn.run_local_training(nodes, config, workers=workers)
         assert trained == reference
         assert report.workers == workers
@@ -104,6 +113,135 @@ def test_training_failure_names_node_in_pool():
     nodes, config = nodes_with_failing_node_3()
     with pytest.raises(sn.FederatedError, match="node 3: training failed"):
         sn.run_local_training(nodes, config, workers=2)
+
+
+def nodes_with_failing(node_ids):
+    """The five-group nodes with bce + relu units, which training refuses, at `node_ids`."""
+    dataset, parts, units = five_group_setup()
+    nodes = list(sn.make_nodes(parts, dataset, units))
+    for k in node_ids:
+        broken = sn.NeuronUnit(unit_index=k, activation="relu", weights=(1.0, 1.0), bias=0.0)
+        nodes[k] = dataclasses.replace(nodes[k], unit=broken)
+    return nodes, sn.TrainConfig(epochs=1, seed=1, loss="bce")
+
+
+# With 2 workers the five-group nodes (20, 30, 10, 20, 20 rows) split into
+# share 0 = nodes 1 and 4 (this process) and share 1 = nodes 0, 2 and 3 (a child).
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("failing, named", [((3, 4), 3), ((1, 3), 1), ((2, 4), 2)])
+def test_training_failure_names_the_lowest_failing_node(workers, failing, named):
+    nodes, config = nodes_with_failing(failing)
+    with pytest.raises(sn.FederatedError, match=f"^node {named}: training failed: bce loss"):
+        sn.run_local_training(nodes, config, workers=workers)
+
+
+def test_shares_put_the_longest_node_first_on_the_least_loaded_share():
+    # train-heavy's nodes: 800, 1200, 400, 800 and 800 rows, 50 epochs each
+    dataset, parts, units = five_group_setup(counts=(800, 1200, 400, 800, 800))
+    nodes = sn.make_nodes(parts, dataset, units)
+    shares = switchnet.federated._shares(nodes, 2)
+    assert [[n.node_id for n in share] for share in shares] == [[1, 4], [0, 2, 3]]
+    assert [50 * sum(len(n.local_data) for n in share) for share in shares] == [100_000, 100_000]
+    # equal rows go lower node id first, each to the lower share index among equal loads
+    assert [[n.node_id for n in share] for share in switchnet.federated._shares(nodes, 4)] \
+        == [[1], [0, 2], [3], [4]]
+
+
+def test_schedule_pairs_each_node_with_its_share():
+    dataset, parts, units = five_group_setup()
+    nodes = sn.make_nodes(parts, dataset, units)
+    config = sn.TrainConfig(epochs=2, seed=3)
+    schedules = {w: sn.run_local_training(nodes, config, workers=w)[1].schedule for w in (1, 2, 5)}
+    assert schedules == {1: ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0)),
+                         2: ((0, 1), (1, 0), (2, 1), (3, 1), (4, 0)),
+                         5: ((0, 1), (1, 0), (2, 4), (3, 2), (4, 3))}
+
+
+@pytest.fixture
+def lingering_children(monkeypatch):
+    """Every child stays alive 0.3 s after it has sent its outcomes, so a child
+    that is not waited for is still running when the call returns."""
+    send_outcomes = switchnet.federated._child
+
+    def linger(*args):
+        send_outcomes(*args)
+        time.sleep(0.3)
+    monkeypatch.setattr(switchnet.federated, "_child", linger)
+
+
+@forked
+@pytest.mark.parametrize("failing", [(), (4,), (3,)], ids=["success", "share-0", "child-share"])
+def test_no_child_outlives_training(lingering_children, failing):
+    nodes, config = nodes_with_failing(failing)
+    if failing:
+        with pytest.raises(sn.FederatedError, match=f"^node {failing[0]}: training failed"):
+            sn.run_local_training(nodes, config, workers=2)
+    else:
+        sn.run_local_training(nodes, config, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_child_that_exits_without_sending_fails_its_first_node(lingering_children, monkeypatch):
+    parent = os.getpid()
+    train_node = switchnet.federated._train_node
+
+    def exit_mid_share(node, config):
+        if os.getpid() != parent and node.node_id == 2:  # share 1 is nodes 0, 2 and 3
+            os._exit(3)
+        return train_node(node, config)
+    monkeypatch.setattr(switchnet.federated, "_train_node", exit_mid_share)
+    nodes, config = nodes_with_failing(())
+    with pytest.raises(sn.FederatedError,
+                       match="^node 0: training failed: worker process exited with code 3$"):
+        sn.run_local_training(nodes, config, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_interrupt_in_this_process_stops_every_child(monkeypatch):
+    parent = os.getpid()
+    train_node = switchnet.federated._train_node
+
+    def slow_children_interrupted_parent(node, config):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(5)
+        return train_node(node, config)
+    monkeypatch.setattr(switchnet.federated, "_train_node", slow_children_interrupted_parent)
+    nodes, config = nodes_with_failing(())
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        sn.run_local_training(nodes, config, workers=3)
+    assert time.perf_counter() - started < 4  # killed, not waited for
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_epochs_compile_once_in_this_process_before_children_start(monkeypatch):
+    # 4 nodes of width 5,000, 4 rows and 1 epoch each: one (width, activation,
+    # loss), so one compile, here; a compile in a child fails that child's node
+    parent = os.getpid()
+    compiled = []
+
+    def spy(*args):
+        if os.getpid() != parent:
+            raise AssertionError("a child compiled an epoch")
+        compiled.append(args[1])
+        return compile(*args)
+    switchnet.neuron._epoch_for.cache_clear()
+    monkeypatch.setattr(switchnet.neuron, "compile", spy, raising=False)
+    width = 5000
+    rows = [sn.Observation(id=i, group=0, label=i % 2, features=(0.001 * i,) * width)
+            for i in range(16)]
+    nodes = [sn.Node(unit=sn.init_unit(width, "sigmoid", k, seed=1),
+                     local_data=sn.Dataset.from_observations(width, ((0, "g"),), rows[4 * k:4 * k + 4]))
+             for k in range(4)]
+    trained, report = sn.run_local_training(nodes, sn.TrainConfig(epochs=1, seed=1), workers=2)
+    assert compiled == ["<sgd epoch, width 5000, sigmoid/bce>"]
+    assert {share for _, share in report.schedule} == {0, 1}
+    assert trained == sn.run_local_training(nodes, sn.TrainConfig(epochs=1, seed=1), workers=1)[0]
+    assert compiled == ["<sgd epoch, width 5000, sigmoid/bce>"]
 
 
 def test_workers_capped_at_node_count():

@@ -1,7 +1,7 @@
-import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing.process
 import re
 from pathlib import Path
 
@@ -22,17 +22,17 @@ def run_cli(*argv):
 
 
 @pytest.fixture
-def pool_always(monkeypatch):
-    """Let the pipeline start a pool whatever the run's size."""
+def children_always(monkeypatch):
+    """Let the pipeline train on child processes whatever the run's size."""
     monkeypatch.setattr(switchnet.pipeline, "POOL_MIN_STEPS", 0)
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
-    """Fail any attempt to start a process pool."""
+def no_children(monkeypatch):
+    """Fail any attempt to start a child process."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        raise AssertionError("a child process was started")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 # ---------------------------------------------------------------- config handling
@@ -309,7 +309,7 @@ def test_pipeline_deterministic_rerun_same_config(tmp_path):
         assert p.read_bytes() == snapshot[p.name], f"{p.name} changed across reruns"
 
 
-def test_bundle_is_independent_of_worker_count(tmp_path, pool_always):
+def test_bundle_is_independent_of_worker_count(tmp_path, children_always):
     bundles = [sn.run_pipeline(sn.load_config(sn.default_config_path(),
                                               fast_sets(tmp_path / f"w{w}", epochs=5, workers=w)))
                for w in (1, 2)]
@@ -322,8 +322,8 @@ def test_bundle_is_independent_of_worker_count(tmp_path, pool_always):
     assert [json.loads(b.fed_timings_json.read_text())["workers"] for b in bundles] == [1, 2]
 
 
-def test_small_run_trains_in_this_process(tmp_path, capsys, no_pool):
-    # 5 epochs x 100 assigned observations is far below the pool threshold
+def test_small_run_trains_in_this_process(tmp_path, capsys, no_children):
+    # 5 epochs x 100 assigned observations is far below the child threshold
     bundle = sn.run_pipeline(sn.load_config(sn.default_config_path(),
                                             fast_sets(tmp_path / "out", epochs=5, workers=2)))
     assert json.loads(bundle.fed_timings_json.read_text())["workers"] == 1
@@ -954,7 +954,7 @@ def test_train_subcommand_unknown_unit(tmp_path, capsys):
     assert "no unit 9" in capsys.readouterr().err
 
 
-def test_switch_warnings_reach_stderr(tmp_path, capsys, pool_always):
+def test_switch_warnings_reach_stderr(tmp_path, capsys, children_always):
     dead_unit = ["--set", "switch.entries.4=[3]", "--set", "train.epochs=2"]
     warning = "warning: unit 4 appears in no switch entry (dead unit)"
     out = tmp_path / "pipeline"
