@@ -2,15 +2,15 @@
 
 Heatmaps aggregate ungated probe activations so every unit is observable on
 every group, regardless of how the switch would gate it. Probes come from the
-network's one per-block forward (`network._gated_blocks`): each group block's
+network's one walk over an id list (`network._pass`): each group block's
 (unit, row) table is one kernel call, bit for bit equal to `unit_forward` on
-each observation, and its means come from one `np.add.accumulate` over that
-table (`network._means`), with the bits of a left-to-right `_mean` over each
-unit's probes. `readings` takes an id list's metrics, ablation contribution
-and heatmap from that one pass, the gated columns being the probe table's
-active rows, so each (unit, row) activation is computed once; the pipeline
-reads the non-overlapping set so. The SVG writer escapes its labels itself
-(`_escape`), so importing this module loads no XML library.
+each observation, reduced by the statistic's `_reducer`; the mean is one
+`np.add.accumulate` over the table (`network._means`), with the bits of a
+left-to-right `_mean`. `readings` takes an id list's metrics, ablation
+contribution and heatmap from one pass, the gated columns being the probe
+table's active rows, so each (unit, row) activation is computed once. The SVG
+writer escapes its labels itself (`_escape`), so importing this module loads
+no XML library.
 """
 
 import csv
@@ -21,8 +21,7 @@ from pathlib import Path
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import (ContributionReport, Metrics, ModularNetwork, _check_evaluation, _gated_blocks,
-                      _means, _tally, _Tally)
+from .network import ContributionReport, Metrics, ModularNetwork, _check_evaluation, _means, _pass
 
 STATISTICS = ("mean", "max")
 
@@ -78,23 +77,16 @@ class AttributionReport:
         return [{"unit": r.unit_index, "group": r.group, "margin": r.margin} for r in self.rows]
 
 
-def _check_statistic(statistic: str) -> None:
+def _reducer(statistic: str):
+    """The reduction of a block's (unit, row) probe table to one value per unit;
+    the max is Python's, since np.max treats NaN differently."""
     if statistic not in STATISTICS:
         raise AnalysisError(f"unknown statistic {statistic!r}")
+    return _means if statistic == "mean" else lambda probes: list(map(max, probes.tolist()))
 
 
-def _probe_pass(net: ModularNetwork, ids, dataset: Dataset, statistic: str,
-                tally: "_Tally | None" = None) -> HeatmapMatrix:
-    """The heatmap of the id list from one walk over its group blocks: each
-    block's (unit, row) probe table comes from one kernel call and is reduced
-    by the statistic, and its active rows, as the gated columns, feed `tally`
-    when one is given."""
-    stats = {}
-    for block, active, columns, probes in _gated_blocks(net, ids, dataset, probe=True):
-        if tally is not None:
-            tally.add(block, active, columns)
-        # Python's max, since np.max treats NaN differently
-        stats[block.group] = list(map(max, probes.tolist())) if statistic == "max" else _means(probes)
+def _matrix(net: ModularNetwork, dataset: Dataset, stats: dict, statistic: str) -> HeatmapMatrix:
+    """The heatmap from each group's reduced probes, columns in group id order."""
     groups = sorted(dataset.groups)
     empty = [g for g, _ in groups if g not in stats]
     if empty:
@@ -111,11 +103,11 @@ def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean")
     Entry (u, g) is the statistic of unit u's ungated activation across the
     ids belonging to group g. Columns follow group id order.
     """
-    _check_statistic(statistic)
+    reduce = _reducer(statistic)
     ids = tuple(ids)
     if not ids:
         raise AnalysisError("heatmap needs at least one observation id")
-    return _probe_pass(net, ids, dataset, statistic)
+    return _matrix(net, dataset, _pass(net, ids, dataset, ablate=False, reduce=reduce).stats, statistic)
 
 
 def readings(net: ModularNetwork, ids, dataset: Dataset, set_kind: str,
@@ -127,12 +119,9 @@ def readings(net: ModularNetwork, ids, dataset: Dataset, set_kind: str,
     fails first, with its message."""
     ids = tuple(ids)
     _check_evaluation(ids, set_kind)
-    if statistic is None:
-        tally, matrix = _tally(net, ids, dataset, ablate=True), None
-    else:
-        _check_statistic(statistic)
-        tally = _Tally(net, ablate=True)
-        matrix = _probe_pass(net, ids, dataset, statistic, tally)
+    reduce = None if statistic is None else _reducer(statistic)
+    tally = _pass(net, ids, dataset, ablate=True, reduce=reduce)
+    matrix = None if reduce is None else _matrix(net, dataset, tally.stats, statistic)
     return tally.metrics(set_kind), tally.contribution(), matrix
 
 

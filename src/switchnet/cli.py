@@ -33,17 +33,34 @@ def _require_file(path, what: str) -> Path:
     return path
 
 
-def _check_outputs(*paths) -> None:
-    """Refuse an output file path that is a directory or whose parent is not an
-    existing directory. A subcommand with several outputs checks them all after
-    reading its inputs, so a bad later output does not leave the earlier ones
-    written. `None` (an optional output left unset) is skipped."""
-    for path in (Path(p) for p in paths if p is not None):
+def _file_key(path: Path):
+    """What names one file: an existing file's device and inode, which a symbolic
+    or hard link shares, else the resolved path."""
+    try:
+        status = path.stat()
+    except FileNotFoundError:
+        return path.resolve()
+    return status.st_dev, status.st_ino
+
+
+def _check_outputs(inputs, *outputs) -> None:
+    """Refuse an output file path that is a directory, whose parent is not an
+    existing directory, or that names the same file as one of the subcommand's
+    `inputs` or as an earlier output (`_file_key`). A subcommand with several
+    outputs checks them all after reading its inputs, so a bad later output
+    does not leave the earlier ones written. `None` (an optional input or
+    output left unset) is skipped."""
+    taken = {_file_key(Path(p)): "an input" for p in inputs if p is not None}
+    for path in (Path(p) for p in outputs if p is not None):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         if not path.parent.is_dir():
             raise NotADirectoryError(errno.ENOTDIR, f"{path.parent} is not an existing directory",
                                      str(path))
+        key = _file_key(path)
+        if key in taken:
+            raise OSError(errno.EINVAL, f"it is also {taken[key]} of this command", str(path))
+        taken[key] = "another output"
 
 
 def _check_output_dir(path) -> None:
@@ -57,8 +74,12 @@ def _check_output_dir(path) -> None:
         raise NotADirectoryError(errno.ENOTDIR, reason, str(path))
 
 
+def _config_path(args) -> Path:
+    return Path(args.config or default_config_path())
+
+
 def _load_cli_config(args):
-    return load_config(args.config or default_config_path(), getattr(args, "set", None) or [])
+    return load_config(_config_path(args), getattr(args, "set", None) or [])
 
 
 def _ids_for_kind(test_sets_path, kind: str):
@@ -99,6 +120,7 @@ def cmd_gen_data(args) -> int:
         if config.specs is None:
             raise ConfigError("config points at an existing dataset; nothing to generate")
         dataset = data_stage(config)
+    _check_outputs((args.specs or _config_path(args),), args.out)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} observations to {args.out}")
     return 0
@@ -107,7 +129,7 @@ def cmd_gen_data(args) -> int:
 def cmd_partition(args) -> int:
     config = _load_cli_config(args)
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
-    _check_outputs(args.out, args.test_sets)
+    _check_outputs((_config_path(args), args.dataset), args.out, args.test_sets)
     parts = partition(dataset, config.plan, config.seed)
     test_sets = None
     if args.test_sets:  # drawn before either file is written, so a failed draw writes neither
@@ -127,7 +149,7 @@ def cmd_train(args) -> int:
     parts = read_input(_require_file(args.partition, "partition JSON"), "partition JSON", PartitionSet.from_json)
     if not 0 <= args.unit < len(parts.subsets):
         raise ConfigError(f"partition has no unit {args.unit}")
-    _check_outputs(args.out_unit, args.out_log)
+    _check_outputs((_config_path(args), args.dataset, args.partition), args.out_unit, args.out_log)
     subset = dataset.subset(parts.subsets[args.unit])
     unit = init_unit(dataset.dim, config.activation, args.unit, config.seed)
     trained, log = train_unit(unit, subset, node_train_config(config.train, args.unit))
@@ -164,7 +186,7 @@ def cmd_eval(args) -> int:
     net = load_network(_require_file(args.network, "network bundle"))
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
-    _check_outputs(args.out, args.out_contribution)
+    _check_outputs((args.network, args.dataset, args.test_sets), args.out, args.out_contribution)
     if args.out_contribution:  # both reports from one gated pass, through the pipeline's `readings`
         metrics, report, _ = readings(net, ids, dataset, args.kind)
         write_json(metrics.to_json(), args.out)
@@ -180,7 +202,8 @@ def cmd_heatmap(args) -> int:
     net = load_network(_require_file(args.network, "network bundle"))
     dataset = load_dataset(_require_file(args.dataset, "dataset CSV"))
     ids = _ids_for_kind(args.test_sets, args.kind)
-    _check_outputs(args.out_csv, args.out_svg, args.out_attribution)
+    _check_outputs((args.network, args.dataset, args.test_sets), args.out_csv, args.out_svg,
+                   args.out_attribution)
     matrix = heatmap(net, ids, dataset, args.statistic)
     export_heatmap_csv(matrix, args.out_csv)
     render_heatmap_svg(matrix, args.out_svg)

@@ -131,11 +131,11 @@ def _fork_join(shares, config: TrainConfig) -> list[list]:
     of its own; return each share's `_train_share` outcomes, in share order. A
     child that exits without sending fails its share's first node. No child
     outlives the call."""
-    import multiprocessing
-
     children = []
     try:
         for share in shares[1:]:
+            import multiprocessing  # here, so a run with one share never loads it
+
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(target=_child, args=(share, config, sender))
             with sender:
@@ -177,12 +177,10 @@ def run_local_training(nodes, config: TrainConfig,
         raise FederatedError(f"duplicate node ids: {ids}")
     workers = max(1, min(workers, len(nodes)))
 
-    if workers == 1:
-        shares, outcomes = [nodes], [_train_share(nodes, config)]
-    else:
+    if workers > 1:
         _compile_epochs(nodes, config.loss)
-        shares = _shares(nodes, workers)
-        outcomes = _fork_join(shares, config)
+    shares = _shares(nodes, workers)
+    outcomes = _fork_join(shares, config)
     done = sorted((node.node_id, share, outcome) for share, members in enumerate(shares)
                   for node, outcome in zip(members, outcomes[share]))
     for node_id, _, outcome in done:

@@ -13,8 +13,9 @@ broadcast and each distinct activation once over its units' rows, so the
 float64 operations are elementwise in the same left-to-right order (exp and
 tanh stay on `math`), and every value equals `unit_forward` on one
 observation bit for bit, as the router mean equals `_mean`. `forward` is a
-one-row block. `_Tally` counts a block's hits and re-scores it once per
-active unit for the ablation.
+one-row block. `_pass`, the one walk that scores an id list, serves evaluation,
+ablation, the heatmap and `readings`: its `_Tally` counts a block's hits,
+re-scores it once per active unit and keeps the block's reduced probes.
 
 A readout's label needs no sigmoid wherever the logit's sign decides it:
 `_label_column` labels a row 1 where its logit is >= 0 (there
@@ -291,8 +292,8 @@ def _gated_blocks(net: ModularNetwork, ids, dataset: Dataset, probe: bool = Fals
 
 
 class _Tally:
-    """Hits of the gated predictions per group block and, when ablating, the
-    hits each unit's ablation loses.
+    """Hits of the gated predictions per group block, the hits each unit's
+    ablation loses (when ablating) and each group's reduced probes (`stats`).
 
     Ablating unit u changes only the blocks where u is active; each is
     re-scored once with u's column at 0.0 and u out of the active set.
@@ -303,6 +304,7 @@ class _Tally:
         self.group_n = {}
         self.group_correct = {}
         self.lost = [0] * net.n_units if ablate else None
+        self.stats = {}
 
     def add(self, block: _Block, active, columns) -> None:
         hits = _hits(self.aggregation, columns, active, block.labels)
@@ -336,11 +338,15 @@ class _Tally:
         return ContributionReport(rows=tuple(rows))
 
 
-def _tally(net: ModularNetwork, ids, dataset: Dataset, ablate: bool) -> _Tally:
-    """The id list's gated pass, without probes."""
+def _pass(net: ModularNetwork, ids, dataset: Dataset, ablate: bool, reduce=None) -> _Tally:
+    """The one walk over an id list's group blocks. Given `reduce`, every unit
+    is probed on each block and `stats[group]` is `reduce(probes)`; else only
+    the active units are computed."""
     tally = _Tally(net, ablate)
-    for block, active, columns, _ in _gated_blocks(net, ids, dataset):
+    for block, active, columns, probes in _gated_blocks(net, ids, dataset, probe=reduce is not None):
         tally.add(block, active, columns)
+        if probes is not None:
+            tally.stats[block.group] = reduce(probes)
     return tally
 
 
@@ -367,7 +373,7 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
     """Accuracy and per-group accuracy of gated predictions over the id list."""
     ids = tuple(ids)
     _check_evaluation(ids, set_kind)
-    return _tally(net, ids, dataset, ablate=False).metrics(set_kind)
+    return _pass(net, ids, dataset, ablate=False).metrics(set_kind)
 
 
 def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig) -> ModularNetwork:
@@ -402,7 +408,7 @@ def neuron_contribution(net: ModularNetwork, ids, dataset: Dataset) -> Contribut
     ids = tuple(ids)
     if not ids:
         raise NetworkError("neuron_contribution needs at least one observation id")
-    return _tally(net, ids, dataset, ablate=True).contribution()
+    return _pass(net, ids, dataset, ablate=True).contribution()
 
 
 def network_to_dict(net: ModularNetwork) -> dict:

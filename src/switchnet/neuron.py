@@ -97,10 +97,7 @@ dz = 2.0 * diff * (1.0 if z > 0 else 0.0)
 
 
 def _check_pair(activation: str, loss: str) -> None:
-    if activation not in ACTIVATIONS:
-        raise TrainingError(f"unknown activation {activation!r}")
-    if loss not in LOSSES:
-        raise TrainingError(f"unknown loss {loss!r}")
+    """The pair rule alone: `NeuronUnit` and `TrainConfig` own the name checks."""
     if loss == "bce" and activation != "sigmoid":
         raise TrainingError(f"bce loss is only defined with sigmoid units, got {activation!r}")
 

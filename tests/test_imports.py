@@ -44,3 +44,24 @@ def test_two_worker_run_loads_no_concurrent_futures(tmp_path):
     assert workers == 2
     assert "multiprocessing" in loaded
     assert [m for m in loaded if m == "concurrent.futures" or m.startswith("concurrent.futures.")] == []
+
+
+# The packaged config's pipeline on 2 workers, below the child threshold: its
+# nodes train in this process through the same fork-join, which starts no child.
+SMALL_TWO_WORKER_RUN = ("import json, sys, switchnet, switchnet.pipeline; "
+                        "config = switchnet.load_config(switchnet.default_config_path(), "
+                        "['train.epochs=3', 'network.workers=2', 'output.dir=' + sys.argv[1]]); "
+                        "steps = config.train.epochs * sum(config.plan.counts); "
+                        "bundle = switchnet.run_pipeline(config); "
+                        "print(json.dumps([steps < switchnet.pipeline.POOL_MIN_STEPS, "
+                        "json.loads(bundle.fed_timings_json.read_text())['workers'], sorted(sys.modules)]))")
+
+
+def test_run_below_the_child_threshold_loads_no_multiprocessing(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", SMALL_TWO_WORKER_RUN, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    below, workers, loaded = json.loads(out)
+    assert below
+    assert workers == 1
+    assert [m for m in loaded if m == "multiprocessing" or m.startswith("multiprocessing.")] == []

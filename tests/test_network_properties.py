@@ -316,11 +316,15 @@ def routed_calls(net, ids, dataset) -> list:
 @example(fallback_case("all-active"))
 @example(fallback_case("all-active", readout=True))
 def test_gated_path_gives_the_kernel_active_units_only(case):
-    # evaluate, fit_readout and forward ask the kernel for each group's active units once
+    # evaluate, neuron_contribution, readings without a statistic, fit_readout and
+    # forward ask the kernel for each group's active units once
     net, dataset, ids = case
-    with kernel_calls() as calls:
-        sn.evaluate(net, ids, dataset, "overlapping")
-    assert sorted(calls) == routed_calls(net, ids, dataset)
+    for gated in (lambda: sn.evaluate(net, ids, dataset, "overlapping"),
+                  lambda: sn.neuron_contribution(net, ids, dataset),
+                  lambda: sn.analysis.readings(net, ids, dataset, "overlapping", statistic=None)):
+        with kernel_calls() as calls:
+            gated()
+        assert sorted(calls) == routed_calls(net, ids, dataset)
     readout_net = sn.assemble(net.units, net.switch, "linear-readout")
     with kernel_calls() as calls:
         try:
@@ -332,6 +336,24 @@ def test_gated_path_gives_the_kernel_active_units_only(case):
         with kernel_calls() as calls:
             sn.forward(net, obs)
         assert calls == routed_calls(net, [obs.id], dataset)
+
+
+@PROPERTY
+@given(cases(), st.sampled_from(sn.analysis.STATISTICS))
+@example(fallback_case("none-active"), "max")
+@example(fallback_case("all-active", readout=True), "mean")
+def test_probed_path_gives_the_kernel_every_unit_once_per_group(case, statistic):
+    # heatmap and readings with a statistic ask the kernel for every unit once per
+    # group; the gated columns are the probe table's active rows, never a second call
+    net, dataset, _ = case
+    ids = dataset.ids.tolist()
+    sizes = collections.Counter(dataset.observation(i).group for i in ids)
+    every_unit = sorted((tuple(range(net.n_units)), n) for n in sizes.values())
+    for probed in (lambda: sn.heatmap(net, ids, dataset, statistic),
+                   lambda: sn.analysis.readings(net, ids, dataset, "non-overlapping", statistic)):
+        with kernel_calls() as calls:
+            probed()
+        assert sorted(calls) == every_unit
 
 
 @PROPERTY

@@ -744,16 +744,19 @@ def test_cli_version(capsys):
 
 # ---------------------------------------------------------------- stage composability
 
-# the packaged config, and the digest-pinned multi-unit linear-readout run, where
-# the pipeline and the subcommands also share the readout's calibration pass
+# the packaged config, the digest-pinned multi-unit linear-readout run, where
+# the pipeline and the subcommands also share the readout's calibration pass,
+# and the packaged config under the heatmap's max reduction
 CHAIN_RUNS = {"default": [],
-              "multi-unit-linear-readout": ["switch.entries.2=[1,2,3]", "network.aggregation=linear-readout"]}
+              "multi-unit-linear-readout": ["switch.entries.2=[1,2,3]", "network.aggregation=linear-readout"],
+              "max-statistic": ["network.heatmap_statistic=max"]}
 
 
 @pytest.mark.parametrize("run", sorted(CHAIN_RUNS))
 def test_subcommand_chain_reproduces_pipeline(tmp_path, run):
     pipe_dir = tmp_path / "pipeline"
     sets = fast_sets(pipe_dir, epochs=6, workers=1) + CHAIN_RUNS[run]
+    statistic = dict(s.split("=", 1) for s in sets).get("network.heatmap_statistic", "mean")
     set_args = []
     for s in sets:
         set_args += ["--set", s]
@@ -775,7 +778,7 @@ def test_subcommand_chain_reproduces_pipeline(tmp_path, run):
                    "--out-contribution", d / "contribution.json") == 0
     assert run_cli("heatmap", "--network", d / "network.json", "--dataset", d / "dataset.csv",
                    "--test-sets", d / "test_sets.json", "--kind", "non-overlapping",
-                   "--statistic", "mean", "--out-csv", d / "heatmap.csv",
+                   "--statistic", statistic, "--out-csv", d / "heatmap.csv",
                    "--out-svg", d / "heatmap.svg",
                    "--out-attribution", d / "attribution.json") == 0
 
@@ -1175,7 +1178,7 @@ def test_pipeline_computes_each_unit_row_activation_once(tmp_path, monkeypatch, 
         return sum(len(sn.route(net.switch, dataset.observation(i).group)) for i in ids)
 
     calibration = []
-    if run != "default":
+    if "network.aggregation=linear-readout" in CHAIN_RUNS[run]:
         calibration = sn.PartitionSet.from_json(json.loads((out / "partition.json").read_text())).assigned_ids()
     assert sum(cells) == (net.n_units * len(test_sets["non_overlapping"])
                           + active_cells(test_sets["overlapping"]) + active_cells(calibration))
@@ -1389,6 +1392,77 @@ def test_bad_later_output_writes_nothing(tmp_path, capsys, small_bundle, command
     assert captured.err == f"error: cannot write {tmp_path / 'target'}: Is a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
     assert not any((tmp_path / "target").iterdir())
+
+
+# ---------------------------------------------------------------- outputs that name one file
+
+# the second output of each two-output subcommand set to the first one's file,
+# spelled relative to the working directory
+SAME_OUTPUTS = [("partition", "--test-sets", "--out"), ("train", "--out-log", "--out-unit"),
+                ("eval", "--out-contribution", "--out"), ("heatmap", "--out-svg", "--out-csv")]
+
+
+@pytest.mark.parametrize("command, flag, first", SAME_OUTPUTS)
+def test_two_outputs_naming_one_file_are_refused(tmp_path, monkeypatch, capsys, small_bundle,
+                                                 command, flag, first):
+    argv = _with_outputs(tmp_path, small_bundle)[command]
+    monkeypatch.chdir(tmp_path)
+    argv[argv.index(flag) + 1] = argv[argv.index(first) + 1].name
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {argv[argv.index(flag) + 1]}: "
+                            "it is also another output of this command\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _specs_bytes(b):
+    return json.dumps(json.loads(sn.default_config_path().read_text())["data"]["groups"]).encode()
+
+
+# (command, input flag, output flag, the input's bytes): the output set to a copy
+# of the input, one case per input kind
+SAME_AS_INPUT = [
+    ("gen-data", "--config", "--out", lambda b: sn.default_config_path().read_bytes()),
+    ("gen-data", "--specs", "--out", _specs_bytes),
+    ("partition", "--dataset", "--out", lambda b: (b / "dataset.csv").read_bytes()),
+    ("train", "--partition", "--out-log", lambda b: (b / "partition.json").read_bytes()),
+    ("eval", "--network", "--out-contribution", lambda b: (b / "network.json").read_bytes()),
+    ("heatmap", "--test-sets", "--out-attribution", lambda b: (b / "test_sets.json").read_bytes()),
+]
+
+
+def _hard_link(source):
+    (source.parent / "link").hardlink_to(source)
+    return source.parent / "link"
+
+
+def _symbolic_link(source):
+    (source.parent / "link").symlink_to(source)
+    return source.parent / "link"
+
+
+@pytest.mark.parametrize("spell", [lambda source: source, _hard_link, _symbolic_link],
+                         ids=["same-path", "hard-link", "symbolic-link"])
+@pytest.mark.parametrize("command, flag, out_flag, content", SAME_AS_INPUT,
+                         ids=[f"{c}{f}" for c, f, *_ in SAME_AS_INPUT])
+def test_output_naming_an_input_is_refused(tmp_path, capsys, small_bundle, command, flag, out_flag, content,
+                                           spell):
+    argv = _with_outputs(tmp_path, small_bundle)[command]
+    source = tmp_path / "input"
+    before = content(small_bundle)
+    source.write_bytes(before)
+    target = spell(source)
+    if flag not in argv:
+        argv += [flag, None] + (["--seed", 1] if flag == "--specs" else [])
+    argv[argv.index(flag) + 1] = source
+    argv[argv.index(out_flag) + 1] = target
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: it is also an input of this command\n"
+    assert sorted(tmp_path.iterdir()) == sorted({source, target})
+    assert source.read_bytes() == before
 
 
 # ---------------------------------------------------------------- byte-order marks
