@@ -110,6 +110,8 @@ def cmd_pipeline(args) -> int:
 
 def cmd_gen_data(args) -> int:
     if args.specs is not None:
+        if args.config is not None or args.set:
+            raise ConfigError("gen-data with --specs takes no --config or --set")
         if args.seed is None:
             raise ConfigError("gen-data with --specs also needs --seed")
         specs = read_input(_require_file(args.specs, "group specs file"), "group specs file",

@@ -17,6 +17,14 @@ one-row block. `_pass`, the one walk that scores an id list, serves evaluation,
 ablation, the heatmap and `readings`: its `_Tally` counts a block's hits,
 re-scores it once per active unit and keeps the block's reduced probes.
 
+Scoring reads the active slots alone: no column is built for an inactive
+slot. A readout's logit (`_logit_column`) sums the active slots' terms from a
+zero column, which is `_z` over the gated vector bit for bit while every
+weight is finite, so an ablation re-scores a block's remaining active slots.
+`fit_readout` trains the readout on active-slot rows (`neuron._slot_epoch_for`)
+with the dense SGD's bits, and falls back to the dense SGD where those bits
+could differ.
+
 A readout's label needs no sigmoid wherever the logit's sign decides it:
 `_label_column` labels a row 1 where its logit is >= 0 (there
 `1 / (1 + exp(-z))` is >= 0.5), and 0 where it is NaN or at most -1e-6 (there
@@ -205,12 +213,31 @@ def _unit_table(units, features: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
+def _logit_column(readout: LinearReadout, columns, active, n: int) -> np.ndarray:
+    """The readout's logit `_z` over the gated vector of every row, bit for bit,
+    from the active slots alone: a zero column plus `w[i] * columns[i]` for each
+    active i in ascending order, then the bias. A skipped inactive term is
+    `w * 0.0`, which is +-0.0 for a finite w and changes no bit of a sum begun
+    from 0.0, since that sum is never -0.0. A non-finite weight makes its term
+    nan, so then `_z` runs over every slot, an inactive one as a zero column."""
+    weights = readout.weights
+    if not all(map(math.isfinite, weights)):
+        zero = np.zeros(n)
+        return _z(weights, readout.bias, [columns[i] if i in active else zero for i in range(len(weights))])
+    z = np.zeros(n)
+    for i in active:
+        z += weights[i] * columns[i]
+    z += readout.bias
+    return z
+
+
+@np.errstate(all="ignore")
 def _score_column(aggregation, columns, active, n: int) -> np.ndarray:
-    """Score of every row of a block of gated columns: the readout's sigmoid over
-    every slot, or the left-to-right mean of the active slots (0.5 when none is
-    active)."""
+    """Score of every row of a block of gated columns: the readout's sigmoid of
+    its logit (`_logit_column`), or the left-to-right mean of the active slots
+    (0.5 when none is active). Only the active slots' columns are read."""
     if isinstance(aggregation, LinearReadout):
-        return _sigmoid_column(_z(aggregation.weights, aggregation.bias, columns))
+        return _sigmoid_column(_logit_column(aggregation, columns, active, n))
     return _mean([columns[i] for i in active]) if active else np.full(n, 0.5)
 
 
@@ -226,7 +253,7 @@ def _label_column(aggregation, columns, active, n: int) -> np.ndarray:
     logits in (-1e-6, 0), where rounding can lift the score to 0.5."""
     if not isinstance(aggregation, LinearReadout):
         return _score_column(aggregation, columns, active, n) >= 0.5
-    z = _z(aggregation.weights, aggregation.bias, columns)
+    z = _logit_column(aggregation, columns, active, n)
     labels = z >= 0
     near = np.flatnonzero((z < 0) & (z > _SIGN_DECIDES_BELOW))
     if len(near):
@@ -266,16 +293,16 @@ def _group_blocks(net: ModularNetwork, ids, dataset: Dataset) -> list:
     return blocks
 
 
-def _gated_columns(net: ModularNetwork, active, features: np.ndarray, probes=None) -> list:
-    """One column per unit over a (rows, dim) feature array: each active unit's
-    activations, and for every inactive slot one shared zero column. The active
-    units' columns are their rows of `probes`, every unit's table over these
-    rows, when it is given; else the kernel runs on the active units alone, so
-    an inactive unit is never read."""
-    if probes is None and active:
-        probes = dict(zip(active, _unit_table([net.units[i] for i in active], features)))
-    zero = np.zeros(len(features))
-    return [probes[i] if i in active else zero for i in range(net.n_units)]
+def _gated_columns(net: ModularNetwork, active, features: np.ndarray, probes=None):
+    """The active units' activation columns over a (rows, dim) feature array,
+    indexed by unit: `columns[i]` for each active i. That is `probes` itself,
+    every unit's table over these rows, when it is given; else a dict from each
+    active unit to its column, the kernel run on the active units alone, so an
+    inactive unit is never read. Every reader takes the active units' columns
+    alone: an inactive slot's gated value is 0.0, and no column holds it."""
+    if probes is not None:
+        return probes
+    return dict(zip(active, _unit_table([net.units[i] for i in active], features))) if active else {}
 
 
 def _gated_blocks(net: ModularNetwork, ids, dataset: Dataset, probe: bool = False):
@@ -296,7 +323,7 @@ class _Tally:
     ablation loses (when ablating) and each group's reduced probes (`stats`).
 
     Ablating unit u changes only the blocks where u is active; each is
-    re-scored once with u's column at 0.0 and u out of the active set.
+    re-scored once with u out of the active set, so its column is not read.
     """
 
     def __init__(self, net: ModularNetwork, ablate: bool):
@@ -312,11 +339,8 @@ class _Tally:
         self.group_correct[block.group] = hits
         if self.lost is None:
             return
-        zero = np.zeros(len(block.positions))
         for u in active:
-            ablated = list(columns)
-            ablated[u] = zero
-            self.lost[u] += hits - _hits(self.aggregation, ablated, tuple(i for i in active if i != u),
+            self.lost[u] += hits - _hits(self.aggregation, columns, tuple(i for i in active if i != u),
                                          block.labels)
 
     def metrics(self, set_kind: str) -> Metrics:
@@ -358,7 +382,9 @@ def forward(net: ModularNetwork, obs: Observation) -> Prediction:
     columns = _gated_columns(net, active, np.array([obs.features], dtype=float))
     return Prediction(score=_score_column(net.aggregation, columns, active, 1).item(),
                       predicted_label=int(_label_column(net.aggregation, columns, active, 1).item()),
-                      active=active, gated_activations=tuple(column.item() for column in columns))
+                      active=active,
+                      gated_activations=tuple(columns[i].item() if i in active else 0.0
+                                              for i in range(net.n_units)))
 
 
 def _check_evaluation(ids: tuple, set_kind: str) -> None:
@@ -376,29 +402,72 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
     return _pass(net, ids, dataset, ablate=False).metrics(set_kind)
 
 
+def _slot_safe(weight: float) -> bool:
+    """Whether an inactive slot's update `w - g * 0.0` leaves the weight's bits
+    as they are for every finite g: true for a finite weight but -0.0, which
+    `-0.0 - (-0.0)` turns into 0.0. A weight that starts slot-safe stays so,
+    since no update of a weight other than -0.0 gives -0.0."""
+    return math.isfinite(weight) and (weight != 0.0 or math.copysign(1.0, weight) > 0)
+
+
+def _dense(row: tuple, slots: int, n: int) -> tuple:
+    """An active-slot row as the dense (gated vector, label) row: 0.0 in every
+    inactive slot."""
+    vector = [0.0] * (n + 1)
+    for j, value in zip(row[:slots], row[slots:-1]):
+        vector[j] = value
+    return vector[:n], row[-1]
+
+
 def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig) -> ModularNetwork:
     """Fit the linear readout on gated activation vectors; units stay frozen.
 
     The readout is a sigmoid unit over the gated vector, trained by the unit
     trainer's SGD; its epoch orders come from the one shuffle stream
     `rng_for(config.seed, "shuffle", "readout")`.
+
+    Each calibration row is built from its active units' columns alone, as one
+    active-slot row (`neuron._slot_epoch_for`): the active unit indices, then
+    their gated values, then the label, padded to the largest active set by
+    slots of index n (one past the last unit) and value 0.0, whose scratch
+    weight w[n] is dropped after the fit. The fit then costs the active slots
+    per step, and gives the dense SGD's bits over the gated vectors: a skipped
+    inactive slot adds +-0.0 to a logit never -0.0 and leaves its weight as it
+    is while every weight is `_slot_safe` and every step finite. Otherwise,
+    when a start weight is not slot-safe or an epoch ends non-finite, the whole
+    fit reruns as the dense `_sgd` over the gated vectors from the start
+    weights, whose replay names a faulty step.
     """
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("fit_readout requires linear-readout aggregation")
     ids = tuple(ids)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
+    n = net.n_units
+    blocks = []
+    for block, active, columns, _ in _gated_blocks(net, ids, dataset):
+        values = (np.column_stack([columns[i] for i in active]).tolist() if active
+                  else [()] * len(block.positions))
+        blocks.append((block.positions.tolist(), active, values, block.labels.tolist()))
+    slots = max(1, max(len(active) for _, active, _, _ in blocks))
     rows = [None] * len(ids)
-    for block, _, columns, _ in _gated_blocks(net, ids, dataset):
-        gated = np.column_stack(columns).tolist()
-        for position, vector, label in zip(block.positions, gated, block.labels.tolist()):
-            rows[position] = (vector, label)
+    for positions, active, values, labels in blocks:
+        pad = slots - len(active)
+        indices, zeros = (*active, *(n,) * pad), (0.0,) * pad
+        for position, vector, label in zip(positions, values, labels):
+            rows[position] = (*indices, *vector, *zeros, label)
+    start = net.aggregation
+    fitted = None
     try:
-        weights, bias, _ = _sgd(net.aggregation.weights, net.aggregation.bias, rows, "sigmoid",
-                                config, "readout")
+        if all(map(_slot_safe, start.weights)):
+            fitted = _sgd([*start.weights, 0.0], start.bias, rows, "sigmoid", config, "readout", slots=slots)
+        if fitted is None:
+            fitted = _sgd(start.weights, start.bias, [_dense(row, slots, n) for row in rows], "sigmoid",
+                          config, "readout")
     except TrainingError as exc:
         raise NetworkError(f"readout: {exc}") from None
-    readout = LinearReadout(weights=tuple(weights), bias=bias)
+    weights, bias, _ = fitted
+    readout = LinearReadout(weights=tuple(weights[:n]), bias=bias)
     return ModularNetwork(units=net.units, switch=net.switch, aggregation=readout)
 
 

@@ -2,17 +2,21 @@
 
 A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
-Training and readout fitting share one SGD trainer (`_sgd`) on Python floats:
-each epoch runs a loop generated once per (input width, activation, loss)
-from one source template (`_epoch_for`), which sums `w.x + b` left to right
-from 0.0 as `_z` does and computes the loss and gradient inline from the
-pair's snippet in `_LOSS_SNIPPETS`, the one copy of both formulas, so a step
-makes no Python-level call. `_epoch_for` is the one place a snippet is
-compiled, and the generated epoch is the only SGD step: the gradient checks
-read their gradients off one step of it. Inference runs `_z` over numpy
-float64 columns, so no bit depends on the BLAS build. `_sgd` checks finiteness
-once per epoch; `_replay_epoch` reruns an epoch that ends non-finite through the
-same generated epoch, one row per call and checked each, to name the faulty step.
+Training and readout fitting share one SGD trainer (`_sgd`) on Python floats.
+Its epochs are generated from one source template (`_generate`): one per
+(input width, activation, loss) for dense rows (`_epoch_for`), and one per
+(slot count, loss) for the sigmoid readout's active-slot rows
+(`_slot_epoch_for`), which read and write only each row's slots' weights.
+Each sums `w.x + b` left to right from 0.0 as `_z` does and computes the loss
+and gradient inline from the pair's snippet in `_LOSS_SNIPPETS`, the one copy
+of both formulas, so a step makes no Python-level call. `_generate` is the
+one place a snippet is compiled, and the generated epochs are the only SGD
+steps: the gradient checks read their gradients off one step of a dense one.
+Inference runs `_z` over numpy float64 columns, so no bit depends on the BLAS
+build. `_sgd` checks finiteness once per epoch; `_replay_epoch` reruns a dense
+epoch that ends non-finite through the same generated epoch, one row per call
+and checked each, to name the faulty step. An active-slot epoch that ends
+non-finite is not replayed: its caller reruns the fit on dense rows.
 """
 
 import functools
@@ -168,20 +172,21 @@ def unit_forward(unit: NeuronUnit, x) -> float:
     return _activate(unit.activation, _z(unit.weights, unit.bias, x))
 
 
-# One SGD epoch over rows of width d, with the weights unpacked to locals
-# w0..w{d-1} and each row to x0..x{d-1}: `z` starts from `0.0 +` as `_z` does,
-# so a -0.0 product still gives 0.0. Sequential statements, not one nested
-# expression, so no width reaches the parser's nesting limit. The loss and
-# gradient are the pair's snippet, written into the loop body, so a step makes
-# no Python-level call beyond the snippet's math functions. Only integer
-# indices and the snippets are interpolated.
+# One SGD epoch, the body both generated forms share: `{params}` binds the
+# weights, `{row}` unpacks one row into its values x0, x1, ... and the label y,
+# and `{result}` is the weights returned; `_generate` writes in the expression
+# that reads and writes each value's weight. `z` starts from
+# `0.0 +` as `_z` does, so a -0.0 product still gives 0.0. Sequential
+# statements, not one nested expression, so no width reaches the parser's
+# nesting limit. The loss and gradient are the pair's snippet, written into the
+# loop body, so a step makes no Python-level call beyond the snippet's math
+# functions. Only integer indices, names and the snippets are interpolated.
 _EPOCH_TEMPLATE = """\
 def epoch(weights, bias, rows, order, lr):
-    {w}, = weights
+    {params}
     total = 0.0
     for idx in order:
-        ({x},), y = rows[idx]
-        z = 0.0 + w0 * x0
+        {row} = rows[idx]
 {sum}
         z += bias
 {loss}
@@ -189,33 +194,57 @@ def epoch(weights, bias, rows, order, lr):
 {update}
         bias = bias - g
         total += loss
-    return [{w}], bias, total
+    return {result}, bias, total
 """
+
+
+def _generate(name: str, activation: str, loss: str, weights, params: str, row: str, result: str):
+    """Compile `_EPOCH_TEMPLATE` with weight i read and written as `weights[i]`:
+    the one place a loss snippet is compiled."""
+    source = _EPOCH_TEMPLATE.format(
+        params=params, row=row, result=result,
+        sum="\n".join([f"        z = 0.0 + {weights[0]} * x0"]
+                      + [f"        z += {w} * x{i}" for i, w in enumerate(weights) if i]),
+        loss=textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * 8).rstrip("\n"),
+        update="\n".join(f"        {w} = {w} - g * x{i}" for i, w in enumerate(weights)))
+    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh}
+    exec(compile(source, f"<sgd epoch, {name}, {activation}/{loss}>", "exec"), namespace)
+    return namespace["epoch"]
 
 
 @functools.cache
 def _epoch_for(d: int, activation: str, loss: str):
-    """The SGD epoch for rows of width d >= 1 under an accepted (activation,
-    loss) pair, compiled on first use and cached: `epoch(weights, bias, rows,
-    order, lr)` returns the new weights (a list), the new bias and the epoch's
-    loss total.
+    """The SGD epoch for rows `((x0, ..., x{d-1}), y)` of width d >= 1 under an
+    accepted (activation, loss) pair, compiled on first use and cached, the
+    weights unpacked to locals w0..w{d-1}: `epoch(weights, bias, rows, order,
+    lr)` returns the new weights (a list), the new bias and the epoch's loss
+    total.
 
     Compiling costs about 0.4 ms at width 2, 10 ms at width 300 and 0.6 s at
     width 20,000 (2-vCPU Xeon, Python 3.11), once per (width, activation,
     loss) per process.
     """
-    source = _EPOCH_TEMPLATE.format(
-        w=", ".join(f"w{i}" for i in range(d)),
-        x=", ".join(f"x{i}" for i in range(d)),
-        sum="\n".join(f"        z += w{i} * x{i}" for i in range(1, d)),
-        loss=textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * 8).rstrip("\n"),
-        update="\n".join(f"        w{i} = w{i} - g * x{i}" for i in range(d)))
-    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh}
-    exec(compile(source, f"<sgd epoch, width {d}, {activation}/{loss}>", "exec"), namespace)
-    return namespace["epoch"]
+    w = [f"w{i}" for i in range(d)]
+    x = ", ".join(f"x{i}" for i in range(d))
+    return _generate(f"width {d}", activation, loss, w, params=f"{', '.join(w)}, = weights",
+                     row=f"({x},), y", result=f"[{', '.join(w)}]")
 
 
-def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream):
+@functools.cache
+def _slot_epoch_for(k: int, loss: str):
+    """The sigmoid readout's active-slot epoch for rows of k >= 1 slots, compiled
+    on first use and cached. A row is one flat tuple `(j0, ..., j{k-1}, x0, ...,
+    x{k-1}, y)`: the indices of the weights its values meet, the values, the
+    label. The epoch reads and writes `w[j]` of a copy of the weights, so a step
+    costs k slots, not the weights' width; it returns the same triple as
+    `_epoch_for`'s."""
+    j = ", ".join(f"j{i}" for i in range(k))
+    x = ", ".join(f"x{i}" for i in range(k))
+    return _generate(f"{k} slots", "sigmoid", loss, [f"w[j{i}]" for i in range(k)],
+                     params="w = list(weights)", row=f"{j}, {x}, y", result="w")
+
+
+def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream, slots: int = 0):
     """SGD over (x, y) rows, one update per row; returns (weights, bias, epoch_losses).
 
     When shuffling, epoch e visits the rows in the e-th `permutation(n)` of the
@@ -227,12 +256,18 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
     final bias and weights. An epoch that ends non-finite is replayed from its
     start, one row per call of the same epoch (`_replay_epoch`), and raises the
     TrainingError naming the first faulty step.
+
+    With `slots` > 0 the rows are the sigmoid readout's active-slot rows of
+    that many slots and each epoch runs `_slot_epoch_for(slots, config.loss)`;
+    an epoch that ends non-finite then returns None, no replay: the caller
+    reruns the fit on dense rows, whose replay names the step.
     """
     weights = list(weights)
     n = len(rows)
     lr = config.learning_rate
     epoch_losses = []
-    run_epoch = _epoch_for(len(weights), activation, config.loss)
+    run_epoch = (_slot_epoch_for(slots, config.loss) if slots
+                 else _epoch_for(len(weights), activation, config.loss))
     shuffler = rng_for(config.seed, "shuffle", stream)
     for epoch in range(config.epochs):
         order = shuffler.permutation(n).tolist() if config.shuffle else range(n)
@@ -244,6 +279,8 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
         # comparisons). So an epoch that ends finite had no faulty step. A total
         # that overflowed from finite losses is no fault: the replay returns.
         if not (math.isfinite(total) and math.isfinite(bias) and all(map(math.isfinite, weights))):
+            if slots:
+                return None
             _replay_epoch(epoch, start_weights, start_bias, rows, order, run_epoch, lr)
         epoch_losses.append(total / n)
     return weights, bias, epoch_losses

@@ -63,6 +63,22 @@ def test_worker_counts_bit_identical():
         assert report.workers == workers
 
 
+def test_spawned_children_give_the_one_worker_weights(monkeypatch):
+    # `_fork_join` starts its children through multiprocessing's default Process and
+    # Pipe; from a spawn context, each child is a fresh interpreter that receives
+    # its share by pickle, so worker invariance is checked off the fork path too
+    spawn = multiprocessing.get_context("spawn")
+    dataset, parts, units = five_group_setup()
+    nodes = sn.make_nodes(parts, dataset, units)
+    config = sn.TrainConfig(epochs=10, seed=42)
+    reference, _ = sn.run_local_training(nodes, config, workers=1)
+    monkeypatch.setattr(multiprocessing, "Process", spawn.Process)
+    monkeypatch.setattr(multiprocessing, "Pipe", spawn.Pipe)
+    trained, report = sn.run_local_training(nodes, config, workers=2)
+    assert repr(trained) == repr(reference)
+    assert {share for _, share in report.schedule} == {0, 1}
+
+
 def test_matches_sequential_oracle():
     dataset, parts, units = five_group_setup()
     nodes = sn.make_nodes(parts, dataset, units)

@@ -334,6 +334,39 @@ def test_fit_readout_names_a_later_faulty_step(learning_rate, features, labels, 
         sn.fit_readout(net, dataset.ids.tolist(), dataset, config)
 
 
+@pytest.mark.parametrize("start, learning_rate, calls, fault", [
+    ((0.0, 0.0, 0.0), 0.5, [2], None),  # assemble's start: one active-slot fit of 2 slots
+    ((0.25, -0.0, 0.0), 0.5, [0], None),  # a -0.0 start weight: the dense fit alone
+    ((0.0, math.inf, 0.0), 0.5, [0], "loss at epoch 0 step 0"),  # a non-finite one: the dense fit alone
+    # diverges: the active-slot fit gives way to the dense one, which names the step
+    ((0.0, 0.0, 0.0), 1e308, [2, 0], "loss at epoch 0 step 3"),
+])
+def test_fit_readout_path(monkeypatch, start, learning_rate, calls, fault):
+    made = []
+    sgd = network._sgd
+
+    def spy(*args, slots=0):
+        made.append(slots)
+        return sgd(*args, slots=slots)
+    monkeypatch.setattr(network, "_sgd", spy)
+    dataset = two_group_dataset(label_by_group=(1, 0))
+    units = trained_two_unit_net(dataset).units
+    units += (dataclasses.replace(units[0], unit_index=2),)
+    switch, _ = sn.build_switch(3, {0: {0, 2}, 1: {1}})
+    net = sn.assemble(units, switch, sn.LinearReadout(weights=start, bias=0.0))
+    config = sn.TrainConfig(learning_rate=learning_rate, epochs=5, seed=3)
+    if fault is None:
+        sn.fit_readout(net, dataset.ids.tolist(), dataset, config)
+    else:  # the per-step-checked SGD over the dense gated rows names the same step
+        rows = [(oracle.forward(net, o).gated_activations, o.label)
+                for o in map(dataset.observation, dataset.ids.tolist())]
+        with pytest.raises(sn.TrainingError, match=f"^non-finite {fault}$"):
+            oracle.sgd(start, 0.0, rows, "sigmoid", config, "readout")
+        with pytest.raises(sn.NetworkError, match=f"^readout: non-finite {fault}$"):
+            sn.fit_readout(net, dataset.ids.tolist(), dataset, config)
+    assert made == calls
+
+
 # ------------------------------------------------------------------ contribution
 
 def test_contribution_zero_for_never_activated_unit():

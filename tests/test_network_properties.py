@@ -133,8 +133,10 @@ def test_column_kernel_equals_scalar_kernel(case):
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
 def test_score_column_equals_scalar_score(n_units, n, readout, data):
-    rows = [[data.draw(EDGE_FLOATS) for _ in range(n_units)] for _ in range(n)]
+    # gated rows: an inactive slot holds 0.0, which the active-slot logit does not
+    # read; EDGE_FLOATS weights reach its dense form for a non-finite weight
     active = tuple(sorted(data.draw(st.sets(st.integers(0, n_units - 1)))))
+    rows = [[data.draw(EDGE_FLOATS) if i in active else 0.0 for i in range(n_units)] for _ in range(n)]
     aggregation = (sn.LinearReadout(weights=tuple(data.draw(EDGE_FLOATS) for _ in range(n_units)),
                                     bias=data.draw(EDGE_FLOATS))
                    if readout else "router-mean")
@@ -152,7 +154,8 @@ def logit_case(logits):
 @st.composite
 def label_cases(draw):
     """(aggregation, active, rows of gated values, true labels): a router mean or a
-    readout over EDGE_FLOATS, or a `logit_case` whose logits are drawn from LOGITS."""
+    readout over EDGE_FLOATS, or a `logit_case` whose logits are drawn from LOGITS.
+    A row holds 0.0 in each inactive slot, as a gated row does."""
     if draw(st.booleans()):
         aggregation, active, rows, _ = logit_case(draw(st.lists(LOGITS, min_size=1, max_size=12)))
     else:
@@ -161,7 +164,8 @@ def label_cases(draw):
         active = tuple(sorted(draw(st.sets(st.integers(0, n_units - 1)))))
         aggregation = draw(st.sampled_from(["router-mean", sn.LinearReadout(
             weights=tuple(draw(values) for _ in range(n_units)), bias=draw(values))]))
-        rows = [[draw(values) for _ in range(n_units)] for _ in range(draw(st.integers(1, 6)))]
+        rows = [[draw(values) if i in active else 0.0 for i in range(n_units)]
+                for _ in range(draw(st.integers(1, 6)))]
     return aggregation, active, rows, [draw(st.integers(0, 1)) for _ in rows]
 
 
@@ -249,7 +253,10 @@ def test_gated_table_rows_equal_forward(case):
         positions = []
         for block, active, columns, probes in network._gated_blocks(net, ids, dataset, probe):
             positions += block.positions.tolist()
-            gated = np.column_stack(columns).tolist()
+            gated = np.zeros((net.n_units, len(block.positions)))
+            for i in active:  # the active units' columns alone; an inactive slot is 0.0
+                gated[i] = columns[i]
+            gated = gated.T.tolist()
             assert (probes is None) != probe
             probe_rows = probes.T.tolist() if probe else [None] * len(gated)
             for position, vector, label, probe_row in zip(block.positions, gated, block.labels.tolist(),
@@ -394,3 +401,81 @@ def test_nan_unit_no_group_activates_changes_nothing(case):
         pred = sn.forward(nan_net, obs)
         assert repr(pred) == repr(oracle.forward(nan_net, obs)) == repr(sn.forward(net, obs))
         assert pred.gated_activations[dead] == 0.0
+
+
+# readout start weights an active-slot fit must not mistake: -0.0, which a dense
+# update with g < 0 turns into 0.0, the infinities and nan, whose inactive terms
+# are nan, and subnormals
+START_WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                                 float("inf"), float("-inf"), float("nan")]) | FLOATS
+
+
+@st.composite
+def readout_fits(draw):
+    """A linear-readout network of 4 units under `none-active`, a dataset of
+    groups 0..3 and a non-empty id list, and a train config. Group 0 is routed
+    to one unit and group 1 to three, group 2 to 1-3 units and group 3 to none;
+    unit 3 is routed by no group. A relu unit's active value is often exactly
+    0.0. Some learning rates diverge."""
+    dim = draw(st.integers(1, 2))
+    switch, _ = sn.build_switch(4, {0: {draw(st.integers(0, 2))}, 1: {0, 1, 2},
+                                    2: draw(st.sets(st.integers(0, 2), min_size=1))}, "none-active")
+    units = [sn.NeuronUnit(unit_index=k, activation=draw(st.sampled_from(sn.ACTIVATIONS)),
+                           weights=tuple(draw(FLOATS) for _ in range(dim)), bias=draw(FLOATS))
+             for k in range(4)]
+    readout = sn.LinearReadout(weights=tuple(draw(START_WEIGHTS) for _ in range(4)), bias=draw(FLOATS))
+    observations = tuple(
+        sn.Observation(id=i, group=i if i < 4 else draw(st.integers(0, 3)), label=draw(st.integers(0, 1)),
+                       features=tuple(draw(FLOATS) for _ in range(dim)))
+        for i in range(draw(st.integers(4, 14))))
+    dataset = sn.Dataset.from_observations(dim=dim, groups=tuple((g, f"g{g}") for g in range(4)),
+                                           observations=observations)
+    ids = draw(st.permutations(dataset.ids.tolist()))[:draw(st.integers(1, len(observations)))]
+    config = sn.TrainConfig(learning_rate=draw(st.sampled_from([0.1, 2.0, 1e300])),
+                            epochs=draw(st.integers(1, 3)), loss=draw(st.sampled_from(sn.LOSSES)),
+                            seed=draw(st.integers(0, 3)), shuffle=draw(st.booleans()))
+    return sn.assemble(units, switch, readout), dataset, ids, config
+
+
+def relu_zero_fit():
+    """A relu unit active for group 0 whose activation is exactly 0.0 on every row,
+    beside units routed to one and three slots, from -0.0 start weights."""
+    units = [sn.NeuronUnit(unit_index=0, activation="relu", weights=(-1.0,), bias=-0.5),
+             sn.NeuronUnit(unit_index=1, activation="sigmoid", weights=(0.75,), bias=0.1),
+             sn.NeuronUnit(unit_index=2, activation="tanh", weights=(-1.5,), bias=0.2),
+             sn.NeuronUnit(unit_index=3, activation="sigmoid", weights=(1.0,), bias=0.0)]
+    switch, _ = sn.build_switch(4, {0: {0}, 1: {0, 1, 2}, 2: {1}}, "none-active")
+    observations = tuple(sn.Observation(id=i, group=i % 4, label=i % 2, features=(0.25 * i,))
+                         for i in range(12))
+    dataset = sn.Dataset.from_observations(dim=1, groups=tuple((g, f"g{g}") for g in range(4)),
+                                           observations=observations)
+    net = sn.assemble(units, switch, sn.LinearReadout(weights=(-0.0, 0.5, -0.0, 0.0), bias=0.0))
+    return net, dataset, list(range(12)), sn.TrainConfig(learning_rate=0.5, epochs=3, seed=1)
+
+
+def fit_outcome(fit):
+    """The fitted readout's repr, or the message of the error the fit raised."""
+    try:
+        return repr(fit())
+    except sn.NetworkError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(readout_fits())
+@example(relu_zero_fit())
+def test_fit_readout_equals_dense_oracle_sgd(case):
+    # the active-slot fit, or its dense fallback, gives the per-step-checked SGD's
+    # bits over the scalar pass's dense gated rows, and a diverging fit names the
+    # same faulty step
+    net, dataset, ids, config = case
+    rows = [(oracle.forward(net, obs).gated_activations, obs.label) for obs in map(dataset.observation, ids)]
+
+    def dense():
+        readout = net.aggregation
+        try:
+            weights, bias, _ = oracle.sgd(readout.weights, readout.bias, rows, "sigmoid", config, "readout")
+        except sn.TrainingError as exc:
+            raise sn.NetworkError(f"readout: {exc}") from None
+        return sn.LinearReadout(weights=tuple(weights), bias=bias)
+    assert fit_outcome(lambda: sn.fit_readout(net, ids, dataset, config).aggregation) == fit_outcome(dense)
