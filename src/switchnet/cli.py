@@ -118,6 +118,8 @@ def cmd_gen_data(args) -> int:
                            lambda doc: tuple(map(GroupSpec.from_json, doc)))
         dataset = generate_synthetic(specs, args.seed)
     else:
+        if args.seed is not None:
+            raise ConfigError("gen-data without --specs takes no --seed; use --set seed=N")
         config = _load_cli_config(args)
         if config.specs is None:
             raise ConfigError("config points at an existing dataset; nothing to generate")
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gen-data", help="generate the synthetic dataset CSV")
     _add_config_arg(p)
     p.add_argument("--specs", default=None, help="group specs JSON (alternative to --config)")
-    p.add_argument("--seed", type=int, default=None, help="seed when using --specs")
+    p.add_argument("--seed", type=int, default=None, help="seed when using --specs (else --set seed=N)")
     p.add_argument("--out", required=True, help="output dataset CSV path")
     p.set_defaults(handler=cmd_gen_data)
 

@@ -18,12 +18,12 @@ ablation, the heatmap and `readings`: its `_Tally` counts a block's hits,
 re-scores it once per active unit and keeps the block's reduced probes.
 
 Scoring reads the active slots alone: no column is built for an inactive
-slot. A readout's logit (`_logit_column`) sums the active slots' terms from a
-zero column, which is `_z` over the gated vector bit for bit while every
-weight is finite, so an ablation re-scores a block's remaining active slots.
-`fit_readout` trains the readout on active-slot rows (`neuron._slot_epoch_for`)
-with the dense SGD's bits, and falls back to the dense SGD where those bits
-could differ.
+slot. A readout reads one slot rule, `_slots`: the active units plus every
+weight `_slot_safe` refuses (-0.0, +-inf, nan), an inactive slot holding 0.0.
+Its logit (`_logit_column`) sums the slots' terms from a zero column, which
+is `_z` over the gated vector bit for bit, so an ablation re-scores a block's
+remaining slots; `fit_readout` trains on the same slots' rows
+(`neuron._slot_epoch_for`) with the dense SGD's bits.
 
 A readout's label needs no sigmoid wherever the logit's sign decides it:
 `_label_column` labels a row 1 where its logit is >= 0 (there
@@ -45,7 +45,7 @@ from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
 from .jsonio import floats, read_input, write_json
-from .neuron import NeuronUnit, TrainConfig, _sgd, _z, unit_from_dict, unit_to_dict
+from .neuron import NeuronUnit, TrainConfig, _sgd, unit_from_dict, unit_to_dict
 # Unused here, but the benchmark's tracer counts calls through this name: keep it bound.
 from .neuron import unit_forward  # noqa: F401
 from .switching import SwitchTable, route
@@ -215,18 +215,13 @@ def _unit_table(units, features: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def _logit_column(readout: LinearReadout, columns, active, n: int) -> np.ndarray:
     """The readout's logit `_z` over the gated vector of every row, bit for bit,
-    from the active slots alone: a zero column plus `w[i] * columns[i]` for each
-    active i in ascending order, then the bias. A skipped inactive term is
-    `w * 0.0`, which is +-0.0 for a finite w and changes no bit of a sum begun
-    from 0.0, since that sum is never -0.0. A non-finite weight makes its term
-    nan, so then `_z` runs over every slot, an inactive one as a zero column."""
+    from its slots alone (`_slots`): a zero column plus `w[i]` times `columns[i]`,
+    or 0.0 for an inactive slot, for each slot in ascending order, then the
+    bias."""
     weights = readout.weights
-    if not all(map(math.isfinite, weights)):
-        zero = np.zeros(n)
-        return _z(weights, readout.bias, [columns[i] if i in active else zero for i in range(len(weights))])
     z = np.zeros(n)
-    for i in active:
-        z += weights[i] * columns[i]
+    for i in _slots(weights, active):
+        z += weights[i] * (columns[i] if i in active else 0.0)
     z += readout.bias
     return z
 
@@ -380,8 +375,8 @@ def forward(net: ModularNetwork, obs: Observation) -> Prediction:
         raise NetworkError(f"observation {obs.id} has {len(obs.features)} features, expected {net.dim}")
     active = route(net.switch, obs.group)
     columns = _gated_columns(net, active, np.array([obs.features], dtype=float))
-    return Prediction(score=_score_column(net.aggregation, columns, active, 1).item(),
-                      predicted_label=int(_label_column(net.aggregation, columns, active, 1).item()),
+    score = _score_column(net.aggregation, columns, active, 1).item()
+    return Prediction(score=score, predicted_label=int(score >= 0.5),
                       active=active,
                       gated_activations=tuple(columns[i].item() if i in active else 0.0
                                               for i in range(net.n_units)))
@@ -403,20 +398,20 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
 
 
 def _slot_safe(weight: float) -> bool:
-    """Whether an inactive slot's update `w - g * 0.0` leaves the weight's bits
-    as they are for every finite g: true for a finite weight but -0.0, which
-    `-0.0 - (-0.0)` turns into 0.0. A weight that starts slot-safe stays so,
-    since no update of a weight other than -0.0 gives -0.0."""
+    """Whether a readout weight may be left out of the rows whose unit is
+    inactive: true for a finite weight but -0.0. Its term `w * 0.0` is +-0.0,
+    which changes no bit of a sum begun from 0.0 (never -0.0), and its update
+    `w - g * 0.0` leaves it as it is for every finite g; -0.0 - (-0.0) is 0.0.
+    A weight that starts slot-safe stays so, since no update of a weight other
+    than -0.0 gives -0.0."""
     return math.isfinite(weight) and (weight != 0.0 or math.copysign(1.0, weight) > 0)
 
 
-def _dense(row: tuple, slots: int, n: int) -> tuple:
-    """An active-slot row as the dense (gated vector, label) row: 0.0 in every
-    inactive slot."""
-    vector = [0.0] * (n + 1)
-    for j, value in zip(row[:slots], row[slots:-1]):
-        vector[j] = value
-    return vector[:n], row[-1]
+def _slots(weights, active) -> tuple:
+    """A row's readout slots: its active units and every weight `_slot_safe`
+    refuses, in ascending order. An inactive slot's value is 0.0."""
+    unsafe = [i for i, w in enumerate(weights) if not _slot_safe(w)]
+    return tuple(sorted({*active, *unsafe})) if unsafe else active
 
 
 def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig) -> ModularNetwork:
@@ -426,47 +421,42 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     trainer's SGD; its epoch orders come from the one shuffle stream
     `rng_for(config.seed, "shuffle", "readout")`.
 
-    Each calibration row is built from its active units' columns alone, as one
-    active-slot row (`neuron._slot_epoch_for`): the active unit indices, then
-    their gated values, then the label, padded to the largest active set by
-    slots of index n (one past the last unit) and value 0.0, whose scratch
-    weight w[n] is dropped after the fit. The fit then costs the active slots
-    per step, and gives the dense SGD's bits over the gated vectors: a skipped
-    inactive slot adds +-0.0 to a logit never -0.0 and leaves its weight as it
-    is while every weight is `_slot_safe` and every step finite. Otherwise,
-    when a start weight is not slot-safe or an epoch ends non-finite, the whole
-    fit reruns as the dense `_sgd` over the gated vectors from the start
-    weights, whose replay names a faulty step.
+    Each calibration row holds its slots alone (`_slots` of the start weights),
+    as one active-slot row (`neuron._slot_epoch_for`): the slot indices, then
+    their gated values, then the label, padded to the widest row by slots of
+    index n (one past the last unit) and value 0.0, whose scratch weight w[n]
+    is dropped after the fit. A step then costs the row's slots, and the fit
+    gives the dense SGD's bits over the gated vectors: a slot left out holds a
+    slot-safe weight, which stays as it is while every step is finite, and an
+    epoch that ends non-finite is replayed to name its first faulty step, the
+    dense SGD's, since a finite step changes no weight left out.
     """
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("fit_readout requires linear-readout aggregation")
     ids = tuple(ids)
     if not ids:
         raise NetworkError("fit_readout needs a non-empty calibration set")
+    start = net.aggregation
     n = net.n_units
     blocks = []
     for block, active, columns, _ in _gated_blocks(net, ids, dataset):
-        values = (np.column_stack([columns[i] for i in active]).tolist() if active
+        slots = _slots(start.weights, active)
+        zero = np.zeros(len(block.positions))
+        values = (np.column_stack([columns[i] if i in active else zero for i in slots]).tolist() if slots
                   else [()] * len(block.positions))
-        blocks.append((block.positions.tolist(), active, values, block.labels.tolist()))
-    slots = max(1, max(len(active) for _, active, _, _ in blocks))
+        blocks.append((block.positions.tolist(), slots, values, block.labels.tolist()))
+    width = max(1, max(len(slots) for _, slots, _, _ in blocks))
     rows = [None] * len(ids)
-    for positions, active, values, labels in blocks:
-        pad = slots - len(active)
-        indices, zeros = (*active, *(n,) * pad), (0.0,) * pad
+    for positions, slots, values, labels in blocks:
+        pad = width - len(slots)
+        indices, zeros = (*slots, *(n,) * pad), (0.0,) * pad
         for position, vector, label in zip(positions, values, labels):
             rows[position] = (*indices, *vector, *zeros, label)
-    start = net.aggregation
-    fitted = None
     try:
-        if all(map(_slot_safe, start.weights)):
-            fitted = _sgd([*start.weights, 0.0], start.bias, rows, "sigmoid", config, "readout", slots=slots)
-        if fitted is None:
-            fitted = _sgd(start.weights, start.bias, [_dense(row, slots, n) for row in rows], "sigmoid",
-                          config, "readout")
+        weights, bias, _ = _sgd([*start.weights, 0.0], start.bias, rows, "sigmoid", config, "readout",
+                                slots=width)
     except TrainingError as exc:
         raise NetworkError(f"readout: {exc}") from None
-    weights, bias, _ = fitted
     readout = LinearReadout(weights=tuple(weights[:n]), bias=bias)
     return ModularNetwork(units=net.units, switch=net.switch, aggregation=readout)
 

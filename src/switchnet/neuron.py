@@ -13,10 +13,9 @@ of both formulas, so a step makes no Python-level call. `_generate` is the
 one place a snippet is compiled, and the generated epochs are the only SGD
 steps: the gradient checks read their gradients off one step of a dense one.
 Inference runs `_z` over numpy float64 columns, so no bit depends on the BLAS
-build. `_sgd` checks finiteness once per epoch; `_replay_epoch` reruns a dense
-epoch that ends non-finite through the same generated epoch, one row per call
-and checked each, to name the faulty step. An active-slot epoch that ends
-non-finite is not replayed: its caller reruns the fit on dense rows.
+build. `_sgd` checks finiteness once per epoch; `_replay_epoch` reruns an
+epoch that ends non-finite, dense or active-slot, through the same generated
+epoch, one row per call and checked each, to name the faulty step.
 """
 
 import functools
@@ -258,9 +257,7 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
     TrainingError naming the first faulty step.
 
     With `slots` > 0 the rows are the sigmoid readout's active-slot rows of
-    that many slots and each epoch runs `_slot_epoch_for(slots, config.loss)`;
-    an epoch that ends non-finite then returns None, no replay: the caller
-    reruns the fit on dense rows, whose replay names the step.
+    that many slots and each epoch runs `_slot_epoch_for(slots, config.loss)`.
     """
     weights = list(weights)
     n = len(rows)
@@ -279,8 +276,6 @@ def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, strea
         # comparisons). So an epoch that ends finite had no faulty step. A total
         # that overflowed from finite losses is no fault: the replay returns.
         if not (math.isfinite(total) and math.isfinite(bias) and all(map(math.isfinite, weights))):
-            if slots:
-                return None
             _replay_epoch(epoch, start_weights, start_bias, rows, order, run_epoch, lr)
         epoch_losses.append(total / n)
     return weights, bias, epoch_losses

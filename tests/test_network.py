@@ -336,10 +336,11 @@ def test_fit_readout_names_a_later_faulty_step(learning_rate, features, labels, 
 
 @pytest.mark.parametrize("start, learning_rate, calls, fault", [
     ((0.0, 0.0, 0.0), 0.5, [2], None),  # assemble's start: one active-slot fit of 2 slots
-    ((0.25, -0.0, 0.0), 0.5, [0], None),  # a -0.0 start weight: the dense fit alone
-    ((0.0, math.inf, 0.0), 0.5, [0], "loss at epoch 0 step 0"),  # a non-finite one: the dense fit alone
-    # diverges: the active-slot fit gives way to the dense one, which names the step
-    ((0.0, 0.0, 0.0), 1e308, [2, 0], "loss at epoch 0 step 3"),
+    # a -0.0 or a non-finite start weight is a slot of every row: one fit of 3 slots
+    ((0.25, -0.0, 0.0), 0.5, [3], None),
+    ((0.0, math.inf, 0.0), 0.5, [3], "loss at epoch 0 step 0"),
+    # diverges: the active-slot fit's replay names the step
+    ((0.0, 0.0, 0.0), 1e308, [2], "loss at epoch 0 step 3"),
 ])
 def test_fit_readout_path(monkeypatch, start, learning_rate, calls, fault):
     made = []

@@ -133,8 +133,8 @@ def test_column_kernel_equals_scalar_kernel(case):
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
 def test_score_column_equals_scalar_score(n_units, n, readout, data):
-    # gated rows: an inactive slot holds 0.0, which the active-slot logit does not
-    # read; EDGE_FLOATS weights reach its dense form for a non-finite weight
+    # gated rows: an inactive slot holds 0.0, which the logit reads only for a weight
+    # that is -0.0 or non-finite, as EDGE_FLOATS weights can be
     active = tuple(sorted(data.draw(st.sets(st.integers(0, n_units - 1)))))
     rows = [[data.draw(EDGE_FLOATS) if i in active else 0.0 for i in range(n_units)] for _ in range(n)]
     aggregation = (sn.LinearReadout(weights=tuple(data.draw(EDGE_FLOATS) for _ in range(n_units)),
@@ -461,13 +461,22 @@ def fit_outcome(fit):
         return str(exc)
 
 
+def unrouted_start_fit(weight: float):
+    """`relu_zero_fit` with `weight` as the start weight of unit 3, which no group
+    routes, so only the unsafe-weight rule makes it a slot."""
+    net, dataset, ids, config = relu_zero_fit()
+    readout = sn.LinearReadout(weights=(*net.aggregation.weights[:3], weight), bias=0.0)
+    return sn.assemble(net.units, net.switch, readout), dataset, ids, config
+
+
 @PROPERTY
 @given(readout_fits())
 @example(relu_zero_fit())
+@example(unrouted_start_fit(-0.0))
+@example(unrouted_start_fit(float("inf")))  # fails at epoch 0 step 0, through the slot replay
 def test_fit_readout_equals_dense_oracle_sgd(case):
-    # the active-slot fit, or its dense fallback, gives the per-step-checked SGD's
-    # bits over the scalar pass's dense gated rows, and a diverging fit names the
-    # same faulty step
+    # the active-slot fit gives the per-step-checked SGD's bits over the scalar
+    # pass's dense gated rows, and a diverging fit names the same faulty step
     net, dataset, ids, config = case
     rows = [(oracle.forward(net, obs).gated_activations, obs.label) for obs in map(dataset.observation, ids)]
 

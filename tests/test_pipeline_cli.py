@@ -826,16 +826,22 @@ def test_gen_data_from_specs_file_matches_config_route(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("option", ["--config", "--set"])
+@pytest.mark.parametrize("option", ["--config", "--set", "--seed"])
 def test_gen_data_refuses_config_or_set_beside_specs(tmp_path, capsys, option):
     # --specs and --seed say the whole dataset: a config file or an override beside
-    # them would be ignored, so either is a config error and nothing is written
+    # them would be ignored, so either is a config error and nothing is written.
+    # Without --specs the config says the seed, so a --seed (ignored before) is one too.
     config = sn.load_config(sn.default_config_path())
     specs_path, out = tmp_path / "specs.json", tmp_path / "a.csv"
     specs_path.write_text(json.dumps([s.to_json() for s in config.specs]))
-    value = sn.default_config_path() if option == "--config" else "seed=7"
-    assert run_cli("gen-data", "--specs", specs_path, "--seed", 42, option, value, "--out", out) == 1
-    assert capsys.readouterr().err == "config error: gen-data with --specs takes no --config or --set\n"
+    if option == "--seed":
+        args, message = ("--seed", 5), "gen-data without --specs takes no --seed; use --set seed=N"
+    else:
+        value = sn.default_config_path() if option == "--config" else "seed=7"
+        args = ("--specs", specs_path, "--seed", 42, option, value)
+        message = "gen-data with --specs takes no --config or --set"
+    assert run_cli("gen-data", *args, "--out", out) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
