@@ -224,47 +224,37 @@ def _add_config_arg(sub, required=False):
                      help="dotted-key config override, e.g. train.epochs=100")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="switchnet",
-                                     description="Switch-gated modular network experiments")
-    parser.add_argument("--version", action="version", version=f"switchnet {ARTIFACT_VERSION}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("pipeline", help="run the full experiment and write the artifact bundle")
-    _add_config_arg(p)
-    p.set_defaults(handler=cmd_pipeline)
-
-    p = subs.add_parser("gen-data", help="generate the synthetic dataset CSV")
+def _gen_data_args(p):
     _add_config_arg(p)
     p.add_argument("--specs", default=None, help="group specs JSON (alternative to --config)")
     p.add_argument("--seed", type=int, default=None, help="seed when using --specs (else --set seed=N)")
     p.add_argument("--out", required=True, help="output dataset CSV path")
-    p.set_defaults(handler=cmd_gen_data)
 
-    p = subs.add_parser("partition", help="partition a dataset per the config's plan")
+
+def _partition_args(p):
     _add_config_arg(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output partition JSON path")
     p.add_argument("--test-sets", default=None, help="also write the test-set id lists here")
-    p.set_defaults(handler=cmd_partition)
 
-    p = subs.add_parser("train", help="train a single unit on its partition subset")
+
+def _train_args(p):
     _add_config_arg(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--unit", type=int, required=True)
     p.add_argument("--out-unit", required=True)
     p.add_argument("--out-log", default=None)
-    p.set_defaults(handler=cmd_train)
 
-    p = subs.add_parser("fedsim", help="train all units on virtual nodes and collect the network")
+
+def _fedsim_args(p):
     _add_config_arg(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(handler=cmd_fedsim)
 
-    p = subs.add_parser("eval", help="evaluate a network bundle on a test set")
+
+def _eval_args(p):
     p.add_argument("--network", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--test-sets", required=True)
@@ -272,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--out-contribution", default=None,
                    help="also write the per-unit ablation contribution report")
-    p.set_defaults(handler=cmd_eval)
 
-    p = subs.add_parser("heatmap", help="probe-activation heatmap, attribution, and exports")
+
+def _heatmap_args(p):
     p.add_argument("--network", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--test-sets", required=True)
@@ -283,13 +273,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)
     p.add_argument("--out-attribution", default=None)
-    p.set_defaults(handler=cmd_heatmap)
 
+
+# Each subcommand, in `--help` order: its help line, its handler and what adds its arguments.
+_SUBCOMMANDS = {
+    "pipeline": ("run the full experiment and write the artifact bundle", cmd_pipeline, _add_config_arg),
+    "gen-data": ("generate the synthetic dataset CSV", cmd_gen_data, _gen_data_args),
+    "partition": ("partition a dataset per the config's plan", cmd_partition, _partition_args),
+    "train": ("train a single unit on its partition subset", cmd_train, _train_args),
+    "fedsim": ("train all units on virtual nodes and collect the network", cmd_fedsim, _fedsim_args),
+    "eval": ("evaluate a network bundle on a test set", cmd_eval, _eval_args),
+    "heatmap": ("probe-activation heatmap, attribution, and exports", cmd_heatmap, _heatmap_args),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser: with every subcommand, or with `command`'s alone, which
+    parses that subcommand's argv as the whole parser does."""
+    parser = argparse.ArgumentParser(prog="switchnet",
+                                     description="Switch-gated modular network experiments")
+    parser.add_argument("--version", action="version", version=f"switchnet {ARTIFACT_VERSION}")
+    # the metavar keeps the usage line that names every subcommand; it is set
+    # for one subcommand only, since it would also rename the argument in the
+    # whole parser's "invalid choice" and "required" errors
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar="{" + ",".join(_SUBCOMMANDS) + "}" if command else None)
+    for name in (command,) if command else _SUBCOMMANDS:
+        help_line, handler, add_args = _SUBCOMMANDS[name]
+        p = subs.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # an argv led by a subcommand builds that subcommand's parser alone
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

@@ -6,8 +6,9 @@ built on first use. `Observation` is the row type at the API edge:
 `Dataset.observation` builds one on demand, and `Dataset.from_observations`
 builds a dataset from rows. Every pass over the data (generation, the CSV
 reader and writer, partitioning, test splits, a node's rows, the network's
-group blocks) works on the columns; the constructor alone checks them, by one
-list of row rules, and the CSV reader names a fault's line. A dataset read
+group blocks) works on the columns; the constructor checks them, by one list
+of row rules (`subset`, a gather of checked rows, by the one rule a gather can
+break), and the CSV reader names a fault's line. A dataset read
 from a CSV also keeps the file's bytes as its `source`, and writing it writes
 those bytes back: a run on a CSV carries its input as given. Partitioning
 assigns disjoint subsets of observation ids to neuron units. All operations
@@ -109,7 +110,12 @@ def _row_rules(ids, groups, labels, features, group_ids) -> list:
             (undeclared, lambda r: f"observation {ids[r]} references unknown group {groups[r]}"),
             ((labels != 0) & (labels != 1), lambda r: f"invalid label {int(labels[r])!r} for observation {ids[r]}"),
             (~np.isfinite(features).all(axis=1), lambda r: f"observation {ids[r]}: non-finite feature"),
-            (_repeats(ids), lambda r: f"duplicate observation id {ids[r]}")]
+            _duplicates(ids)]
+
+
+def _duplicates(ids: np.ndarray) -> tuple:
+    """The rule no id repeats an earlier row's, as `_row_rules` lists it."""
+    return _repeats(ids), lambda r: f"duplicate observation id {ids[r]}"
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
@@ -221,11 +227,22 @@ class Dataset:
                            label=int(self.labels[row]), features=tuple(self.features[row].tolist()))
 
     def subset(self, ids) -> "Dataset":
-        """The rows of `ids`, in that order, over the same groups."""
+        """The rows of `ids`, in that order, over the same groups.
+
+        Rows of a checked dataset break no row rule but the one a gather can:
+        an id given twice. So that rule alone is checked; the columns are
+        read-only copies, as the constructor's are."""
         rows = self.row_index(ids)
-        return Dataset(dim=self.dim, groups=self.groups, ids=self.ids[rows],
-                       row_groups=self.row_groups[rows], labels=self.labels[rows],
-                       features=self.features[rows])
+        ids, row_groups, labels, features = columns = [column[rows] for column in self._columns()]
+        fault = _first_fault([_duplicates(ids)])
+        if fault:
+            raise _RowFault(*fault)
+        for column in columns:
+            column.flags.writeable = False
+        subset = object.__new__(Dataset)  # skips `__post_init__`, whose other rules these rows pass
+        vars(subset).update(dim=self.dim, groups=self.groups, ids=ids, row_groups=row_groups,
+                            labels=labels, features=features, source=None)
+        return subset
 
 
 @dataclass(frozen=True)

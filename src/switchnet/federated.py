@@ -13,8 +13,9 @@ assembly: no weight averaging.
 
 `multiprocessing` is imported where the first child starts, so a run that
 trains in this process alone never loads it (nor `subprocess`, `socket`, ...).
-The SGD epochs the nodes run are compiled in this process before any child
-starts, so a forked child inherits them instead of compiling its own.
+The generated SGD each node's fit runs, one call for all its epochs, is
+compiled in this process before any child starts, so a forked child inherits
+it instead of compiling its own.
 """
 
 import time
@@ -115,7 +116,7 @@ def _child(nodes, config: TrainConfig, sender) -> None:
 
 
 def _compile_epochs(nodes, loss: str) -> None:
-    """Compile here each SGD epoch the nodes' training will compile, so that
+    """Compile here each generated SGD the nodes' training will compile, so that
     forked children inherit it; a node whose pair is refused reports that itself."""
     for width, activation in {(n.unit.dim, n.unit.activation) for n in nodes
                               if n.unit.dim == n.local_data.dim}:

@@ -444,7 +444,7 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
         zero = np.zeros(len(block.positions))
         values = (np.column_stack([columns[i] if i in active else zero for i in slots]).tolist() if slots
                   else [()] * len(block.positions))
-        blocks.append((block.positions.tolist(), slots, values, block.labels.tolist()))
+        blocks.append((block.positions.tolist(), slots, values, block.labels.astype(float).tolist()))
     width = max(1, max(len(slots) for _, slots, _, _ in blocks))
     rows = [None] * len(ids)
     for positions, slots, values, labels in blocks:

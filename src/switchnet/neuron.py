@@ -3,25 +3,31 @@
 A unit is a standalone micro-model: weight vector, bias, activation. Training
 touches only the given unit's parameters; nothing is shared across units.
 Training and readout fitting share one SGD trainer (`_sgd`) on Python floats.
-Its epochs are generated from one source template (`_generate`): one per
-(input width, activation, loss) for dense rows (`_epoch_for`), and one per
-(slot count, loss) for the sigmoid readout's active-slot rows
-(`_slot_epoch_for`), which read and write only each row's slots' weights.
-Each sums `w.x + b` left to right from 0.0 as `_z` does and computes the loss
-and gradient inline from the pair's snippet in `_LOSS_SNIPPETS`, the one copy
-of both formulas, so a step makes no Python-level call. `_generate` is the
-one place a snippet is compiled, and the generated epochs are the only SGD
-steps: the gradient checks read their gradients off one step of a dense one.
-Inference runs `_z` over numpy float64 columns, so no bit depends on the BLAS
-build. `_sgd` checks finiteness once per epoch; `_replay_epoch` reruns an
-epoch that ends non-finite, dense or active-slot, through the same generated
-epoch, one row per call and checked each, to name the faulty step.
+Its fits are generated from one source template (`_generate`), each a
+function that runs every epoch of a fit in one call: one per (input width,
+activation, loss) for flat dense rows (`_epoch_for`), and one per (slot count,
+loss) for the sigmoid readout's active-slot rows (`_slot_epoch_for`), which
+read and write only each row's slots' weights. Each sums `w.x + b` left to
+right from 0.0 as `_z` does and computes the loss and gradient inline from the
+pair's snippet in `_LOSS_SNIPPETS`, the one copy of both formulas, so a step
+makes no Python-level call. `_generate` is the one place a snippet is
+compiled, and the generated functions are the only SGD steps: the gradient
+checks read their gradients off one step of a dense one. Inference runs `_z`
+over numpy float64 columns, so no bit depends on the BLAS build. A fit's epoch
+orders come from one `permuted` draw per block of epochs (`_orders`). The
+generated function checks finiteness at each epoch's end and returns at the
+first epoch that ends non-finite; `_replay_epoch` reruns that epoch, dense or
+active-slot, through the same function, one row per call and checked each, to
+name the faulty step.
 """
 
 import functools
+import itertools
 import math
 import textwrap
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import TrainingError
 from .jsonio import floats, is_finite, is_int, write_json
@@ -63,10 +69,12 @@ def _z(weights, bias: float, x) -> float:
 # form of -[y log(s) + (1-y) log(1-s)], finite for any float z, and dz the
 # canonical bce+sigmoid gradient s - y. mse squares the difference by one
 # multiplication, not diff**2, so an overflow yields inf, not OverflowError,
-# and the relu derivative at exactly 0 is 0.
+# and the relu derivative at exactly 0 is 0. z is compared with 0.0, not 0, and
+# the trainer's callers pass float labels, so each operation is float with
+# float, which the interpreter runs faster, with the bits of int 0 and labels.
 _LOSS_SNIPPETS = {
     ("sigmoid", "bce"): """\
-if z >= 0:
+if z >= 0.0:
     e = exp(-z)
     loss = z - z * y + log1p(e)
     dz = 1.0 / (1.0 + e) - y
@@ -76,7 +84,7 @@ else:
     dz = e / (1.0 + e) - y
 """,
     ("sigmoid", "mse"): """\
-if z >= 0:
+if z >= 0.0:
     a = 1.0 / (1.0 + exp(-z))
 else:
     e = exp(z)
@@ -92,9 +100,9 @@ loss = diff * diff
 dz = 2.0 * diff * (1.0 - a * a)
 """,
     ("relu", "mse"): """\
-diff = (z if z > 0 else 0.0) - y
+diff = (z if z > 0.0 else 0.0) - y
 loss = diff * diff
-dz = 2.0 * diff * (1.0 if z > 0 else 0.0)
+dz = 2.0 * diff * (1.0 if z > 0.0 else 0.0)
 """,
 }
 
@@ -171,124 +179,159 @@ def unit_forward(unit: NeuronUnit, x) -> float:
     return _activate(unit.activation, _z(unit.weights, unit.bias, x))
 
 
-# One SGD epoch, the body both generated forms share: `{params}` binds the
-# weights, `{row}` unpacks one row into its values x0, x1, ... and the label y,
-# and `{result}` is the weights returned; `_generate` writes in the expression
-# that reads and writes each value's weight. `z` starts from
-# `0.0 +` as `_z` does, so a -0.0 product still gives 0.0. Sequential
-# statements, not one nested expression, so no width reaches the parser's
-# nesting limit. The loss and gradient are the pair's snippet, written into the
-# loop body, so a step makes no Python-level call beyond the snippet's math
-# functions. Only integer indices, names and the snippets are interpolated.
-_EPOCH_TEMPLATE = """\
-def epoch(weights, bias, rows, order, lr):
+# Every SGD epoch of one fit, the body both generated forms share: `{params}`
+# binds the weights, `{row}` unpacks one row into its values x0, x1, ... and
+# the label y, and `{snapshot}` is a new list of the current weights;
+# `_generate` writes in the expression that reads and writes each value's
+# weight. `z` starts from `0.0 +` as `_z` does, so a -0.0 product still gives
+# 0.0. Sequential statements, not one nested expression, so no width reaches the
+# parser's nesting limit. The loss and gradient are the pair's snippet, written
+# into the loop body, so a step makes no Python-level call beyond the snippet's
+# math functions. Only integer indices, names and the snippets are interpolated.
+#
+# Each epoch ends with one finiteness check, on its loss total, bias and
+# weights. It finds every faulty step of the epoch: every loss is >= 0 (or nan),
+# under + and - an inf or nan never turns finite again, and no step can raise
+# (exp only gets arguments <= 0 or nan, then log1p, then comparisons). So an
+# epoch that ends finite had no faulty step. At the first epoch that ends
+# non-finite the function returns, with that epoch's start weights, start bias
+# and order beside its end state, so the caller can replay it.
+_EPOCHS_TEMPLATE = """\
+def epochs(weights, bias, rows, orders, lr):
     {params}
-    total = 0.0
-    for idx in order:
-        {row} = rows[idx]
+    start, start_bias = weights, bias
+    totals = []
+    for order in orders:
+        total = 0.0
+        for idx in order:
+            {row} = rows[idx]
 {sum}
-        z += bias
+            z += bias
 {loss}
-        g = lr * dz
+            g = lr * dz
 {update}
-        bias = bias - g
-        total += loss
-    return {result}, bias, total
+            bias = bias - g
+            total += loss
+        end = {snapshot}
+        totals.append(total)
+        if not (isfinite(total) and isfinite(bias) and all(map(isfinite, end))):
+            return end, bias, totals, (start, start_bias, order)
+        start, start_bias = end, bias
+    return start, start_bias, totals, None
 """
 
 
-def _generate(name: str, activation: str, loss: str, weights, params: str, row: str, result: str):
-    """Compile `_EPOCH_TEMPLATE` with weight i read and written as `weights[i]`:
+def _generate(name: str, activation: str, loss: str, weights, params: str, row: str, snapshot: str):
+    """Compile `_EPOCHS_TEMPLATE` with weight i read and written as `weights[i]`:
     the one place a loss snippet is compiled."""
-    source = _EPOCH_TEMPLATE.format(
-        params=params, row=row, result=result,
-        sum="\n".join([f"        z = 0.0 + {weights[0]} * x0"]
-                      + [f"        z += {w} * x{i}" for i, w in enumerate(weights) if i]),
-        loss=textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * 8).rstrip("\n"),
-        update="\n".join(f"        {w} = {w} - g * x{i}" for i, w in enumerate(weights)))
-    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh}
+    source = _EPOCHS_TEMPLATE.format(
+        params=params, row=row, snapshot=snapshot,
+        sum="\n".join([f"            z = 0.0 + {weights[0]} * x0"]
+                      + [f"            z += {w} * x{i}" for i, w in enumerate(weights) if i]),
+        loss=textwrap.indent(_LOSS_SNIPPETS[activation, loss], " " * 12).rstrip("\n"),
+        update="\n".join(f"            {w} = {w} - g * x{i}" for i, w in enumerate(weights)))
+    namespace = {"exp": math.exp, "log1p": math.log1p, "tanh": math.tanh, "isfinite": math.isfinite}
     exec(compile(source, f"<sgd epoch, {name}, {activation}/{loss}>", "exec"), namespace)
-    return namespace["epoch"]
+    return namespace["epochs"]
 
 
 @functools.cache
 def _epoch_for(d: int, activation: str, loss: str):
-    """The SGD epoch for rows `((x0, ..., x{d-1}), y)` of width d >= 1 under an
-    accepted (activation, loss) pair, compiled on first use and cached, the
-    weights unpacked to locals w0..w{d-1}: `epoch(weights, bias, rows, order,
-    lr)` returns the new weights (a list), the new bias and the epoch's loss
-    total.
+    """The SGD epochs for flat rows `(x0, ..., x{d-1}, y)` of width d >= 1 under
+    an accepted (activation, loss) pair, compiled on first use and cached, the
+    weights unpacked to locals w0..w{d-1}.
 
-    Compiling costs about 0.4 ms at width 2, 10 ms at width 300 and 0.6 s at
-    width 20,000 (2-vCPU Xeon, Python 3.11), once per (width, activation,
-    loss) per process.
+    `epochs(weights, bias, rows, orders, lr)` runs one epoch per order it takes
+    from `orders` and returns `(weights, bias, totals, fault)`: the weights (a
+    list) and bias after the last epoch it ran, each epoch's loss total, and
+    None, or, when that last epoch ended non-finite, its start weights, start
+    bias and order.
+
+    Compiling costs about 0.2 ms at width 2, 4 ms at width 300 and 0.45 s at
+    width 20,000 (2-vCPU Intel Xeon, Python 3.11.7), once per (width,
+    activation, loss) per process.
     """
     w = [f"w{i}" for i in range(d)]
     x = ", ".join(f"x{i}" for i in range(d))
     return _generate(f"width {d}", activation, loss, w, params=f"{', '.join(w)}, = weights",
-                     row=f"({x},), y", result=f"[{', '.join(w)}]")
+                     row=f"{x}, y", snapshot=f"[{', '.join(w)}]")
 
 
 @functools.cache
 def _slot_epoch_for(k: int, loss: str):
-    """The sigmoid readout's active-slot epoch for rows of k >= 1 slots, compiled
+    """The sigmoid readout's active-slot epochs for rows of k >= 1 slots, compiled
     on first use and cached. A row is one flat tuple `(j0, ..., j{k-1}, x0, ...,
     x{k-1}, y)`: the indices of the weights its values meet, the values, the
-    label. The epoch reads and writes `w[j]` of a copy of the weights, so a step
-    costs k slots, not the weights' width; it returns the same triple as
-    `_epoch_for`'s."""
+    label. The function reads and writes `w[j]` of a copy of the weights, so a
+    step costs k slots, not the weights' width; it takes and returns what
+    `_epoch_for`'s does."""
     j = ", ".join(f"j{i}" for i in range(k))
     x = ", ".join(f"x{i}" for i in range(k))
     return _generate(f"{k} slots", "sigmoid", loss, [f"w[j{i}]" for i in range(k)],
-                     params="w = list(weights)", row=f"{j}, {x}, y", result="w")
+                     params="w = list(weights)", row=f"{j}, {x}, y", snapshot="w[:]")
+
+
+# The most entries `_orders` draws into one table (a row more when one epoch
+# holds more), so a long fit's orders are never all held at once: a fit of
+# 1,200 rows and 50 epochs holds one table of 3 epochs and one listed order.
+_ORDER_BLOCK = 2**12
+
+
+def _orders(n: int, epochs: int, shuffler):
+    """The rows of `epochs` successive `shuffler.permutation(n)` calls, one list
+    at a time: `permuted` shuffles each row of a table of `arange(n)` rows in
+    turn, with the same draws, a block of whole epochs per call."""
+    per_block = max(1, _ORDER_BLOCK // n)
+    for first in range(0, epochs, per_block):
+        table = np.empty((min(per_block, epochs - first), n), dtype=np.int64)
+        table[:] = np.arange(n)
+        shuffler.permuted(table, axis=1, out=table)
+        for order in table:
+            yield order.tolist()
 
 
 def _sgd(weights, bias: float, rows, activation: str, config: TrainConfig, stream, slots: int = 0):
-    """SGD over (x, y) rows, one update per row; returns (weights, bias, epoch_losses).
+    """SGD over flat rows `(x0, ..., x{d-1}, y)`, one update per row; returns
+    (weights, bias, epoch_losses).
 
     When shuffling, epoch e visits the rows in the e-th `permutation(n)` of the
-    one generator `rng_for(config.seed, "shuffle", stream)`. Each epoch runs
-    the generated `_epoch_for(len(weights), activation, config.loss)`, which
-    sums `w.x + b` as `_z` does.
+    one generator `rng_for(config.seed, "shuffle", stream)`, drawn by
+    `_orders`. The whole fit is one call of the generated
+    `_epoch_for(len(weights), activation, config.loss)`, which sums `w.x + b`
+    as `_z` does and checks finiteness once per epoch.
 
-    Finiteness is checked once per epoch, on the epoch's loss total and its
-    final bias and weights. An epoch that ends non-finite is replayed from its
-    start, one row per call of the same epoch (`_replay_epoch`), and raises the
-    TrainingError naming the first faulty step.
+    An epoch that ends non-finite is replayed from its start, one row per call
+    of the same function (`_replay_epoch`), and raises the TrainingError naming
+    the first faulty step. A replay that finds none had a loss total overflow
+    from finite losses, which is no fault: the fit goes on from that epoch's
+    end, in one more call.
 
     With `slots` > 0 the rows are the sigmoid readout's active-slot rows of
-    that many slots and each epoch runs `_slot_epoch_for(slots, config.loss)`.
+    that many slots and the fit runs `_slot_epoch_for(slots, config.loss)`.
     """
-    weights = list(weights)
     n = len(rows)
     lr = config.learning_rate
+    run = (_slot_epoch_for(slots, config.loss) if slots
+           else _epoch_for(len(weights), activation, config.loss))
+    orders = (_orders(n, config.epochs, rng_for(config.seed, "shuffle", stream)) if config.shuffle
+              else itertools.repeat(range(n), config.epochs))
+    weights = list(weights)
     epoch_losses = []
-    run_epoch = (_slot_epoch_for(slots, config.loss) if slots
-                 else _epoch_for(len(weights), activation, config.loss))
-    shuffler = rng_for(config.seed, "shuffle", stream)
-    for epoch in range(config.epochs):
-        order = shuffler.permutation(n).tolist() if config.shuffle else range(n)
-        start_weights, start_bias = weights, bias
-        weights, bias, total = run_epoch(weights, bias, rows, order, lr)
-        # One check finds every faulty step of the epoch: every loss is >= 0 (or
-        # nan), under + and - an inf or nan never turns finite again, and no step
-        # can raise (exp only gets arguments <= 0 or nan, then log1p, then
-        # comparisons). So an epoch that ends finite had no faulty step. A total
-        # that overflowed from finite losses is no fault: the replay returns.
-        if not (math.isfinite(total) and math.isfinite(bias) and all(map(math.isfinite, weights))):
-            _replay_epoch(epoch, start_weights, start_bias, rows, order, run_epoch, lr)
-        epoch_losses.append(total / n)
-    return weights, bias, epoch_losses
+    while True:
+        weights, bias, totals, fault = run(weights, bias, rows, orders, lr)
+        epoch_losses += [total / n for total in totals]
+        if fault is None:
+            return weights, bias, epoch_losses
+        _replay_epoch(len(epoch_losses) - 1, *fault, rows, run, lr)
 
 
-def _replay_epoch(epoch: int, weights, bias: float, rows, order, run_epoch, lr: float) -> None:
+def _replay_epoch(epoch: int, weights, bias: float, order, rows, run, lr: float) -> None:
     """Run epoch `epoch` again from its start, one row per call; raise at the first fault."""
     for step, idx in enumerate(order):
-        weights, bias, loss = run_epoch(weights, bias, rows, (idx,), lr)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch} step {step}")
-        if not (math.isfinite(bias) and all(map(math.isfinite, weights))):
-            raise TrainingError(f"non-finite parameters at epoch {epoch} step {step}")
+        weights, bias, (loss,), fault = run(weights, bias, rows, ((idx,),), lr)
+        if fault:
+            kind = "loss" if not math.isfinite(loss) else "parameters"
+            raise TrainingError(f"non-finite {kind} at epoch {epoch} step {step}")
 
 
 def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUnit, TrainLog]:
@@ -304,7 +347,7 @@ def train_unit(unit: NeuronUnit, subset, config: TrainConfig) -> tuple[NeuronUni
     if subset.dim != unit.dim:
         raise TrainingError(f"unit {unit.unit_index}: subset has {subset.dim} features per "
                             f"observation, expected {unit.dim}")
-    rows = list(zip(subset.features.tolist(), subset.labels.tolist()))
+    rows = list(zip(*subset.features.T.tolist(), subset.labels.astype(float).tolist()))
     try:
         weights, bias, epoch_losses = _sgd(unit.weights, unit.bias, rows, unit.activation,
                                            config, unit.unit_index)

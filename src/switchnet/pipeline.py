@@ -30,15 +30,16 @@ from .neuron import ACTIVATIONS, TrainConfig, _check_pair, init_unit, save_unit
 from .switching import SwitchTable, build_switch
 
 # Below this many SGD steps in a run (epochs x assigned observations) the nodes
-# train in this process whatever `network.workers` says. On a 2-vCPU Xeon (the
-# packaged config scaled x2-x24, three passes of 30 alternating pairs of
-# in-process and 2-worker `run_local_training` per size, median 2-worker minus
-# in-process, this process training one share and one child the other), the
-# children lost 0.3-0.5 ms at 10,000 steps, split at 20,000 (-0.7, -0.7 and
-# +0.1 ms) and 30,000 (+0.9, -1.4 and -1.1 ms), and won every pass from 40,000
-# to 100,000: by 2.2-2.3 ms at 40,000 (30 of 30 pairs), 5-9 ms at 70,000 to
-# 100,000 (24-30 of 30). At 120,000 one pass was even (+0.0 ms, 15 of 30), the
-# others won (-9.9 and -1.3 ms). A second round at 25,000-45,000 won every pass.
+# train in this process whatever `network.workers` says. On a shared 2-vCPU
+# Intel Xeon, with every epoch of a fit in one call (the packaged config scaled
+# x4-x12, three passes of 60 alternating pairs of in-process and 2-worker
+# `run_local_training` per size, median 2-worker minus in-process, this process
+# training one share and one child the other), the children lost at 20,000
+# steps (+0.7, +2.6 and +5.0 ms; 0-22 of 60 pairs won), split at 30,000 (+1.3,
+# -3.8 and -5.0 ms), and won every pass from 40,000: by 2.3-8.6 ms at 40,000
+# (38-56 of 60) and 6.7-11.7 ms at 50,000 and 60,000 (52-60 of 60). An earlier
+# round with one call per epoch (30 pairs per size, x2-x24) also split at
+# 20,000-30,000 and won every pass from 40,000 to 100,000.
 POOL_MIN_STEPS = 40_000
 # the keys each config section must and may hold; `seed` is the one top-level value
 _SECTIONS = {"data": ((), ("groups", "dataset", "dataset_sha256", "holdout_fraction")),

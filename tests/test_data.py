@@ -686,6 +686,12 @@ def test_subset_keeps_the_order_of_its_ids():
     assert [sub.observation(i) for i in ids] == [ds.observation(i) for i in ids]
 
 
+def test_subset_refuses_an_id_given_twice():
+    ds = sn.generate_synthetic(specs_for((4, 3)), seed=8)
+    with pytest.raises(sn.DataError, match=r"^duplicate observation id 4$"):
+        ds.subset([4, 0, 4])
+
+
 def test_load_missing_file():
     with pytest.raises(sn.DataError, match="not found"):
         sn.load_dataset("/nonexistent/nowhere.csv")

@@ -83,12 +83,13 @@ def test_forward_dimension_mismatch():
 # ------------------------------------------------------------------- gradients
 
 def epoch_step(activation, loss, weights, bias, x, y):
-    """One step of the generated SGD epoch at learning rate 1.0 on the row (x, y):
-    (loss, d_weights, d_bias), the loss the epoch's returned total and the
-    gradient read off the update, d = old - new. The reading is exact for a
+    """One step of the generated SGD at learning rate 1.0 on the row (x, y), as
+    one epoch of one row: (loss, d_weights, d_bias), the loss the epoch's total
+    and the gradient read off the update, d = old - new, which the function
+    returns whether or not the epoch ends finite. The reading is exact for a
     zero weight or bias; a bias of -0.0 also keeps the sign of a zero gradient."""
-    epoch = neuron._epoch_for(len(weights), activation, loss)
-    new_weights, new_bias, total = epoch(list(weights), bias, [(tuple(x), y)], (0,), 1.0)
+    epochs = neuron._epoch_for(len(weights), activation, loss)
+    new_weights, new_bias, (total,), _ = epochs(list(weights), bias, [(*x, y)], [(0,)], 1.0)
     return total, tuple(w - nw for w, nw in zip(weights, new_weights)), bias - new_bias
 
 
@@ -338,7 +339,7 @@ def test_sgd_compiles_one_epoch_per_width(monkeypatch):
     monkeypatch.setattr(neuron, "compile", counting_compile, raising=False)
     neuron._epoch_for.cache_clear()
     config = sn.TrainConfig(epochs=2, loss="mse", seed=0)
-    rows = [([1.0, -2.0], 1), ([0.5, 0.25], 0)]
+    rows = [(1.0, -2.0, 1), (0.5, 0.25, 0)]
     for _ in range(2):
         neuron._sgd([0.1, 0.2], 0.0, rows, "tanh", config, stream=0)
     assert len(compiled) == 1
@@ -351,6 +352,54 @@ def test_sgd_compiles_one_epoch_per_width(monkeypatch):
     assert neuron._epoch_for(2, "relu", "mse") is not neuron._epoch_for(2, "tanh", "mse")
     assert neuron._epoch_for(2, "sigmoid", "bce") is not neuron._epoch_for(2, "sigmoid", "mse")
     assert len(compiled) == 5
+
+
+@pytest.mark.parametrize("n,epochs,shuffle", [
+    (neuron._ORDER_BLOCK // 5, 12, True),  # three tables, of 5, 5 and 2 epochs
+    (1, 3, True),
+    (4, 3, False),
+])
+def test_sgd_orders_are_successive_permutations(monkeypatch, n, epochs, shuffle):
+    """The fit's epoch orders are the e-th `permutation(n)` of the one shuffle
+    stream, or the row order when not shuffling."""
+    seen = []
+
+    def recording(weights, bias, rows, orders, lr):
+        seen.extend(list(order) for order in orders)
+        return weights, bias, [0.0] * len(seen), None
+
+    monkeypatch.setattr(neuron, "_epoch_for", lambda *key: recording)
+    config = sn.TrainConfig(epochs=epochs, seed=7, shuffle=shuffle)
+    neuron._sgd([0.0], 0.0, [(0.0, 0)] * n, "sigmoid", config, stream=3)
+    shuffler = neuron.rng_for(7, "shuffle", 3)
+    assert seen == [shuffler.permutation(n).tolist() if shuffle else list(range(n)) for _ in range(epochs)]
+
+
+@pytest.mark.parametrize("subset,learning_rate,calls", [
+    # every epoch ends finite: one call for the whole fit
+    ((((0.5, -0.5), 1), ((-1.0, 0.25), 0)), 0.1, 1),
+    # both epochs' loss totals overflow from finite losses: each epoch is
+    # replayed, one call per row, and the fit goes on in one more call
+    ((((1e154,), 0), ((1e154,), 0)), 5e-324, 1 + 2 * (2 + 1)),
+])
+def test_sgd_calls_the_generated_epochs_once_per_fit(monkeypatch, subset, learning_rate, calls):
+    made = []
+    epoch_for = neuron._epoch_for
+
+    def counting(*key):
+        epochs = epoch_for(*key)
+
+        def counted(*args):
+            made.append(args)
+            return epochs(*args)
+        return counted
+
+    monkeypatch.setattr(neuron, "_epoch_for", counting)
+    config = sn.TrainConfig(learning_rate=learning_rate, epochs=2, loss="mse", seed=0)
+    dim = len(subset[0][0])
+    unit = make_unit((1.0,) * dim, activation="relu")
+    neuron.train_unit(unit, rows(*(obs(x, y, oid=i) for i, (x, y) in enumerate(subset))), config)
+    assert len(made) == calls
 
 
 def test_loss_snippets_cover_exactly_the_accepted_pairs():

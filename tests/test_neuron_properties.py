@@ -46,6 +46,11 @@ def outcome(sgd, case):
         return f"TrainingError: {exc}"
 
 
+def flat_sgd(weights, bias, rows, activation, config, stream):
+    """`_sgd` on the case's `(x, y)` rows as the flat rows `(x0, ..., y)` it takes."""
+    return _sgd(weights, bias, [(*x, y) for x, y in rows], activation, config, stream)
+
+
 def bce_run(rate, features, labels, epochs=6):
     config = sn.TrainConfig(learning_rate=rate, epochs=epochs, loss="bce", seed=0, shuffle=False)
     return [0.0], 0.0, [([x], y) for x, y in zip(features, labels)], "sigmoid", config
@@ -103,5 +108,5 @@ def test_sgd_matches_the_per_step_checked_oracle(case):
     expected = outcome(oracle.sgd, case)
     event("diverges" if expected.startswith("TrainingError") else
           "epoch loss overflows" if "inf" in expected else "finite")
-    assert outcome(_sgd, case) == expected
+    assert outcome(flat_sgd, case) == expected
 

@@ -10,6 +10,7 @@ import pytest
 
 import switchnet as sn
 import switchnet.pipeline
+from switchnet import cli
 from switchnet.cli import main
 
 
@@ -740,6 +741,33 @@ def test_cli_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert f"switchnet {sn.__version__}" in capsys.readouterr().out
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([command, "--help"] for command in cli._SUBCOMMANDS), ["pipeline", "--bogus"],
+    ["eval", "--kind", "x"], ["train", "--unit"], ["bogus"], [], ["-h", "pipeline"], ["--version"],
+    ["pipeline", "--", "x"]])
+def test_cli_parses_as_the_parser_of_every_subcommand(monkeypatch, capsys, argv):
+    """`main` builds the parser of the subcommand that leads argv alone; help,
+    usage and errors are those of the parser with every subcommand."""
+    expected = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    assert parse_outcome(main, argv, capsys) == expected
+    assert built == [argv[0] if argv and argv[0] in cli._SUBCOMMANDS else None]
+
+
+def test_cli_errors_name_the_command_argument(capsys):
+    assert "error: argument command: invalid choice: 'bogus'" in parse_outcome(main, ["bogus"], capsys)[2]
+    assert "error: the following arguments are required: command" in parse_outcome(main, [], capsys)[2]
 
 
 # ---------------------------------------------------------------- stage composability
