@@ -171,6 +171,9 @@ def cmd_fedsim(args) -> int:
     parts = read_input(_require_file(args.partition, "partition JSON"), "partition JSON", PartitionSet.from_json)
     out = Path(args.out_dir)
     _check_output_dir(out)
+    if (out / "manifest.json").exists():
+        raise DataError(f"{out / 'manifest.json'} marks a pipeline bundle: fedsim would leave its config "
+                        "and manifest naming another run; choose another --out-dir")
     n = len(parts.subsets)  # a unit file past these would sit beside a network without that unit
     stale = sorted(p for p in out.glob("unit_*.json") if re.fullmatch(r"unit_\d+", p.stem) and int(p.stem[5:]) >= n)
     if stale:

@@ -17,12 +17,13 @@ one-row block. `_pass`, the one walk that scores an id list, serves evaluation,
 ablation, the heatmap and `readings`: its `_Tally` counts a block's hits,
 re-scores it once per active unit and keeps the block's reduced probes.
 
-Scoring reads the active slots alone: no column is built for an inactive
-slot. A readout reads one slot rule, `_slots`: the active units plus every
-weight `_slot_safe` refuses (-0.0, +-inf, nan), an inactive slot holding 0.0.
-Its logit (`_logit_column`) sums the slots' terms from a zero column, which
-is `_z` over the gated vector bit for bit, so an ablation re-scores a block's
-remaining slots; `fit_readout` trains on the same slots' rows
+Scoring reads the active units alone: no column is built for an inactive
+unit, and a readout's slots are exactly its active units. `LinearReadout`
+holds finite weights, none of them -0.0, so an inactive unit's term
+`w * 0.0` is +-0.0 and changes no bit of a sum begun from 0.0. Its logit
+(`_logit_column`) sums the active units' terms from a zero column, which is
+`_z` over the gated vector bit for bit, so an ablation re-scores a block's
+remaining units; `fit_readout` trains on the same units' rows
 (`neuron._slot_epoch_for`) with the dense SGD's bits.
 
 A readout's label needs no sigmoid wherever the logit's sign decides it:
@@ -57,8 +58,15 @@ SET_KINDS = ("overlapping", "non-overlapping")
 
 @dataclass(frozen=True)
 class LinearReadout:
+    """A sigmoid over the gated vector. Its weights and bias are finite floats
+    (`floats` refuses anything else) and a weight of -0.0 is stored as 0.0."""
     weights: tuple[float, ...]
     bias: float = 0.0
+
+    def __post_init__(self):
+        *weights, bias = floats([*self.weights, self.bias], "readout weights and bias")
+        object.__setattr__(self, "weights", tuple(w + 0.0 for w in weights))
+        object.__setattr__(self, "bias", bias)
 
 
 @dataclass(frozen=True)
@@ -215,13 +223,11 @@ def _unit_table(units, features: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def _logit_column(readout: LinearReadout, columns, active, n: int) -> np.ndarray:
     """The readout's logit `_z` over the gated vector of every row, bit for bit,
-    from its slots alone (`_slots`): a zero column plus `w[i]` times `columns[i]`,
-    or 0.0 for an inactive slot, for each slot in ascending order, then the
-    bias."""
-    weights = readout.weights
+    from its active units alone: a zero column plus `w[i]` times `columns[i]`
+    for each active i in ascending order, then the bias."""
     z = np.zeros(n)
-    for i in _slots(weights, active):
-        z += weights[i] * (columns[i] if i in active else 0.0)
+    for i in active:
+        z += readout.weights[i] * columns[i]
     z += readout.bias
     return z
 
@@ -397,23 +403,6 @@ def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metri
     return _pass(net, ids, dataset, ablate=False).metrics(set_kind)
 
 
-def _slot_safe(weight: float) -> bool:
-    """Whether a readout weight may be left out of the rows whose unit is
-    inactive: true for a finite weight but -0.0. Its term `w * 0.0` is +-0.0,
-    which changes no bit of a sum begun from 0.0 (never -0.0), and its update
-    `w - g * 0.0` leaves it as it is for every finite g; -0.0 - (-0.0) is 0.0.
-    A weight that starts slot-safe stays so, since no update of a weight other
-    than -0.0 gives -0.0."""
-    return math.isfinite(weight) and (weight != 0.0 or math.copysign(1.0, weight) > 0)
-
-
-def _slots(weights, active) -> tuple:
-    """A row's readout slots: its active units and every weight `_slot_safe`
-    refuses, in ascending order. An inactive slot's value is 0.0."""
-    unsafe = [i for i, w in enumerate(weights) if not _slot_safe(w)]
-    return tuple(sorted({*active, *unsafe})) if unsafe else active
-
-
 def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig) -> ModularNetwork:
     """Fit the linear readout on gated activation vectors; units stay frozen.
 
@@ -421,15 +410,16 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     trainer's SGD; its epoch orders come from the one shuffle stream
     `rng_for(config.seed, "shuffle", "readout")`.
 
-    Each calibration row holds its slots alone (`_slots` of the start weights),
-    as one active-slot row (`neuron._slot_epoch_for`): the slot indices, then
-    their gated values, then the label, padded to the widest row by slots of
-    index n (one past the last unit) and value 0.0, whose scratch weight w[n]
-    is dropped after the fit. A step then costs the row's slots, and the fit
-    gives the dense SGD's bits over the gated vectors: a slot left out holds a
-    slot-safe weight, which stays as it is while every step is finite, and an
-    epoch that ends non-finite is replayed to name its first faulty step, the
-    dense SGD's, since a finite step changes no weight left out.
+    Each calibration row holds its active units alone, as one active-slot row
+    (`neuron._slot_epoch_for`): the unit indices, then their gated values,
+    then the label, padded to the widest row by slots of index n (one past the
+    last unit) and value 0.0, whose scratch weight w[n] is dropped after the
+    fit. A step then costs the row's active units, and the fit gives the dense
+    SGD's bits over the gated vectors: an inactive unit's weight is finite and
+    not -0.0, so the dense update `w - g * 0.0` leaves it as it is for every
+    finite g and no such update gives -0.0; an epoch that ends non-finite is
+    replayed to name its first faulty step, the dense SGD's, since a finite
+    step changes no weight left out.
     """
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("fit_readout requires linear-readout aggregation")
@@ -440,11 +430,9 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     n = net.n_units
     blocks = []
     for block, active, columns, _ in _gated_blocks(net, ids, dataset):
-        slots = _slots(start.weights, active)
-        zero = np.zeros(len(block.positions))
-        values = (np.column_stack([columns[i] if i in active else zero for i in slots]).tolist() if slots
+        values = (np.column_stack([columns[i] for i in active]).tolist() if active
                   else [()] * len(block.positions))
-        blocks.append((block.positions.tolist(), slots, values, block.labels.astype(float).tolist()))
+        blocks.append((block.positions.tolist(), active, values, block.labels.astype(float).tolist()))
     width = max(1, max(len(slots) for _, slots, _, _ in blocks))
     rows = [None] * len(ids)
     for positions, slots, values, labels in blocks:
@@ -483,8 +471,7 @@ def network_to_dict(net: ModularNetwork) -> dict:
 def network_from_dict(obj: dict) -> ModularNetwork:
     agg = obj["aggregation"]
     if agg["kind"] == "linear-readout":
-        values = floats([*agg["weights"], agg["bias"]], "readout weights and bias")
-        aggregation = LinearReadout(weights=values[:-1], bias=values[-1])
+        aggregation = LinearReadout(weights=tuple(agg["weights"]), bias=agg["bias"])
     elif agg["kind"] == ROUTER_MEAN:
         aggregation = ROUTER_MEAN
     else:

@@ -1,4 +1,4 @@
-"""Byte-determinism pinned: sha256 of every deterministic artifact of three small runs.
+"""Byte-determinism pinned: sha256 of every deterministic artifact of four small runs.
 
 A drift fails and names the files. An intended numeric change re-pins the table
 and declares the drift in CHANGES.md; a drift after a numpy upgrade is fixed by
@@ -16,6 +16,9 @@ RUNS = {
     "default": [],
     "multi-unit-router-mean": MULTI_UNIT,
     "multi-unit-linear-readout": MULTI_UNIT + ["network.aggregation=linear-readout"],
+    # group 2 routes to no unit, groups 1 and 4 to three and two: readout rows of 0, 1, 2 and 3 slots
+    "none-active-linear-readout": ["network.aggregation=linear-readout", "switch.fallback=none-active",
+                                   'switch.entries={"0":[0],"1":[1,2,3],"3":[3],"4":[4,0]}'],
 }
 
 # re-pinned when the data and shuffle streams became one generator per use (declared drift)
@@ -52,6 +55,11 @@ PINNED = {
         "contribution.json": "30a7af715d7d5a91e0642ea6d630331472f4157e77452a5953274355fbc15243",
         "manifest.json": "6812fb4165dbaa444a7c14736cda38c4350f5ec2d1358cc8ecf405c7d82e80ec",
         "network.json": "93e27c5387c8049a83aa576ceeabbad54a9c2e4df5022f5e30140e1050e55a77"},
+    "none-active-linear-readout": {**COMMON,
+        "config.json": "ade01220b2b075f6e184f4b5a82b8bb507cb12069560f017adf5e7edcf059c66",
+        "contribution.json": "27813c94f796aa08e9fbaa27e8606ed8c30feae6bae51ea31c60da5677199516",
+        "manifest.json": "187b0efcd6fb10ee9b3608661cadfcc7851e98cddc4e2a4bd0a553f0026e56a2",
+        "network.json": "b6fad7c913a7e9b39d2683b8529e214b1e381cff31fc4ea4b0dd554f9b4f419b"},
 }
 
 

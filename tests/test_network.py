@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import operator
 import re
@@ -336,9 +337,10 @@ def test_fit_readout_names_a_later_faulty_step(learning_rate, features, labels, 
 
 @pytest.mark.parametrize("start, learning_rate, calls, fault", [
     ((0.0, 0.0, 0.0), 0.5, [2], None),  # assemble's start: one active-slot fit of 2 slots
-    # a -0.0 or a non-finite start weight is a slot of every row: one fit of 3 slots
-    ((0.25, -0.0, 0.0), 0.5, [3], None),
-    ((0.0, math.inf, 0.0), 0.5, [3], "loss at epoch 0 step 0"),
+    # a -0.0 start weight is stored as 0.0, a slot of no row it is inactive in
+    ((0.25, -0.0, 0.0), 0.5, [2], None),
+    # a non-finite start weight is refused before any fit
+    ((0.0, math.inf, 0.0), 0.5, [], "got inf"),
     # diverges: the active-slot fit's replay names the step
     ((0.0, 0.0, 0.0), 1e308, [2], "loss at epoch 0 step 3"),
 ])
@@ -354,6 +356,11 @@ def test_fit_readout_path(monkeypatch, start, learning_rate, calls, fault):
     units = trained_two_unit_net(dataset).units
     units += (dataclasses.replace(units[0], unit_index=2),)
     switch, _ = sn.build_switch(3, {0: {0, 2}, 1: {1}})
+    if not all(map(math.isfinite, start)):
+        with pytest.raises(sn.DataError, match=f"within float range, {fault}$"):
+            sn.LinearReadout(weights=start, bias=0.0)
+        assert made == calls
+        return
     net = sn.assemble(units, switch, sn.LinearReadout(weights=start, bias=0.0))
     config = sn.TrainConfig(learning_rate=learning_rate, epochs=5, seed=3)
     if fault is None:
@@ -444,10 +451,42 @@ def test_load_network_names_the_file_it_cannot_parse(tmp_path):
 def test_network_bundle_rejects_bad_aggregation(aggregation, message):
     doc = sn.network.network_to_dict(trained_two_unit_net(two_group_dataset()))
     doc["aggregation"] = aggregation
-    # readout numbers are read by jsonio.floats, so a bad one is a DataError (a NetworkError before)
+    # LinearReadout reads its numbers through jsonio.floats, so a bad one is a DataError
     error = sn.NetworkError if message.startswith("aggregation kind") else sn.DataError
     with pytest.raises(error, match=message):
         sn.network.network_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "0.5"], ids=repr)
+@pytest.mark.parametrize("place", ["weight", "bias"])
+def test_linear_readout_refuses_what_is_not_a_finite_number(place, bad):
+    weights, bias = ((0.5, bad), 0.0) if place == "weight" else ((0.5, 0.5), bad)
+    message = f"readout weights and bias must be JSON numbers within float range, got {bad!r}"
+    with pytest.raises(sn.DataError, match=f"^{re.escape(message)}$"):
+        sn.LinearReadout(weights=weights, bias=bias)
+
+
+def test_linear_readout_stores_finite_floats_and_no_negative_zero():
+    readout = sn.LinearReadout(weights=(-0.0, 2, -0.5), bias=1)
+    assert [math.copysign(1.0, w) for w in readout.weights] == [1.0, 1.0, -1.0]
+    assert readout.weights == (0.0, 2.0, -0.5) and readout.bias == 1.0
+    assert {type(v) for v in (*readout.weights, readout.bias)} == {float}
+
+
+def test_network_json_with_negative_zero_weight_scores_as_zero(tmp_path):
+    dataset = two_group_dataset(label_by_group=(1, 0))
+    net = trained_two_unit_net(dataset, aggregation="linear-readout")
+    predictions = []
+    for zero in (-0.0, 0.0):
+        doc = network.network_to_dict(net)
+        doc["aggregation"].update(weights=[zero, 1.5], bias=0.25)
+        path = tmp_path / f"network_{zero}.json"
+        path.write_text(json.dumps(doc))
+        loaded = sn.load_network(path)
+        assert math.copysign(1.0, loaded.aggregation.weights[0]) == 1.0
+        predictions.append(repr([sn.forward(loaded, o) for o in map(dataset.observation, dataset.ids.tolist())]))
+    assert '"weights": [-0.0, 1.5]' in (tmp_path / "network_-0.0.json").read_text()
+    assert predictions[0] == predictions[1]
 
 
 def test_contribution_call_counts(monkeypatch):

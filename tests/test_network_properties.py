@@ -4,6 +4,7 @@ Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
 import collections
 import contextlib
+import math
 
 import pytest
 
@@ -21,11 +22,13 @@ from switchnet.neuron import _activate, _z  # noqa: E402
 
 
 FLOATS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
-# signed zeros, subnormals, magnitudes up to 1e300, infinities and nan, as the
-# column kernel's elementwise numpy ops must round and propagate them like Python floats
-EDGE_FLOATS = (st.floats(min_value=-1e300, max_value=1e300)
-               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
-                                  float("inf"), float("-inf"), float("nan")]))
+# signed zeros, subnormals and magnitudes up to 1e300: the values a LinearReadout
+# holds (it stores -0.0 as 0.0)
+FINITE_EDGE_FLOATS = (st.floats(min_value=-1e300, max_value=1e300)
+                      | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]))
+# and the infinities and nan, as the column kernel's elementwise numpy ops must
+# round and propagate them like Python floats
+EDGE_FLOATS = FINITE_EDGE_FLOATS | st.sampled_from([float("inf"), float("-inf"), float("nan")])
 # readout logits packed about zero, where a sign rule and the sigmoid's score can
 # disagree: exp(-2**-54) rounds to 1.0, so its score is exactly 0.5
 NEAR_ZERO = [-0.0, 5e-324, -5e-324, -2**-53, -2**-54, -1e-6, -1.0000001e-6,
@@ -133,12 +136,12 @@ def test_column_kernel_equals_scalar_kernel(case):
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
 def test_score_column_equals_scalar_score(n_units, n, readout, data):
-    # gated rows: an inactive slot holds 0.0, which the logit reads only for a weight
-    # that is -0.0 or non-finite, as EDGE_FLOATS weights can be
+    # gated rows: an inactive slot holds 0.0, which the oracle's dense logit reads
+    # and the column's does not; a relu overflow can still bring inf or nan to an active slot
     active = tuple(sorted(data.draw(st.sets(st.integers(0, n_units - 1)))))
     rows = [[data.draw(EDGE_FLOATS) if i in active else 0.0 for i in range(n_units)] for _ in range(n)]
-    aggregation = (sn.LinearReadout(weights=tuple(data.draw(EDGE_FLOATS) for _ in range(n_units)),
-                                    bias=data.draw(EDGE_FLOATS))
+    aggregation = (sn.LinearReadout(weights=tuple(data.draw(FINITE_EDGE_FLOATS) for _ in range(n_units)),
+                                    bias=data.draw(FINITE_EDGE_FLOATS))
                    if readout else "router-mean")
     columns = list(np.array(rows, dtype=float).T)
     score = network._score_column(aggregation, columns, active, n).tolist()
@@ -154,16 +157,18 @@ def logit_case(logits):
 @st.composite
 def label_cases(draw):
     """(aggregation, active, rows of gated values, true labels): a router mean or a
-    readout over EDGE_FLOATS, or a `logit_case` whose logits are drawn from LOGITS.
-    A row holds 0.0 in each inactive slot, as a gated row does."""
+    readout of finite weights over EDGE_FLOATS rows, or a `logit_case` whose
+    logits are drawn from LOGITS. A row holds 0.0 in each inactive slot, as a
+    gated row does."""
     if draw(st.booleans()):
         aggregation, active, rows, _ = logit_case(draw(st.lists(LOGITS, min_size=1, max_size=12)))
     else:
         values = EDGE_FLOATS | LOGITS
+        weights = FINITE_EDGE_FLOATS | LOGITS.filter(math.isfinite)
         n_units = draw(st.integers(1, 4))
         active = tuple(sorted(draw(st.sets(st.integers(0, n_units - 1)))))
         aggregation = draw(st.sampled_from(["router-mean", sn.LinearReadout(
-            weights=tuple(draw(values) for _ in range(n_units)), bias=draw(values))]))
+            weights=tuple(draw(weights) for _ in range(n_units)), bias=draw(weights))]))
         rows = [[draw(values) if i in active else 0.0 for i in range(n_units)]
                 for _ in range(draw(st.integers(1, 6)))]
     return aggregation, active, rows, [draw(st.integers(0, 1)) for _ in rows]
@@ -403,11 +408,10 @@ def test_nan_unit_no_group_activates_changes_nothing(case):
         assert pred.gated_activations[dead] == 0.0
 
 
-# readout start weights an active-slot fit must not mistake: -0.0, which a dense
-# update with g < 0 turns into 0.0, the infinities and nan, whose inactive terms
-# are nan, and subnormals
-START_WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
-                                 float("inf"), float("-inf"), float("nan")]) | FLOATS
+# readout start weights an active-slot fit must not mistake: -0.0, which the
+# readout stores as 0.0 (a dense update with g < 0 would turn it into 0.0),
+# subnormals, and +-1e300, far past where the sigmoid saturates
+START_WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]) | FLOATS
 
 
 @st.composite
@@ -439,7 +443,8 @@ def readout_fits(draw):
 
 def relu_zero_fit():
     """A relu unit active for group 0 whose activation is exactly 0.0 on every row,
-    beside units routed to one and three slots, from -0.0 start weights."""
+    beside units routed to one and three slots, from start weights given as -0.0
+    (stored as 0.0)."""
     units = [sn.NeuronUnit(unit_index=0, activation="relu", weights=(-1.0,), bias=-0.5),
              sn.NeuronUnit(unit_index=1, activation="sigmoid", weights=(0.75,), bias=0.1),
              sn.NeuronUnit(unit_index=2, activation="tanh", weights=(-1.5,), bias=0.2),
@@ -463,7 +468,7 @@ def fit_outcome(fit):
 
 def unrouted_start_fit(weight: float):
     """`relu_zero_fit` with `weight` as the start weight of unit 3, which no group
-    routes, so only the unsafe-weight rule makes it a slot."""
+    routes, so no row holds it."""
     net, dataset, ids, config = relu_zero_fit()
     readout = sn.LinearReadout(weights=(*net.aggregation.weights[:3], weight), bias=0.0)
     return sn.assemble(net.units, net.switch, readout), dataset, ids, config
@@ -473,7 +478,6 @@ def unrouted_start_fit(weight: float):
 @given(readout_fits())
 @example(relu_zero_fit())
 @example(unrouted_start_fit(-0.0))
-@example(unrouted_start_fit(float("inf")))  # fails at epoch 0 step 0, through the slot replay
 def test_fit_readout_equals_dense_oracle_sgd(case):
     # the active-slot fit gives the per-step-checked SGD's bits over the scalar
     # pass's dense gated rows, and a diverging fit names the same faulty step

@@ -1425,6 +1425,28 @@ def test_fedsim_refuses_a_stale_unit_file_before_training(tmp_path, monkeypatch,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_fedsim_refuses_a_pipeline_bundle_before_training(tmp_path, monkeypatch, capsys):
+    # a fedsim run into a pipeline's bundle would leave its config.json and
+    # manifest naming a network that is gone
+    out = tmp_path / "bundle"
+    sets = fast_sets(out, epochs=2)
+    assert run_cli("pipeline", *[a for s in sets for a in ("--set", s)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def no_training(*args):
+        raise AssertionError("train_stage ran")
+
+    monkeypatch.setattr("switchnet.cli.train_stage", no_training)
+    capsys.readouterr()
+    assert run_cli("fedsim", "--set", "train.epochs=3", "--dataset", out / "dataset.csv",
+                   "--partition", out / "partition.json", "--out-dir", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out / 'manifest.json'} marks a pipeline bundle: fedsim would leave its "
+                            "config and manifest naming another run; choose another --out-dir\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command, flag", [("heatmap", "--out-attribution"), ("heatmap", "--out-svg"),
                                            ("partition", "--test-sets"), ("train", "--out-log"),
                                            ("eval", "--out-contribution")])
