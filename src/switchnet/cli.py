@@ -171,6 +171,10 @@ def cmd_fedsim(args) -> int:
     parts = read_input(_require_file(args.partition, "partition JSON"), "partition JSON", PartitionSet.from_json)
     out = Path(args.out_dir)
     _check_output_dir(out)
+    bundle = ReportBundle(out, len(parts.subsets))
+    if out.is_dir():  # a missing --out-dir, created when written, holds no input
+        _check_outputs((_config_path(args), args.dataset, args.partition), *bundle.unit_jsons,
+                       bundle.network_json, bundle.fed_report_json, bundle.fed_timings_json)
     if (out / "manifest.json").exists():
         raise DataError(f"{out / 'manifest.json'} marks a pipeline bundle: fedsim would leave its config "
                         "and manifest naming another run; choose another --out-dir")
@@ -184,7 +188,7 @@ def cmd_fedsim(args) -> int:
     net, fed = train_stage(config, dataset, parts, switch)
     net = readout_stage(config, net, dataset, parts)
     out.mkdir(parents=True, exist_ok=True)
-    write_training(ReportBundle(out, net.n_units), net, fed)
+    write_training(bundle, net, fed)
     print(f"trained {len(net.units)} nodes with {fed.workers} worker(s) -> {out}")
     return 0
 

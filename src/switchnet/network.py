@@ -5,25 +5,22 @@ entirely, so their gated activation is exactly 0.0 and their parameters are
 never read. Every pass over an id list walks it by group block through one
 per-block forward, `_gated_blocks`. A block is one index gather from the
 dataset's columns (the id list's rows of one group, in id-list order), and its
-(unit, row) activations come from one kernel call, `_unit_table`: the active
+(unit, row) activations come from one call of `neuron._unit_table`: the active
 units alone on the gated path, or every unit when the heatmap's probes are
-wanted, the gated columns then being the probe table's active rows. The kernel
-runs the scalar kernel's `_z` on the whole (units, rows) table in one
-broadcast and each distinct activation once over its units' rows, so the
-float64 operations are elementwise in the same left-to-right order (exp and
-tanh stay on `math`), and every value equals `unit_forward` on one
-observation bit for bit, as the router mean equals `_mean`. `forward` is a
-one-row block. `_pass`, the one walk that scores an id list, serves evaluation,
-ablation, the heatmap and `readings`: its `_Tally` counts a block's hits,
-re-scores it once per active unit and keeps the block's reduced probes.
+wanted, the gated columns then being the probe table's active rows. Every
+value equals `unit_forward` on one observation bit for bit, as the router mean
+equals `_mean`. `forward` is a one-row block. `_pass`, the one walk that
+scores an id list, serves evaluation, ablation, the heatmap and `readings`:
+its `_Tally` counts a block's hits, re-scores it once per active unit and
+keeps the block's reduced probes.
 
 Scoring reads the active units alone: no column is built for an inactive
 unit, and a readout's slots are exactly its active units. `LinearReadout`
 holds finite weights, none of them -0.0, so an inactive unit's term
 `w * 0.0` is +-0.0 and changes no bit of a sum begun from 0.0. Its logit
-(`_logit_column`) sums the active units' terms from a zero column, which is
-`_z` over the gated vector bit for bit, so an ablation re-scores a block's
-remaining units; `fit_readout` trains on the same units' rows
+(`_logit_column`) is `_z` over the active units' weights and columns, the
+same bits as `_z` over the whole gated vector, so an ablation re-scores a
+block's remaining units; `fit_readout` trains on the same units' rows
 (`neuron._slot_epoch_for`) with the dense SGD's bits.
 
 A readout's label needs no sigmoid wherever the logit's sign decides it:
@@ -32,12 +29,9 @@ A readout's label needs no sigmoid wherever the logit's sign decides it:
 the sigmoid is at most about 0.49999975). Only logits in (-1e-6, 0) go
 through the sigmoid, since rounding takes some of them, the ones within about
 1.1e-16 of 0, to a score of exactly 0.5. So every label is the one the scalar
-pass's score gives. `math.exp` and `math.tanh` read a column's values one
-Python float at a time through a `memoryview` and fill their column through
-`np.fromiter`, so no list of a whole table's values is built on either side.
+pass's score gives.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +40,7 @@ from ._version import ARTIFACT_VERSION
 from .data import Dataset, Observation
 from .errors import NetworkError, TrainingError
 from .jsonio import floats, read_input, write_json
-from .neuron import NeuronUnit, TrainConfig, _sgd, unit_from_dict, unit_to_dict
+from .neuron import NeuronUnit, TrainConfig, _sgd, _sigmoid_column, _unit_table, _z, unit_from_dict, unit_to_dict
 # Unused here, but the benchmark's tracer counts calls through this name: keep it bound.
 from .neuron import unit_forward  # noqa: F401
 from .switching import SwitchTable, route
@@ -178,58 +172,12 @@ def _means(columns) -> list:
 
 
 @np.errstate(all="ignore")
-def _sigmoid_column(z: np.ndarray) -> np.ndarray:
-    """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical.
-    Both branches divide into `e` in place: a block-sized table allocates no buffer per branch."""
-    e = np.fromiter(map(math.exp, memoryview(-np.abs(z))), float, count=len(z))
-    d = 1.0 + e
-    np.divide(e, d, out=e)  # e / (1 + e) where z < 0
-    np.divide(1.0, d, out=e, where=z >= 0)  # 1 / (1 + e) where z >= 0
-    return e
-
-
-def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
-    """`_activate` elementwise, branch for branch."""
-    if kind == "sigmoid":
-        return _sigmoid_column(z)
-    if kind == "relu":
-        return np.where(z > 0, z, 0.0)
-    return np.fromiter(map(math.tanh, memoryview(z)), float, count=len(z))
-
-
-@np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
-def _unit_table(units, features: np.ndarray) -> np.ndarray:
-    """`unit_forward` of each unit on every row of a (rows, dim) feature array,
-    as one (units, rows) table, bit for bit: `z` starts at 0.0 and adds
-    `W[:, i:i+1] * X[:, i]` for each feature in turn, then the biases, the
-    elementwise float64 operations of `_z` in its order; then each distinct
-    activation runs once over its units' flattened rows, so every unit keeps
-    its own."""
-    weights = np.array([unit.weights for unit in units], dtype=float)
-    z = np.zeros((len(units), len(features)))
-    for i in range(features.shape[1]):
-        z += weights[:, i:i + 1] * features[:, i]
-    z += np.array([[unit.bias] for unit in units], dtype=float)
-    kinds = [unit.activation for unit in units]
-    for kind in dict.fromkeys(kinds):
-        rows = [k for k, other in enumerate(kinds) if other == kind]
-        if len(rows) == len(kinds):
-            rows = slice(None)  # one activation: the whole table, not a gathered copy of it
-        table = z[rows]
-        z[rows] = _activate_column(kind, table.ravel()).reshape(table.shape)
-    return z
-
-
-@np.errstate(all="ignore")
 def _logit_column(readout: LinearReadout, columns, active, n: int) -> np.ndarray:
-    """The readout's logit `_z` over the gated vector of every row, bit for bit,
-    from its active units alone: a zero column plus `w[i]` times `columns[i]`
-    for each active i in ascending order, then the bias."""
-    z = np.zeros(n)
-    for i in active:
-        z += readout.weights[i] * columns[i]
-    z += readout.bias
-    return z
+    """The readout's logit over the gated vector of every row, bit for bit: `_z`
+    over the active units' weights and columns, in ascending order; with none
+    active, `0.0 + bias` on each of the n rows."""
+    z = _z([readout.weights[i] for i in active], readout.bias, [columns[i] for i in active])
+    return z if active else np.full(n, z)
 
 
 @np.errstate(all="ignore")

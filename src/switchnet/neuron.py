@@ -12,13 +12,21 @@ right from 0.0 as `_z` does and computes the loss and gradient inline from the
 pair's snippet in `_LOSS_SNIPPETS`, the one copy of both formulas, so a step
 makes no Python-level call. `_generate` is the one place a snippet is
 compiled, and the generated functions are the only SGD steps: the gradient
-checks read their gradients off one step of a dense one. Inference runs `_z`
-over numpy float64 columns, so no bit depends on the BLAS build. A fit's epoch
-orders come from one `permuted` draw per block of epochs (`_orders`). The
-generated function checks finiteness at each epoch's end and returns at the
-first epoch that ends non-finite; `_replay_epoch` reruns that epoch, dense or
-active-slot, through the same function, one row per call and checked each, to
-name the faulty step.
+checks read their gradients off one step of a dense one.
+
+A fit's epoch orders come from one `permuted` draw per block of epochs
+(`_orders`). The generated function checks finiteness at each epoch's end and
+returns at the first epoch that ends non-finite; `_replay_epoch` reruns that
+epoch, dense or active-slot, through the same function, one row per call and
+checked each, to name the faulty step.
+
+Inference runs `_z` over numpy float64 columns, so no bit depends on the BLAS
+build: the column kernel `_unit_table` takes a block's (units, rows)
+pre-activations from one `_z` broadcast, and a readout's logit is `_z` too.
+The column activations follow `_activate` branch for branch, with `exp` and
+`tanh` on `math`: each reads a column one Python float at a time through a
+`memoryview` and fills its result through `np.fromiter`, so no list of a
+whole table's values is built on either side.
 """
 
 import functools
@@ -53,11 +61,50 @@ def _activate(kind: str, z: float) -> float:
 
 
 def _z(weights, bias: float, x) -> float:
-    """Pre-activation w.x + b, summed left to right."""
+    """Pre-activation w.x + b, summed left to right from 0.0: on Python floats, or
+    elementwise on numpy float64 arrays that broadcast, term by term in the same order."""
     z = 0.0
     for w, xi in zip(weights, x):
         z += w * xi
     return z + bias
+
+
+@np.errstate(all="ignore")
+def _sigmoid_column(z: np.ndarray) -> np.ndarray:
+    """`_sigmoid` elementwise; exp stays on `math`, since `np.exp` is not bit-identical.
+    Both branches divide into `e` in place: a block-sized table allocates no buffer per branch."""
+    e = np.fromiter(map(math.exp, memoryview(-np.abs(z))), float, count=len(z))
+    d = 1.0 + e
+    np.divide(e, d, out=e)  # e / (1 + e) where z < 0
+    np.divide(1.0, d, out=e, where=z >= 0)  # 1 / (1 + e) where z >= 0
+    return e
+
+
+def _activate_column(kind: str, z: np.ndarray) -> np.ndarray:
+    """`_activate` elementwise, branch for branch."""
+    if kind == "sigmoid":
+        return _sigmoid_column(z)
+    if kind == "relu":
+        return np.where(z > 0, z, 0.0)
+    return np.fromiter(map(math.tanh, memoryview(z)), float, count=len(z))
+
+
+@np.errstate(all="ignore")  # overflow and nan as Python floats give them, without warnings
+def _unit_table(units, features: np.ndarray) -> np.ndarray:
+    """`unit_forward` of each unit on every row of a (rows, dim) feature array,
+    as one (units, rows) table, bit for bit: one `_z` over the (dim, units, 1)
+    weights and the (dim, rows) features, then each distinct activation once
+    over its units' flattened rows, so every unit keeps its own."""
+    weights = np.array([unit.weights for unit in units], dtype=float)
+    z = _z(weights.T[:, :, None], np.array([[unit.bias] for unit in units], dtype=float), features.T)
+    kinds = [unit.activation for unit in units]
+    for kind in dict.fromkeys(kinds):
+        rows = [k for k, other in enumerate(kinds) if other == kind]
+        if len(rows) == len(kinds):
+            rows = slice(None)  # one activation: the whole table, not a gathered copy of it
+        table = z[rows]
+        z[rows] = _activate_column(kind, table.ravel()).reshape(table.shape)
+    return z
 
 
 # One snippet per (activation, loss) pair the trainer accepts, the one copy of

@@ -18,7 +18,7 @@ import numpy as np  # noqa: E402
 import oracle  # noqa: E402
 import switchnet as sn  # noqa: E402
 from switchnet import network  # noqa: E402
-from switchnet.neuron import _activate, _z  # noqa: E402
+from switchnet.neuron import _activate, _activate_column, _z  # noqa: E402
 
 
 FLOATS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
@@ -123,7 +123,7 @@ def test_column_kernel_equals_scalar_kernel(case):
         with np.errstate(all="ignore"):
             z = _z(weights, bias, features.T).tolist()
         assert repr(z) == repr([_z(weights, bias, x) for x in rows])
-        activated = network._activate_column(activation, np.array(z)).tolist()
+        activated = _activate_column(activation, np.array(z)).tolist()
         assert repr(activated) == repr([_activate(activation, v) for v in z])
     # the k-unit table: row k is unit k's `unit_forward` on every feature row
     units = [sn.NeuronUnit(unit_index=k, activation=activation, weights=weights, bias=bias)
@@ -199,7 +199,7 @@ def probe_cases(draw):
 @example(("tanh", [[-0.0, 2.0], [-0.0, -0.0]]))  # tanh(-0.0) is -0.0; a running total from 0.0 makes its mean 0.0
 def test_heatmap_means_equal_left_to_right_mean(case):
     activation, logits = case
-    probes = [network._activate_column(activation, np.array(column)) for column in logits]
+    probes = [_activate_column(activation, np.array(column)) for column in logits]
     assert repr(network._means(probes)) == repr([network._mean(p.tolist()) for p in probes])
 
 

@@ -1534,6 +1534,55 @@ def test_output_naming_an_input_is_refused(tmp_path, capsys, small_bundle, comma
     assert source.read_bytes() == before
 
 
+def _moved(source, target):
+    source.rename(target)
+    return target
+
+
+def _hard_linked(source, target):
+    target.hardlink_to(source)
+    return source
+
+
+def _symbolically_linked(source, target):
+    target.symlink_to(source)
+    return source
+
+
+# (input flag, the output under --out-dir that names it, how; each returns the
+# path the input is then given as): the input moved there, or linked there
+FEDSIM_SAME_AS_INPUT = [("--partition", "network.json", _moved),
+                        ("--dataset", "fed_report.json", _hard_linked),
+                        ("--config", "unit_0.json", _symbolically_linked),
+                        ("--partition", "fed_timings.json", _symbolically_linked)]
+
+
+@pytest.mark.parametrize("flag, name, spell", FEDSIM_SAME_AS_INPUT,
+                         ids=["same-path", "hard-link", "symbolic-link-config", "symbolic-link-partition"])
+def test_fedsim_output_naming_an_input_is_refused_before_training(tmp_path, monkeypatch, capsys, small_bundle,
+                                                                  flag, name, spell):
+    inputs = {"--config": sn.default_config_path(), "--dataset": small_bundle / "dataset.csv",
+              "--partition": small_bundle / "partition.json"}
+    out = tmp_path / "out"
+    out.mkdir()
+    source, target = tmp_path / "input", out / name
+    before = inputs[flag].read_bytes()
+    source.write_bytes(before)
+    inputs[flag] = spell(source, target)
+
+    def no_training(*args):
+        raise AssertionError("train_stage ran")
+
+    monkeypatch.setattr("switchnet.cli.train_stage", no_training)
+    assert run_cli("fedsim", "--set", "train.epochs=2", *[a for pair in inputs.items() for a in pair],
+                   "--out-dir", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: it is also an input of this command\n"
+    assert list(out.iterdir()) == [target]
+    assert inputs[flag].read_bytes() == before
+
+
 # ---------------------------------------------------------------- byte-order marks
 
 BOM = b"\xef\xbb\xbf"
