@@ -21,7 +21,7 @@ from pathlib import Path
 from .data import Dataset
 from .errors import AnalysisError
 from .jsonio import write_json
-from .network import ContributionReport, Metrics, ModularNetwork, _check_evaluation, _means, _pass
+from .network import ContributionReport, Metrics, ModularNetwork, _check_evaluation, _id_list, _means, _pass
 
 STATISTICS = ("mean", "max")
 
@@ -104,8 +104,8 @@ def heatmap(net: ModularNetwork, ids, dataset: Dataset, statistic: str = "mean")
     ids belonging to group g. Columns follow group id order.
     """
     reduce = _reducer(statistic)
-    ids = tuple(ids)
-    if not ids:
+    ids = _id_list(ids)
+    if not len(ids):
         raise AnalysisError("heatmap needs at least one observation id")
     return _matrix(net, dataset, _pass(net, ids, dataset, ablate=False, reduce=reduce).stats, statistic)
 
@@ -117,7 +117,7 @@ def readings(net: ModularNetwork, ids, dataset: Dataset, set_kind: str,
     (unit, row) activation is computed once. Without a statistic the pass
     computes the active units only. An id list or set kind `evaluate` refuses
     fails first, with its message."""
-    ids = tuple(ids)
+    ids = _id_list(ids)
     _check_evaluation(ids, set_kind)
     reduce = None if statistic is None else _reducer(statistic)
     tally = _pass(net, ids, dataset, ablate=True, reduce=reduce)

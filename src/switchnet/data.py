@@ -1,18 +1,23 @@
 """Datasets, synthetic group-structured generation, disjoint partitioning, test splits.
 
 A dataset holds its rows as read-only numpy columns: integer ids, row groups
-and labels, and one (rows, dim) float64 feature array, with an id -> row index
-built on first use. `Observation` is the row type at the API edge:
-`Dataset.observation` builds one on demand, and `Dataset.from_observations`
-builds a dataset from rows. Every pass over the data (generation, the CSV
-reader and writer, partitioning, test splits, a node's rows, the network's
-group blocks) works on the columns; the constructor checks them, by one list
-of row rules (`subset`, a gather of checked rows, by the one rule a gather can
-break), and the CSV reader names a fault's line. A dataset read
-from a CSV also keeps the file's bytes as its `source`, and writing it writes
-those bytes back: a run on a CSV carries its input as given. Partitioning
-assigns disjoint subsets of observation ids to neuron units. All operations
-are pure functions of their inputs and a seed.
+and labels, and one (rows, dim) float64 feature array. An id's row is found
+by a binary search of the ids' stable argsort, made on first use.
+`Observation` is the row type at the API edge: `Dataset.observation` builds
+one on demand, and `Dataset.from_observations` builds a dataset from rows.
+Every pass over the data (generation, the CSV reader and writer,
+partitioning, test splits, a node's rows, the network's group blocks) works on
+the columns; the constructor checks them, by one list of row rules (`subset`,
+a gather of checked rows, by the one rule a gather can break), and the CSV
+reader names a fault's line. A dataset read from a CSV also keeps the file's
+bytes as its `source`, and writing it writes those bytes back: a run on a CSV
+carries its input as given. Partitioning assigns disjoint subsets of
+observation ids to neuron units. Every id list is an int64 column from the
+partition to the bundle: the subsets, the ids assigned, and both test sets,
+each sorted and read-only, checked and drawn by sorts and masks. An id list
+passed in is read as integers, Python or numpy; a bool or float id is an
+error, never truncated. All operations are pure functions of their inputs and
+a seed.
 """
 
 import csv
@@ -118,14 +123,45 @@ def _duplicates(ids: np.ndarray) -> tuple:
     return _repeats(ids), lambda r: f"duplicate observation id {ids[r]}"
 
 
-def _repeats(ids: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose id an earlier row already has: a stable sort keeps
-    equal ids in row order, so every one after the first is a repeat."""
+def _sorted_ids(ids: np.ndarray) -> tuple:
+    """(rows in id order, the ids in that order): a stable sort, so equal ids
+    keep their row order."""
     order = np.argsort(ids, kind="stable")
-    repeat = np.zeros(len(ids), dtype=bool)
-    ranked = ids[order]
+    return order, ids[order]
+
+
+def _held(by_id) -> np.ndarray:
+    """Mask of the rows whose id an earlier row already has, from `_sorted_ids`:
+    among equal ids in row order, every one after the first is a repeat."""
+    order, ranked = by_id
+    repeat = np.zeros(len(order), dtype=bool)
     repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
     return repeat
+
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """`_held` of the ids; ids in increasing order, the usual layout, repeat
+    none and need no sort."""
+    if (ids[1:] > ids[:-1]).all():
+        return np.zeros(len(ids), dtype=bool)
+    return _held(_sorted_ids(ids))
+
+
+def _int64_ids(ids, what: str) -> tuple:
+    """`ids` in their order as a new int64 column, up to the first id past int64:
+    (that column, that id or None). A bool or float id, Python or numpy, or any
+    other non-integer, is a DataError naming the first: it is never truncated.
+    A uint64 array is listed, so an id past int64 stays one, never wrapped."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and ids.dtype != np.uint64:
+        return np.array(ids, dtype=np.int64), None
+    values = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+    if not set(map(type, values)) <= {int}:
+        bad = next((v for v in values if not (is_int(v) or isinstance(v, np.integer))), None)
+        if bad is not None:
+            raise DataError(f"{what} must be integers, got {bad!r}")
+        values = list(map(int, values))
+    past = next((k for k, v in enumerate(values) if not -2**63 <= v < 2**63), None)
+    return np.array(values[:past], dtype=np.int64), None if past is None else values[past]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,15 +247,25 @@ class Dataset:
         return self.ids, self.row_groups, self.labels, self.features
 
     @cached_property
-    def _row_of(self) -> dict:
-        return dict(zip(self.ids.tolist(), range(len(self.ids))))
+    def _by_id(self) -> tuple:
+        """`_sorted_ids(ids)`: `row_index`'s search table, made on its first use."""
+        return _sorted_ids(self.ids)
 
     def row_index(self, ids) -> np.ndarray:
-        """The row of each id, in order."""
-        try:
-            return np.fromiter(map(self._row_of.__getitem__, ids), dtype=np.intp)
-        except KeyError as exc:
-            raise DataError(f"unknown observation id {exc.args[0]}") from None
+        """The row of each id, in order, found by a binary search of the ids in
+        sorted order (`_by_id`). A bool or float id is a DataError naming it,
+        and so is the first id, in order, that no row holds (a negative one, or
+        one past int64, included)."""
+        query, past = _int64_ids(ids, "observation ids")
+        order, ranked = self._by_id
+        at = np.searchsorted(ranked, query)
+        known = at < len(ranked)
+        known[known] = ranked[at[known]] == query[known]
+        if not known.all():
+            raise DataError(f"unknown observation id {query[np.argmin(known)]}")
+        if past is not None:  # no row holds an id past int64; the ids before it all have one
+            raise DataError(f"unknown observation id {past}")
+        return order[at]
 
     def observation(self, obs_id: int) -> Observation:
         row = self.row_index((obs_id,))[0]
@@ -324,21 +370,50 @@ class GroupSpec:
                    label_rule=LabelRule.from_json(obj["label_rule"]), count=obj["count"])
 
 
-def _check_subsets(counts, subsets) -> None:
-    """Unit k's subset holds counts[k] distinct integer ids, none held by an earlier unit."""
-    claimed = set()
+def _subset_column(unit: int, count: int, ids) -> np.ndarray:
+    """Unit `unit`'s subset as a read-only int64 column in its order: `count`
+    integer ids within int64, checked in that order."""
+    if len(ids) != count:
+        raise DataError(f"unit {unit}: subset has {len(ids)} ids, plan says {count}")
+    column, past = _int64_ids(ids, f"unit {unit}: subset ids")
+    if past is not None:
+        raise DataError(f"unit {unit}: subset ids must fit in 64 bits, got {past}")
+    column.flags.writeable = False
+    return column
+
+
+def _check_subsets(counts, subsets) -> tuple:
+    """Unit k's subset holds counts[k] distinct integer ids within int64, none
+    held by an earlier unit. Returns (each subset as `_subset_column` makes it,
+    every id sorted in one read-only column).
+
+    The first unit at fault is named, as a unit-by-unit check would: on one
+    unit, `_subset_column`'s rules, then a repeat, then an overlap. Repeats and
+    overlaps come from one stable sort of the units' concatenation: an id
+    ranked after an equal one is held earlier in the unit or by an earlier
+    unit, and the first unit holding such an id is at fault."""
+    columns, fault = [], None
     for unit, (count, ids) in enumerate(zip(counts, subsets)):
-        if len(ids) != count:
-            raise DataError(f"unit {unit}: subset has {len(ids)} ids, plan says {count}")
-        bad = [i for i in ids if not is_int(i)]
-        if bad:
-            raise DataError(f"unit {unit}: subset ids must be integers, got {bad[0]!r}")
-        if len(set(ids)) != len(ids):
+        try:
+            columns.append(_subset_column(unit, count, ids))
+        except DataError as exc:
+            fault = exc
+            break
+    every = np.concatenate([np.zeros(0, dtype=np.int64), *columns])
+    by_id = _sorted_ids(every)
+    held = _held(by_id)
+    if held.any():
+        ends = np.cumsum([len(column) for column in columns])
+        unit = int(np.searchsorted(ends, np.argmax(held), side="right"))
+        mine = slice(ends[unit] - len(columns[unit]), ends[unit])
+        if len(np.unique(every[mine])) < len(columns[unit]):
             raise DataError(f"unit {unit}: subset repeats an observation id")
-        overlap = claimed.intersection(ids)
-        if overlap:
-            raise DataError(f"subsets overlap on observation ids {sorted(overlap)}")
-        claimed.update(ids)
+        raise DataError(f"subsets overlap on observation ids {np.sort(every[mine][held[mine]]).tolist()}")
+    if fault:
+        raise fault
+    assigned = by_id[1]
+    assigned.flags.writeable = False
+    return tuple(columns), assigned
 
 
 @dataclass(frozen=True)
@@ -357,7 +432,9 @@ class PartitionPlan:
         if self.selection == "explicit":
             if self.explicit_ids is None or len(self.explicit_ids) != len(self.counts):
                 raise DataError("explicit selection needs one id list per unit")
-            _check_subsets(self.counts, self.explicit_ids)
+            # kept as Python ints, as given in order, so the plan writes as JSON
+            columns, _ = _check_subsets(self.counts, self.explicit_ids)
+            object.__setattr__(self, "explicit_ids", tuple(tuple(ids.tolist()) for ids in columns))
         elif self.explicit_ids is not None:
             raise DataError("explicit_ids only valid with selection='explicit'")
 
@@ -368,10 +445,12 @@ class PartitionPlan:
         return cls(counts=tuple(counts), selection=selection, explicit_ids=ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionSet:
-    """Disjoint observation-id subsets, one per planned unit: subsets[k] holds unit k's ids."""
-    subsets: tuple[tuple[int, ...], ...]
+    """Disjoint observation-id subsets, one per planned unit: subsets[k] holds
+    unit k's ids as a read-only int64 column, in the order given (`partition`
+    gives each one sorted). Equal, and hashed, by value."""
+    subsets: tuple[np.ndarray, ...]
     plan: PartitionPlan
     seed: int
 
@@ -380,16 +459,28 @@ class PartitionSet:
             raise DataError(f"partition seed must be an integer, got {self.seed!r}")
         if len(self.subsets) != len(self.plan.counts):
             raise DataError(f"{len(self.subsets)} subsets for a plan of {len(self.plan.counts)} units")
-        _check_subsets(self.plan.counts, self.subsets)
+        subsets, assigned = _check_subsets(self.plan.counts, self.subsets)
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "_assigned", assigned)
 
-    def assigned_ids(self) -> frozenset:
-        return frozenset(i for ids in self.subsets for i in ids)
+    def __eq__(self, other):
+        if not isinstance(other, PartitionSet):
+            return NotImplemented
+        return (self.plan == other.plan and self.seed == other.seed
+                and all(map(np.array_equal, self.subsets, other.subsets)))
+
+    def __hash__(self):
+        return hash((self.plan, self.seed, *(ids.tobytes() for ids in self.subsets)))
+
+    def assigned_ids(self) -> np.ndarray:
+        """Every unit's ids, sorted, as one read-only int64 column."""
+        return self._assigned
 
     def to_json(self) -> dict:
         out = {"seed": self.seed,
                "selection": self.plan.selection,
                "plan": [[k, c] for k, c in enumerate(self.plan.counts)],
-               "subsets": {str(k): list(ids) for k, ids in enumerate(self.subsets)}}
+               "subsets": {str(k): ids.tolist() for k, ids in enumerate(self.subsets)}}
         if self.plan.explicit_ids is not None:
             out["explicit_ids"] = [list(ids) for ids in self.plan.explicit_ids]
         return out
@@ -406,7 +497,7 @@ class PartitionSet:
         explicit = obj.get("explicit_ids")
         plan = PartitionPlan(counts=tuple(c for _, c in obj["plan"]), selection=obj["selection"],
                              explicit_ids=None if explicit is None else tuple(map(tuple, explicit)))
-        return cls(subsets=tuple(tuple(obj["subsets"][k]) for k in keys), plan=plan, seed=obj["seed"])
+        return cls(subsets=tuple(obj["subsets"][k] for k in keys), plan=plan, seed=obj["seed"])
 
 
 def generate_synthetic(specs, seed: int) -> Dataset:
@@ -717,7 +808,7 @@ def partition(dataset: Dataset, plan: PartitionPlan, seed: int) -> PartitionSet:
     if plan.selection == "contiguous":
         cursor = 0
         for count in plan.counts:
-            subsets.append(tuple(sorted(dataset.ids[cursor:cursor + count].tolist())))
+            subsets.append(np.sort(dataset.ids[cursor:cursor + count]))
             cursor += count
     elif plan.selection == "stratified":
         for unit, count in enumerate(plan.counts):
@@ -727,20 +818,20 @@ def partition(dataset: Dataset, plan: PartitionPlan, seed: int) -> PartitionSet:
             if len(pool) < count:
                 raise DataError(f"stratified group {unit} exhausted: has {len(pool)}, unit needs {count}")
             order = rng_for(seed, "partition", unit).permutation(len(pool))
-            subsets.append(tuple(sorted(pool[order[:count]].tolist())))
-    else:  # explicit
-        known = set(dataset.ids.tolist())
+            subsets.append(np.sort(pool[order[:count]]))
+    else:  # explicit: the plan's check made each list int64 ids
         for unit, ids in enumerate(plan.explicit_ids):
-            missing = set(ids) - known
-            if missing:
-                raise DataError(f"unit {unit}: explicit ids not in dataset: {sorted(missing)}")
-            subsets.append(tuple(sorted(ids)))
+            ids = np.sort(np.array(ids, dtype=np.int64))
+            missing = np.setdiff1d(ids, dataset.ids)  # sorted, each once
+            if len(missing):
+                raise DataError(f"unit {unit}: explicit ids not in dataset: {missing.tolist()}")
+            subsets.append(ids)
     return PartitionSet(subsets=tuple(subsets), plan=plan, seed=seed)
 
 
 def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction: float,
-                   seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Build the two evaluation id sets.
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Build the two evaluation id sets, each a sorted, read-only int64 column.
 
     non-overlapping: ids never assigned to any unit (unseen data).
     overlapping: a seeded sample of holdout_fraction of the assigned ids,
@@ -751,14 +842,15 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    assigned = sorted(partitions.assigned_ids())
+    assigned = partitions.assigned_ids()
     unseen = np.ones(len(dataset), dtype=bool)
     unseen[dataset.row_index(assigned)] = False
-    non_overlapping = tuple(sorted(dataset.ids[unseen].tolist()))
-    if not non_overlapping:
+    non_overlapping = np.sort(dataset.ids[unseen])
+    if not len(non_overlapping):
         raise DataError("no unassigned observations: non-overlapping test set would be empty")
-    covered = set(dataset.row_groups[unseen].tolist())
-    uncovered = [g for g, _ in dataset.groups if g not in covered]
+    covered = np.zeros(len(dataset.groups), dtype=bool)  # group ids are dense 0..G-1
+    covered[dataset.row_groups[unseen]] = True
+    uncovered = np.flatnonzero(~covered).tolist()
     if uncovered:
         raise DataError(f"group(s) {uncovered} have no unassigned observation: "
                         "the non-overlapping test set must cover every group")
@@ -767,5 +859,7 @@ def make_test_sets(dataset: Dataset, partitions: PartitionSet, holdout_fraction:
         raise DataError(f"holdout_fraction {holdout_fraction} of {len(assigned)} assigned ids "
                         "samples no overlapping test id")
     picks = rng_for(seed, "holdout").choice(len(assigned), size=k, replace=False)
-    overlapping = tuple(sorted(assigned[j] for j in picks))
+    overlapping = np.sort(assigned[picks])
+    for column in overlapping, non_overlapping:
+        column.flags.writeable = False
     return overlapping, non_overlapping

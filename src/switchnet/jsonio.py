@@ -5,7 +5,10 @@ every input, and one owner of each rule a value read keeps: an object's keys
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, SwitchNetError
 
@@ -14,32 +17,43 @@ def write_json(obj, path) -> None:
     """Write `obj` as `json.dumps(obj, indent=2, sort_keys=True)` and a line break.
 
     `json.dumps` with an indent runs CPython's pure-Python encoder, one call per
-    value. So a non-empty list of ints (ids, say) is written by one join
-    instead, and the string-keyed objects that hold one are walked to reach it;
-    every other value is one `json.dumps` call. The bytes are the same."""
+    value. So `_layout` walks string-keyed dicts, lists and tuples itself, and
+    writes what `json` writes for each value: a list of ints (ids, say) by one
+    join of `int.__repr__`, a list of finite floats (weights, say) by one join
+    of `float.__repr__`, and a string by `encode_basestring_ascii`. Everything
+    else is one `json.dumps` call: a non-finite float, a bool, None, and a dict
+    with a key that is no string. The bytes are the same. A 1-D int64 array
+    (an id column) is written as its list of ints, with no per-value check."""
     Path(path).write_text(_layout(obj, "") + "\n", encoding="utf-8")
-
-
-def _is_int_list(value) -> bool:
-    # `type(...) is int` leaves out bool, which json writes as `true`/`false`
-    return type(value) is list and bool(value) and set(map(type, value)) == {int}
-
-
-def _holds_int_list(value) -> bool:
-    return (type(value) is dict and all(type(key) is str for key in value)
-            and any(_is_int_list(v) or _holds_int_list(v) for v in value.values()))
 
 
 def _layout(obj, outer: str) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, each line after the first led by `outer`."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:  # not bool, which json writes as `true`/`false`
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
     pad = outer + "  "
-    if _is_int_list(obj):
-        return "[\n" + pad + (",\n" + pad).join(map(int.__repr__, obj)) + "\n" + outer + "]"
-    if _holds_int_list(obj):
-        items = (json.dumps(key) + ": " + _layout(obj[key], pad) for key in sorted(obj))
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        items = (encode_basestring_ascii(key) + ": " + _layout(obj[key], pad) for key in sorted(obj))
         return "{\n" + pad + (",\n" + pad).join(items) + "\n" + outer + "}"
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + outer) if outer else text
+    if kind is np.ndarray and obj.dtype == np.int64 and obj.ndim == 1 and len(obj):
+        items = map(int.__repr__, obj.tolist())
+    elif (kind is list or kind is tuple) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_layout(item, pad) for item in obj)
+    else:
+        text = json.dumps(obj, indent=2, sort_keys=True)
+        return text.replace("\n", "\n" + outer) if outer else text
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + outer + "]"
 
 
 def _refuse_constant(name: str):

@@ -336,9 +336,15 @@ def forward(net: ModularNetwork, obs: Observation) -> Prediction:
                                               for i in range(net.n_units)))
 
 
-def _check_evaluation(ids: tuple, set_kind: str) -> None:
+def _id_list(ids):
+    """An id list as it is passed on to `Dataset.row_index`: an id array as it
+    is, any other iterable as a list, so its length is known."""
+    return ids if isinstance(ids, np.ndarray) else list(ids)
+
+
+def _check_evaluation(ids, set_kind: str) -> None:
     """The id list and set kind `evaluate` takes."""
-    if not ids:
+    if not len(ids):
         raise NetworkError("evaluate needs at least one observation id")
     if set_kind not in SET_KINDS:
         raise NetworkError(f"set_kind must be one of {SET_KINDS}, got {set_kind!r}")
@@ -346,7 +352,7 @@ def _check_evaluation(ids: tuple, set_kind: str) -> None:
 
 def evaluate(net: ModularNetwork, ids, dataset: Dataset, set_kind: str) -> Metrics:
     """Accuracy and per-group accuracy of gated predictions over the id list."""
-    ids = tuple(ids)
+    ids = _id_list(ids)
     _check_evaluation(ids, set_kind)
     return _pass(net, ids, dataset, ablate=False).metrics(set_kind)
 
@@ -371,8 +377,8 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
     """
     if not isinstance(net.aggregation, LinearReadout):
         raise NetworkError("fit_readout requires linear-readout aggregation")
-    ids = tuple(ids)
-    if not ids:
+    ids = _id_list(ids)
+    if not len(ids):
         raise NetworkError("fit_readout needs a non-empty calibration set")
     start = net.aggregation
     n = net.n_units
@@ -400,8 +406,8 @@ def fit_readout(net: ModularNetwork, ids, dataset: Dataset, config: TrainConfig)
 def neuron_contribution(net: ModularNetwork, ids, dataset: Dataset) -> ContributionReport:
     """Per-unit accuracy contribution: full accuracy minus accuracy with the unit
     ablated, each ablated block re-scored once (`_Tally`)."""
-    ids = tuple(ids)
-    if not ids:
+    ids = _id_list(ids)
+    if not len(ids):
         raise NetworkError("neuron_contribution needs at least one observation id")
     return _pass(net, ids, dataset, ablate=True).contribution()
 

@@ -355,14 +355,13 @@ def readout_stage(config: ExperimentConfig, net: ModularNetwork, dataset: Datase
     """Fit the linear readout on the assigned ids; a router-mean network is returned as is."""
     if config.aggregation != "linear-readout":
         return net
-    return fit_readout(net, tuple(sorted(parts.assigned_ids())), dataset, config.train)
+    return fit_readout(net, parts.assigned_ids(), dataset, config.train)
 
 
 def write_test_sets(path, config: ExperimentConfig, overlapping, non_overlapping) -> None:
-    """Write `test_sets.json`."""
+    """Write `test_sets.json`: the two id columns `make_test_sets` draws."""
     write_json({"holdout_fraction": config.holdout_fraction,
-                "overlapping": list(overlapping),
-                "non_overlapping": list(non_overlapping)}, path)
+                "overlapping": overlapping, "non_overlapping": non_overlapping}, path)
 
 
 def write_training(bundle: ReportBundle, net: ModularNetwork, fed: FedRunReport) -> None:

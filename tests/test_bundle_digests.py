@@ -1,10 +1,11 @@
-"""Byte-determinism pinned: sha256 of every deterministic artifact of four small runs.
+"""Byte-determinism pinned: sha256 of every deterministic artifact of five small runs.
 
 A drift fails and names the files. An intended numeric change re-pins the table
 and declares the drift in CHANGES.md; a drift after a numpy upgrade is fixed by
 owning the distribution transforms, not by loosening the pin.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -76,3 +77,49 @@ def test_bundle_digests_are_pinned(tmp_path, monkeypatch, run):
     moved = sorted(name for name in digests.keys() | pinned.keys()
                    if digests.get(name) != pinned.get(name))
     assert not moved, f"{run}: digests moved for {moved}"
+
+
+# the packaged data written back with id 3k + 7 for id k and its rows reversed, so its
+# ids are neither 0..n-1 nor in row order: no id is its own row's position
+CSV_INPUT = {
+    "attribution.json": "f5285c4a78bfaaeaecf37fd61db8d27efabbe09ce8fe38c4b6b1c3b02a5c7f3b",
+    "config.json": "84495b967d1bfc61b04acb60c94e23e000234aeb0e16b6ff856e4c59d459ff34",
+    "contribution.json": "27813c94f796aa08e9fbaa27e8606ed8c30feae6bae51ea31c60da5677199516",
+    "dataset.csv": "63b1316c8f3c8c84df7781c21956aaca1de37ff86b91fc4958b1eb85e94dcbe6",
+    "fed_report.json": "85cff866a145abdd23a54c853ee493eeb23155c92cba882cbd4c2e9e61d6cfde",
+    "heatmap.csv": "775690ccb2dbdfbad3c3666b39384c4fb53d0c10af94d433744fed88cd1bd99f",
+    "heatmap.svg": "adf9a8cad804c6d1ca7775fe5d039aa5560d09b3e69493fbf7f35db37af4b97f",
+    "manifest.json": "c5b27b5618c9fadad68507b622f26cf62aee0a1f8a49d25bd3bc99d8ae03d4dc",
+    "metrics_non_overlapping.json": "26019530e59c3c874516d26f0e26cdd73d4751d92408b3d209c2e604a65b1182",
+    "metrics_overlapping.json": "6f9068a11af8a13f72877595740d5f1dfdcf55d35d2f934d0ffcf3144a18a6e5",
+    "network.json": "4aa856aba80e4fa72ba85ab2e31f11c808c035c44fa94de58677157fa1691aa6",
+    "partition.json": "dafe2030375981fa5a06dd433971b42620d02a621de95859b6d1f975e2534abe",
+    "test_sets.json": "2d40f04ba7d43b31ba454ba118cf8da0e2ee368c503eec8df48a4b9c980e2074",
+    "unit_0.json": "a068a369caa53d41f6d44507f5e9853f4de8814d0e74367d04370a6b7b115379",
+    "unit_1.json": "e71d5ea2cf043d50093843c74e279e9de5fae4ed13cbc4d73c1d591efaf4de88",
+    "unit_2.json": "c132021cbb7ce853f4d6dc2ecbc1f81587b4742bcd120122a84b0699fbc57664",
+    "unit_3.json": "f45e25336560df6eaf1ab1df2be502136a57c0c8267577e1774cdf6318101273",
+    "unit_4.json": "8739adade510d48465c1359408985d4c72ae215704efce07e5800389dab22361",
+}
+
+
+def test_csv_input_bundle_digests_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    packaged = sn.load_config(sn.default_config_path())
+    data = sn.generate_synthetic(packaged.specs, packaged.seed)
+    sn.save_dataset(sn.Dataset(dim=data.dim, groups=data.groups, ids=3 * data.ids[::-1] + 7,
+                               row_groups=data.row_groups[::-1], labels=data.labels[::-1],
+                               features=data.features[::-1]), "data.csv")
+    doc = json.loads(sn.default_config_path().read_text(encoding="utf-8"))
+    doc["data"] = {"dataset": "data.csv", "holdout_fraction": 0.2}
+    with open("config.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    # a relative config path keeps config.json's dataset path relative, so the bytes are path-free
+    config = sn.load_config("config.json", ["output.dir=out", "network.workers=1", *MULTI_UNIT,
+                                            "network.aggregation=linear-readout"])
+    bundle = sn.run_pipeline(config)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in bundle.deterministic_paths()}
+    moved = sorted(name for name in digests.keys() | CSV_INPUT.keys()
+                   if digests.get(name) != CSV_INPUT.get(name))
+    assert not moved, f"csv-input: digests moved for {moved}"

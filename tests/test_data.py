@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import switchnet as sn
+from switchnet.jsonio import write_json
 from switchnet.seeding import rng_for
 
 
@@ -692,6 +693,29 @@ def test_subset_refuses_an_id_given_twice():
         ds.subset([4, 0, 4])
 
 
+@pytest.mark.parametrize("bad", [3.0, 3.5, -0.0, True, np.float64(3.0), np.bool_(True)], ids=repr)
+def test_a_bool_or_float_id_is_refused_never_read_as_an_integer(bad):
+    ds = sn.generate_synthetic(specs_for((4, 3)), seed=8)
+    message = f"^observation ids must be integers, got {re.escape(repr(bad))}$"
+    for lookup in (ds.row_index, ds.subset, lambda ids: ds.observation(ids[1])):
+        with pytest.raises(sn.DataError, match=message):
+            lookup([5, bad])
+    with pytest.raises(sn.DataError, match=r"^observation ids must be integers, got 5\.0$"):
+        ds.subset(np.array([5.0, 3.0]))
+
+
+@pytest.mark.parametrize("query, unknown", [([1, 2**64, 99], "18446744073709551616"), ([1, 99, 2**64], "99"),
+                                            ([-1], "-1"), ([-2**63 - 1], "-9223372036854775809"),
+                                            (np.array([2, 2**63], dtype=np.uint64), "9223372036854775808")])
+def test_an_unknown_id_is_named_first_in_query_order(query, unknown):
+    # an id past int64 is unknown like any other, never an OverflowError
+    for ds in (sn.generate_synthetic(specs_for((4, 3)), seed=8),  # ids 0..6, each its own row
+               sn.Dataset(dim=1, groups=((0, "a"),), ids=[9, 2, 1], row_groups=[0] * 3, labels=[0] * 3,
+                          features=[[0.0]] * 3)):
+        with pytest.raises(sn.DataError, match=f"^unknown observation id {unknown}$"):
+            ds.row_index(query)
+
+
 def test_load_missing_file():
     with pytest.raises(sn.DataError, match="not found"):
         sn.load_dataset("/nonexistent/nowhere.csv")
@@ -760,7 +784,25 @@ def test_partition_explicit_lists():
     plan = sn.PartitionPlan.from_counts([2, 3], selection="explicit",
                                         explicit_ids=[[1, 0], [5, 6, 7]])
     parts = sn.partition(ds, plan, seed=9)
-    assert parts.subsets == ((0, 1), (5, 6, 7))
+    assert [ids.tolist() for ids in parts.subsets] == [[0, 1], [5, 6, 7]]
+
+
+def test_explicit_plan_of_numpy_ids_writes_as_json(tmp_path):
+    # numpy integer ids are kept as the Python ints they equal, so the partition and
+    # the config write as JSON, and the plan equals one given as lists
+    ds = sn.generate_synthetic(specs_for((5, 5)), seed=9)
+    given = [np.array([1, 0]), np.array([5, 6, 7], dtype=np.uint8)]
+    plan = sn.PartitionPlan.from_counts([2, 3], selection="explicit", explicit_ids=given)
+    assert plan == sn.PartitionPlan.from_counts([2, 3], selection="explicit",
+                                                explicit_ids=[[1, 0], [5, 6, 7]])
+    assert {type(i) for ids in plan.explicit_ids for i in ids} == {int}
+    parts = sn.partition(ds, plan, seed=9)
+    write_json(parts.to_json(), tmp_path / "partition.json")
+    assert json.loads((tmp_path / "partition.json").read_text())["explicit_ids"] == [[1, 0], [5, 6, 7]]
+    assert sn.PartitionSet.from_json(parts.to_json()) == parts
+    config = dataclasses.replace(sn.load_config(sn.default_config_path()), plan=plan)
+    write_json(sn.config_to_doc(config), tmp_path / "config.json")
+    assert json.loads((tmp_path / "config.json").read_text())["partition"]["explicit_ids"] == [[1, 0], [5, 6, 7]]
 
 
 def test_partition_explicit_overlap_rejected():
@@ -800,7 +842,7 @@ def test_partition_random_plans_property():
         seed = int(gen.integers(0, 10_000))
         parts = sn.partition(ds, plan, seed)
         again = sn.partition(ds, plan, seed)
-        assert parts.subsets == again.subsets
+        assert parts == again
         seen = set()
         for ids, count in zip(parts.subsets, counts):
             assert len(ids) == count
@@ -828,7 +870,7 @@ def test_overlapping_size_is_floor_of_fraction():
     ds, parts = _partitioned((25, 35, 15, 25, 25), [20, 30, 10, 20, 20])
     overlapping, _ = sn.make_test_sets(ds, parts, 0.1, seed=21)
     assert len(overlapping) == 10
-    assert set(overlapping) <= parts.assigned_ids()
+    assert set(overlapping.tolist()) <= set(parts.assigned_ids().tolist())
 
 
 def test_no_unseen_pool_is_error():
@@ -855,9 +897,9 @@ def test_test_sets_deterministic_and_disjoint_from_training():
     ds, parts = _partitioned((25, 25), [20, 20])
     a = sn.make_test_sets(ds, parts, 0.25, seed=3)
     b = sn.make_test_sets(ds, parts, 0.25, seed=3)
-    assert a == b
+    assert all(map(np.array_equal, a, b))
     _, non_overlapping = a
-    assert not set(non_overlapping) & parts.assigned_ids()
+    assert not set(non_overlapping.tolist()) & set(parts.assigned_ids().tolist())
 
 
 def test_holdout_fraction_bounds():

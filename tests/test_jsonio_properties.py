@@ -1,6 +1,7 @@
 """Property tests: `jsonio.floats` against Python's `float()` on generated JSON values, among
 them integers past float range, the infinities `1e400` parses to, booleans, strings and null;
-and `jsonio.write_json` against `json.dumps(indent=2, sort_keys=True)` on nested JSON values.
+and `jsonio.write_json` against `json.dumps(indent=2, sort_keys=True)` on nested JSON values
+and on lists of floats, finite and not, among ints and bools, in lists, tuples and empty containers.
 
 Needs `hypothesis` (the `test` extra); the module is skipped without it.
 """
@@ -74,6 +75,32 @@ JSON_VALUES = st.recursive(st.one_of(SCALARS, INT_LISTS),
 @example({"a": {"b": {"c": [0]}, "d": {}}})
 @example({"a": {1: [2, 3], 0: [1]}})  # json writes an int key as a string, after sorting the ints
 def test_write_json_is_json_dumps_indent_2_sorted(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(obj, path)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# the floats write_json joins by `float.__repr__`, and those it must leave to json: the signed
+# zero, the repr boundaries at 1e16 and 1e-05, the smallest subnormal, nan and the infinities
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e16, 9999999999999998.0, 1e-05, 0.0001, 5e-324, -5e-324,
+                               1.7976931348623157e308, float("nan"), float("inf"), float("-inf")])
+FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+FLOAT_LISTS = st.one_of(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5),
+                        st.lists(FLOATS, max_size=5),
+                        st.lists(st.one_of(FLOATS, st.integers(), st.booleans()), max_size=5))
+FLOAT_VALUES = st.recursive(st.one_of(FLOAT_LISTS, FLOAT_LISTS.map(tuple), st.just([]), st.just({})),
+                            lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                                                    st.dictionaries(KEYS, inner, max_size=3)),
+                            max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_VALUES)
+@example([-0.0, 1e16, 1e-05, 5e-324])
+@example([0.5, float("nan"), float("inf"), -1.5])
+@example({"w": [1.0, 2, True, None], "e": ([], {}, ()), "t": (0.25, -0.0)})
+@example([[[]], {"a": []}, {"b": {}}])
+def test_write_json_writes_float_lists_as_json_dumps(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("json") / "doc.json"
     write_json(obj, path)
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")

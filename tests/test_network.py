@@ -11,6 +11,7 @@ import pytest
 import oracle
 import switchnet as sn
 from switchnet import network
+from switchnet.analysis import readings
 from switchnet.neuron import _z
 
 
@@ -229,6 +230,24 @@ def test_evaluate_rejects_empty_and_unknown_ids():
         sn.evaluate(net, [], dataset, "overlapping")
     with pytest.raises(sn.DataError, match="unknown observation"):
         sn.evaluate(net, [9999], dataset, "overlapping")
+
+
+@pytest.mark.parametrize("bad", [3.0, 3.5, True, np.float64(3.0), np.bool_(False)], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda net, ids, ds: sn.evaluate(net, ids, ds, "overlapping"),
+    lambda net, ids, ds: readings(net, ids, ds, "overlapping", "mean"),
+    sn.heatmap,
+    lambda net, ids, ds: sn.fit_readout(dataclasses.replace(net, aggregation=sn.LinearReadout((0.0, 0.0), 0.0)),
+                                        ids, ds, sn.TrainConfig(epochs=1)),
+], ids=["evaluate", "readings", "heatmap", "fit_readout"])
+def test_batch_passes_refuse_a_bool_or_float_id(call, bad):
+    # a float id is never read as the integer it equals, nor truncated to one
+    dataset = two_group_dataset()
+    net = trained_two_unit_net(dataset)
+    with pytest.raises(sn.DataError, match=f"^observation ids must be integers, got {re.escape(repr(bad))}$"):
+        call(net, [5, bad, 7], dataset)
+    with pytest.raises(sn.DataError, match="^observation ids must be integers, got 5.0$"):
+        call(net, np.array([5.0, 7.0]), dataset)
 
 
 def test_evaluate_rejects_bad_set_kind():
